@@ -32,7 +32,7 @@ use imc_fleet::{serve_fleet, FleetPlan, RouterConfig};
 use imc_serve::model::{ServeModel, DEFAULT_SEED};
 use imc_serve::protocol::{InferRequest, Request, Response};
 use imc_serve::{serve, wire, Client, ClientConfig, Proto, ServeConfig};
-use neural::imc_exec::{ImcConfig, ImcDesign, MacKernel, QNetwork};
+use neural::imc_exec::{ImcConfig, ImcDesign, QNetwork};
 use neural::models::mlp;
 use neural::tensor::{matmul, matmul_blocked, matmul_parallel, Tensor};
 use serde::Serialize;
@@ -139,11 +139,6 @@ struct Pr6Snapshot {
     /// (784→64→10, full noise), counting one multiply-accumulate per
     /// weight per inference.
     packed_kernel_gmacs: f64,
-    /// Deprecated per-plane f32 `matmul_parallel` kernel on the same
-    /// network and inputs.
-    scalar_kernel_gmacs: f64,
-    /// `packed / scalar` throughput ratio.
-    kernel_speedup: f64,
     /// Packed-kernel wall time per single inference (µs).
     packed_us_per_inf: f64,
     /// JSON encode+decode round trip of a 784-feature `Infer` request
@@ -632,14 +627,13 @@ fn pr7_snapshot() -> Pr7Snapshot {
     }
 }
 
-/// Measures the packed vs scalar MAC kernels, the two wire encodings,
-/// and end-to-end `BIN1` serving for `BENCH_pr6.json`.
+/// Measures the packed MAC kernel, the two wire encodings, and
+/// end-to-end `BIN1` serving for `BENCH_pr6.json`.
 fn pr6_snapshot() -> Pr6Snapshot {
-    // --- kernel: packed vs deprecated scalar on the serve MLP ----------
+    // --- kernel: packed MAC on the serve MLP ---------------------------
     let seq = mlp(784, 64, 10, DEFAULT_SEED);
     let cfg = ImcConfig::paper(ImcDesign::ChgFe, 4, 8);
-    let packed = QNetwork::from_sequential_kernel(&seq, cfg, MacKernel::Packed);
-    let scalar = QNetwork::from_sequential_kernel(&seq, cfg, MacKernel::Scalar);
+    let packed = QNetwork::from_sequential(&seq, cfg);
     let x = Tensor::from_vec(
         &[1, 784],
         (0..784).map(|i| (i % 17) as f32 / 17.0).collect(),
@@ -654,9 +648,7 @@ fn pr6_snapshot() -> Pr6Snapshot {
     };
     // Warm the plane caches and branch predictors before timing.
     time_forward(&packed, 5);
-    time_forward(&scalar, 2);
     let t_packed = time_forward(&packed, 200);
-    let t_scalar = time_forward(&scalar, 50);
 
     // --- wire: JSON vs BIN1 encode+decode round trips ------------------
     let req = Request::Infer(InferRequest {
@@ -746,8 +738,6 @@ fn pr6_snapshot() -> Pr6Snapshot {
     Pr6Snapshot {
         threads: par_exec::threads(),
         packed_kernel_gmacs: macs_per_inf / t_packed / 1.0e9,
-        scalar_kernel_gmacs: macs_per_inf / t_scalar / 1.0e9,
-        kernel_speedup: t_scalar / t_packed,
         packed_us_per_inf: t_packed * 1.0e6,
         json_infer_roundtrip_ns: json_req * 1.0e9,
         bin_infer_roundtrip_ns: bin_req * 1.0e9,

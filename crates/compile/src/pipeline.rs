@@ -741,30 +741,6 @@ mod tests {
     }
 
     #[test]
-    fn compile_reports_pass_spans_and_programming_counters() {
-        let before = imc_obs::registry().snapshot();
-        let cells0 = before
-            .counter("imc_compile_programmed_cells_total")
-            .unwrap_or(0);
-        let opts = tiny();
-        let mut ledger = WearLedger::fresh(opts.geometry.banks);
-        let out = compile(&opts, &mut ledger).unwrap();
-        let after = imc_obs::registry().snapshot();
-        assert_eq!(
-            after.counter("imc_compile_programmed_cells_total").unwrap(),
-            cells0 + out.totals.cells
-        );
-        assert!(after.counter("imc_compile_runs_total").unwrap() > 0);
-        for pass in ["placement", "remap", "programming", "wear", "predict"] {
-            let name = format!("pass.{pass}");
-            let s = after
-                .histogram_with("span_us", &[("span", name.as_str())])
-                .unwrap_or_else(|| panic!("span pass.{pass} missing"));
-            assert!(s.count > 0, "span pass.{pass} never recorded");
-        }
-    }
-
-    #[test]
     fn probe_inputs_are_stable_and_bounded() {
         let a = probe_inputs(8, 4, 7);
         let b = probe_inputs(8, 4, 7);

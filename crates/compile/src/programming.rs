@@ -496,7 +496,7 @@ mod tests {
         );
         let delta = program_pass(
             &[next.clone()],
-            Some(&[base.clone()]),
+            Some(std::slice::from_ref(&base)),
             &shapes,
             &one_tile_placement(16),
             ImcDesign::ChgFe,

@@ -414,7 +414,7 @@ mod tests {
             enable: true,
         };
         let w = qw(16, 64, 3);
-        let r = remap_pass(&[w.clone()], &placement(16, 2), &opts).unwrap();
+        let r = remap_pass(std::slice::from_ref(&w), &placement(16, 2), &opts).unwrap();
         assert_eq!(r.stored[0], w.q);
         assert_eq!(r.effective[0], w.q);
         assert!(r.ledger.relocated.is_empty() && r.ledger.clamped.is_empty());
@@ -432,7 +432,7 @@ mod tests {
             enable: false,
         };
         let w = qw(16, 64, 1);
-        let r = remap_pass(&[w.clone()], &placement(16, 2), &opts).unwrap();
+        let r = remap_pass(std::slice::from_ref(&w), &placement(16, 2), &opts).unwrap();
         assert_eq!(r.stored[0], w.q, "stored codes untouched");
         let map = FaultMap::sample(w.q.len(), &model, mix(7, 0));
         assert_eq!(r.effective[0], map.apply(&w.q));
@@ -454,7 +454,7 @@ mod tests {
             enable: true,
         };
         let w = qw(4, 32, 2);
-        let r = remap_pass(&[w.clone()], &placement(16, 8), &opts).unwrap();
+        let r = remap_pass(std::slice::from_ref(&w), &placement(16, 8), &opts).unwrap();
         assert!(r.ledger.total_faults > 0, "need faults for this test");
         if r.ledger.clamped.is_empty() {
             assert_eq!(r.effective[0], w.q);
@@ -472,7 +472,7 @@ mod tests {
         };
         let w = qw(16, 128, 5);
         let raw = remap_pass(
-            &[w.clone()],
+            std::slice::from_ref(&w),
             &placement(16, 0),
             &RemapOptions {
                 model,
@@ -482,7 +482,7 @@ mod tests {
         )
         .unwrap();
         let fixed = remap_pass(
-            &[w.clone()],
+            std::slice::from_ref(&w),
             &placement(16, 0),
             &RemapOptions {
                 model,
@@ -520,7 +520,7 @@ mod tests {
             seed: 33,
             enable: true,
         };
-        let r = remap_pass(&[w.clone()], &placement(16, 2), &opts).unwrap();
+        let r = remap_pass(std::slice::from_ref(&w), &placement(16, 2), &opts).unwrap();
         assert!(r.ledger.total_faults > 0);
         assert!(
             !r.ledger.relocated.is_empty(),
@@ -530,7 +530,7 @@ mod tests {
         );
         // Every relocation must have strictly beaten its in-place cost,
         // so total damage is bounded by the no-spare clamp floor.
-        let no_spares = remap_pass(&[w.clone()], &placement(16, 0), &opts).unwrap();
+        let no_spares = remap_pass(std::slice::from_ref(&w), &placement(16, 0), &opts).unwrap();
         let err = |eff: &[i8]| -> i64 {
             eff.iter()
                 .zip(&w.q)

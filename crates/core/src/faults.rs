@@ -110,19 +110,6 @@ impl FaultModel {
         }
         Ok(())
     }
-
-    /// Panicking shim kept for callers written against the pre-`Result`
-    /// API.
-    ///
-    /// # Panics
-    ///
-    /// Panics if [`validate`](Self::validate) returns an error.
-    #[deprecated(note = "use `validate()` and handle the Result")]
-    pub fn assert_valid(&self) {
-        if let Err(e) = self.validate() {
-            panic!("invalid fault model: {e}");
-        }
-    }
 }
 
 /// Applies one cell fault to one bit of a stored weight, returning the

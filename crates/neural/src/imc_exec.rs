@@ -16,9 +16,9 @@
 //! 5. 2CM/N2CM SAR ADC quantization per chunk, then digital nibble
 //!    combining and input shift-add.
 //!
-//! The statistical model runs at matmul speed; its noise constants are
-//! validated against the cycle-accurate [`imc_core`] bank models by the
-//! integration tests.
+//! The statistical model runs on the packed bit-plane kernel of
+//! [`packed`]; its noise constants are validated against the
+//! cycle-accurate [`imc_core`] bank models by the integration tests.
 
 pub mod packed;
 
@@ -27,9 +27,8 @@ use std::sync::Arc;
 use crate::layers::{BatchNorm2d, Conv2d, Layer, Linear};
 use crate::models::Sequential;
 use crate::quant::{quantize_activations, quantize_weights, QuantizedWeights};
-use crate::tensor::{matmul_parallel, Tensor};
+use crate::tensor::Tensor;
 use imc_core::adc::{h4b_adc, l4b_adc, SarAdc};
-use imc_core::weights::SplitWeight;
 
 /// Which macro design executes the MACs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -132,370 +131,20 @@ impl ImcConfig {
     }
 }
 
-/// Which MAC kernel implementation executes Conv/Linear layers.
-///
-/// [`Packed`](Self::Packed) is the default: the SWAR bit-plane kernel
-/// of [`packed`] (popcount pMACV, shift-add folded in, weight-stationary
-/// plane cache). [`Scalar`](Self::Scalar) keeps the legacy per-plane
-/// `matmul_parallel` path alive as an escape hatch — select it
-/// process-wide with `FEFET_IMC_SCALAR_MAC=1`. At `noise_scale = 0` the
-/// two kernels are bit-identical; with noise enabled they draw from
-/// different (equal-variance) per-conversion noise models, so outputs
-/// differ in the noise bits only.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum MacKernel {
-    /// Packed `u64` bit-plane popcount kernel (default).
-    Packed,
-    /// Legacy per-plane f32 `matmul_parallel` kernel (deprecated).
-    Scalar,
-}
-
-impl MacKernel {
-    /// The process default: [`Scalar`](Self::Scalar) iff the
-    /// `FEFET_IMC_SCALAR_MAC` environment variable is `1`.
-    #[must_use]
-    pub fn from_env() -> Self {
-        match std::env::var("FEFET_IMC_SCALAR_MAC") {
-            Ok(v) if v == "1" => Self::Scalar,
-            _ => Self::Packed,
-        }
-    }
-}
-
-/// SplitMix64 + Box-Muller: a tiny deterministic Gaussian stream (fast
-/// enough for millions of draws per image).
-#[derive(Debug, Clone)]
-struct GaussStream {
-    state: u64,
-    spare: Option<f64>,
-}
-
-impl GaussStream {
-    fn new(seed: u64) -> Self {
-        Self {
-            state: seed,
-            spare: None,
-        }
-    }
-
-    fn next_u64(&mut self) -> u64 {
-        self.state = self.state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-        let mut z = self.state;
-        z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-        z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-        z ^ (z >> 31)
-    }
-
-    fn uniform(&mut self) -> f64 {
-        (self.next_u64() >> 11) as f64 / (1u64 << 53) as f64
-    }
-
-    fn normal(&mut self) -> f64 {
-        if let Some(s) = self.spare.take() {
-            return s;
-        }
-        let u1 = self.uniform().max(1e-300);
-        let u2 = self.uniform();
-        let r = (-2.0 * u1.ln()).sqrt();
-        let (s, c) = (std::f64::consts::TAU * u2).sin_cos();
-        self.spare = Some(r * s);
-        r * c
-    }
-}
-
-/// Per-weight lookup: nibble unit values and per-cycle noise variances.
-#[derive(Debug, Clone)]
-struct WeightPlanes {
-    /// `[chunks][rows_c × oc]` high-nibble unit matrices.
-    hi: Vec<Tensor>,
-    /// Low-nibble unit matrices (zero in 4-bit mode).
-    lo: Vec<Tensor>,
-    /// Per-cell variance matrices (high block).
-    var_h: Vec<Tensor>,
-    /// Per-cell variance matrices (low block).
-    var_l: Vec<Tensor>,
-    /// Rows in each chunk.
-    chunk_rows: Vec<usize>,
-    out_features: usize,
-}
-
-/// Weight planes of a MAC layer, in whichever kernel representation the
-/// network was built for.
+/// A MAC layer's weights: packed `u64` bit-planes (shared through the
+/// weight-stationary cache) plus the derived per-conversion noise
+/// constants.
 #[derive(Debug)]
-enum MacPlanes {
-    /// Packed `u64` bit-planes plus the derived per-conversion noise
-    /// constants (shared through the weight-stationary cache).
-    Packed {
-        planes: Arc<packed::PackedPlanes>,
-        noise: packed::PlaneNoise,
-    },
-    /// Legacy f32 unit/variance plane tensors.
-    Scalar(WeightPlanes),
-}
-
-impl MacPlanes {
-    fn out_features(&self) -> usize {
-        match self {
-            Self::Packed { planes, .. } => planes.out_features,
-            Self::Scalar(p) => p.out_features,
-        }
-    }
-}
-
-/// Per-forward noise-stream state, matching the network's kernel (the
-/// two kernels define different draw sequences). The packed kernel is
-/// *chunk-addressed*: each MAC dispatch takes the next layer index and
-/// derives independent `(layer, input bit, chunk)` streams through
-/// [`packed::StreamKey`], which is what lets fleet shards reproduce
-/// exactly the draws of the chunks they own (DESIGN §14). The legacy
-/// kernel threads one sequential Box–Muller stream through the whole
-/// forward pass.
-enum NoiseRng {
-    Zig { seed: u64, layer: u32 },
-    Legacy(GaussStream),
-}
-
-impl NoiseRng {
-    fn new(kernel: MacKernel, seed: u64) -> Self {
-        match kernel {
-            MacKernel::Packed => Self::Zig { seed, layer: 0 },
-            MacKernel::Scalar => Self::Legacy(GaussStream::new(seed)),
-        }
-    }
-}
-
-#[deprecated(
-    note = "legacy scalar MAC path; build with `MacKernel::Packed` (or leave \
-            `FEFET_IMC_SCALAR_MAC` unset) to use the packed bit-plane kernel"
-)]
-fn build_planes(qw: &QuantizedWeights, cfg: &ImcConfig) -> WeightPlanes {
-    let noise = NoiseProfile::for_design(cfg.design);
-    // Device-to-device variation is sampled ONCE at program time: it
-    // perturbs the stored unit values statically. Only
-    // `read_noise_fraction` of the σ re-rolls per cycle (see imc_matmul).
-    let mut program_gauss = GaussStream::new(cfg.seed ^ 0x5EED_CAFE);
-    let static_frac = (1.0 - cfg.read_noise_fraction).max(0.0) * cfg.noise_scale;
-    let [oc, fan] = qw.shape;
-    let rows = cfg.rows;
-    let n_chunks = fan.div_ceil(rows);
-    let mut hi = Vec::with_capacity(n_chunks);
-    let mut lo = Vec::with_capacity(n_chunks);
-    let mut var_h = Vec::with_capacity(n_chunks);
-    let mut var_l = Vec::with_capacity(n_chunks);
-    let mut chunk_rows = Vec::with_capacity(n_chunks);
-    for c in 0..n_chunks {
-        let r0 = c * rows;
-        let r1 = (r0 + rows).min(fan);
-        let rc = r1 - r0;
-        chunk_rows.push(rc);
-        let mut th = Tensor::zeros(&[rc, oc]);
-        let mut tl = Tensor::zeros(&[rc, oc]);
-        let mut vh = Tensor::zeros(&[rc, oc]);
-        let mut vl = Tensor::zeros(&[rc, oc]);
-        for r in r0..r1 {
-            for o in 0..oc {
-                let w = qw.q[o * fan + r];
-                let (h_units, l_units, varh, varl) = cell_stats(w, cfg.weight_bits, &noise);
-                let idx = (r - r0) * oc + o;
-                let dh = static_frac * varh.sqrt() * program_gauss.normal();
-                let dl = static_frac * varl.sqrt() * program_gauss.normal();
-                th.data_mut()[idx] = (h_units as f64 + dh) as f32;
-                tl.data_mut()[idx] = (l_units as f64 + dl) as f32;
-                vh.data_mut()[idx] = varh as f32;
-                vl.data_mut()[idx] = varl as f32;
-            }
-        }
-        hi.push(th);
-        lo.push(tl);
-        var_h.push(vh);
-        var_l.push(vl);
-    }
-    WeightPlanes {
-        hi,
-        lo,
-        var_h,
-        var_l,
-        chunk_rows,
-        out_features: oc,
-    }
-}
-
-/// Unit values and current-noise variances contributed by one stored
-/// weight when its row is activated.
-fn cell_stats(w: i8, weight_bits: u32, noise: &NoiseProfile) -> (i32, i32, f64, f64) {
-    let (hi_nib, lo_nib) = if weight_bits == 8 {
-        let sw = SplitWeight::split(w);
-        (sw.high.value(), Some(sw.low.value()))
-    } else {
-        (w, None)
-    };
-    // High nibble: bits 0–2 positive, bit 3 (sign) negative.
-    let hb = imc_core::weights::SignedNibble::new(hi_nib).bits();
-    let mut varh = 0.0;
-    for (j, &b) in hb.iter().enumerate().take(3) {
-        if b {
-            varh += (noise.rel_sigma[j] * f64::from(1u32 << j)).powi(2);
-        }
-    }
-    if hb[3] {
-        varh += (noise.rel_sigma_sign * 8.0).powi(2);
-    }
-    let (l_units, varl) = match lo_nib {
-        None => (0, 0.0),
-        Some(l) => {
-            let lb = imc_core::weights::UnsignedNibble::new(l).bits();
-            let mut v = 0.0;
-            for (j, &b) in lb.iter().enumerate() {
-                if b {
-                    v += (noise.rel_sigma[j] * f64::from(1u32 << j)).powi(2);
-                }
-            }
-            (i32::from(l), v)
-        }
-    };
-    (i32::from(hi_nib), l_units, varh, varl)
-}
-
-/// Runs the IMC MAC for a batch of activation rows against a weight
-/// plane set: `acts_codes` is `[positions, fan]` (integer codes as f32),
-/// output is `[positions, oc]` in integer MAC units.
-#[deprecated(note = "legacy per-plane `matmul_parallel` MAC; the packed kernel \
-            (`packed::imc_matmul_packed`) computes the same pMACV from u64 \
-            bit-planes — this path survives behind `FEFET_IMC_SCALAR_MAC=1`")]
-#[allow(clippy::needless_range_loop)] // flat index shared across five planes
-fn imc_matmul(
-    acts_codes: &Tensor,
-    planes: &WeightPlanes,
-    adcs: &(SarAdc, SarAdc),
-    cfg: &ImcConfig,
-    gauss: &mut GaussStream,
-) -> Tensor {
-    let positions = acts_codes.shape()[0];
-    let fan = acts_codes.shape()[1];
-    let oc = planes.out_features;
-    let (adc_h, adc_l) = adcs;
-    let mut acc = Tensor::zeros(&[positions, oc]);
-    let threads = crate::layers::worker_threads();
-
-    for t in 0..cfg.input_bits {
-        // Bit-plane of the activations.
-        let mut xb = Tensor::zeros(&[positions, fan]);
-        {
-            let src = acts_codes.data();
-            let dst = xb.data_mut();
-            for i in 0..src.len() {
-                let code = src[i] as u32;
-                dst[i] = f32::from((code >> t) & 1 != 0);
-            }
-        }
-        let weight = f64::from(1u32 << t);
-        let mut r0 = 0usize;
-        for (ci, &rc) in planes.chunk_rows.iter().enumerate() {
-            // Slice the bit-plane columns for this chunk.
-            let mut xc = Tensor::zeros(&[positions, rc]);
-            {
-                let src = xb.data();
-                let dst = xc.data_mut();
-                for p in 0..positions {
-                    dst[p * rc..(p + 1) * rc]
-                        .copy_from_slice(&src[p * fan + r0..p * fan + r0 + rc]);
-                }
-            }
-            let h_id = matmul_parallel(&xc, &planes.hi[ci], threads);
-            let l_id = matmul_parallel(&xc, &planes.lo[ci], threads);
-            let vh = matmul_parallel(&xc, &planes.var_h[ci], threads);
-            let vl = matmul_parallel(&xc, &planes.var_l[ci], threads);
-            let ad = acc.data_mut();
-            for i in 0..positions * oc {
-                let read_scale = cfg.noise_scale * cfg.read_noise_fraction;
-                let noise_h = if read_scale > 0.0 {
-                    read_scale * f64::from(vh.data()[i]).max(0.0).sqrt() * gauss.normal()
-                } else {
-                    0.0
-                };
-                let h_units = adc_h.read_units(f64::from(h_id.data()[i]) + noise_h);
-                let combined = if cfg.weight_bits == 8 {
-                    let noise_l = if read_scale > 0.0 {
-                        read_scale * f64::from(vl.data()[i]).max(0.0).sqrt() * gauss.normal()
-                    } else {
-                        0.0
-                    };
-                    let l_units = adc_l.read_units(f64::from(l_id.data()[i]) + noise_l);
-                    16.0 * h_units + l_units
-                } else {
-                    h_units
-                };
-                ad[i] += (combined * weight) as f32;
-            }
-            r0 += rc;
-        }
-    }
-    acc
-}
-
-/// Runs the ideal (noise-free, conversion-free) chunked MAC and records
-/// the largest |H4B| and L4B chunk partial sums — used by the reference-
-/// bank range calibration.
-#[allow(clippy::needless_range_loop)] // flat index shared across planes
-fn ideal_matmul(
-    acts_codes: &Tensor,
-    planes: &WeightPlanes,
-    cfg: &ImcConfig,
-    max_units: &mut (f64, f64),
-) -> Tensor {
-    let positions = acts_codes.shape()[0];
-    let fan = acts_codes.shape()[1];
-    let oc = planes.out_features;
-    let threads = crate::layers::worker_threads();
-    let mut acc = Tensor::zeros(&[positions, oc]);
-    for t in 0..cfg.input_bits {
-        let mut xb = Tensor::zeros(&[positions, fan]);
-        {
-            let src = acts_codes.data();
-            let dst = xb.data_mut();
-            for i in 0..src.len() {
-                let code = src[i] as u32;
-                dst[i] = f32::from((code >> t) & 1 != 0);
-            }
-        }
-        let weight = f64::from(1u32 << t);
-        let mut r0 = 0usize;
-        for (ci, &rc) in planes.chunk_rows.iter().enumerate() {
-            let mut xc = Tensor::zeros(&[positions, rc]);
-            {
-                let src = xb.data();
-                let dst = xc.data_mut();
-                for p in 0..positions {
-                    dst[p * rc..(p + 1) * rc]
-                        .copy_from_slice(&src[p * fan + r0..p * fan + r0 + rc]);
-                }
-            }
-            let h_id = matmul_parallel(&xc, &planes.hi[ci], threads);
-            let l_id = matmul_parallel(&xc, &planes.lo[ci], threads);
-            let ad = acc.data_mut();
-            for i in 0..positions * oc {
-                let h = f64::from(h_id.data()[i]);
-                let l = f64::from(l_id.data()[i]);
-                max_units.0 = max_units.0.max(h.abs());
-                max_units.1 = max_units.1.max(l);
-                let combined = if cfg.weight_bits == 8 {
-                    16.0 * h + l
-                } else {
-                    h
-                };
-                ad[i] += (combined * weight) as f32;
-            }
-            r0 += rc;
-        }
-    }
-    acc
+struct MacPlanes {
+    planes: Arc<packed::PackedPlanes>,
+    noise: packed::PlaneNoise,
 }
 
 /// A quantized network layer.
 #[derive(Debug)]
 enum QLayer {
     Conv {
-        planes: MacPlanes,
+        mac: MacPlanes,
         adcs: (SarAdc, SarAdc),
         w_scale: f32,
         bias: Vec<f32>,
@@ -506,7 +155,7 @@ enum QLayer {
         out_ch: usize,
     },
     Linear {
-        planes: MacPlanes,
+        mac: MacPlanes,
         adcs: (SarAdc, SarAdc),
         w_scale: f32,
         bias: Vec<f32>,
@@ -542,47 +191,6 @@ fn default_adcs(cfg: &ImcConfig) -> (SarAdc, SarAdc) {
     )
 }
 
-/// Kernel-dispatched noisy MAC (inference path).
-fn mac_dispatch(
-    codes: &Tensor,
-    planes: &MacPlanes,
-    adcs: &(SarAdc, SarAdc),
-    cfg: &ImcConfig,
-    rng: &mut NoiseRng,
-) -> Tensor {
-    match (planes, rng) {
-        (MacPlanes::Packed { planes, noise }, NoiseRng::Zig { seed, layer }) => {
-            let key = packed::StreamKey {
-                seed: *seed,
-                layer: *layer,
-            };
-            *layer += 1;
-            packed::imc_matmul_packed(codes, planes, noise, adcs, cfg, key)
-        }
-        (MacPlanes::Scalar(p), NoiseRng::Legacy(g)) =>
-        {
-            #[allow(deprecated)]
-            imc_matmul(codes, p, adcs, cfg, g)
-        }
-        _ => unreachable!("noise stream kind always matches the kernel"),
-    }
-}
-
-/// Kernel-dispatched ideal MAC (calibration path).
-fn ideal_dispatch(
-    codes: &Tensor,
-    planes: &MacPlanes,
-    cfg: &ImcConfig,
-    max_units: &mut (f64, f64),
-) -> Tensor {
-    match planes {
-        MacPlanes::Packed { planes, .. } => {
-            packed::ideal_matmul_packed(codes, planes, cfg, max_units)
-        }
-        MacPlanes::Scalar(p) => ideal_matmul(codes, p, cfg, max_units),
-    }
-}
-
 /// Footprint of a network's packed weight bit-planes (see
 /// [`QNetwork::prepack`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -602,7 +210,6 @@ pub struct PrepackSummary {
 pub struct QNetwork {
     layers: Vec<QLayer>,
     cfg: ImcConfig,
-    kernel: MacKernel,
 }
 
 impl QNetwork {
@@ -619,29 +226,20 @@ impl QNetwork {
         Self::from_sequential_with(net, cfg, |_, qw| qw)
     }
 
-    /// Like [`from_sequential`](Self::from_sequential) with an explicit
-    /// MAC kernel choice instead of the `FEFET_IMC_SCALAR_MAC`
-    /// environment default — the constructor equivalence tests and the
-    /// microbenchmarks use this to build both paths in one process.
-    #[must_use]
-    pub fn from_sequential_kernel(net: &Sequential, cfg: ImcConfig, kernel: MacKernel) -> Self {
-        Self::from_sequential_with_kernel(net, cfg, kernel, |_, qw| qw)
-    }
-
     /// Like [`from_sequential`](Self::from_sequential), but routes every
     /// MAC layer's freshly quantized weights through `override_weights`
-    /// before the noise planes are built. The closure receives the MAC
-    /// layer index (counting conv/linear layers only, in network order)
-    /// and must return a [`QuantizedWeights`] of the **same shape and bit
-    /// width** — typically the original codes with some entries replaced,
-    /// e.g. the effective stored codes of a compiled chip image after
+    /// before they are packed. The closure receives the MAC layer index
+    /// (counting conv/linear layers only, in network order) and must
+    /// return a [`QuantizedWeights`] of the **same shape and bit width**
+    /// — typically the original codes with some entries replaced, e.g.
+    /// the effective stored codes of a compiled chip image after
     /// fault-aware remapping.
     ///
-    /// Because the noise-plane construction consumes the *returned* codes
-    /// with the same deterministic program-time Gaussian stream, two
-    /// networks built from the same `(cfg, effective codes, biases)` are
-    /// bit-identical in [`forward`](Self::forward) — the property the
-    /// compiler relies on to predict served outputs exactly.
+    /// Because the planes are packed from the *returned* codes and the
+    /// noise streams depend only on `cfg`, two networks built from the
+    /// same `(cfg, effective codes, biases)` are bit-identical in
+    /// [`forward`](Self::forward) — the property the compiler relies on
+    /// to predict served outputs exactly.
     ///
     /// # Panics
     ///
@@ -651,23 +249,6 @@ impl QNetwork {
     pub fn from_sequential_with(
         net: &Sequential,
         cfg: ImcConfig,
-        override_weights: impl FnMut(usize, QuantizedWeights) -> QuantizedWeights,
-    ) -> Self {
-        Self::from_sequential_with_kernel(net, cfg, MacKernel::from_env(), override_weights)
-    }
-
-    /// [`from_sequential_with`](Self::from_sequential_with) with an
-    /// explicit MAC kernel choice.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the network contains an unsupported layer type, or if the
-    /// closure changes the weight shape or bit width.
-    #[must_use]
-    pub fn from_sequential_with_kernel(
-        net: &Sequential,
-        cfg: ImcConfig,
-        kernel: MacKernel,
         mut override_weights: impl FnMut(usize, QuantizedWeights) -> QuantizedWeights,
     ) -> Self {
         let mut layers = Vec::new();
@@ -680,25 +261,17 @@ impl QNetwork {
             mac_idx += 1;
             out
         };
-        let build = |qw: &QuantizedWeights| match kernel {
-            MacKernel::Packed => MacPlanes::Packed {
-                planes: packed::pack_planes_cached(qw, cfg.rows),
-                noise: packed::PlaneNoise::for_config(&cfg),
-            },
-            MacKernel::Scalar =>
-            {
-                #[allow(deprecated)]
-                MacPlanes::Scalar(build_planes(qw, &cfg))
-            }
+        let build = |qw: &QuantizedWeights| MacPlanes {
+            planes: packed::pack_planes_cached(qw, cfg.rows),
+            noise: packed::PlaneNoise::for_config(&cfg),
         };
         for l in net.layers() {
             let any = l.as_any();
             if let Some(conv) = any.downcast_ref::<Conv2d>() {
                 let qw = reweigh(quantize_weights(&conv.weight.value, cfg.weight_bits));
-                let planes = build(&qw);
                 let (in_ch, out_ch) = conv.channels();
                 layers.push(QLayer::Conv {
-                    planes,
+                    mac: build(&qw),
                     adcs: default_adcs(&cfg),
                     w_scale: qw.scale,
                     bias: conv.bias.value.data().to_vec(),
@@ -710,9 +283,8 @@ impl QNetwork {
                 });
             } else if let Some(lin) = any.downcast_ref::<Linear>() {
                 let qw = reweigh(quantize_weights(&lin.weight.value, cfg.weight_bits));
-                let planes = build(&qw);
                 layers.push(QLayer::Linear {
-                    planes,
+                    mac: build(&qw),
                     adcs: default_adcs(&cfg),
                     w_scale: qw.scale,
                     bias: lin.bias.value.data().to_vec(),
@@ -730,11 +302,7 @@ impl QNetwork {
                 }
             }
         }
-        Self {
-            layers,
-            cfg,
-            kernel,
-        }
+        Self { layers, cfg }
     }
 
     /// The hardware configuration.
@@ -743,31 +311,23 @@ impl QNetwork {
         &self.cfg
     }
 
-    /// Which MAC kernel this network was built for.
-    #[must_use]
-    pub fn kernel(&self) -> MacKernel {
-        self.kernel
-    }
-
     /// Summarizes the packed weight-plane footprint of this network.
     ///
     /// Packing happens eagerly at construction (through the
     /// weight-stationary cache), so by the time this returns, every MAC
     /// layer's planes are resident — the first inference pays no packing
-    /// cost. On a `Scalar`-kernel network all packed counts are zero.
+    /// cost.
     #[must_use]
     pub fn prepack(&self) -> PrepackSummary {
         let mut s = PrepackSummary::default();
         for l in &self.layers {
             let planes = match l {
-                QLayer::Conv { planes, .. } | QLayer::Linear { planes, .. } => planes,
+                QLayer::Conv { mac, .. } | QLayer::Linear { mac, .. } => &mac.planes,
                 _ => continue,
             };
             s.mac_layers += 1;
-            if let MacPlanes::Packed { planes, .. } = planes {
-                s.chunks += planes.chunks.len();
-                s.words += planes.words();
-            }
+            s.chunks += planes.chunks.len();
+            s.words += planes.words();
         }
         s.bytes = s.words * std::mem::size_of::<u64>();
         s
@@ -793,7 +353,7 @@ impl QNetwork {
         for layer in &mut self.layers {
             cur = match layer {
                 QLayer::Conv {
-                    planes,
+                    mac,
                     adcs,
                     w_scale,
                     bias,
@@ -810,7 +370,8 @@ impl QNetwork {
                         Tensor::from_vec(&[n, c, h, w], qa.q.iter().map(|&v| v as f32).collect());
                     let (cols, (oh, ow)) = im2col_codes(&codes, *k, *stride, *pad);
                     let mut max_units = (0.0, 0.0);
-                    let units = ideal_dispatch(&cols, planes, &cfg, &mut max_units);
+                    let units =
+                        packed::ideal_matmul_packed(&cols, &mac.planes, &cfg, &mut max_units);
                     *adcs = calibrated_adcs(&cfg, max_units, margin);
                     // Rearrange + dequantize like the real path.
                     let mut out = Tensor::zeros(&[n, *out_ch, oh, ow]);
@@ -830,7 +391,7 @@ impl QNetwork {
                     out
                 }
                 QLayer::Linear {
-                    planes,
+                    mac,
                     adcs,
                     w_scale,
                     bias,
@@ -840,9 +401,10 @@ impl QNetwork {
                     let f = cur.len() / n;
                     let codes = Tensor::from_vec(&[n, f], qa.q.iter().map(|&v| v as f32).collect());
                     let mut max_units = (0.0, 0.0);
-                    let units = ideal_dispatch(&codes, planes, &cfg, &mut max_units);
+                    let units =
+                        packed::ideal_matmul_packed(&codes, &mac.planes, &cfg, &mut max_units);
                     *adcs = calibrated_adcs(&cfg, max_units, margin);
-                    let oc = planes.out_features();
+                    let oc = mac.planes.out_features;
                     let mut out = units;
                     let od = out.data_mut();
                     for i in 0..n {
@@ -862,15 +424,21 @@ impl QNetwork {
 
     /// Runs quantized inference on a float NCHW batch, returning logits.
     ///
+    /// Each MAC layer draws its noise from the chunk-addressed streams of
+    /// a [`packed::StreamKey`] over `(cfg.seed, MAC layer index)`: one
+    /// stream per `(input bit, chunk)`, shared by every row of the batch
+    /// in row order, so a row's noise depends on its batch position (see
+    /// [`forward_each`](Self::forward_each)).
+    ///
     /// # Panics
     ///
     /// Panics if the input is not 4-D.
     #[must_use]
     pub fn forward(&self, x: &Tensor) -> Tensor {
-        let mut rng = NoiseRng::new(self.kernel, self.cfg.seed);
+        let mut mac_idx = 0u32;
         let mut cur = x.clone();
         for layer in &self.layers {
-            cur = self.run_layer(layer, &cur, &mut rng);
+            cur = self.run_layer(layer, &cur, &mut mac_idx);
         }
         cur
     }
@@ -921,10 +489,27 @@ impl QNetwork {
         }
     }
 
-    fn run_layer(&self, layer: &QLayer, x: &Tensor, rng: &mut NoiseRng) -> Tensor {
+    /// Noisy packed MAC of one layer; `mac_idx` counts MAC layers in
+    /// execution order and keys the layer's noise streams.
+    fn run_mac(
+        &self,
+        codes: &Tensor,
+        mac: &MacPlanes,
+        adcs: &(SarAdc, SarAdc),
+        mac_idx: &mut u32,
+    ) -> Tensor {
+        let key = packed::StreamKey {
+            seed: self.cfg.seed,
+            layer: *mac_idx,
+        };
+        *mac_idx += 1;
+        packed::imc_matmul_packed(codes, &mac.planes, &mac.noise, adcs, &self.cfg, key)
+    }
+
+    fn run_layer(&self, layer: &QLayer, x: &Tensor, mac_idx: &mut u32) -> Tensor {
         match layer {
             QLayer::Conv {
-                planes,
+                mac,
                 adcs,
                 w_scale,
                 bias,
@@ -940,7 +525,7 @@ impl QNetwork {
                 let codes =
                     Tensor::from_vec(&[n, c, h, w], qa.q.iter().map(|&v| v as f32).collect());
                 let (cols, (oh, ow)) = im2col_codes(&codes, *k, *stride, *pad);
-                let units = mac_dispatch(&cols, planes, adcs, &self.cfg, rng);
+                let units = self.run_mac(&cols, mac, adcs, mac_idx);
                 // Dequantize: MAC = units · w_scale · x_scale + bias.
                 let mut out = Tensor::zeros(&[n, *out_ch, oh, ow]);
                 let od = out.data_mut();
@@ -959,7 +544,7 @@ impl QNetwork {
                 out
             }
             QLayer::Linear {
-                planes,
+                mac,
                 adcs,
                 w_scale,
                 bias,
@@ -968,8 +553,8 @@ impl QNetwork {
                 let n = x.shape()[0];
                 let f = x.len() / n;
                 let codes = Tensor::from_vec(&[n, f], qa.q.iter().map(|&v| v as f32).collect());
-                let units = mac_dispatch(&codes, planes, adcs, &self.cfg, rng);
-                let oc = planes.out_features();
+                let units = self.run_mac(&codes, mac, adcs, mac_idx);
+                let oc = mac.planes.out_features;
                 let mut out = units;
                 let od = out.data_mut();
                 for i in 0..n {
@@ -984,13 +569,14 @@ impl QNetwork {
     }
 
     /// Batch-friendly inference for serving: evaluates every sample of a
-    /// batch **independently**, each with its own noise stream seeded
-    /// from `cfg.seed`, and fans the samples out across the shared
-    /// `par_exec` pool.
+    /// batch **independently**, each as its own single-row
+    /// [`forward`](Self::forward) with fresh noise streams, and fans the
+    /// samples out across the shared `par_exec` pool.
     ///
-    /// Unlike [`forward`](Self::forward) — whose single Gaussian stream
-    /// makes a sample's noise depend on its batch position — each output
-    /// row here is **bit-identical** to `forward` on that sample alone
+    /// Unlike a batched `forward` — where the rows take turns drawing
+    /// from each shared stream, so a sample's noise depends on its batch
+    /// position — each output row here is **bit-identical** to `forward`
+    /// on that sample alone
     /// (`[1, ...]`), whatever the batch composition or thread count. That
     /// is the property a dynamic batcher needs: coalescing requests must
     /// never change any individual response.
@@ -1027,8 +613,8 @@ impl QNetwork {
     /// Classification accuracy over (a prefix of) a dataset.
     ///
     /// Batches are evaluated concurrently on the shared `par_exec` pool.
-    /// Each [`forward`](Self::forward) call starts its own noise stream
-    /// from `cfg.seed`, so batches are independent and the result is
+    /// Each [`forward`](Self::forward) call derives its noise streams
+    /// from `cfg.seed` afresh, so batches are independent and the result is
     /// bit-identical to a serial evaluation at any thread count.
     #[must_use]
     pub fn accuracy(&self, data: &crate::dataset::Dataset, max_samples: usize) -> f64 {
@@ -1071,55 +657,33 @@ impl QNetwork {
             .iter()
             .filter_map(|l| match l {
                 QLayer::Conv {
-                    planes,
-                    w_scale,
-                    bias,
-                    ..
-                } => Some((planes, w_scale, bias, false)),
+                    mac, w_scale, bias, ..
+                } => Some((&mac.planes, w_scale, bias, false)),
                 QLayer::Linear {
-                    planes,
-                    w_scale,
-                    bias,
-                    ..
-                } => Some((planes, w_scale, bias, true)),
+                    mac, w_scale, bias, ..
+                } => Some((&mac.planes, w_scale, bias, true)),
                 _ => None,
             })
-            .map(|(planes, w_scale, bias, is_linear)| {
-                let (fan, chunks) = match planes {
-                    MacPlanes::Packed { planes, .. } => (
-                        planes.chunks.iter().map(|c| c.rows).sum(),
-                        planes.chunks.len(),
-                    ),
-                    MacPlanes::Scalar(p) => (p.chunk_rows.iter().sum(), p.chunk_rows.len()),
-                };
-                MacLayerMeta {
-                    fan,
-                    out_features: planes.out_features(),
-                    chunks,
-                    w_scale: *w_scale,
-                    bias: bias.clone(),
-                    is_linear,
-                }
+            .map(|(planes, w_scale, bias, is_linear)| MacLayerMeta {
+                fan: planes.chunks.iter().map(|c| c.rows).sum(),
+                out_features: planes.out_features,
+                chunks: planes.chunks.len(),
+                w_scale: *w_scale,
+                bias: bias.clone(),
+                is_linear,
             })
             .collect()
     }
 
     /// Whether every MAC layer of this network satisfies the integer
-    /// shift-add exactness bound ([`packed::shift_add_is_exact`]) on the
-    /// packed kernel — the precondition for bit-exact sharded serving.
+    /// shift-add exactness bound ([`packed::shift_add_is_exact`]) — the
+    /// precondition for bit-exact sharded serving.
     #[must_use]
     pub fn partials_are_exact(&self) -> bool {
-        if self.kernel != MacKernel::Packed {
-            return false;
-        }
         self.layers.iter().all(|l| match l {
-            QLayer::Conv { planes, adcs, .. } | QLayer::Linear { planes, adcs, .. } => match planes
-            {
-                MacPlanes::Packed { planes, .. } => {
-                    packed::shift_add_is_exact(adcs, &self.cfg, planes.chunks.len())
-                }
-                MacPlanes::Scalar(_) => false,
-            },
+            QLayer::Conv { mac, adcs, .. } | QLayer::Linear { mac, adcs, .. } => {
+                packed::shift_add_is_exact(adcs, &self.cfg, mac.planes.chunks.len())
+            }
             _ => true,
         })
     }
@@ -1135,9 +699,9 @@ impl QNetwork {
     ///
     /// # Errors
     ///
-    /// Typed [`PartialMacError`]s on a missing/non-linear layer, scalar
-    /// kernel, fan mismatch, bad chunk range, or an ADC operating point
-    /// that breaks integer-exact recombination.
+    /// Typed [`PartialMacError`]s on a missing/non-linear layer, fan
+    /// mismatch, bad chunk range, or an ADC operating point that breaks
+    /// integer-exact recombination.
     pub fn linear_partial(
         &self,
         mac_idx: usize,
@@ -1152,13 +716,10 @@ impl QNetwork {
         let layer = macs
             .nth(mac_idx)
             .ok_or(PartialMacError::NoSuchLayer(mac_idx))?;
-        let (planes, adcs) = match layer {
-            QLayer::Linear { planes, adcs, .. } => (planes, adcs),
+        let (MacPlanes { planes, noise }, adcs) = match layer {
+            QLayer::Linear { mac, adcs, .. } => (mac, adcs),
             QLayer::Conv { .. } => return Err(PartialMacError::NotLinear(mac_idx)),
             _ => unreachable!("filtered to MAC layers"),
-        };
-        let MacPlanes::Packed { planes, noise } = planes else {
-            return Err(PartialMacError::ScalarKernel);
         };
         let chunks = planes.chunks.len();
         if chunk_lo >= chunk_hi || chunk_hi > chunks {
@@ -1221,8 +782,6 @@ pub enum PartialMacError {
     NoSuchLayer(usize),
     /// The indexed MAC layer is a convolution (sharding serves MLPs).
     NotLinear(usize),
-    /// The network was built on the legacy scalar kernel.
-    ScalarKernel,
     /// The requested global chunk range is empty or out of bounds.
     BadChunkRange {
         /// Requested start chunk.
@@ -1249,7 +808,6 @@ impl std::fmt::Display for PartialMacError {
         match self {
             Self::NoSuchLayer(i) => write!(f, "no MAC layer {i}"),
             Self::NotLinear(i) => write!(f, "MAC layer {i} is a convolution, not shardable"),
-            Self::ScalarKernel => write!(f, "partial MACs need the packed kernel"),
             Self::BadChunkRange { lo, hi, chunks } => {
                 write!(f, "chunk range {lo}..{hi} invalid for {chunks} chunks")
             }
@@ -1559,116 +1117,6 @@ mod tests {
     }
 
     #[test]
-    fn packed_and_scalar_kernels_bit_identical_without_noise() {
-        // With device noise off, the packed popcount kernel must
-        // reproduce the legacy matmul path bit-for-bit — both on an MLP
-        // and through a conv (im2col) layer stack.
-        let mlp = crate::models::mlp(48, 16, 10, 5);
-        let vgg = tiny_net();
-        let xm = Tensor::from_vec(&[2, 48], (0..96).map(|i| (i % 29) as f32 / 29.0).collect());
-        let xv = Tensor::full(&[1, 3, 32, 32], 0.4);
-        for (net, x) in [(&mlp, &xm), (&vgg, &xv)] {
-            for design in [ImcDesign::CurFe, ImcDesign::ChgFe] {
-                let mut cfg = ImcConfig::paper(design, 4, 8);
-                cfg.noise_scale = 0.0;
-                let a = QNetwork::from_sequential_kernel(net, cfg, MacKernel::Packed).forward(x);
-                let b = QNetwork::from_sequential_kernel(net, cfg, MacKernel::Scalar).forward(x);
-                assert_eq!(a.shape(), b.shape());
-                for (i, (p, s)) in a.data().iter().zip(b.data()).enumerate() {
-                    assert_eq!(p.to_bits(), s.to_bits(), "{design:?} output {i} diverged");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn packed_and_scalar_kernels_agree_statistically_with_noise() {
-        // With noise on the kernels draw from different (equal-variance)
-        // models, so outputs differ in the noise bits — but the logits
-        // must stay close relative to their own spread.
-        let net = crate::models::mlp(64, 24, 10, 9);
-        let cfg = ImcConfig::paper(ImcDesign::ChgFe, 4, 8);
-        let x = Tensor::from_vec(&[4, 64], (0..256).map(|i| (i % 31) as f32 / 31.0).collect());
-        let mean_abs_diff = |a: &Tensor, b: &Tensor| {
-            a.data()
-                .iter()
-                .zip(b.data())
-                .map(|(p, s)| f64::from((p - s).abs()))
-                .sum::<f64>()
-                / a.data().len() as f64
-        };
-        let packed =
-            QNetwork::from_sequential_kernel(&net, cfg, MacKernel::Packed).forward_each(&x);
-        let scalar =
-            QNetwork::from_sequential_kernel(&net, cfg, MacKernel::Scalar).forward_each(&x);
-        // Yardstick: the legacy kernel's own spread across two full
-        // noise re-rolls (independent seeds). The cross-kernel gap is a
-        // pair of independent equal-variance draws too, so it must land
-        // in the same ballpark — not at some larger systematic offset.
-        let mut reseeded = cfg;
-        reseeded.seed ^= 0x5A5A_5A5A;
-        let scalar2 =
-            QNetwork::from_sequential_kernel(&net, reseeded, MacKernel::Scalar).forward_each(&x);
-        let within = mean_abs_diff(&scalar, &scalar2);
-        let cross = mean_abs_diff(&packed, &scalar);
-        assert!(cross > 0.0, "noise must actually differ across kernels");
-        assert!(
-            cross < 2.0 * within,
-            "cross-kernel mean |Δ| {cross:.4} vs same-kernel reseed spread {within:.4}"
-        );
-    }
-
-    #[test]
-    fn calibration_works_on_the_packed_kernel() {
-        // The packed ideal pass must yield usable calibrated references
-        // (same noiseless-improvement property as the legacy pass).
-        let mut net = tiny_net();
-        let x = Tensor::full(&[1, 3, 32, 32], 0.5);
-        for _ in 0..4 {
-            let _ = net.forward(&x, true);
-        }
-        let reference = net.forward(&x, false);
-        let fidelity = |calibrate: bool| {
-            let mut cfg = ImcConfig::paper(ImcDesign::CurFe, 4, 8);
-            cfg.noise_scale = 0.0;
-            let mut q = QNetwork::from_sequential_kernel(&net, cfg, MacKernel::Packed);
-            if calibrate {
-                q.calibrate(&x, 0.25);
-            }
-            let y = q.forward(&x);
-            y.data()
-                .iter()
-                .zip(reference.data())
-                .map(|(a, b)| f64::from((a - b).powi(2)))
-                .sum::<f64>()
-        };
-        assert!(fidelity(true) < fidelity(false) * 0.5);
-    }
-
-    #[test]
-    fn kernel_env_selection_defaults_to_packed() {
-        // The env var is read at build time; in the test process it is
-        // unset, so the default network must be on the packed kernel.
-        let net = crate::models::mlp(8, 4, 2, 1);
-        let cfg = ImcConfig::paper(ImcDesign::CurFe, 4, 8);
-        let q = QNetwork::from_sequential(&net, cfg);
-        assert_eq!(q.kernel(), MacKernel::Packed);
-    }
-
-    #[test]
-    fn cell_stats_match_weight_split() {
-        let noise = NoiseProfile::curfe();
-        let (h, l, vh, vl) = cell_stats(-1, 8, &noise);
-        assert_eq!(h, -1);
-        assert_eq!(l, 15);
-        assert!(vh > 0.0 && vl > 0.0);
-        let (h4, l4, _, v4) = cell_stats(-8, 4, &noise);
-        assert_eq!(h4, -8);
-        assert_eq!(l4, 0);
-        assert_eq!(v4, 0.0);
-    }
-
-    #[test]
     fn sharded_linear_partials_reproduce_forward_bit_exactly() {
         // The full fleet contract at the neural level (DESIGN §14): a
         // router that quantizes activations, scatters chunk slices to
@@ -1677,7 +1125,7 @@ mod tests {
         // single-node `forward` bit-for-bit — full noise, MNIST shape.
         let net = crate::models::mlp(784, 64, 10, 0x5E44_E001);
         let cfg = ImcConfig::paper(ImcDesign::ChgFe, 4, 8);
-        let q = QNetwork::from_sequential_kernel(&net, cfg, MacKernel::Packed);
+        let q = QNetwork::from_sequential(&net, cfg);
         assert!(q.partials_are_exact(), "paper point must be exact");
         let x = Tensor::from_vec(
             &[1, 784],
@@ -1733,7 +1181,7 @@ mod tests {
     fn linear_partial_rejects_bad_requests_with_typed_errors() {
         let net = crate::models::mlp(64, 16, 4, 3);
         let cfg = ImcConfig::paper(ImcDesign::CurFe, 4, 8);
-        let q = QNetwork::from_sequential_kernel(&net, cfg, MacKernel::Packed);
+        let q = QNetwork::from_sequential(&net, cfg);
         let codes = Tensor::from_vec(&[1, 64], vec![1.0; 64]);
         assert_eq!(
             q.linear_partial(9, &codes, 0, 1),
@@ -1760,11 +1208,5 @@ mod tests {
             q.linear_partial(0, &short, 0, 1),
             Err(PartialMacError::BadFan { got: 8, want: 64 })
         );
-        let scalar = QNetwork::from_sequential_kernel(&net, cfg, MacKernel::Scalar);
-        assert_eq!(
-            scalar.linear_partial(0, &codes, 0, 1),
-            Err(PartialMacError::ScalarKernel)
-        );
-        assert!(!scalar.partials_are_exact());
     }
 }

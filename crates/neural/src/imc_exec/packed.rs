@@ -4,11 +4,9 @@
 //! occupies four adjacent columns whose analog partial sums are combined
 //! with fixed binary weights, and the H4B/L4B column groups are fused
 //! digitally as `16·H + L`. This module mirrors that dataflow in
-//! software: instead of four dense f32 `matmul_parallel` calls per
-//! column group (the legacy [`super::WeightPlanes`] path), each weight
-//! bit becomes one **bit-plane packed into `u64` lanes** — bit `r` of a
-//! plane word is chunk-row `r` — and a MAC against an input bit-vector
-//! is eight `AND`+`popcount` operations:
+//! software: each weight bit becomes one **bit-plane packed into `u64`
+//! lanes** — bit `r` of a plane word is chunk-row `r` — and a MAC
+//! against an input bit-vector is eight `AND`+`popcount` operations:
 //!
 //! ```text
 //! plane j   meaning                 contribution to the chunk pMACV
@@ -19,23 +17,21 @@
 //! ```
 //!
 //! `H = n0 + 2n1 + 4n2 − 8n3` and `L = n4 + 2n5 + 4n6 + 8n7` are exact
-//! integers, the ADCs quantize them per chunk, and the digital combine
-//! `16·H + L` plus the input-bit shift-add `Σ_t 2^t` happen exactly as
-//! in the legacy kernel — at `noise_scale = 0` the two paths are
-//! **bit-identical** (same accumulation order, same [`SarAdc`] calls).
+//! integers, the [`SarAdc`]s quantize them per chunk, and the digital
+//! combine `16·H + L` plus the input-bit shift-add `Σ_t 2^t` accumulate
+//! in f32 in a fixed input bit → chunk → output order. At
+//! `noise_scale = 0` the kernel is pinned bit for bit to an independent
+//! per-row reference in `tests/kernel_equivalence.rs`.
 //!
-//! Statistical device noise rides on top of the integer pMACV: the same
-//! per-active-cell variances the legacy path stored in f32 variance
-//! planes are recovered *exactly* from the popcounts
+//! Statistical device noise rides on top of the integer pMACV: the
+//! per-active-cell variances are recovered *exactly* from the popcounts
 //! (`V = Σ_j n_j·c_j` in f64), and one Gaussian per conversion is drawn
 //! with the **combined** effective sigma
-//! `noise_scale · √((1−f)² + f²) · √V` (`f` = `read_noise_fraction`).
-//! This folds the legacy split — a program-time perturbation baked into
-//! the planes plus a per-read re-roll — into a single per-conversion
-//! draw with the same marginal variance; see `DESIGN.md` §13 for the
-//! model-change rationale. Draws come from a ziggurat sampler
-//! ([`ZigGauss`]) over the same SplitMix64 stream family, ~5× faster
-//! than the legacy Box-Muller at serving rates (~13k draws/inference).
+//! `noise_scale · √((1−f)² + f²) · √V` (`f` = `read_noise_fraction`):
+//! the static program-time share and the per-read re-roll folded into a
+//! single draw with their summed variance; see `DESIGN.md` §13 for the
+//! rationale. Draws come from a ziggurat sampler ([`ZigGauss`]) over a
+//! SplitMix64 stream, ~13k draws per MNIST-MLP inference.
 //!
 //! Noise streams are **chunk-addressed**: every `(MAC layer, input bit,
 //! chunk)` triple gets its own deterministic [`ZigGauss`] stream via
@@ -506,9 +502,8 @@ fn have_fast_mac_features() -> bool {
 /// (integer activation codes as f32, as produced by
 /// `quantize_activations`), output `[positions, oc]` in MAC units.
 ///
-/// Loop order is input bit → chunk → `position·oc + o` ascending — the
-/// exact f32 accumulation order of the legacy kernel, which is what
-/// makes the two bit-identical at `noise_scale = 0`. Each `(input bit,
+/// Loop order is input bit → chunk → `position·oc + o` ascending, which
+/// fixes the f32 accumulation order of every output. Each `(input bit,
 /// chunk)` pass draws from its own [`StreamKey`]-derived stream.
 #[must_use]
 pub fn imc_matmul_packed(
@@ -741,7 +736,7 @@ pub fn imc_matmul_reference(
 
 /// Noise-free, conversion-free packed MAC recording the largest |H4B|
 /// and L4B chunk partial sums — the calibration pass of the packed
-/// kernel (counterpart of the legacy `ideal_matmul`).
+/// kernel.
 #[must_use]
 pub fn ideal_matmul_packed(
     acts_codes: &Tensor,
@@ -801,10 +796,9 @@ pub fn ideal_matmul_packed(
     acc
 }
 
-/// Ziggurat normal sampler (Marsaglia–Tsang, 128 layers) over the same
-/// SplitMix64 stream family as the legacy `GaussStream` — exact
-/// standard-normal marginals, ~5× faster than Box–Muller, and fully
-/// deterministic in the seed.
+/// Ziggurat normal sampler (Marsaglia–Tsang, 128 layers) over a
+/// SplitMix64 stream — exact standard-normal marginals, ~5× faster than
+/// Box–Muller, and fully deterministic in the seed.
 #[derive(Debug, Clone)]
 pub struct ZigGauss {
     state: u64,
@@ -962,7 +956,7 @@ mod tests {
             let chunk = &planes.chunks[0];
             let mut n = [0u32; PLANES];
             for (j, nj) in n.iter_mut().enumerate() {
-                *nj = (u64::MAX & chunk.words[o * PLANES + j]).count_ones();
+                *nj = chunk.words[o * PLANES + j].count_ones();
             }
             let h = n[0] as i32 + 2 * n[1] as i32 + 4 * n[2] as i32 - 8 * n[3] as i32;
             let l = n[4] as i32 + 2 * n[5] as i32 + 4 * n[6] as i32 + 8 * n[7] as i32;
@@ -1100,7 +1094,7 @@ mod tests {
     #[test]
     #[ignore = "manual throughput probe: cargo test -p neural --release -- --ignored --nocapture"]
     fn kernel_speed_probe() {
-        // MNIST-MLP-shaped single-sample forwards, packed vs scalar.
+        // MNIST-MLP-shaped single-sample forwards, with and without noise.
         let net = crate::models::mlp(784, 64, 10, 0x5E44_E001);
         let cfg = ImcConfig::paper(super::super::ImcDesign::ChgFe, 4, 8);
         let mut cfg0 = cfg;
@@ -1109,12 +1103,8 @@ mod tests {
             &[1, 784],
             (0..784).map(|i| (i % 23) as f32 / 23.0).collect(),
         );
-        for (name, kernel, cfg) in [
-            ("packed", super::super::MacKernel::Packed, cfg),
-            ("packed-noise0", super::super::MacKernel::Packed, cfg0),
-            ("scalar", super::super::MacKernel::Scalar, cfg),
-        ] {
-            let q = super::super::QNetwork::from_sequential_kernel(&net, cfg, kernel);
+        for (name, cfg) in [("packed", cfg), ("packed-noise0", cfg0)] {
+            let q = super::super::QNetwork::from_sequential(&net, cfg);
             let _ = q.forward(&x); // warm
             let reps = 50;
             let t0 = std::time::Instant::now();

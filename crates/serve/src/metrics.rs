@@ -21,47 +21,6 @@ use imc_obs::{registry, Counter, Gauge, Histogram};
 
 use crate::protocol::{BankStats, LatencySummary, StatsReply};
 
-/// Microsecond latency histogram with log-linear buckets.
-///
-/// The implementation moved to [`imc_obs::Histogram`]; this thin
-/// wrapper keeps the old `serve::metrics` API compiling. Unlike the
-/// obs handles, it is unregistered — values recorded here are invisible
-/// to exporters.
-#[deprecated(
-    since = "0.1.0",
-    note = "use `imc_obs::Histogram` (registered via `imc_obs::histogram!`) instead"
-)]
-#[derive(Debug, Default)]
-pub struct LatencyHistogram(Histogram);
-
-#[allow(deprecated)]
-impl LatencyHistogram {
-    /// Creates an empty histogram.
-    #[must_use]
-    pub fn new() -> Self {
-        Self(Histogram::new())
-    }
-
-    /// Records one observation (microseconds).
-    pub fn record(&self, us: u64) {
-        self.0.record(us);
-    }
-
-    /// Number of recorded observations.
-    #[must_use]
-    pub fn count(&self) -> u64 {
-        self.0.count()
-    }
-
-    /// Folds the histogram into a percentile summary. Quantiles report a
-    /// bucket upper bound, so they over-estimate by at most
-    /// `1/SUB_BUCKETS` relative.
-    #[must_use]
-    pub fn summary(&self) -> LatencySummary {
-        to_latency_summary(&self.0.summary())
-    }
-}
-
 /// Converts an obs histogram summary into the wire-format summary. The
 /// field-by-field copy is the whole migration: the quantile math is
 /// shared, so the wire values cannot drift.
@@ -345,18 +304,5 @@ mod tests {
             snap.counter_with("imc_serve_bank_requests_total", &[("bank", "0")]),
             Some(1)
         );
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_wrapper_still_summarizes() {
-        let h = LatencyHistogram::new();
-        for us in 1..=100u64 {
-            h.record(us);
-        }
-        let s = h.summary();
-        assert_eq!(s.count, 100);
-        assert_eq!(h.count(), 100);
-        assert!(s.p50_us >= 45 && s.p50_us <= 55, "p50 {}", s.p50_us);
     }
 }

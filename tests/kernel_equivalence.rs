@@ -1,17 +1,23 @@
-//! Kernel equivalence suite (CI `perf` job): the packed `u64` bit-plane
-//! shift-add MAC kernel must reproduce the deprecated scalar
-//! `matmul_parallel` reference **exactly** (f32 bit equality) whenever
-//! noise is disabled — the integer pMACV, the ADC transfer, and the
-//! digital shift-add are all deterministic, so any divergence is a
-//! kernel bug, not a tolerance question.
+//! Kernel equivalence suite (CI `perf` job): at `noise_scale = 0` the
+//! packed `u64` bit-plane shift-add MAC kernel must reproduce an
+//! independent reference **exactly** (f32 bit equality) — the integer
+//! pMACV, the ADC transfer, and the digital shift-add are all
+//! deterministic, so any divergence is a kernel bug, not a tolerance
+//! question.
 //!
-//! With noise enabled the two kernels draw from different generator
-//! sequences by design (documented in `neural::imc_exec::packed`), so
-//! cross-kernel agreement there is statistical and covered by the
-//! neural crate's unit tests; this suite pins the exact contract.
+//! The reference below is written from the paper's dataflow with public
+//! APIs only and shares no code with `neural::imc_exec::packed`: each
+//! stored code splits into its H4B/L4B nibbles, the integer nibble sums
+//! of every 32-row chunk go through the 2CM/N2CM ADCs, the nibbles
+//! combine as `16·H + L`, and input bits shift-add as `Σ_t 2^t`,
+//! accumulated in f32 in input bit → chunk order.
 
-use neural::imc_exec::{ImcConfig, ImcDesign, MacKernel, QNetwork};
+use imc_core::adc::{h4b_adc, l4b_adc};
+use imc_core::weights::SplitWeight;
+use neural::imc_exec::{ImcConfig, ImcDesign, QNetwork};
+use neural::layers::Linear;
 use neural::models::{mlp, Sequential};
+use neural::quant::{quantize_activations, quantize_weights};
 use neural::tensor::Tensor;
 use proptest::prelude::*;
 
@@ -19,33 +25,95 @@ use proptest::prelude::*;
 /// `imc_serve::model::DEFAULT_SEED` without linking the serve crate).
 const DEFAULT_SEED: u64 = 0x5E44_E001;
 
-fn noiseless(design: ImcDesign) -> ImcConfig {
-    let mut cfg = ImcConfig::paper(design, 4, 8);
+fn noiseless(design: ImcDesign, weight_bits: u32) -> ImcConfig {
+    let mut cfg = ImcConfig::paper(design, 4, weight_bits);
     cfg.noise_scale = 0.0;
     cfg
 }
 
-/// Builds both kernels on the same float network and asserts bitwise
-/// identical logits for every input row.
-fn assert_kernels_bit_identical(seq: &Sequential, cfg: ImcConfig, x: &Tensor) {
-    let packed = QNetwork::from_sequential_kernel(seq, cfg, MacKernel::Packed);
-    let scalar = QNetwork::from_sequential_kernel(seq, cfg, MacKernel::Scalar);
-    let yp = packed.forward(x);
-    let ys = scalar.forward(x);
-    assert_eq!(yp.shape(), ys.shape());
-    for (i, (a, b)) in yp.data().iter().zip(ys.data()).enumerate() {
+/// Noise-free reference of one linear layer on `x` (`[n, fan]`),
+/// computed per row straight from the quantized codes.
+fn reference_linear(lin: &Linear, cfg: &ImcConfig, x: &Tensor) -> Tensor {
+    let qw = quantize_weights(&lin.weight.value, cfg.weight_bits);
+    let qa = quantize_activations(x, cfg.input_bits);
+    let [oc, fan] = qw.shape;
+    let n = x.shape()[0];
+    let adc_h = h4b_adc(cfg.adc_bits, cfg.rows, 0.0, 1.0);
+    let adc_l = l4b_adc(cfg.adc_bits, cfg.rows, 0.0, 1.0);
+    // (H4B, L4B) nibble values of a stored code; a 4-bit code is all H4B.
+    let nibbles = |w: i8| match cfg.weight_bits {
+        8 => {
+            let sw = SplitWeight::split(w);
+            (i64::from(sw.high.value()), i64::from(sw.low.value()))
+        }
+        _ => (i64::from(w), 0),
+    };
+    let mut out = Vec::with_capacity(n * oc);
+    for codes in qa.q.chunks(fan) {
+        for (o, bias) in lin.bias.value.data().iter().enumerate() {
+            let weights = &qw.q[o * fan..(o + 1) * fan];
+            let mut units = 0.0f32;
+            for t in 0..cfg.input_bits {
+                for (xc, wc) in codes.chunks(cfg.rows).zip(weights.chunks(cfg.rows)) {
+                    let (mut h, mut l) = (0i64, 0i64);
+                    for (&x, &w) in xc.iter().zip(wc) {
+                        if (x >> t) & 1 == 1 {
+                            let (wh, wl) = nibbles(w);
+                            h += wh;
+                            l += wl;
+                        }
+                    }
+                    let h = adc_h.read_units(h as f64);
+                    let combined = match cfg.weight_bits {
+                        8 => 16.0 * h + adc_l.read_units(l as f64),
+                        _ => h,
+                    };
+                    units += (combined * f64::from(1u32 << t)) as f32;
+                }
+            }
+            out.push(units * qw.scale * qa.scale + bias);
+        }
+    }
+    Tensor::from_vec(&[n, oc], out)
+}
+
+/// Reference forward of an `mlp` (linear layers with ReLUs between).
+fn reference_forward(seq: &Sequential, cfg: &ImcConfig, x: &Tensor) -> Tensor {
+    let mut cur = x.clone();
+    for layer in seq.layers() {
+        if let Some(lin) = layer.as_any().downcast_ref::<Linear>() {
+            cur = reference_linear(lin, cfg, &cur);
+        } else {
+            assert_eq!(layer.name(), "relu", "the reference covers MLPs only");
+            for v in cur.data_mut() {
+                if *v < 0.0 {
+                    *v = 0.0;
+                }
+            }
+        }
+    }
+    cur
+}
+
+/// Asserts bitwise identical logits between the packed network and the
+/// reference for every input row.
+fn assert_matches_reference(seq: &Sequential, cfg: ImcConfig, x: &Tensor) {
+    let yp = QNetwork::from_sequential(seq, cfg).forward(x);
+    let yr = reference_forward(seq, &cfg, x);
+    assert_eq!(yp.shape(), yr.shape());
+    for (i, (a, b)) in yp.data().iter().zip(yr.data()).enumerate() {
         assert_eq!(
             a.to_bits(),
             b.to_bits(),
-            "logit {i} diverged: packed {a} vs scalar {b}"
+            "logit {i} diverged: packed {a} vs reference {b}"
         );
     }
 }
 
-fn ramp_input(features: usize, phase: usize) -> Tensor {
+fn ramp_rows(rows: usize, features: usize, phase: usize) -> Tensor {
     Tensor::from_vec(
-        &[1, features],
-        (0..features)
+        &[rows, features],
+        (0..rows * features)
             .map(|i| ((i + phase) % 13) as f32 / 13.0)
             .collect(),
     )
@@ -54,11 +122,15 @@ fn ramp_input(features: usize, phase: usize) -> Tensor {
 #[test]
 fn kernels_bit_identical_on_seed_checkpoints() {
     // The serve model's shape at its default seed plus fixed checkpoint
-    // seeds, both designs. Exact equality on every logit.
+    // seeds, both designs and both weight widths. Exact equality on
+    // every logit.
     for &seed in &[DEFAULT_SEED, 0xA5A5, 0x1234_5678, 7] {
         for design in [ImcDesign::CurFe, ImcDesign::ChgFe] {
-            let seq = mlp(64, 16, 10, seed);
-            assert_kernels_bit_identical(&seq, noiseless(design), &ramp_input(64, seed as usize));
+            for bits in [8, 4] {
+                let seq = mlp(64, 16, 10, seed);
+                let x = ramp_rows(1, 64, seed as usize);
+                assert_matches_reference(&seq, noiseless(design, bits), &x);
+            }
         }
     }
 }
@@ -66,51 +138,27 @@ fn kernels_bit_identical_on_seed_checkpoints() {
 #[test]
 fn kernels_bit_identical_on_the_serve_shape() {
     // Full 784→64→10 MNIST shape at the serving seed — the exact
-    // network `imc-serve` runs, minus noise.
+    // network `imc-serve` runs, minus noise — on a 3-row batch.
     let seq = mlp(784, 64, 10, DEFAULT_SEED);
-    let x = ramp_input(784, 3);
-    assert_kernels_bit_identical(&seq, noiseless(ImcDesign::ChgFe), &x);
+    let x = ramp_rows(3, 784, 3);
+    assert_matches_reference(&seq, noiseless(ImcDesign::ChgFe, 8), &x);
 }
 
 #[test]
-fn scalar_escape_hatch_env_selects_the_deprecated_path() {
-    // `FEFET_IMC_SCALAR_MAC=1` flips the default constructor onto the
-    // deprecated scalar path; its outputs must still agree with an
-    // explicit packed build at noise 0.
-    std::env::set_var("FEFET_IMC_SCALAR_MAC", "1");
-    let via_env = MacKernel::from_env();
-    std::env::remove_var("FEFET_IMC_SCALAR_MAC");
-    assert_eq!(via_env, MacKernel::Scalar);
-    assert_eq!(MacKernel::from_env(), MacKernel::Packed);
-
-    let seq = mlp(48, 12, 6, 0xE5C4);
-    let cfg = noiseless(ImcDesign::CurFe);
-    let scalar = QNetwork::from_sequential_kernel(&seq, cfg, via_env);
-    let packed = QNetwork::from_sequential_kernel(&seq, cfg, MacKernel::Packed);
-    let x = ramp_input(48, 1);
-    let (ys, yp) = (scalar.forward(&x), packed.forward(&x));
-    for (a, b) in ys.data().iter().zip(yp.data()) {
-        assert_eq!(a.to_bits(), b.to_bits());
-    }
-}
-
-#[test]
-fn forward_each_matches_forward_on_both_kernels() {
+fn forward_each_matches_forward_under_noise() {
     // Batched execution must be row-wise bit-identical to single-sample
-    // execution for both kernels (the serving bit-exactness contract).
+    // execution (the serving bit-exactness contract).
     let seq = mlp(32, 8, 4, 0xBEEF);
     let cfg = ImcConfig::paper(ImcDesign::ChgFe, 4, 8); // full noise
-    for kernel in [MacKernel::Packed, MacKernel::Scalar] {
-        let net = QNetwork::from_sequential_kernel(&seq, cfg, kernel);
-        let rows: Vec<f32> = (0..3 * 32).map(|i| (i % 9) as f32 / 9.0).collect();
-        let batch = Tensor::from_vec(&[3, 32], rows.clone());
-        let out = net.forward_each(&batch);
-        for r in 0..3 {
-            let one = Tensor::from_vec(&[1, 32], rows[r * 32..(r + 1) * 32].to_vec());
-            let solo = net.forward(&one);
-            for (a, b) in out.data()[r * 4..(r + 1) * 4].iter().zip(solo.data()) {
-                assert_eq!(a.to_bits(), b.to_bits(), "kernel {kernel:?} row {r}");
-            }
+    let net = QNetwork::from_sequential(&seq, cfg);
+    let rows: Vec<f32> = (0..3 * 32).map(|i| (i % 9) as f32 / 9.0).collect();
+    let batch = Tensor::from_vec(&[3, 32], rows.clone());
+    let out = net.forward_each(&batch);
+    for r in 0..3 {
+        let one = Tensor::from_vec(&[1, 32], rows[r * 32..(r + 1) * 32].to_vec());
+        let solo = net.forward(&one);
+        for (a, b) in out.data()[r * 4..(r + 1) * 4].iter().zip(solo.data()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "row {r}");
         }
     }
 }
@@ -118,8 +166,8 @@ fn forward_each_matches_forward_on_both_kernels() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// Random small architectures, seeds, inputs, and designs: the
-    /// packed kernel is bit-identical to the scalar reference at
+    /// Random small architectures, seeds, inputs, designs, and weight
+    /// widths: the packed kernel is bit-identical to the reference at
     /// noise 0, for both 2CM (CurFe) and N2CM-style (ChgFe) readout.
     #[test]
     fn packed_equals_scalar_reference_proptest(
@@ -129,15 +177,15 @@ proptest! {
         seed in any::<u64>(),
         phase in 0usize..97,
         chgfe in any::<bool>(),
+        four_bit in any::<bool>(),
     ) {
         let design = if chgfe { ImcDesign::ChgFe } else { ImcDesign::CurFe };
+        let cfg = noiseless(design, if four_bit { 4 } else { 8 });
         let seq = mlp(features, hidden, classes, seed);
-        let cfg = noiseless(design);
-        let packed = QNetwork::from_sequential_kernel(&seq, cfg, MacKernel::Packed);
-        let scalar = QNetwork::from_sequential_kernel(&seq, cfg, MacKernel::Scalar);
-        let x = ramp_input(features, phase);
-        let (yp, ys) = (packed.forward(&x), scalar.forward(&x));
-        for (a, b) in yp.data().iter().zip(ys.data()) {
+        let x = ramp_rows(1, features, phase);
+        let yp = QNetwork::from_sequential(&seq, cfg).forward(&x);
+        let yr = reference_forward(&seq, &cfg, &x);
+        for (a, b) in yp.data().iter().zip(yr.data()) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
         }
     }

@@ -39,8 +39,12 @@ fn statistical_noise_magnitude_matches_behavioral_spread() {
     // Program the same column many times with different variation seeds
     // on the behavioural grid; its output spread must be of the same
     // order as the statistical model's predicted sigma (the per-cell
-    // relative spreads of NoiseProfile).
-    use fefet_imc::nn::imc_exec::{ImcDesign, NoiseProfile};
+    // relative spreads of NoiseProfile). The packed kernel's own spread
+    // on that column is then pinned to the prediction within 10 %.
+    use fefet_imc::imc::adc::{h4b_adc, l4b_adc};
+    use fefet_imc::nn::imc_exec::{packed, ImcConfig, ImcDesign, NoiseProfile};
+    use fefet_imc::nn::quant::QuantizedWeights;
+    use fefet_imc::nn::tensor::Tensor;
     let rows = 32usize;
     let w: Vec<i8> = (0..rows).map(|i| ((i * 91) % 256) as u8 as i8).collect();
     let x: Vec<u32> = vec![1; rows];
@@ -81,5 +85,42 @@ fn statistical_noise_magnitude_matches_behavioral_spread() {
     assert!(
         sigma_behavioral < 3.0 * sigma_stat && sigma_stat < 3.0 * sigma_behavioral,
         "behavioural sigma {sigma_behavioral:.2} vs statistical {sigma_stat:.2}"
+    );
+
+    // The packed kernel's spread on the same column: one conversion per
+    // noise-stream seed. It draws once per conversion with the combined
+    // sigma √((1−f)² + f²)·√V (static share plus per-read re-roll,
+    // f = read_noise_fraction), so it must land on that factor times
+    // sigma_stat.
+    let mut cfg = ImcConfig::paper(ImcDesign::CurFe, 1, 8);
+    cfg.adc_bits = 12;
+    let qw = QuantizedWeights {
+        q: w,
+        scale: 1.0,
+        bits: 8,
+        shape: [1, rows],
+    };
+    let planes = packed::pack_planes(&qw, cfg.rows);
+    let noise = packed::PlaneNoise::for_config(&cfg);
+    let adcs = (
+        h4b_adc(cfg.adc_bits, cfg.rows, 0.0, 1.0),
+        l4b_adc(cfg.adc_bits, cfg.rows, 0.0, 1.0),
+    );
+    let codes = Tensor::from_vec(&[1, rows], vec![1.0; rows]);
+    let draws: Vec<f64> = (0..2000u64)
+        .map(|seed| {
+            let key = packed::StreamKey { seed, layer: 0 };
+            let y = packed::imc_matmul_packed(&codes, &planes, &noise, &adcs, &cfg, key);
+            f64::from(y.data()[0])
+        })
+        .collect();
+    let mean = draws.iter().sum::<f64>() / draws.len() as f64;
+    let var = draws.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / draws.len() as f64;
+    let sigma_packed = var.sqrt();
+    let f = cfg.read_noise_fraction;
+    let sigma_expect = ((1.0 - f).powi(2) + f * f).sqrt() * sigma_stat;
+    assert!(
+        (sigma_packed - sigma_expect).abs() < 0.1 * sigma_expect,
+        "packed sigma {sigma_packed:.2} vs expected {sigma_expect:.2}"
     );
 }
