@@ -29,8 +29,8 @@
 //! precomputes the expected logits for its input pool, so any divergence
 //! — batching, scheduling, serialization, or a server not actually
 //! serving the image — is an `incorrect` count and a non-zero exit.
-//! Results land in `BENCH_pr2.json` (p50/p95/p99 latency, achieved QPS,
-//! shed rate).
+//! Results land in `--out` (default `loadgen.json`: p50/p95/p99
+//! latency, achieved QPS, shed rate).
 //!
 //! `--smoke` is the CI mode: short run, low rate, non-zero exit unless
 //! at least one response completed and all were correct.
@@ -61,8 +61,12 @@
 //! fail some connections) to "the server survived": at least one
 //! response completed, every completed response stayed bit-exact, the
 //! forced panic came back as a typed `Failed`, and a direct ping after
-//! the storm still answers. Requires the in-process server (no
-//! `--addr`), so the sentinel and fault plan are actually in place.
+//! the storm still answers. A request the proxy bit-flipped can still
+//! be a valid frame; its answer must then bit-match the oracle run on
+//! the flipped input, which loadgen rebuilds from the proxy's flip log
+//! and the stream offset of every frame it sent. Requires the
+//! in-process server (no `--addr`), so the sentinel and fault plan are
+//! actually in place.
 //!
 //! `--swap-image PATH` exercises the live lifecycle: a control client
 //! hot-swaps the server to the chip image at PATH mid-run
@@ -74,14 +78,14 @@
 //! and how many responses matched the swapped image.
 
 use std::collections::HashMap;
-use std::io::Read;
+use std::io::{Read, Write};
 use std::net::TcpStream;
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use imc_bench::chaos::{ChaosProxy, Fault};
+use imc_bench::chaos::{ChaosProxy, Fault, Flip};
 use imc_fleet::{serve_fleet, FleetPlan, RouterConfig};
 use imc_serve::model::{parse_design, ServeModel, DEFAULT_SEED};
 use imc_serve::protocol::{read_response, write_request, InferRequest, Request, Response};
@@ -143,14 +147,130 @@ struct Args {
 const CHAOS_SENTINEL: f32 = 2.0;
 
 /// What the sender remembers about each in-flight request: send time
-/// for latency, plus the trace identity so the answered request's
+/// for latency, the trace identity so the answered request's
 /// client-side root span lands in the flight recorder under the same
-/// `trace_id` the server hops used.
+/// `trace_id` the server hops used, and where its frame starts in the
+/// connection's byte stream.
 #[derive(Clone, Copy)]
 struct SentReq {
     at: Instant,
     ctx: imc_obs::TraceContext,
     root_span: u64,
+    /// Stream offset of the frame's first byte, counting the `BIN1`
+    /// hello: the coordinate the chaos proxy logs its flips in.
+    offset: usize,
+}
+
+/// The request frame the sender writes for `id`: the pool input it maps
+/// to, and the trace context `sent` carried on the wire.
+fn infer_request(id: u64, sent: &SentReq, inputs: &[Vec<f32>]) -> Request {
+    Request::Infer(InferRequest {
+        id,
+        input: inputs[(id as usize) % INPUT_POOL].clone(),
+        trace: Some(sent.ctx.child(sent.root_span)),
+    })
+}
+
+/// Encodes `req` as one complete frame, length prefix included, into
+/// `buf` (cleared first).
+fn encode_frame(req: &Request, proto: Proto, buf: &mut Vec<u8>) {
+    match proto {
+        Proto::Json => {
+            buf.clear();
+            write_request(buf, req).expect("a request frame fits in memory");
+        }
+        Proto::Bin => wire::encode_request(req, buf),
+    }
+}
+
+/// The infer request the server reads after the chaos proxy applied
+/// `flip` to one of this connection's frames, or `None` if the flip
+/// landed outside every in-flight frame or left bytes that do not decode
+/// as an infer request (those never get an `Output` answer).
+///
+/// Frames sit back to back in the stream, so the frame that holds the
+/// flipped byte is the in-flight one that starts last at or before it.
+/// That frame is re-encoded, flipped, and decoded the way the server
+/// does.
+fn flipped_request(
+    flip: &Flip,
+    in_flight: &HashMap<u64, SentReq>,
+    inputs: &[Vec<f32>],
+    proto: Proto,
+) -> Option<InferRequest> {
+    let (&id, sent) = in_flight
+        .iter()
+        .filter(|(_, s)| s.offset <= flip.offset)
+        .max_by_key(|(_, s)| s.offset)?;
+    let mut frame = Vec::new();
+    encode_frame(&infer_request(id, sent, inputs), proto, &mut frame);
+    let frame = flip.apply(sent.offset, &frame)?;
+    let request = match proto {
+        Proto::Json => {
+            let text = imc_serve::protocol::read_frame(&mut frame.as_slice()).ok()??;
+            serde_json::from_str(&text).ok()?
+        }
+        Proto::Bin => {
+            let mut body = Vec::new();
+            if !wire::read_frame_into(&mut frame.as_slice(), &mut body).ok()? {
+                return None;
+            }
+            wire::decode_request(&body).ok()?
+        }
+    };
+    match request {
+        Request::Infer(r) => Some(r),
+        _ => None,
+    }
+}
+
+/// `--chaos` verification state for one connection: the proxy whose flip
+/// log names the frames it corrupted, the model to re-run on a flipped
+/// input, and the answers owed to flipped requests, keyed by the id the
+/// server decoded.
+struct FlipCheck<'a> {
+    proxy: &'a ChaosProxy,
+    model: &'a ServeModel,
+    /// This connection's address as the proxy saw it.
+    client: std::net::SocketAddr,
+    /// Flips on this connection already turned into `owed` entries.
+    seen: usize,
+    owed: HashMap<u64, Vec<f32>>,
+}
+
+impl FlipCheck<'_> {
+    /// The answer owed to the request the server answered as `id` if the
+    /// proxy flipped it, after turning the flips logged for this
+    /// connection since the last call into owed answers. Call it before
+    /// removing `id` from `in_flight`: the proxy logs a flip before
+    /// forwarding the byte, so by the time any answer to the flipped
+    /// frame arrives the flip is logged and the frame is still in flight.
+    fn owed(
+        &mut self,
+        id: u64,
+        in_flight: &HashMap<u64, SentReq>,
+        inputs: &[Vec<f32>],
+        proto: Proto,
+    ) -> Option<Vec<f32>> {
+        let flips: Vec<Flip> = self
+            .proxy
+            .flips()
+            .into_iter()
+            .filter(|f| f.client == self.client)
+            .collect();
+        for flip in &flips[self.seen..] {
+            if let Some(r) = flipped_request(flip, in_flight, inputs, proto) {
+                eprintln!(
+                    "loadgen: the proxy flipped stream byte {} of {}; request {} must match \
+                     the oracle of the flipped input",
+                    flip.offset, self.client, r.id
+                );
+                self.owed.insert(r.id, self.model.infer_one(&r.input));
+            }
+        }
+        self.seen = flips.len();
+        self.owed.remove(&id)
+    }
 }
 
 /// Records the client's view of one answered request as a one-span
@@ -192,7 +312,7 @@ fn parse_args() -> Result<Args, String> {
         qps: 2000,
         duration_s: 5.0,
         conns: 4,
-        out: "BENCH_pr2.json".to_owned(),
+        out: "loadgen.json".to_owned(),
         smoke: false,
         stop_server: false,
         chaos: false,
@@ -292,7 +412,7 @@ fn parse_args() -> Result<Args, String> {
         if !args.addrs.is_empty() || args.image.is_some() || args.chaos {
             return Err("--fleet spawns its own replicas; drop --addr/--image/--chaos".to_owned());
         }
-        if args.shards == 0 || args.fleet % args.shards != 0 {
+        if args.shards == 0 || !args.fleet.is_multiple_of(args.shards) {
             return Err("--fleet must be a positive multiple of --shards".to_owned());
         }
         if args.kill_replica_ms > 0 && args.fleet / args.shards < 2 {
@@ -319,7 +439,7 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
-/// The report schema written to `BENCH_pr2.json`.
+/// The report schema written to `--out`.
 #[derive(Serialize)]
 struct Report {
     design: String,
@@ -491,6 +611,8 @@ fn next_buffered_response(
 
 /// One connection's open-loop run: a sender thread paces requests on a
 /// fixed schedule while this thread receives and verifies responses.
+/// `chaos` is the `--chaos` proxy and the model to re-run a flipped
+/// request on.
 #[allow(clippy::too_many_arguments)]
 fn run_connection(
     addr: &str,
@@ -503,12 +625,26 @@ fn run_connection(
     swap_expected: &Arc<Option<Vec<Vec<f32>>>>,
     global_sent: &AtomicU64,
     proto: Proto,
+    chaos: Option<(&ChaosProxy, &ServeModel)>,
 ) -> Result<ConnResult, String> {
     let mut writer = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     writer.set_nodelay(true).ok();
+    // Stream bytes written before the first frame: the BIN1 hello.
+    let mut hello_len = 0;
     if proto == Proto::Bin {
         wire::client_handshake(&mut writer).map_err(|e| format!("handshake {addr}: {e}"))?;
+        hello_len = wire::MAGIC.len() + 1;
     }
+    let client = writer
+        .local_addr()
+        .map_err(|e| format!("local addr: {e}"))?;
+    let mut flip_check = chaos.map(|(proxy, model)| FlipCheck {
+        proxy,
+        model,
+        client,
+        seen: 0,
+        owed: HashMap::new(),
+    });
     let mut reader = writer
         .try_clone()
         .map_err(|e| format!("clone stream: {e}"))?;
@@ -538,6 +674,7 @@ fn run_connection(
             let start = Instant::now();
             let mut k = 0u64;
             let mut scratch: Vec<u8> = Vec::new();
+            let mut offset = hello_len;
             loop {
                 let due = start + interval.mul_f64(k as f64);
                 let now = Instant::now();
@@ -548,34 +685,23 @@ fn run_connection(
                     break;
                 }
                 let id = conn_idx as u64 + k * total_conns as u64;
-                let input = &inputs[(id as usize) % INPUT_POOL];
                 // Every request starts a trace; the head lottery
                 // inside `new_root` plus the recorder's tail rules
                 // (slow / failed / shed / energy outlier) decide what
                 // is actually kept.
-                let ctx = imc_obs::TraceContext::new_root();
-                let root_span = imc_obs::next_span_id();
-                in_flight.lock().unwrap().insert(
-                    id,
-                    SentReq {
-                        at: Instant::now(),
-                        ctx,
-                        root_span,
-                    },
-                );
-                let req = Request::Infer(InferRequest {
-                    id,
-                    input: input.clone(),
-                    trace: Some(ctx.child(root_span)),
-                });
-                let wrote = match proto {
-                    Proto::Json => write_request(&mut writer, &req),
-                    Proto::Bin => wire::write_request(&mut writer, &req, &mut scratch),
+                let sent = SentReq {
+                    at: Instant::now(),
+                    ctx: imc_obs::TraceContext::new_root(),
+                    root_span: imc_obs::next_span_id(),
+                    offset,
                 };
-                if wrote.is_err() {
+                encode_frame(&infer_request(id, &sent, &inputs), proto, &mut scratch);
+                in_flight.lock().unwrap().insert(id, sent);
+                if writer.write_all(&scratch).is_err() {
                     in_flight.lock().unwrap().remove(&id);
                     break;
                 }
+                offset += scratch.len();
                 sent_out.fetch_add(1, Ordering::Relaxed);
                 k += 1;
             }
@@ -641,6 +767,9 @@ fn run_connection(
             Ok(Some(Response::Output(r))) => {
                 answered += 1;
                 res.last_response = Some(Instant::now());
+                let owed = flip_check
+                    .as_mut()
+                    .and_then(|f| f.owed(r.id, &in_flight.lock().unwrap(), inputs, proto));
                 let sent_at = in_flight.lock().unwrap().remove(&r.id);
                 if let Some(sent) = sent_at {
                     res.latencies_us.push(sent.at.elapsed().as_micros() as u64);
@@ -654,7 +783,9 @@ fn run_connection(
                             .all(|(a, b)| a.to_bits() == b.to_bits())
                 };
                 let pool_idx = (r.id as usize) % INPUT_POOL;
-                if bits_equal(&expected[pool_idx]) {
+                // A request the proxy bit-flipped is owed the answer to
+                // the flipped input (--chaos runs never swap images).
+                if bits_equal(owed.as_deref().unwrap_or(&expected[pool_idx])) {
                     res.completed += 1;
                 } else if (**swap_expected)
                     .as_ref()
@@ -977,6 +1108,7 @@ fn main() -> ExitCode {
                 let expected = &expected;
                 let swap_expected = &swap_expected;
                 let global_sent = &global_sent;
+                let chaos = proxy.as_ref().map(|p| (p, &oracle));
                 s.spawn(move || {
                     run_connection(
                         addr,
@@ -989,6 +1121,7 @@ fn main() -> ExitCode {
                         swap_expected,
                         global_sent,
                         args.proto,
+                        chaos,
                     )
                 })
             })
@@ -1305,4 +1438,100 @@ fn chaos_probe(server_addr: &str, features: usize, proto: Proto) -> Result<(), S
         ));
     }
     Ok(())
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Three in-flight requests with the frames the sender wrote for
+    /// them, back to back from stream byte 5 (after a `BIN1` hello).
+    fn sent_frames(inputs: &[Vec<f32>], proto: Proto) -> (HashMap<u64, SentReq>, Vec<Vec<u8>>) {
+        let mut offset = 5;
+        let mut in_flight = HashMap::new();
+        let mut frames = Vec::new();
+        for id in [3u64, 7, 11] {
+            let sent = SentReq {
+                at: Instant::now(),
+                ctx: imc_obs::TraceContext::new_root(),
+                root_span: imc_obs::next_span_id(),
+                offset,
+            };
+            let mut frame = Vec::new();
+            encode_frame(&infer_request(id, &sent, inputs), proto, &mut frame);
+            offset += frame.len();
+            in_flight.insert(id, sent);
+            frames.push(frame);
+        }
+        (in_flight, frames)
+    }
+
+    fn flip_at(offset: usize) -> Flip {
+        Flip {
+            client: "127.0.0.1:1".parse().unwrap(),
+            offset,
+            mask: 0x40,
+        }
+    }
+
+    #[test]
+    fn a_flip_maps_to_the_frame_that_holds_its_byte() {
+        let inputs = build_inputs(8);
+        for proto in [Proto::Bin, Proto::Json] {
+            let (in_flight, frames) = sent_frames(&inputs, proto);
+            let ids = [3u64, 7, 11];
+            let first = in_flight[&3].offset;
+            let end = in_flight[&11].offset + frames[2].len();
+            for offset in (0..first).chain(end..end + 16) {
+                assert!(
+                    flipped_request(&flip_at(offset), &in_flight, &inputs, proto).is_none(),
+                    "{proto}: byte {offset} lies in no frame"
+                );
+            }
+            let mut decoded = 0;
+            for offset in first..end {
+                let Some(r) = flipped_request(&flip_at(offset), &in_flight, &inputs, proto) else {
+                    continue;
+                };
+                decoded += 1;
+                let k = (0..3)
+                    .rev()
+                    .find(|&k| in_flight[&ids[k]].offset <= offset)
+                    .unwrap();
+                if proto == Proto::Bin {
+                    // BIN1 re-encodes the decoded request as the frame
+                    // that holds the byte, with that byte flipped. The
+                    // last byte, the trace context's sampled flag, decodes
+                    // any non-zero value as set and re-encodes it as 1.
+                    let mut want = frames[k].clone();
+                    want[offset - in_flight[&ids[k]].offset] ^= 0x40;
+                    let mut got = Vec::new();
+                    encode_frame(&Request::Infer(r), proto, &mut got);
+                    let flag = want.len() - 1;
+                    assert_eq!(got[..flag], want[..flag], "bin: byte {offset}");
+                } else {
+                    assert_eq!(r.id, ids[k], "json: byte {offset}");
+                }
+            }
+            assert!(decoded > 0, "{proto}: some flips leave a valid frame");
+        }
+    }
+
+    #[test]
+    fn a_flipped_feature_exponent_reaches_the_oracle_input() {
+        // The chaos smoke's case: the flip lands on the top byte of one
+        // f32 feature, and the frame stays valid.
+        let inputs = build_inputs(8);
+        let (in_flight, _) = sent_frames(&inputs, Proto::Bin);
+        let feature = 2;
+        // length prefix, kind, id, feature count, then f32 LE features
+        let offset = in_flight[&7].offset + 4 + 1 + 8 + 4 + 4 * feature + 3;
+        let r = flipped_request(&flip_at(offset), &in_flight, &inputs, Proto::Bin)
+            .expect("a flipped exponent byte still decodes");
+        assert_eq!(r.id, 7);
+        let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let mut want = bits(&inputs[7]);
+        want[feature] ^= 0x40 << 24;
+        assert_eq!(bits(&r.input), want);
+    }
 }

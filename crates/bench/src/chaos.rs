@@ -15,6 +15,12 @@
 //! generator uses [`Fault::seeded_mix`] for a reproducible blend. All
 //! faults are byte-counted, not timer-based, so runs replay identically.
 //!
+//! A bit flip can leave a frame valid, and then the server answers the
+//! flipped request correctly. The proxy logs every flip it applies
+//! ([`ChaosProxy::flips`]) so a client can tell which of its requests
+//! the server actually received and check that answer against the
+//! flipped input instead of the one it sent.
+//!
 //! ```no_run
 //! use imc_bench::chaos::{ChaosProxy, Fault};
 //! let proxy = ChaosProxy::start(
@@ -28,7 +34,7 @@
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -86,6 +92,38 @@ impl Fault {
     }
 }
 
+/// The XOR mask [`Fault::CorruptAfter`] applies to its target byte.
+const FLIP_MASK: u8 = 0x40;
+
+/// One bit flip the proxy applied to a client's request stream.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Flip {
+    /// The client end of the proxied connection: the address the client
+    /// sees as its own `local_addr`.
+    pub client: SocketAddr,
+    /// Offset of the flipped byte in that client's request stream,
+    /// counted from the first byte the client wrote.
+    pub offset: usize,
+    /// The XOR mask applied to the byte.
+    pub mask: u8,
+}
+
+impl Flip {
+    /// Applies this flip to `frame`, the bytes the client wrote starting
+    /// at stream offset `start`. `None` when the flipped byte lies
+    /// outside the frame.
+    #[must_use]
+    pub fn apply(&self, start: usize, frame: &[u8]) -> Option<Vec<u8>> {
+        let at = self
+            .offset
+            .checked_sub(start)
+            .filter(|&at| at < frame.len())?;
+        let mut flipped = frame.to_vec();
+        flipped[at] ^= self.mask;
+        Some(flipped)
+    }
+}
+
 /// A running fault-injecting proxy. Dropping it (or calling
 /// [`stop`](Self::stop)) shuts the listener down; forwarding threads for
 /// live connections die with their sockets.
@@ -95,6 +133,8 @@ pub struct ChaosProxy {
     accept_thread: Option<JoinHandle<()>>,
     /// Connections accepted so far (fault plan indices consumed).
     accepted: Arc<AtomicUsize>,
+    /// Every bit flip applied so far, in the order applied.
+    flips: Arc<Mutex<Vec<Flip>>>,
 }
 
 impl ChaosProxy {
@@ -114,9 +154,11 @@ impl ChaosProxy {
         listener.set_nonblocking(true)?;
         let stop = Arc::new(AtomicBool::new(false));
         let accepted = Arc::new(AtomicUsize::new(0));
+        let flips = Arc::new(Mutex::new(Vec::new()));
         let accept_thread = {
             let stop = Arc::clone(&stop);
             let accepted = Arc::clone(&accepted);
+            let flips = Arc::clone(&flips);
             std::thread::Builder::new()
                 .name("chaos-accept".into())
                 .spawn(move || {
@@ -125,7 +167,10 @@ impl ChaosProxy {
                             Ok((client, _)) => {
                                 let conn = accepted.fetch_add(1, Ordering::AcqRel);
                                 let fault = pick(conn);
-                                if let Err(e) = spawn_forwarders(client, upstream, fault, conn) {
+                                let flips = Arc::clone(&flips);
+                                if let Err(e) =
+                                    spawn_forwarders(client, upstream, fault, conn, flips)
+                                {
                                     eprintln!("chaos: conn {conn}: upstream connect failed: {e}");
                                 }
                             }
@@ -146,6 +191,7 @@ impl ChaosProxy {
             stop,
             accept_thread: Some(accept_thread),
             accepted,
+            flips,
         })
     }
 
@@ -159,6 +205,14 @@ impl ChaosProxy {
     #[must_use]
     pub fn accepted(&self) -> usize {
         self.accepted.load(Ordering::Acquire)
+    }
+
+    /// Every bit flip applied so far, in the order applied. A flip is
+    /// logged before the flipped byte is forwarded, so it is here before
+    /// the server can answer the request it landed in.
+    #[must_use]
+    pub fn flips(&self) -> Vec<Flip> {
+        self.flips.lock().expect("flip log lock").clone()
     }
 
     /// Stops accepting. Existing forwarding threads exit when their
@@ -187,7 +241,9 @@ fn spawn_forwarders(
     upstream: SocketAddr,
     fault: Fault,
     conn: usize,
+    flips: Arc<Mutex<Vec<Flip>>>,
 ) -> std::io::Result<()> {
+    let peer = client.peer_addr()?;
     let server = TcpStream::connect_timeout(&upstream, Duration::from_secs(5))?;
     client.set_nodelay(true).ok();
     server.set_nodelay(true).ok();
@@ -197,7 +253,7 @@ fn spawn_forwarders(
     // client → server: the faulted direction.
     std::thread::Builder::new()
         .name(format!("chaos-c2s-{conn}"))
-        .spawn(move || forward_with_fault(client_r, server, fault))
+        .spawn(move || forward_with_fault(client_r, server, fault, peer, &flips))
         .expect("spawn c2s forwarder");
     // server → client: always clean, so returned answers are authentic.
     std::thread::Builder::new()
@@ -224,7 +280,14 @@ fn forward_clean(mut from: TcpStream, mut to: TcpStream) {
 }
 
 /// Forwards `from` → `to`, applying `fault` byte-by-byte-deterministically.
-fn forward_with_fault(mut from: TcpStream, mut to: TcpStream, fault: Fault) {
+/// Flips are logged in `flips` against `client`, the `from` peer.
+fn forward_with_fault(
+    mut from: TcpStream,
+    mut to: TcpStream,
+    fault: Fault,
+    client: SocketAddr,
+    flips: &Mutex<Vec<Flip>>,
+) {
     let mut buf = [0u8; 4096];
     let mut forwarded = 0usize; // request bytes already passed through
     loop {
@@ -277,7 +340,12 @@ fn forward_with_fault(mut from: TcpStream, mut to: TcpStream, fault: Fault) {
             }
             Fault::CorruptAfter(target) => {
                 if forwarded <= target && target < forwarded + n {
-                    chunk[target - forwarded] ^= 0x40;
+                    chunk[target - forwarded] ^= FLIP_MASK;
+                    flips.lock().expect("flip log lock").push(Flip {
+                        client,
+                        offset: target,
+                        mask: FLIP_MASK,
+                    });
                 }
             }
         }
@@ -350,6 +418,15 @@ mod tests {
         c.shutdown(Shutdown::Write).unwrap();
         let got = received.join().unwrap();
         assert_eq!(got, vec![0u8, 1, 2 ^ 0x40, 3, 4]);
+        assert_eq!(
+            proxy.flips(),
+            vec![Flip {
+                client: c.local_addr().unwrap(),
+                offset: 2,
+                mask: 0x40,
+            }],
+            "the flip is logged against the client's own address"
+        );
         proxy.stop();
     }
 }

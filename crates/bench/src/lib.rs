@@ -1,8 +1,9 @@
 //! # imc-bench
 //!
-//! The benchmark harness: one binary per table/figure of the paper (see
-//! `src/bin/`), Criterion performance benches (`benches/`), and shared
-//! output helpers.
+//! The paper harness: one binary per table/figure of the paper (see
+//! `src/bin/`), the `loadgen` load generator and its fault-injecting
+//! proxy, and shared output helpers. Performance is measured by the
+//! separate `perfbench` package at the repository root.
 
 #![deny(missing_docs)]
 

@@ -32,7 +32,6 @@ commands:
     --no-remap           skip relocation/clamping (ablation baseline)
     --base PATH          incremental compile: diff against this image,
                          reprogram only changed cells, reuse placement
-    --serial             run ISPP programming serially (benchmark baseline)
     --stride N           program every N-th cell (default 1 = all)
     --probes N           probe-set size (default 64)
     --wear-ledger PATH   persistent per-bank wear ledger (JSON)
@@ -144,7 +143,6 @@ fn cmd_compile(mut f: Flags) -> Result<(), String> {
     opts.fault_seed = f.seed("--fault-seed", 42)?;
     opts.remap = !f.switch("--no-remap");
     opts.base = f.take("--base")?;
-    opts.program.force_serial = f.switch("--serial");
     opts.program.stride = f.parsed("--stride", 1usize)?;
     if opts.program.stride == 0 {
         return Err("--stride must be at least 1".into());

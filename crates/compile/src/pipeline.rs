@@ -103,7 +103,7 @@ impl CompileOptions {
     }
 }
 
-/// Wall-clock seconds per pass (what `perfsnap` reports).
+/// Wall-clock seconds per pass (perfbench reports them as `compile.*_ms`).
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
 pub struct PassTimings {
     /// Placement pass.
@@ -255,7 +255,7 @@ pub fn compile(
 
     // Pass 1 — placement. Each pass is wrapped in an obs span, so pass
     // timings land in `span_us{span="pass.*"}` for scrapers while the
-    // same wall times still populate `PassTimings` for perfsnap. A delta
+    // same wall times still populate `PassTimings` for callers. A delta
     // compile reuses the base placement verbatim: unchanged weights must
     // stay on the cells that already hold them.
     let t = span!("pass.placement");

@@ -45,8 +45,7 @@ pub struct ProgramOptions {
     pub stride: usize,
     /// Run the per-column work items serially on the caller thread
     /// instead of the worker pool — the bit-identity reference the
-    /// parallel path is tested against (and a fair serial baseline for
-    /// the cells/s benchmark).
+    /// parallel path is tested against.
     pub force_serial: bool,
 }
 

@@ -1092,31 +1092,6 @@ mod tests {
     }
 
     #[test]
-    #[ignore = "manual throughput probe: cargo test -p neural --release -- --ignored --nocapture"]
-    fn kernel_speed_probe() {
-        // MNIST-MLP-shaped single-sample forwards, with and without noise.
-        let net = crate::models::mlp(784, 64, 10, 0x5E44_E001);
-        let cfg = ImcConfig::paper(super::super::ImcDesign::ChgFe, 4, 8);
-        let mut cfg0 = cfg;
-        cfg0.noise_scale = 0.0;
-        let x = Tensor::from_vec(
-            &[1, 784],
-            (0..784).map(|i| (i % 23) as f32 / 23.0).collect(),
-        );
-        for (name, cfg) in [("packed", cfg), ("packed-noise0", cfg0)] {
-            let q = super::super::QNetwork::from_sequential(&net, cfg);
-            let _ = q.forward(&x); // warm
-            let reps = 50;
-            let t0 = std::time::Instant::now();
-            for _ in 0..reps {
-                std::hint::black_box(q.forward(&x));
-            }
-            let us = t0.elapsed().as_micros() as f64 / f64::from(reps);
-            println!("{name}: {us:.1} us/inference ({:.0} inf/s)", 1e6 / us);
-        }
-    }
-
-    #[test]
     fn ziggurat_moments_and_determinism() {
         let mut g = ZigGauss::new(0x51C6_0D2F);
         let n = 200_000;

@@ -333,11 +333,11 @@ fn energy_budget_prefers_cheap_variant_and_sheds_with_typed_reply() {
 
 #[test]
 fn four_replica_fleet_throughput_and_bit_exactness() {
-    // The PR-7 acceptance shape: a 4-replica whole-model fleet under
-    // concurrent load, every response verified bit-exact against the
-    // in-process oracle. The >4x single-node throughput assertion only
-    // makes sense with real parallel hardware, so it is gated on core
-    // count (perfsnap records the honest numbers either way).
+    // A 4-replica whole-model fleet under load from two concurrent
+    // clients: every response must bit-match the in-process oracle, and
+    // every replica must show up in the metrics scrape (round-robin
+    // really spreads the traffic). The test times nothing; perfbench's
+    // `sharded` workload measures fleet throughput.
     let design = ImcDesign::ChgFe;
     let replicas: Vec<ServerHandle> = (0..4)
         .map(|_| {
