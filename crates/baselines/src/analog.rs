@@ -8,14 +8,14 @@
 //! "energy and area overhead" the paper's Section 2.3 calls out — and
 //! the MSB/LSB capacitor ratio limits scalability to wider weights.
 
-use imc_core::energy::{Activity, CurFeEnergyModel, WeightBits};
+use imc_core::energy::{Activity, DesignPoint, Variant, WeightBits};
 use serde::{Deserialize, Serialize};
 
 /// Analog shift-add baseline model.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct AnalogShiftAddModel {
-    /// The underlying array/periphery model (shared with CurFe).
-    pub base: CurFeEnergyModel,
+    /// The underlying array/periphery model (the CurFe paper macro).
+    pub base: DesignPoint,
     /// Unit capacitor of the binary-weighted combiner (F).
     pub c_unit: f64,
     /// Voltage swing across the combining capacitors (V).
@@ -30,7 +30,7 @@ impl AnalogShiftAddModel {
     #[must_use]
     pub fn paper() -> Self {
         Self {
-            base: CurFeEnergyModel::paper(),
+            base: DesignPoint::paper(Variant::CurFe),
             c_unit: 4.0e-15,
             v_swing: 0.9,
             t_combine: 1.0e-9,
@@ -50,7 +50,7 @@ impl AnalogShiftAddModel {
     pub fn per_input_bit_energy(&self, weight: WeightBits, activity: Activity) -> f64 {
         let _ = weight;
         let b = self.base.cycle_breakdown(activity);
-        let banks = self.base.config.geometry.banks as f64;
+        let banks = self.base.banks as f64;
         // Two blocks (H4B+L4B) per bank each flip their combiner once per
         // cycle; average half-swing activity.
         let combiner = banks
@@ -66,7 +66,12 @@ impl AnalogShiftAddModel {
     #[must_use]
     pub fn tops_per_watt(&self, input_bits: u32, weight: WeightBits, activity: Activity) -> f64 {
         assert!((1..=8).contains(&input_bits));
-        let ops = 2.0 * self.base.macs_per_cycle(weight);
+        let ops = 2.0
+            * DesignPoint {
+                weight_bits: weight,
+                ..self.base
+            }
+            .macs_per_cycle();
         let energy = f64::from(input_bits) * self.per_input_bit_energy(weight, activity);
         ops / energy / 1.0e12
     }
@@ -75,8 +80,12 @@ impl AnalogShiftAddModel {
     /// due to the combine phase.
     #[must_use]
     pub fn throughput_ops(&self, input_bits: u32, weight: WeightBits) -> f64 {
-        let macs = self.base.macs_per_cycle(weight);
-        let t = f64::from(input_bits) * (self.base.config.t_cycle + self.t_combine);
+        let macs = DesignPoint {
+            weight_bits: weight,
+            ..self.base
+        }
+        .macs_per_cycle();
+        let t = f64::from(input_bits) * (self.base.t_cycle_s() + self.t_combine);
         2.0 * macs / t
     }
 
@@ -102,7 +111,9 @@ mod tests {
     #[test]
     fn analog_sits_between_digital_and_inherent() {
         let a = Activity::average();
-        let inherent = CurFeEnergyModel::paper().tops_per_watt(8, WeightBits::W8, a);
+        let inherent = DesignPoint::paper(Variant::CurFe)
+            .evaluate_with_activity(a)
+            .tops_per_watt;
         let analog = AnalogShiftAddModel::paper().tops_per_watt(8, WeightBits::W8, a);
         let digital = DigitalShiftAddModel::paper().tops_per_watt(8, WeightBits::W8, a);
         assert!(
@@ -113,7 +124,7 @@ mod tests {
 
     #[test]
     fn analog_throughput_nearly_matches_inherent() {
-        let inherent = CurFeEnergyModel::paper().throughput_ops(8, WeightBits::W8);
+        let inherent = DesignPoint::paper(Variant::CurFe).evaluate().peak_tops * 1.0e12;
         let analog = AnalogShiftAddModel::paper().throughput_ops(8, WeightBits::W8);
         let digital = DigitalShiftAddModel::paper().throughput_ops(8, WeightBits::W8);
         assert!(analog > digital * 2.0);

@@ -9,7 +9,7 @@
 //! shift-add removes — while the array keeps burning static power the
 //! whole time.
 
-use imc_core::energy::{Activity, CurFeEnergyModel, EnergyBreakdown, WeightBits};
+use imc_core::energy::{Activity, DesignPoint, EnergyBreakdown, Variant, WeightBits};
 use serde::{Deserialize, Serialize};
 
 /// Digital shift-add macro model, built on the *same* array and ADC
@@ -17,8 +17,8 @@ use serde::{Deserialize, Serialize};
 /// organization.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct DigitalShiftAddModel {
-    /// The underlying array/periphery model (shared with CurFe).
-    pub base: CurFeEnergyModel,
+    /// The underlying array/periphery model (the CurFe paper macro).
+    pub base: DesignPoint,
     /// Columns multiplexed onto one ADC (the paper's baseline flow
     /// converts one weight-bit column per cycle).
     pub cols_per_adc: u32,
@@ -32,7 +32,7 @@ impl DigitalShiftAddModel {
     #[must_use]
     pub fn paper() -> Self {
         Self {
-            base: CurFeEnergyModel::paper(),
+            base: DesignPoint::paper(Variant::CurFe),
             cols_per_adc: 4,
             shift_add_e: 60.0e-15,
         }
@@ -57,7 +57,7 @@ impl DigitalShiftAddModel {
     pub fn per_input_bit_energy(&self, weight: WeightBits, activity: Activity) -> f64 {
         let b: EnergyBreakdown = self.base.cycle_breakdown(activity);
         let cycles = f64::from(self.conversion_cycles(weight));
-        let banks = self.base.config.geometry.banks as f64;
+        let banks = self.base.banks as f64;
         // Static parts (array, TIA, wordline hold) scale with occupancy
         // time; ADC energy is per conversion and each cycle converts on
         // every ADC; digital shift-add adds per conversion.
@@ -67,13 +67,17 @@ impl DigitalShiftAddModel {
         static_part + adc_part + acc_part
     }
 
-    /// Average energy efficiency (TOPS/W), comparable to
-    /// [`CurFeEnergyModel::tops_per_watt`].
+    /// Average energy efficiency (TOPS/W), comparable to the inherent
+    /// design's [`MacroCost::tops_per_watt`](imc_core::energy::MacroCost::tops_per_watt).
     #[must_use]
     pub fn tops_per_watt(&self, input_bits: u32, weight: WeightBits, activity: Activity) -> f64 {
         assert!((1..=8).contains(&input_bits));
-        let macs = self.base.macs_per_cycle(weight);
-        let ops = 2.0 * macs;
+        let ops = 2.0
+            * DesignPoint {
+                weight_bits: weight,
+                ..self.base
+            }
+            .macs_per_cycle();
         let energy = f64::from(input_bits) * self.per_input_bit_energy(weight, activity);
         ops / energy / 1.0e12
     }
@@ -81,10 +85,14 @@ impl DigitalShiftAddModel {
     /// Peak throughput (OPS): serialized by the ADC multiplexing.
     #[must_use]
     pub fn throughput_ops(&self, input_bits: u32, weight: WeightBits) -> f64 {
-        let macs = self.base.macs_per_cycle(weight);
+        let macs = DesignPoint {
+            weight_bits: weight,
+            ..self.base
+        }
+        .macs_per_cycle();
         let t = f64::from(input_bits)
             * f64::from(self.conversion_cycles(weight))
-            * self.base.config.t_cycle;
+            * self.base.t_cycle_s();
         2.0 * macs / t
     }
 }
@@ -101,10 +109,11 @@ mod tests {
 
     #[test]
     fn digital_baseline_is_much_less_efficient_than_inherent() {
-        let base = CurFeEnergyModel::paper();
         let dig = DigitalShiftAddModel::paper();
         let a = Activity::average();
-        let ours = base.tops_per_watt(8, WeightBits::W8, a);
+        let ours = DesignPoint::paper(Variant::CurFe)
+            .evaluate_with_activity(a)
+            .tops_per_watt;
         let theirs = dig.tops_per_watt(8, WeightBits::W8, a);
         assert!(
             ours / theirs > 2.0,
@@ -114,9 +123,9 @@ mod tests {
 
     #[test]
     fn digital_baseline_throughput_is_divided_by_mux_depth() {
-        let base = CurFeEnergyModel::paper();
         let dig = DigitalShiftAddModel::paper();
-        let r = base.throughput_ops(8, WeightBits::W8) / dig.throughput_ops(8, WeightBits::W8);
+        let ours = DesignPoint::paper(Variant::CurFe).evaluate().peak_tops * 1.0e12;
+        let r = ours / dig.throughput_ops(8, WeightBits::W8);
         assert!((r - 4.0).abs() < 1e-9, "throughput ratio {r}");
     }
 

@@ -12,8 +12,9 @@
 //!   `energy ∝ node²` scaling and the 1.56×/2.22×/1.37× headline ratios.
 //!
 //! Both baseline models reuse the *same* array and periphery energy
-//! components as [`imc_core::energy::CurFeEnergyModel`], so comparisons
-//! isolate the shift-add organization rather than device assumptions.
+//! components as the CurFe [`imc_core::energy::DesignPoint`], so
+//! comparisons isolate the shift-add organization rather than device
+//! assumptions.
 
 #![deny(missing_docs)]
 #![deny(rustdoc::broken_intra_doc_links)]

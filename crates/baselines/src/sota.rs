@@ -282,10 +282,10 @@ mod tests {
 
     #[test]
     fn our_energy_models_reproduce_the_paper_rows() {
-        use imc_core::energy::{Activity, ChgFeEnergyModel, CurFeEnergyModel, WeightBits};
+        use imc_core::energy::{DesignPoint, Variant};
         let rows = paper_entries();
-        let cur = CurFeEnergyModel::paper().tops_per_watt(8, WeightBits::W8, Activity::average());
-        let chg = ChgFeEnergyModel::paper().tops_per_watt(8, WeightBits::W8, Activity::average());
+        let cur = DesignPoint::paper(Variant::CurFe).evaluate().tops_per_watt;
+        let chg = DesignPoint::paper(Variant::ChgFe).evaluate().tops_per_watt;
         assert!((cur - rows[0].circuit_tops_w.0).abs() / rows[0].circuit_tops_w.0 < 0.10);
         assert!((chg - rows[1].circuit_tops_w.0).abs() / rows[1].circuit_tops_w.0 < 0.10);
     }

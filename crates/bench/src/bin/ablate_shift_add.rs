@@ -4,12 +4,11 @@
 
 use imc_baselines::analog::AnalogShiftAddModel;
 use imc_baselines::digital::DigitalShiftAddModel;
-use imc_core::energy::{Activity, CurFeEnergyModel, WeightBits};
+use imc_core::energy::{Activity, DesignPoint, Variant, WeightBits};
 
 fn main() {
     println!("=== Ablation: multi-bit weight shift-add organization ===\n");
     let a = Activity::average();
-    let inherent = CurFeEnergyModel::paper();
     let analog = AnalogShiftAddModel::paper();
     let digital = DigitalShiftAddModel::paper();
     println!(
@@ -17,11 +16,16 @@ fn main() {
         "xb-IN", "organization", "TOPS/W @(x,8b)", "rel. GOPS"
     );
     for ib in [1u32, 4, 8] {
+        let inherent = DesignPoint {
+            input_bits: ib,
+            ..DesignPoint::paper(Variant::CurFe)
+        }
+        .evaluate_with_activity(a);
         let rows: [(&str, f64, f64); 3] = [
             (
                 "inherent (ours)",
-                inherent.tops_per_watt(ib, WeightBits::W8, a),
-                inherent.throughput_ops(ib, WeightBits::W8),
+                inherent.tops_per_watt,
+                inherent.peak_tops * 1.0e12,
             ),
             (
                 "analog shift-add",

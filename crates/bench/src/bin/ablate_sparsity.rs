@@ -1,12 +1,16 @@
 //! Ablation: dynamic input-sparsity optimization (the Table 1 footnote on
 //! Yue et al. `[9]`, "with sparse optimization") applied to our macros.
 
-use imc_core::energy::{ChgFeEnergyModel, CurFeEnergyModel, SparsityModel, WeightBits};
+use imc_core::energy::{DesignPoint, SparsityModel, Variant};
 
 fn main() {
     println!("=== Ablation: input-sparsity performance scaling ===\n");
-    let cur = CurFeEnergyModel::paper();
-    let chg = ChgFeEnergyModel::paper();
+    let at_4b = |variant| DesignPoint {
+        input_bits: 4,
+        ..DesignPoint::paper(variant)
+    };
+    let cur = at_4b(Variant::CurFe);
+    let chg = at_4b(Variant::ChgFe);
     println!(
         "{:>14} {:>16} {:>16}",
         "input zeros", "CurFe TOPS/W", "ChgFe TOPS/W"
@@ -19,8 +23,8 @@ fn main() {
         println!(
             "{:>13}% {:>16.2} {:>16.2}",
             (s * 100.0) as u32,
-            cur.sparse_tops_per_watt(4, WeightBits::W8, 0.5, sm),
-            chg.sparse_tops_per_watt(4, WeightBits::W8, 0.5, sm),
+            cur.evaluate_sparse(0.5, sm).tops_per_watt,
+            chg.evaluate_sparse(0.5, sm).tops_per_watt,
         );
     }
     println!("\nAt ReLU-DNN sparsity (~60% zeros) the macros gain ~1.3-1.6x — the same");

@@ -1,13 +1,22 @@
 //! Fig. 9: average circuit-level energy efficiency for 32 accumulations
 //! vs input/weight precision, CurFe and ChgFe, 5-bit ADC.
 
-use imc_core::energy::{Activity, ChgFeEnergyModel, CurFeEnergyModel, WeightBits};
+use imc_core::energy::{Activity, DesignPoint, Variant, WeightBits};
+
+/// TOPS/W of the paper macro at (`input_bits`, `weight_bits`).
+fn tops_per_watt(variant: Variant, input_bits: u32, weight_bits: WeightBits) -> f64 {
+    DesignPoint {
+        input_bits,
+        weight_bits,
+        ..DesignPoint::paper(variant)
+    }
+    .evaluate()
+    .tops_per_watt
+}
 
 fn main() {
     println!("=== Fig. 9: circuit-level energy efficiency vs precision (5-bit ADC) ===\n");
     let a = Activity::average();
-    let cur = CurFeEnergyModel::paper();
-    let chg = ChgFeEnergyModel::paper();
     println!(
         "{:>10} {:>16} {:>16}",
         "xb-IN/yb-W", "CurFe (TOPS/W)", "ChgFe (TOPS/W)"
@@ -18,14 +27,14 @@ fn main() {
                 "{:>7}b/{}b {:>16.2} {:>16.2}",
                 ib,
                 wb.bits(),
-                cur.tops_per_watt(ib, wb, a),
-                chg.tops_per_watt(ib, wb, a)
+                tops_per_watt(Variant::CurFe, ib, wb),
+                tops_per_watt(Variant::ChgFe, ib, wb)
             );
         }
     }
     println!("\nPer-cycle energy breakdown (whole macro):");
-    let cb = cur.cycle_breakdown(a);
-    let qb = chg.cycle_breakdown(a);
+    let cb = DesignPoint::paper(Variant::CurFe).cycle_breakdown(a);
+    let qb = DesignPoint::paper(Variant::ChgFe).cycle_breakdown(a);
     println!(
         "{:>14} {:>12} {:>12}",
         "component", "CurFe (pJ)", "ChgFe (pJ)"
@@ -45,7 +54,7 @@ fn main() {
         "\nAnchors: {}",
         imc_bench::compare_row(
             "CurFe @(8b,8b)",
-            cur.tops_per_watt(8, WeightBits::W8, a),
+            tops_per_watt(Variant::CurFe, 8, WeightBits::W8),
             12.18
         )
     );
@@ -53,7 +62,7 @@ fn main() {
         "         {}",
         imc_bench::compare_row(
             "ChgFe @(8b,8b)",
-            chg.tops_per_watt(8, WeightBits::W8, a),
+            tops_per_watt(Variant::ChgFe, 8, WeightBits::W8),
             14.47
         )
     );

@@ -15,7 +15,7 @@ use std::process::ExitCode;
 use imc_baselines::analog::AnalogShiftAddModel;
 use imc_baselines::digital::DigitalShiftAddModel;
 use imc_baselines::sota::headline_ratios;
-use imc_core::energy::{Activity, ChgFeEnergyModel, CurFeEnergyModel, WeightBits};
+use imc_core::energy::{Activity, DesignPoint, Variant, WeightBits};
 use neural::models::resnet18_shapes;
 use serde::{Deserialize, Serialize};
 use system_perf::chip::{evaluate, Design, SystemConfig};
@@ -75,19 +75,18 @@ fn fig7_mc_anchors() -> Vec<Anchor> {
 }
 
 fn fig9_circuit_anchors() -> Vec<Anchor> {
-    let a = Activity::average();
     vec![
         anchor(
             "fig9/table1",
             "CurFe circuit TOPS/W @(8b,8b)",
             12.18,
-            CurFeEnergyModel::paper().tops_per_watt(8, WeightBits::W8, a),
+            DesignPoint::paper(Variant::CurFe).evaluate().tops_per_watt,
         ),
         anchor(
             "fig9/table1",
             "ChgFe circuit TOPS/W @(8b,8b)",
             14.47,
-            ChgFeEnergyModel::paper().tops_per_watt(8, WeightBits::W8, a),
+            DesignPoint::paper(Variant::ChgFe).evaluate().tops_per_watt,
         ),
     ]
 }
@@ -161,14 +160,12 @@ fn shift_add_ablation_anchors() -> Vec<Anchor> {
 /// exit code non-zero instead of just shifting a ratio column.
 fn cost_model_anchors() -> Vec<Anchor> {
     let checks = [
-        (imc_cost::Variant::CurFe, "CurFe TOPS/W @(8b,8b)", 12.18),
-        (imc_cost::Variant::ChgFe, "ChgFe TOPS/W @(8b,8b)", 14.47),
+        (Variant::CurFe, "CurFe TOPS/W @(8b,8b)", 12.18),
+        (Variant::ChgFe, "ChgFe TOPS/W @(8b,8b)", 14.47),
     ];
     let mut anchors = Vec::new();
     for (variant, quantity, paper) in checks {
-        let measured = imc_cost::DesignPoint::paper(variant)
-            .evaluate()
-            .tops_per_watt;
+        let measured = DesignPoint::paper(variant).evaluate().tops_per_watt;
         let rel = (measured - paper).abs() / paper;
         // 5% explicit tolerance: today's closed forms land within 2.4%
         // (CurFe) and 0.3% (ChgFe) of the paper, so 5% flags drift

@@ -1,7 +1,7 @@
 //! Table 1: comparison with the state-of-the-art analog IMC designs.
 
 use imc_baselines::sota::{competitor_entries, headline_ratios, paper_entries};
-use imc_core::energy::{Activity, ChgFeEnergyModel, CurFeEnergyModel, WeightBits};
+use imc_core::energy::{DesignPoint, Variant};
 use neural::models::resnet18_shapes;
 use system_perf::chip::{evaluate, Design, SystemConfig};
 
@@ -29,9 +29,8 @@ fn main() {
     }
 
     println!("\n--- our models reproducing the FeFET rows ---");
-    let a = Activity::average();
-    let cur = CurFeEnergyModel::paper().tops_per_watt(8, WeightBits::W8, a);
-    let chg = ChgFeEnergyModel::paper().tops_per_watt(8, WeightBits::W8, a);
+    let cur = DesignPoint::paper(Variant::CurFe).evaluate().tops_per_watt;
+    let chg = DesignPoint::paper(Variant::ChgFe).evaluate().tops_per_watt;
     println!(
         "{}",
         imc_bench::compare_row("CurFe circuit @(8b,8b)", cur, 12.18)

@@ -164,7 +164,7 @@ pub mod collection {
     use crate::test_runner::TestRng;
     use rand::Rng;
 
-    /// Length specification for [`vec`]: an exact size or a half-open
+    /// Length specification for [`vec()`]: an exact size or a half-open
     /// range.
     #[derive(Debug, Clone, Copy)]
     pub struct SizeRange {

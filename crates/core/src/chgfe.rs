@@ -17,7 +17,7 @@
 
 use crate::cell::ChgFeCell;
 use crate::config::ChgFeConfig;
-use crate::curfe::{CycleActivity, PartialMacVoltages};
+use crate::curfe::PartialMacVoltages;
 use crate::weights::{SignedNibble, SplitWeight, UnsignedNibble};
 use fefet_device::variation::VariationSampler;
 
@@ -250,23 +250,6 @@ impl ChgFeBlockPair {
             }
         }
         (h, l)
-    }
-
-    /// Activity metrics for the energy model: the pre-charge and
-    /// sign-column charges of this cycle.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `active.len()` differs from the row count.
-    #[must_use]
-    pub fn activity(&self, active: &[bool]) -> CycleActivity {
-        let outcome = self.mac_cycle(active);
-        CycleActivity {
-            // Report the recharge current-equivalent: Q/t_cycle.
-            total_abs_current: (outcome.precharge_charge + outcome.sign_charge)
-                / self.config.t_cycle,
-            active_rows: active.iter().filter(|a| **a).count(),
-        }
     }
 }
 

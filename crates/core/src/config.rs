@@ -74,8 +74,6 @@ pub struct CurFeConfig {
     pub fefet: FeFetParams,
     /// Variability corner.
     pub variation: VariationParams,
-    /// One input-bit MAC cycle time (s), including ADC conversion.
-    pub t_cycle: f64,
 }
 
 impl CurFeConfig {
@@ -99,7 +97,6 @@ impl CurFeConfig {
             slc: SlcStates::paper(),
             fefet: FeFetParams::nfefet_40nm(),
             variation: VariationParams::paper(),
-            t_cycle: 5.0e-9,
         }
     }
 
@@ -165,8 +162,6 @@ pub struct ChgFeConfig {
     pub pfet_vth_off: f64,
     /// Variability corner.
     pub variation: VariationParams,
-    /// One input-bit MAC cycle time (s): pre-charge + input + share + ADC.
-    pub t_cycle: f64,
     /// Sub-steps used when integrating the bitline discharge (captures
     /// the droop nonlinearity as cells approach triode).
     pub discharge_substeps: usize,
@@ -205,7 +200,6 @@ impl ChgFeConfig {
             pfet_vth_on,
             pfet_vth_off: 1.771,
             variation: VariationParams::paper(),
-            t_cycle: 7.0e-9,
             discharge_substeps: 8,
         }
     }
@@ -233,6 +227,8 @@ impl Default for ChgFeConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fefet_device::fefet::{FeFet, Polarity};
+    use fefet_device::programming::{program_vth, IsppConfig};
 
     #[test]
     fn geometry_capacity() {
@@ -285,7 +281,18 @@ mod tests {
     }
 
     #[test]
-    fn chgfe_cycle_is_longer_than_curfe() {
-        assert!(ChgFeConfig::paper().t_cycle > CurFeConfig::paper().t_cycle);
+    fn chgfe_sign_cell_programs_to_both_states() {
+        // The pFeFET sign cell's write path: ISPP on a P-polarity MLC
+        // device must converge onto both of the config's sign states.
+        let c = ChgFeConfig::paper();
+        let cfg = IsppConfig::paper();
+        let mut energy = 0.0;
+        for target in [c.pfet_vth_on, c.pfet_vth_off] {
+            let mut d = FeFet::new(c.pfefet, Polarity::P);
+            let rep = program_vth(&mut d, target, &cfg);
+            assert!(rep.converged, "sign cell to |Vth| {target}: {rep:?}");
+            energy += rep.energy;
+        }
+        assert!(energy > 0.0);
     }
 }

@@ -29,15 +29,6 @@ pub struct PartialMacVoltages {
     pub v_l4: f64,
 }
 
-/// Activity metrics of one cycle, consumed by the energy model.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct CycleActivity {
-    /// Sum of |cell currents| drawn from the supplies (A).
-    pub total_abs_current: f64,
-    /// Number of activated rows.
-    pub active_rows: usize,
-}
-
 /// Stored per-cell state: the programmed cell model plus cached ON/OFF
 /// currents (the bitline is pinned at `V_cm` by the TIA, so each cell's
 /// current is independent of its neighbours and can be pre-computed).
@@ -225,34 +216,6 @@ impl CurFeBlockPair {
         }
         (h, l)
     }
-
-    /// Activity metrics for the energy model.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `active.len()` differs from the row count.
-    #[must_use]
-    pub fn activity(&self, active: &[bool]) -> CycleActivity {
-        assert_eq!(active.len(), self.cells.len());
-        let mut total = 0.0;
-        let mut rows = 0;
-        for (row, on) in self.cells.iter().zip(active) {
-            if *on {
-                rows += 1;
-            }
-            for cell in row {
-                total += if *on {
-                    cell.i_active.abs()
-                } else {
-                    cell.i_inactive.abs()
-                };
-            }
-        }
-        CycleActivity {
-            total_abs_current: total,
-            active_rows: rows,
-        }
-    }
 }
 
 #[cfg(test)]
@@ -392,18 +355,6 @@ mod tests {
             .map(|(w, _)| i32::from(*w))
             .sum();
         assert_eq!(16 * h + l, total, "16·H + L must equal Σ weights");
-    }
-
-    #[test]
-    fn activity_counts_active_rows() {
-        let cfg = CurFeConfig::paper();
-        let bp = CurFeBlockPair::program(&cfg, &[0x11i8; 32], &mut quiet());
-        let mut active = vec![false; 32];
-        active[3] = true;
-        active[17] = true;
-        let a = bp.activity(&active);
-        assert_eq!(a.active_rows, 2);
-        assert!(a.total_abs_current > 0.0);
     }
 
     #[test]

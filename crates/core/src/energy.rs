@@ -1,27 +1,93 @@
-//! Circuit-level energy model → TOPS/W (Fig. 9 and the Table 1 macro
-//! rows).
+//! The macro cost model: per-cycle energy, cycle time and die area for
+//! any CurFe or ChgFe geometry → TOPS/W (Fig. 9 and the Table 1 macro
+//! rows) and TOPS/mm².
 //!
-//! The model follows the component style of NeuroSim/ISSCC macro papers:
-//! per input-bit cycle, the whole macro (16 banks operating in parallel)
-//! spends energy in
+//! The energy side follows the component style of NeuroSim/ISSCC macro
+//! papers: per input-bit cycle, the whole macro (all banks operating in
+//! parallel) spends energy in
 //!
 //! * the **array** — CurFe: static cell currents through the supplies;
 //!   ChgFe: bitline pre-charge restoration plus the sign-column charge
 //!   from `VDD_q`;
 //! * the **readout front-end** — CurFe: TIA bias; ChgFe: pre-charge
 //!   transistor gating and charge-share TGs;
-//! * the **ADCs** — 16 2CM + 16 N2CM SAR conversions
+//! * the **ADCs** — one 2CM + one N2CM SAR conversion per bank
 //!   (`E = e_bit·b + e_cdac·2^b`, the usual comparator+CDAC split);
 //! * **wordline drivers**, the **accumulation modules** and the
 //!   **reference bank**.
 //!
-//! Constants are calibrated so the paper-default configurations land on
-//! the Table 1 anchors — CurFe 12.18 TOPS/W and ChgFe 14.47 TOPS/W at
-//! (8b input, 8b weight) — and the calibration is pinned by unit tests.
-//! One MAC = 2 OPs, the Table 1 counting convention.
+//! Constants are calibrated so the paper-default points land on the
+//! Table 1 anchors — CurFe 12.18 TOPS/W and ChgFe 14.47 TOPS/W at
+//! (8b input, 8b weight) — and the calibration is pinned by unit tests
+//! (`imc-cost::calibrate` pins the per-row physical inputs against
+//! `analog-sim` transients). One MAC = 2 OPs, the Table 1 counting
+//! convention.
+//!
+//! The cycle time is coupled to the ADC: a SAR converter resolves one
+//! bit per comparator cycle, so `t_cycle = t_analog + bits · t_sar_bit`.
+//! At the paper's 5-bit operating point this lands exactly on the
+//! published 5 ns (CurFe) / 7 ns (ChgFe) MAC cycles; sweeping the
+//! resolution moves both the ADC energy *and* — for CurFe, whose cell
+//! and TIA currents are static — the array energy, which is the real
+//! throughput/efficiency tension the paper discusses.
+//!
+//! The area side follows the ZigZag-IMC `AimcArrayUnit` style: an
+//! empirical SAR-ADC area law `10^(k1·bits + k2) · 2^bits` (28 nm,
+//! scaled to this repo's 40 nm node by `(40/28)²`) plus per-cell and
+//! per-bank periphery footprints.
 
 use crate::config::{ChgFeConfig, CurFeConfig};
 use serde::{Deserialize, Serialize};
+
+/// SAR ADC comparator/logic energy per resolved bit (J).
+const ADC_E_PER_BIT: f64 = 16.0e-15;
+/// SAR ADC capacitive-DAC energy unit (J, scaled by 2^bits).
+const ADC_E_CDAC: f64 = 1.2e-15;
+/// Wordline driver load capacitance (F).
+const WL_CAP: f64 = 2.0e-15;
+/// Accumulation-module energy per bank per cycle (J).
+const ACC_E_PER_CYCLE: f64 = 31.0e-15;
+/// Reference-bank energy per macro per cycle (J).
+const REF_BANK_E: f64 = 0.30e-12;
+/// Switch-matrix / TG control energy per macro per cycle (J).
+const SWITCH_E: f64 = 0.10e-12;
+/// CurFe TIA bias current per TIA (A).
+const TIA_BIAS_A: f64 = 17.0e-6;
+/// CurFe TIA/array supply voltage (V).
+const CURFE_SUPPLY_V: f64 = 1.0;
+/// ChgFe pre-charge-transistor gate capacitance (F).
+const PCT_GATE_CAP_F: f64 = 3.1e-15;
+/// ChgFe gate-drive swing of the PCT clock (V).
+const PCT_SWING_V: f64 = 2.5;
+
+/// Seconds of analog settling per MAC cycle before conversion starts:
+/// wordline ramp + cell current settling into the TIA virtual ground.
+const CURFE_ANALOG_PHASE_S: f64 = 2.0e-9;
+/// ChgFe needs pre-charge, the input window, and charge-share settling.
+const CHGFE_ANALOG_PHASE_S: f64 = 4.0e-9;
+/// SAR conversion time per resolved bit (comparator + CDAC settle).
+const SAR_S_PER_BIT: f64 = 0.6e-9;
+
+/// 40 nm feature size in µm², for cell footprints quoted in F².
+const F2_UM2: f64 = 0.040 * 0.040;
+/// CurFe 1T1R cell: FeFET plus the poly drain resistor (60 F²).
+const CURFE_CELL_UM2: f64 = 60.0 * F2_UM2;
+/// ChgFe 1T MLC cell (30 F²).
+const CHGFE_CELL_UM2: f64 = 30.0 * F2_UM2;
+/// One TIA (opamp + feedback ladder), µm².
+const TIA_UM2: f64 = 120.0;
+/// ChgFe per-bank pre-charge transistors + charge-share TGs, µm².
+const PCT_TG_BANK_UM2: f64 = 12.0;
+/// Per-bank shift-add/accumulation logic, µm².
+const ACC_BANK_UM2: f64 = 80.0;
+/// Macro-level reference bank + switch matrix, µm².
+const MACRO_OVERHEAD_UM2: f64 = 500.0;
+/// ZigZag-IMC SAR area law exponent slope (28 nm).
+const ADC_AREA_K1: f64 = -0.0369;
+/// ZigZag-IMC SAR area law exponent intercept (28 nm).
+const ADC_AREA_K2: f64 = 1.206;
+/// Area scaling from the 28 nm law to this repo's 40 nm node.
+const ADC_NODE_SCALE: f64 = (40.0 / 28.0) * (40.0 / 28.0);
 
 /// Average switching activities used for "average energy efficiency".
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -46,51 +112,6 @@ impl Activity {
 impl Default for Activity {
     fn default() -> Self {
         Self::average()
-    }
-}
-
-/// Shared peripheral energy constants (40 nm, calibrated — see module
-/// docs).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct PeripheryParams {
-    /// SAR ADC comparator/logic energy per resolved bit (J).
-    pub adc_e_per_bit: f64,
-    /// SAR ADC capacitive-DAC energy unit (J, scaled by 2^bits).
-    pub adc_e_cdac: f64,
-    /// Wordline driver load capacitance (F).
-    pub wl_cap: f64,
-    /// Accumulation-module energy per bank per cycle (J).
-    pub acc_e_per_cycle: f64,
-    /// Reference-bank energy per macro per cycle (J).
-    pub ref_bank_e: f64,
-    /// Switch-matrix / TG control energy per macro per cycle (J).
-    pub switch_e: f64,
-}
-
-impl PeripheryParams {
-    /// Calibrated 40 nm values.
-    #[must_use]
-    pub fn calibrated_40nm() -> Self {
-        Self {
-            adc_e_per_bit: 16.0e-15,
-            adc_e_cdac: 1.2e-15,
-            wl_cap: 2.0e-15,
-            acc_e_per_cycle: 31.0e-15,
-            ref_bank_e: 0.30e-12,
-            switch_e: 0.10e-12,
-        }
-    }
-
-    /// SAR conversion energy at `bits` resolution (J).
-    #[must_use]
-    pub fn adc_energy(&self, bits: u32) -> f64 {
-        self.adc_e_per_bit * f64::from(bits) + self.adc_e_cdac * (1u64 << bits) as f64
-    }
-}
-
-impl Default for PeripheryParams {
-    fn default() -> Self {
-        Self::calibrated_40nm()
     }
 }
 
@@ -140,221 +161,11 @@ impl WeightBits {
     }
 }
 
-/// The common efficiency math shared by both designs.
-fn efficiency(macs_per_cycle: f64, input_bits: u32, cycle_energy: f64) -> f64 {
-    assert!((1..=8).contains(&input_bits), "input precision 1..=8");
-    let ops = 2.0 * macs_per_cycle; // 1 MAC = 2 OPs
-    let energy = f64::from(input_bits) * cycle_energy;
-    ops / energy / 1.0e12 // TOPS/W
-}
-
-/// CurFe energy model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct CurFeEnergyModel {
-    /// Electrical configuration.
-    pub config: CurFeConfig,
-    /// Peripheral constants.
-    pub periphery: PeripheryParams,
-    /// TIA bias current per TIA (A).
-    pub tia_bias: f64,
-    /// TIA/array supply voltage (V).
-    pub supply: f64,
-    /// ADC resolution (bits).
-    pub adc_bits: u32,
-}
-
-impl CurFeEnergyModel {
-    /// The calibrated paper model (5-bit ADCs).
-    #[must_use]
-    pub fn paper() -> Self {
-        Self {
-            config: CurFeConfig::paper(),
-            periphery: PeripheryParams::calibrated_40nm(),
-            tia_bias: 17.0e-6,
-            supply: 1.0,
-            adc_bits: 5,
-        }
-    }
-
-    /// Average per-cycle macro energy breakdown at the given activity.
-    #[must_use]
-    pub fn cycle_breakdown(&self, activity: Activity) -> EnergyBreakdown {
-        let g = self.config.geometry;
-        let banks = g.banks as f64;
-        let rows = g.rows as f64;
-        let act = activity.input_density * activity.weight_density;
-        let unit = self.config.unit_current();
-        // Eight columns with intra-nibble significances (1+2+4+8)·2 = 30
-        // units of conductance at full activation.
-        let row_current = act * 30.0 * unit;
-        let array = banks * rows * row_current * self.supply * self.config.t_cycle;
-        // Two TIAs per bank, biased for the whole cycle.
-        let frontend = banks * 2.0 * self.tia_bias * self.supply * self.config.t_cycle;
-        let adc = banks * 2.0 * self.periphery.adc_energy(self.adc_bits);
-        let wordline = banks
-            * rows
-            * activity.input_density
-            * self.periphery.wl_cap
-            * self.config.v_wl
-            * self.config.v_wl;
-        let accumulator = banks * self.periphery.acc_e_per_cycle;
-        let other = self.periphery.ref_bank_e + self.periphery.switch_e;
-        EnergyBreakdown {
-            array,
-            frontend,
-            adc,
-            wordline,
-            accumulator,
-            other,
-        }
-    }
-
-    /// MACs completed per input-bit cycle across the macro.
-    #[must_use]
-    pub fn macs_per_cycle(&self, weight: WeightBits) -> f64 {
-        let g = self.config.geometry;
-        let base = (g.banks * g.rows) as f64;
-        match weight {
-            WeightBits::W8 => base,
-            WeightBits::W4 => 2.0 * base,
-        }
-    }
-
-    /// Average energy efficiency (TOPS/W) at the given precisions — the
-    /// quantity plotted in Fig. 9 and tabulated in Table 1.
-    #[must_use]
-    pub fn tops_per_watt(&self, input_bits: u32, weight: WeightBits, activity: Activity) -> f64 {
-        efficiency(
-            self.macs_per_cycle(weight),
-            input_bits,
-            self.cycle_breakdown(activity).total(),
-        )
-    }
-
-    /// Peak throughput (OPS) at the given precisions.
-    #[must_use]
-    pub fn throughput_ops(&self, input_bits: u32, weight: WeightBits) -> f64 {
-        2.0 * self.macs_per_cycle(weight) / (f64::from(input_bits) * self.config.t_cycle)
-    }
-}
-
-impl Default for CurFeEnergyModel {
-    fn default() -> Self {
-        Self::paper()
-    }
-}
-
-/// ChgFe energy model.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct ChgFeEnergyModel {
-    /// Electrical configuration.
-    pub config: ChgFeConfig,
-    /// Peripheral constants.
-    pub periphery: PeripheryParams,
-    /// Pre-charge-transistor gate capacitance (F).
-    pub pct_gate_cap: f64,
-    /// Gate-drive swing of the PCT clock (V).
-    pub pct_swing: f64,
-    /// ADC resolution (bits).
-    pub adc_bits: u32,
-}
-
-impl ChgFeEnergyModel {
-    /// The calibrated paper model (5-bit ADCs).
-    #[must_use]
-    pub fn paper() -> Self {
-        Self {
-            config: ChgFeConfig::paper(),
-            periphery: PeripheryParams::calibrated_40nm(),
-            pct_gate_cap: 3.1e-15,
-            pct_swing: 2.5,
-            adc_bits: 5,
-        }
-    }
-
-    /// Average per-cycle macro energy breakdown at the given activity.
-    #[must_use]
-    pub fn cycle_breakdown(&self, activity: Activity) -> EnergyBreakdown {
-        let g = self.config.geometry;
-        let banks = g.banks as f64;
-        let rows = g.rows as f64;
-        let act = activity.input_density * activity.weight_density;
-        let dv_unit = self.config.unit_delta_v();
-        // Average |ΔV| per bitline: Σ_j 2^(j mod 4) / 8 = 3.75 units at
-        // full activation.
-        let avg_dv = act * rows * dv_unit * 3.75;
-        // Pre-charge restoration: Q = C·ΔV drawn from V_pre per bitline.
-        let array = banks * 8.0 * self.config.c_bl * avg_dv * self.config.v_pre
-            // Sign-column charge from VDD_q: one column of up to `rows`
-            // cells at 8 units each.
-            + banks
-                * act
-                * rows
-                * 8.0
-                * self.config.unit_current()
-                * self.config.t_in
-                * self.config.vdd_q;
-        // PCT clocking (every bitline, every cycle) + TG charge-share
-        // control.
-        let frontend = banks * 8.0 * self.pct_gate_cap * self.pct_swing * self.pct_swing;
-        let adc = banks * 2.0 * self.periphery.adc_energy(self.adc_bits);
-        let wordline = banks
-            * rows
-            * activity.input_density
-            * self.periphery.wl_cap
-            * self.config.v_wl
-            * self.config.v_wl;
-        let accumulator = banks * self.periphery.acc_e_per_cycle;
-        let other = self.periphery.ref_bank_e + self.periphery.switch_e;
-        EnergyBreakdown {
-            array,
-            frontend,
-            adc,
-            wordline,
-            accumulator,
-            other,
-        }
-    }
-
-    /// MACs completed per input-bit cycle across the macro.
-    #[must_use]
-    pub fn macs_per_cycle(&self, weight: WeightBits) -> f64 {
-        let g = self.config.geometry;
-        let base = (g.banks * g.rows) as f64;
-        match weight {
-            WeightBits::W8 => base,
-            WeightBits::W4 => 2.0 * base,
-        }
-    }
-
-    /// Average energy efficiency (TOPS/W).
-    #[must_use]
-    pub fn tops_per_watt(&self, input_bits: u32, weight: WeightBits, activity: Activity) -> f64 {
-        efficiency(
-            self.macs_per_cycle(weight),
-            input_bits,
-            self.cycle_breakdown(activity).total(),
-        )
-    }
-
-    /// Peak throughput (OPS).
-    #[must_use]
-    pub fn throughput_ops(&self, input_bits: u32, weight: WeightBits) -> f64 {
-        2.0 * self.macs_per_cycle(weight) / (f64::from(input_bits) * self.config.t_cycle)
-    }
-}
-
-impl Default for ChgFeEnergyModel {
-    fn default() -> Self {
-        Self::paper()
-    }
-}
-
 /// Dynamic input-sparsity optimization, after the performance-scaling
 /// scheme of Yue et al. (ISSCC'20) — the Table 1 footnote "with sparse
 /// optimization".
 ///
-/// Two mechanisms are modelled:
+/// Two mechanisms are modelled (see [`DesignPoint::evaluate_sparse`]):
 ///
 /// * zero inputs never toggle their wordlines and draw no cell current
 ///   (this falls out of the activity model), and
@@ -397,7 +208,7 @@ impl SparsityModel {
         (1.0 - self.input_sparsity) * self.nonzero_bit_density
     }
 
-    /// Probability that a bank's 32 activated rows are all zero this
+    /// Probability that a bank's `rows` activated rows are all zero this
     /// cycle (its ADC pair + accumulator are gated).
     #[must_use]
     pub fn gate_probability(&self, rows: usize) -> f64 {
@@ -411,135 +222,309 @@ impl Default for SparsityModel {
     }
 }
 
-impl CurFeEnergyModel {
-    /// Average energy efficiency with the sparse optimization enabled.
+/// Which macro design a cost query is about.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+pub enum Variant {
+    /// Current-domain design: TIA readout, static cell currents.
+    CurFe,
+    /// Charge-domain design: pre-charged bitlines, charge sharing.
+    ChgFe,
+}
+
+impl Variant {
+    /// Canonical lowercase name (`curfe` / `chgfe`), as used by
+    /// `ImcSettings.design` in chip images.
     #[must_use]
-    pub fn sparse_tops_per_watt(
-        &self,
-        input_bits: u32,
-        weight: WeightBits,
-        weight_density: f64,
-        sparsity: SparsityModel,
-    ) -> f64 {
-        let act = Activity {
+    pub fn name(self) -> &'static str {
+        match self {
+            Self::CurFe => "curfe",
+            Self::ChgFe => "chgfe",
+        }
+    }
+
+    /// Parses a design name (case-insensitive).
+    ///
+    /// # Errors
+    ///
+    /// Fails on anything but `curfe` / `chgfe`.
+    pub fn parse(s: &str) -> Result<Self, String> {
+        match s.to_ascii_lowercase().as_str() {
+            "curfe" => Ok(Self::CurFe),
+            "chgfe" => Ok(Self::ChgFe),
+            other => Err(format!("unknown design `{other}` (curfe|chgfe)")),
+        }
+    }
+
+    /// Analog phase of the MAC cycle (s), before SAR conversion.
+    #[must_use]
+    pub fn analog_phase_s(self) -> f64 {
+        match self {
+            Self::CurFe => CURFE_ANALOG_PHASE_S,
+            Self::ChgFe => CHGFE_ANALOG_PHASE_S,
+        }
+    }
+}
+
+/// One candidate macro configuration — the unit of pricing and DSE.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct DesignPoint {
+    /// Macro design.
+    pub variant: Variant,
+    /// Parallel banks (each with its own ADC pair + accumulator).
+    pub banks: usize,
+    /// Rows activated per bank per cycle.
+    pub rows: usize,
+    /// Stacked H4B+L4B block pairs per bank (weight capacity knob; only
+    /// one pair is active per cycle).
+    pub block_pairs_per_bank: usize,
+    /// SAR ADC resolution (bits).
+    pub adc_bits: u32,
+    /// Bit-serial input precision (cycles per MAC).
+    pub input_bits: u32,
+    /// Weight precision mode (W4 doubles MACs/cycle).
+    pub weight_bits: WeightBits,
+}
+
+impl DesignPoint {
+    /// The paper's 128×128 operating point for `variant` at (8b input,
+    /// 8b weight) — the Table 1 row.
+    #[must_use]
+    pub fn paper(variant: Variant) -> Self {
+        Self {
+            variant,
+            banks: 16,
+            rows: 32,
+            block_pairs_per_bank: 4,
+            adc_bits: 5,
+            input_bits: 8,
+            weight_bits: WeightBits::W8,
+        }
+    }
+
+    /// The serving operating point: paper geometry at the (4b input,
+    /// 8b weight) precision `ImcConfig::paper(design, 4, 8)` runs.
+    #[must_use]
+    pub fn serving_default(variant: Variant) -> Self {
+        Self {
+            input_bits: 4,
+            ..Self::paper(variant)
+        }
+    }
+
+    /// MAC cycle time (s): analog phase + SAR conversion. Reproduces
+    /// the paper's 5 ns / 7 ns cycles at 5-bit resolution.
+    #[must_use]
+    pub fn t_cycle_s(&self) -> f64 {
+        self.variant.analog_phase_s() + f64::from(self.adc_bits) * SAR_S_PER_BIT
+    }
+
+    /// 8-bit weights the macro can hold resident (one per block-pair
+    /// row).
+    #[must_use]
+    pub fn weight_capacity(&self) -> usize {
+        self.banks * self.block_pairs_per_bank * self.rows
+    }
+
+    /// MACs completed per input-bit cycle across the macro: one per
+    /// activated row and bank, doubled when H4B and L4B carry
+    /// independent 4-bit channels.
+    #[must_use]
+    pub fn macs_per_cycle(&self) -> f64 {
+        let base = (self.banks * self.rows) as f64;
+        match self.weight_bits {
+            WeightBits::W8 => base,
+            WeightBits::W4 => 2.0 * base,
+        }
+    }
+
+    /// `true` when shift-add recombination is information-lossless:
+    /// the ADC must resolve the full `16·rows`-unit block span,
+    /// i.e. `adc_bits ≥ 4 + log2(rows)`. The paper's 5-bit point is
+    /// deliberately lossy (statistically accurate, not exact).
+    #[must_use]
+    pub fn shift_add_lossless(&self) -> bool {
+        let span_bits = 4 + (usize::BITS - 1 - self.rows.leading_zeros());
+        let round_up = u32::from(!self.rows.is_power_of_two());
+        self.adc_bits >= span_bits + round_up
+    }
+
+    /// Average per-cycle macro energy breakdown at the given activity.
+    #[must_use]
+    pub fn cycle_breakdown(&self, activity: Activity) -> EnergyBreakdown {
+        let banks = self.banks as f64;
+        let rows = self.rows as f64;
+        let act = activity.input_density * activity.weight_density;
+        let (array, frontend, v_wl) = match self.variant {
+            Variant::CurFe => {
+                let cfg = CurFeConfig::paper();
+                let t_cycle = self.t_cycle_s();
+                // Eight columns with intra-nibble significances
+                // (1+2+4+8)·2 = 30 units of conductance at full
+                // activation.
+                let row_current = act * 30.0 * cfg.unit_current();
+                let array = banks * rows * row_current * CURFE_SUPPLY_V * t_cycle;
+                // Two TIAs per bank, biased for the whole cycle.
+                let frontend = banks * 2.0 * TIA_BIAS_A * CURFE_SUPPLY_V * t_cycle;
+                (array, frontend, cfg.v_wl)
+            }
+            Variant::ChgFe => {
+                let cfg = ChgFeConfig::paper();
+                // Average |ΔV| per bitline: Σ_j 2^(j mod 4) / 8 = 3.75
+                // units at full activation.
+                let avg_dv = act * rows * cfg.unit_delta_v() * 3.75;
+                // Pre-charge restoration: Q = C·ΔV drawn from V_pre per
+                // bitline.
+                let array = banks * 8.0 * cfg.c_bl * avg_dv * cfg.v_pre
+                    // Sign-column charge from VDD_q: one column of up to
+                    // `rows` cells at 8 units each.
+                    + banks * act * rows * 8.0 * cfg.unit_current() * cfg.t_in * cfg.vdd_q;
+                // PCT clocking (every bitline, every cycle) + TG
+                // charge-share control.
+                let frontend = banks * 8.0 * PCT_GATE_CAP_F * PCT_SWING_V * PCT_SWING_V;
+                (array, frontend, cfg.v_wl)
+            }
+        };
+        EnergyBreakdown {
+            array,
+            frontend,
+            adc: banks * 2.0 * sar_adc_energy(self.adc_bits),
+            wordline: banks * rows * activity.input_density * WL_CAP * v_wl * v_wl,
+            accumulator: banks * ACC_E_PER_CYCLE,
+            other: REF_BANK_E + SWITCH_E,
+        }
+    }
+
+    /// Evaluates the point at the paper's average 50/50 activity.
+    #[must_use]
+    pub fn evaluate(&self) -> MacroCost {
+        self.evaluate_with_activity(Activity::average())
+    }
+
+    /// Evaluates energy, latency, area, and the efficiency roll-ups at
+    /// an explicit switching activity.
+    #[must_use]
+    pub fn evaluate_with_activity(&self, activity: Activity) -> MacroCost {
+        self.roll_up(self.cycle_breakdown(activity))
+    }
+
+    /// Evaluates the point with the sparse optimization of
+    /// [`SparsityModel`] enabled: inputs switch at its bit activity, and
+    /// each bank's ADC pair and accumulator are gated with its gate
+    /// probability.
+    #[must_use]
+    pub fn evaluate_sparse(&self, weight_density: f64, sparsity: SparsityModel) -> MacroCost {
+        let mut b = self.cycle_breakdown(Activity {
             input_density: sparsity.bit_activity(),
             weight_density,
-        };
-        let mut b = self.cycle_breakdown(act);
-        let gate = sparsity.gate_probability(self.config.geometry.rows);
+        });
+        let gate = sparsity.gate_probability(self.rows);
         b.adc *= 1.0 - gate;
         b.accumulator *= 1.0 - gate;
-        efficiency(self.macs_per_cycle(weight), input_bits, b.total())
+        self.roll_up(b)
     }
-}
 
-impl ChgFeEnergyModel {
-    /// Average energy efficiency with the sparse optimization enabled.
+    /// The efficiency and throughput roll-ups of one cycle breakdown.
+    fn roll_up(&self, breakdown: EnergyBreakdown) -> MacroCost {
+        let t_cycle = self.t_cycle_s();
+        let macs = self.macs_per_cycle();
+        let cycle_energy = breakdown.total();
+        // 1 MAC = 2 OPs (Table 1 convention); a full MAC takes
+        // `input_bits` bit-serial cycles.
+        let ops_per_mac_pass = 2.0 * macs;
+        let tops_per_watt = ops_per_mac_pass / (f64::from(self.input_bits) * cycle_energy) / 1.0e12;
+        let peak_tops = ops_per_mac_pass / (f64::from(self.input_bits) * t_cycle) / 1.0e12;
+        let area = self.area();
+        MacroCost {
+            breakdown,
+            cycle_energy_j: cycle_energy,
+            t_cycle_s: t_cycle,
+            macs_per_cycle: macs,
+            peak_tops,
+            tops_per_watt,
+            area,
+            tops_per_mm2: peak_tops / area.total_mm2(),
+        }
+    }
+
+    /// Die area breakdown of the macro (mm²).
     #[must_use]
-    pub fn sparse_tops_per_watt(
-        &self,
-        input_bits: u32,
-        weight: WeightBits,
-        weight_density: f64,
-        sparsity: SparsityModel,
-    ) -> f64 {
-        let act = Activity {
-            input_density: sparsity.bit_activity(),
-            weight_density,
+    pub fn area(&self) -> AreaBreakdown {
+        let cells = (self.banks * self.block_pairs_per_bank * self.rows * 8) as f64;
+        let cell_um2 = match self.variant {
+            Variant::CurFe => CURFE_CELL_UM2,
+            Variant::ChgFe => CHGFE_CELL_UM2,
         };
-        let mut b = self.cycle_breakdown(act);
-        let gate = sparsity.gate_probability(self.config.geometry.rows);
-        b.adc *= 1.0 - gate;
-        b.accumulator *= 1.0 - gate;
-        efficiency(self.macs_per_cycle(weight), input_bits, b.total())
-    }
-}
-
-/// Programming (weight-update) cost of a block pair, estimated through
-/// the ISPP write-verify model of [`fefet_device::programming`].
-///
-/// IMC inference papers usually ignore write cost; for DNN deployment it
-/// matters whenever weights are re-loaded (multi-model serving, on-line
-/// calibration, ChgFe refresh — see the retention ablation).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize, Default)]
-pub struct WriteCost {
-    /// Total program pulses applied.
-    pub pulses: u64,
-    /// Total write energy (J).
-    pub energy: f64,
-    /// Cells whose verify loop did not converge.
-    pub failed_verifies: u64,
-    /// Total wall-clock write time (s), pulses × pulse width, assuming
-    /// fully serial row-by-row programming (worst case).
-    pub time: f64,
-}
-
-/// Estimates the cost of programming `weights` into a CurFe block pair
-/// (8 SLC cells per weight) with the paper's ISPP configuration.
-#[must_use]
-pub fn curfe_write_cost(weights: &[i8]) -> WriteCost {
-    use fefet_device::fefet::{FeFet, Polarity};
-    use fefet_device::programming::{program_slc, IsppConfig, SlcStates};
-    let cfg = IsppConfig::paper();
-    let states = SlcStates::paper();
-    let params = crate::config::CurFeConfig::paper().fefet;
-    let mut out = WriteCost::default();
-    for &w in weights {
-        let sw = crate::weights::SplitWeight::split(w);
-        let bits: Vec<bool> = sw.low.bits().into_iter().chain(sw.high.bits()).collect();
-        for bit in bits {
-            let mut d = FeFet::new(params, Polarity::N);
-            let rep = program_slc(&mut d, bit, &states, &cfg);
-            out.pulses += rep.pulses as u64;
-            out.energy += rep.energy;
-            out.failed_verifies += u64::from(!rep.converged);
-        }
-    }
-    out.time = out.pulses as f64 * cfg.width;
-    out
-}
-
-/// Estimates the cost of programming `weights` into a ChgFe block pair
-/// (MLC nFeFET data cells + pFeFET sign cell).
-#[must_use]
-pub fn chgfe_write_cost(weights: &[i8]) -> WriteCost {
-    use fefet_device::fefet::{FeFet, Polarity};
-    use fefet_device::programming::{program_mlc, program_vth, IsppConfig};
-    let cfg = IsppConfig::paper();
-    let qcfg = crate::config::ChgFeConfig::paper();
-    let mut out = WriteCost::default();
-    for &w in weights {
-        let sw = crate::weights::SplitWeight::split(w);
-        let lo = sw.low.bits();
-        let hi = sw.high.bits();
-        for (j, &bit) in lo.iter().enumerate() {
-            let mut d = FeFet::new(qcfg.nfefet, Polarity::N);
-            let rep = program_mlc(&mut d, j, bit, &qcfg.ladder, &cfg);
-            out.pulses += rep.pulses as u64;
-            out.energy += rep.energy;
-            out.failed_verifies += u64::from(!rep.converged);
-        }
-        for (j, &bit) in hi.iter().enumerate().take(3) {
-            let mut d = FeFet::new(qcfg.nfefet, Polarity::N);
-            let rep = program_mlc(&mut d, j, bit, &qcfg.ladder, &cfg);
-            out.pulses += rep.pulses as u64;
-            out.energy += rep.energy;
-            out.failed_verifies += u64::from(!rep.converged);
-        }
-        // Sign cell: pFeFET, mirrored write polarity handled by the device.
-        let mut d = FeFet::new(qcfg.pfefet, Polarity::P);
-        let target = if hi[3] {
-            qcfg.pfet_vth_on
-        } else {
-            qcfg.pfet_vth_off
+        let frontend_um2 = match self.variant {
+            Variant::CurFe => self.banks as f64 * 2.0 * TIA_UM2,
+            Variant::ChgFe => self.banks as f64 * PCT_TG_BANK_UM2,
         };
-        let rep = program_vth(&mut d, target, &cfg);
-        out.pulses += rep.pulses as u64;
-        out.energy += rep.energy;
-        out.failed_verifies += u64::from(!rep.converged);
+        let adc_mm2 = self.banks as f64 * 2.0 * sar_adc_area_mm2(self.adc_bits);
+        let digital_um2 = self.banks as f64 * ACC_BANK_UM2 + MACRO_OVERHEAD_UM2;
+        AreaBreakdown {
+            array_mm2: cells * cell_um2 * 1.0e-6,
+            adc_mm2,
+            frontend_mm2: frontend_um2 * 1.0e-6,
+            digital_mm2: digital_um2 * 1.0e-6,
+        }
     }
-    out.time = out.pulses as f64 * cfg.width;
-    out
+}
+
+/// SAR conversion energy at `bits` resolution (J).
+fn sar_adc_energy(bits: u32) -> f64 {
+    ADC_E_PER_BIT * f64::from(bits) + ADC_E_CDAC * (1u64 << bits) as f64
+}
+
+/// Empirical SAR ADC area (mm²) at `bits` resolution — the ZigZag-IMC
+/// law, node-scaled from 28 nm to 40 nm.
+#[must_use]
+pub fn sar_adc_area_mm2(bits: u32) -> f64 {
+    10.0f64.powf(ADC_AREA_K1 * f64::from(bits) + ADC_AREA_K2)
+        * (1u64 << bits) as f64
+        * 1.0e-6
+        * ADC_NODE_SCALE
+}
+
+/// Area breakdown of one macro (mm²).
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct AreaBreakdown {
+    /// Cell array.
+    pub array_mm2: f64,
+    /// SAR ADCs (2 per bank).
+    pub adc_mm2: f64,
+    /// Readout front end (TIAs / PCT+TG).
+    pub frontend_mm2: f64,
+    /// Accumulators, reference bank, switch matrix.
+    pub digital_mm2: f64,
+}
+
+impl AreaBreakdown {
+    /// Total macro area (mm²).
+    #[must_use]
+    pub fn total_mm2(&self) -> f64 {
+        self.array_mm2 + self.adc_mm2 + self.frontend_mm2 + self.digital_mm2
+    }
+}
+
+/// Everything the model says about one design point.
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+pub struct MacroCost {
+    /// Per-cycle energy by component (J).
+    pub breakdown: EnergyBreakdown,
+    /// Total per-cycle energy (J).
+    pub cycle_energy_j: f64,
+    /// MAC cycle time (s).
+    pub t_cycle_s: f64,
+    /// MACs retired per cycle across the macro.
+    pub macs_per_cycle: f64,
+    /// Peak throughput at the point's precisions (TOPS).
+    pub peak_tops: f64,
+    /// Average energy efficiency (TOPS/W) at the evaluated activity —
+    /// the quantity plotted in Fig. 9 and tabulated in Table 1.
+    pub tops_per_watt: f64,
+    /// Die area breakdown.
+    pub area: AreaBreakdown,
+    /// Area efficiency (TOPS/mm²).
+    pub tops_per_mm2: f64,
 }
 
 #[cfg(test)]
@@ -549,78 +534,102 @@ mod tests {
     const PAPER_CURFE_8B8B: f64 = 12.18;
     const PAPER_CHGFE_8B8B: f64 = 14.47;
 
-    #[test]
-    fn curfe_calibration_hits_table1_anchor() {
-        let m = CurFeEnergyModel::paper();
-        let e = m.tops_per_watt(8, WeightBits::W8, Activity::average());
-        assert!(
-            (e - PAPER_CURFE_8B8B).abs() < 0.10 * PAPER_CURFE_8B8B,
-            "CurFe @(8b,8b): {e:.2} TOPS/W vs paper {PAPER_CURFE_8B8B}"
-        );
+    fn at(variant: Variant, input_bits: u32, weight_bits: WeightBits) -> DesignPoint {
+        DesignPoint {
+            input_bits,
+            weight_bits,
+            ..DesignPoint::paper(variant)
+        }
     }
 
     #[test]
-    fn chgfe_calibration_hits_table1_anchor() {
-        let m = ChgFeEnergyModel::paper();
-        let e = m.tops_per_watt(8, WeightBits::W8, Activity::average());
-        assert!(
-            (e - PAPER_CHGFE_8B8B).abs() < 0.10 * PAPER_CHGFE_8B8B,
-            "ChgFe @(8b,8b): {e:.2} TOPS/W vs paper {PAPER_CHGFE_8B8B}"
+    fn paper_points_pin_the_published_efficiency_bits() {
+        // The exact values `results.json` records for Fig. 9 / Table 1:
+        // any reordering of the floating-point terms shows up here.
+        let cur = DesignPoint::paper(Variant::CurFe).evaluate().tops_per_watt;
+        let chg = DesignPoint::paper(Variant::ChgFe).evaluate().tops_per_watt;
+        assert_eq!(
+            cur.to_bits(),
+            12.478163214374845f64.to_bits(),
+            "CurFe {cur}"
         );
+        assert_eq!(chg.to_bits(), 14.50747134774409f64.to_bits(), "ChgFe {chg}");
+    }
+
+    #[test]
+    fn cycle_times_land_on_the_published_5ns_and_7ns() {
+        let cur = DesignPoint::paper(Variant::CurFe);
+        let chg = DesignPoint::paper(Variant::ChgFe);
+        assert!((cur.t_cycle_s() - 5.0e-9).abs() < 1e-15);
+        assert!((chg.t_cycle_s() - 7.0e-9).abs() < 1e-15);
+    }
+
+    #[test]
+    fn paper_anchor_efficiencies_within_ten_percent() {
+        let cur = DesignPoint::paper(Variant::CurFe).evaluate().tops_per_watt;
+        let chg = DesignPoint::paper(Variant::ChgFe).evaluate().tops_per_watt;
+        assert!(
+            (cur - PAPER_CURFE_8B8B).abs() < 0.10 * PAPER_CURFE_8B8B,
+            "CurFe {cur:.2}"
+        );
+        assert!(
+            (chg - PAPER_CHGFE_8B8B).abs() < 0.10 * PAPER_CHGFE_8B8B,
+            "ChgFe {chg:.2}"
+        );
+        assert!(chg > cur, "ChgFe must beat CurFe at equal precision");
     }
 
     #[test]
     fn chgfe_beats_curfe_at_equal_precision() {
         // Section 4.1: "the energy efficiency in CurFe is lower than that
         // in ChgFe at the same precision level" — TIA bias vs pre-charge.
-        let cur = CurFeEnergyModel::paper();
-        let chg = ChgFeEnergyModel::paper();
         for bits in [1u32, 2, 4, 8] {
             for w in [WeightBits::W4, WeightBits::W8] {
-                let a = Activity::average();
-                assert!(
-                    chg.tops_per_watt(bits, w, a) > cur.tops_per_watt(bits, w, a),
-                    "ChgFe must win at ({bits}b, {:?})",
-                    w
-                );
+                let cur = at(Variant::CurFe, bits, w).evaluate().tops_per_watt;
+                let chg = at(Variant::ChgFe, bits, w).evaluate().tops_per_watt;
+                assert!(chg > cur, "ChgFe must win at ({bits}b, {w:?})");
             }
         }
     }
 
     #[test]
     fn efficiency_decreases_with_input_precision() {
-        let m = CurFeEnergyModel::paper();
-        let a = Activity::average();
         let mut last = f64::INFINITY;
         for bits in [1u32, 2, 4, 6, 8] {
-            let e = m.tops_per_watt(bits, WeightBits::W8, a);
+            let e = at(Variant::CurFe, bits, WeightBits::W8)
+                .evaluate()
+                .tops_per_watt;
             assert!(e < last, "{bits}b: {e} not < {last}");
             last = e;
         }
     }
 
     #[test]
-    fn four_bit_weights_double_efficiency() {
-        let m = ChgFeEnergyModel::paper();
-        let a = Activity::average();
-        let e4 = m.tops_per_watt(4, WeightBits::W4, a);
-        let e8 = m.tops_per_watt(4, WeightBits::W8, a);
-        assert!((e4 / e8 - 2.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn curfe_throughput_beats_chgfe() {
-        // Section 4.2: ChgFe throughput < CurFe (longer MAC cycle).
-        let cur = CurFeEnergyModel::paper();
-        let chg = ChgFeEnergyModel::paper();
-        assert!(cur.throughput_ops(8, WeightBits::W8) > chg.throughput_ops(8, WeightBits::W8));
+    fn higher_adc_resolution_costs_energy_and_cycle_time() {
+        let mut last_e = 0.0;
+        let mut last_t = 0.0;
+        for bits in 3..=8 {
+            let p = DesignPoint {
+                adc_bits: bits,
+                ..DesignPoint::paper(Variant::CurFe)
+            };
+            let c = p.evaluate();
+            assert!(c.cycle_energy_j > last_e, "{bits}b energy");
+            assert!(c.t_cycle_s > last_t, "{bits}b cycle");
+            last_e = c.cycle_energy_j;
+            last_t = c.t_cycle_s;
+        }
     }
 
     #[test]
     fn adc_dominates_at_high_resolution() {
-        let mut m = CurFeEnergyModel::paper();
-        m.adc_bits = 10;
-        let b = m.cycle_breakdown(Activity::average());
+        // With the cycle time coupled to the ADC, 10-bit conversions
+        // are about 83 % of the CurFe cycle energy.
+        let p = DesignPoint {
+            adc_bits: 10,
+            ..DesignPoint::paper(Variant::CurFe)
+        };
+        let b = p.cycle_breakdown(Activity::average());
         assert!(
             b.adc > b.total() * 0.5,
             "10-bit ADC share {}",
@@ -629,65 +638,79 @@ mod tests {
     }
 
     #[test]
-    fn breakdown_total_is_sum_of_parts() {
-        let b = ChgFeEnergyModel::paper().cycle_breakdown(Activity::average());
+    fn totals_are_the_sum_of_their_parts() {
+        let b = DesignPoint::paper(Variant::ChgFe).cycle_breakdown(Activity::average());
         let sum = b.array + b.frontend + b.adc + b.wordline + b.accumulator + b.other;
         assert!((b.total() - sum).abs() < 1e-18);
-    }
-
-    #[test]
-    fn write_cost_scales_with_weight_count() {
-        let small = curfe_write_cost(&[0x55, -3]);
-        let large = curfe_write_cost(&[0x55, -3, 0x55, -3]);
-        assert!(large.pulses > small.pulses);
-        assert!((large.energy - 2.0 * small.energy).abs() < 0.05 * large.energy);
-        assert_eq!(small.failed_verifies, 0);
-        assert!(small.time > 0.0);
-    }
-
-    #[test]
-    fn chgfe_writes_converge_for_all_nibble_values() {
-        let weights: Vec<i8> = (-8..8).map(|h| (h * 16) as i8).collect();
-        let cost = chgfe_write_cost(&weights);
-        assert_eq!(cost.failed_verifies, 0, "{cost:?}");
-        assert!(cost.energy > 0.0);
-    }
-
-    #[test]
-    fn write_energy_dwarfs_one_mac_cycle_but_amortizes() {
-        // A full block-pair write costs orders of magnitude more than one
-        // MAC cycle — the reason IMC is deployed weight-stationary.
-        let cost = curfe_write_cost(&[0x77i8; 32]);
-        let cycle = CurFeEnergyModel::paper()
-            .cycle_breakdown(Activity::average())
-            .total();
+        let a = DesignPoint::paper(Variant::CurFe).area();
         assert!(
-            cost.energy > 2.0 * cycle,
-            "write {:.3e} vs cycle {cycle:.3e}",
-            cost.energy
+            (a.total_mm2() - (a.array_mm2 + a.adc_mm2 + a.frontend_mm2 + a.digital_mm2)).abs()
+                < 1e-15
         );
     }
 
     #[test]
+    fn adc_dominates_macro_area_at_the_paper_point() {
+        // The paper's motivation: conversion hardware, not cells,
+        // limits analog IMC density.
+        let a = DesignPoint::paper(Variant::CurFe).area();
+        assert!(a.adc_mm2 > 0.5 * a.total_mm2(), "{a:?}");
+    }
+
+    #[test]
+    fn higher_activity_costs_more_energy() {
+        for v in [Variant::CurFe, Variant::ChgFe] {
+            let p = DesignPoint::paper(v);
+            let at_density = |d| {
+                p.cycle_breakdown(Activity {
+                    input_density: d,
+                    weight_density: 0.5,
+                })
+                .total()
+            };
+            assert!(at_density(0.9) > at_density(0.1), "{v:?}");
+        }
+    }
+
+    #[test]
+    fn chgfe_macro_is_smaller_but_slower() {
+        let cur = DesignPoint::paper(Variant::CurFe).evaluate();
+        let chg = DesignPoint::paper(Variant::ChgFe).evaluate();
+        assert!(chg.area.total_mm2() < cur.area.total_mm2());
+        assert!(chg.peak_tops < cur.peak_tops);
+        assert!(chg.t_cycle_s > cur.t_cycle_s);
+    }
+
+    #[test]
+    fn w4_doubles_peak_throughput_and_efficiency() {
+        for bits in [4u32, 8] {
+            let w8 = at(Variant::ChgFe, bits, WeightBits::W8).evaluate();
+            let w4 = at(Variant::ChgFe, bits, WeightBits::W4).evaluate();
+            assert!((w4.peak_tops / w8.peak_tops - 2.0).abs() < 1e-12);
+            assert!((w4.tops_per_watt / w8.tops_per_watt - 2.0).abs() < 1e-9);
+        }
+    }
+
+    #[test]
     fn sparse_optimization_raises_efficiency() {
-        let m = CurFeEnergyModel::paper();
-        let dense = m.sparse_tops_per_watt(4, WeightBits::W8, 0.5, SparsityModel::dense());
-        let base = m.tops_per_watt(4, WeightBits::W8, Activity::average());
+        let p = at(Variant::CurFe, 4, WeightBits::W8);
+        let dense = p.evaluate_sparse(0.5, SparsityModel::dense()).tops_per_watt;
+        let base = p.evaluate().tops_per_watt;
         assert!(
             (dense - base).abs() / base < 1e-6,
             "dense sparse-model = baseline"
         );
         let mut last = dense;
         for s in [0.3, 0.6, 0.9] {
-            let e = m.sparse_tops_per_watt(
-                4,
-                WeightBits::W8,
-                0.5,
-                SparsityModel {
-                    input_sparsity: s,
-                    nonzero_bit_density: 0.5,
-                },
-            );
+            let e = p
+                .evaluate_sparse(
+                    0.5,
+                    SparsityModel {
+                        input_sparsity: s,
+                        nonzero_bit_density: 0.5,
+                    },
+                )
+                .tops_per_watt;
             assert!(e > last, "sparsity {s}: {e} should beat {last}");
             last = e;
         }
@@ -704,20 +727,30 @@ mod tests {
     }
 
     #[test]
-    fn higher_activity_costs_more_energy() {
-        let m = CurFeEnergyModel::paper();
-        let lo = m
-            .cycle_breakdown(Activity {
-                input_density: 0.1,
-                weight_density: 0.5,
-            })
-            .total();
-        let hi = m
-            .cycle_breakdown(Activity {
-                input_density: 0.9,
-                weight_density: 0.5,
-            })
-            .total();
-        assert!(hi > lo);
+    fn shift_add_losslessness_threshold() {
+        let mut p = DesignPoint::paper(Variant::CurFe);
+        assert!(!p.shift_add_lossless(), "paper 5-bit point is lossy");
+        p.adc_bits = 9; // 4 + log2(32)
+        assert!(p.shift_add_lossless());
+        p.rows = 16;
+        p.adc_bits = 8;
+        assert!(p.shift_add_lossless());
+    }
+
+    #[test]
+    fn more_banks_scale_capacity_and_throughput_linearly() {
+        let base = DesignPoint::paper(Variant::ChgFe);
+        let double = DesignPoint { banks: 32, ..base };
+        assert_eq!(double.weight_capacity(), 2 * base.weight_capacity());
+        let (b, d) = (base.evaluate(), double.evaluate());
+        assert!((d.peak_tops / b.peak_tops - 2.0).abs() < 1e-12);
+    }
+
+    #[test]
+    fn variant_names_round_trip() {
+        for v in [Variant::CurFe, Variant::ChgFe] {
+            assert_eq!(Variant::parse(v.name()).unwrap(), v);
+        }
+        assert!(Variant::parse("resistive").is_err());
     }
 }

@@ -16,7 +16,8 @@
 //! [`adc`] (2CM/N2CM SAR ADC), [`accumulator`] (digital combine +
 //! input-bit shift-add), [the `array` module](crate::array) (the full
 //! 128×128 macro),
-//! [`energy`] (circuit-level energy model → TOPS/W),
+//! [`energy`] (the one macro cost model, [`energy::DesignPoint`]:
+//! energy, cycle time and area → TOPS/W and TOPS/mm²),
 //! [the `reference` module](crate::reference) (golden integer MAC), and
 //! [`circuit`] (netlist builders for the
 //! SPICE-level validation figures), and [`grid`] (multi-macro tiling for

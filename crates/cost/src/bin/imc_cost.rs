@@ -15,11 +15,10 @@
 
 use std::process::ExitCode;
 
-use imc_core::energy::WeightBits;
 use imc_cost::calibrate::{generate_fixture, render_report};
 use imc_cost::dse::{render_table, sweep, DseOptions};
 use imc_cost::inference::{inference_cost, mlp_shapes, LayerShape};
-use imc_cost::model::{DesignPoint, Variant};
+use imc_cost::{DesignPoint, Variant, WeightBits};
 use serde::{Deserialize, Serialize};
 
 fn usage() -> &'static str {

@@ -14,9 +14,9 @@
 //! tests enforce. Sweeping the weight pattern sweeps the number of
 //! active unit cells (1–15 per block), which is the single-row image of
 //! an array-geometry sweep; the macro closed form then scales linearly
-//! in `rows` and `banks`, and the ADC term is swept analytically
-//! against [`imc_core::energy`] (see the model tests) because the SAR
-//! converter is behavioural, not a netlist element.
+//! in `rows` and `banks`, and the ADC term is swept analytically in
+//! [`imc_core::energy`] (see its tests) because the SAR converter is
+//! behavioural, not a netlist element.
 //!
 //! The checked-in fixture (`fixtures/calibration.json`) stores the
 //! measured values so the tolerance tests run without re-simulating;
@@ -24,12 +24,12 @@
 //! and the fixture drift apart. Regenerate with
 //! `imc-cost calibrate --write crates/cost/fixtures/calibration.json`.
 
-use crate::model::Variant;
 use analog_sim::measure::source_energy;
 use analog_sim::transient::{transient, TransientOptions};
 use fefet_device::variation::{VariationParams, VariationSampler};
 use imc_core::circuit::{chgfe_row_circuit, curfe_row_circuit};
 use imc_core::config::{ChgFeConfig, CurFeConfig};
+use imc_core::energy::Variant;
 use imc_core::weights::SplitWeight;
 use serde::{Deserialize, Serialize};
 

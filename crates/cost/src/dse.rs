@@ -3,8 +3,7 @@
 //! render the result as JSON or a human-readable table.
 
 use crate::inference::{inference_cost, InferenceCost, LayerShape};
-use crate::model::{DesignPoint, MacroCost, Variant};
-use imc_core::energy::WeightBits;
+use imc_core::energy::{DesignPoint, MacroCost, Variant, WeightBits};
 use serde::{Deserialize, Serialize};
 
 /// The sweep grid. The default grid visits 192 points

@@ -10,8 +10,7 @@
 //! with layers strictly sequential (each consumes the previous one's
 //! activations).
 
-use crate::model::{DesignPoint, MacroCost};
-use imc_core::energy::Activity;
+use imc_core::energy::{Activity, DesignPoint, MacroCost};
 use serde::{Deserialize, Serialize};
 
 /// One MAC layer's shape, the only thing pricing needs from a model.
@@ -99,7 +98,7 @@ pub fn inference_cost_with(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::model::Variant;
+    use imc_core::energy::Variant;
 
     fn default_mlp() -> Vec<LayerShape> {
         mlp_shapes(784, 64, 10)

@@ -1,12 +1,11 @@
-//! `imc-cost` — analytical energy/latency/area models for the CurFe and
-//! ChgFe IMC macros, with DSE sweeps and per-inference pricing.
+//! `imc-cost` — prices, sweeps and calibrates the closed-form CurFe and
+//! ChgFe macro model, with per-inference pricing.
 //!
 //! The Monte-Carlo transient path (`analog-sim` + `imc-core`) prices a
-//! design point in minutes; this crate prices it in nanoseconds from
-//! closed forms, calibrated against those same transients:
+//! design point in minutes; the closed forms of
+//! [`imc_core::energy::DesignPoint`] price it in nanoseconds. This crate
+//! builds on that model:
 //!
-//! * [`model`] — [`model::DesignPoint`] → per-cycle energy breakdown,
-//!   cycle time, die area, TOPS/W and TOPS/mm² roll-ups.
 //! * [`calibrate`] — fixtures pinning the closed forms to
 //!   `analog-sim` transient measurements within stated tolerances.
 //! * [`inference`] — price one forward pass of a set of MAC layer
@@ -21,12 +20,10 @@
 pub mod calibrate;
 pub mod dse;
 pub mod inference;
-pub mod model;
 
 pub use dse::{sweep, DseOptions, DseTable};
 pub use inference::{inference_cost, mlp_shapes, InferenceCost, LayerShape};
-pub use model::{DesignPoint, MacroCost, Variant};
 
-// `DesignPoint` carries a `WeightBits`; re-exported so dependents can
-// build points without also depending on `imc-core`.
-pub use imc_core::energy::WeightBits;
+// The macro model lives in `imc_core::energy`; re-exported so dependents
+// can build and price points without also depending on `imc-core`.
+pub use imc_core::energy::{DesignPoint, MacroCost, Variant, WeightBits};

@@ -5,7 +5,7 @@ use std::time::Instant;
 
 use imc_cost::dse::{render_table, sweep, DseOptions};
 use imc_cost::inference::mlp_shapes;
-use imc_cost::model::{DesignPoint, Variant};
+use imc_cost::{DesignPoint, Variant};
 
 /// Paper Table 1 macro efficiency anchors at (8b input, 8b weight).
 const PAPER_CURFE_8B8B: f64 = 12.18;

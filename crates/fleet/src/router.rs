@@ -344,18 +344,16 @@ fn handle_conn(mut stream: TcpStream, state: &Arc<RouterState>) {
         }
         let mut ack = [0u8; 5];
         ack[..4].copy_from_slice(&wire::MAGIC);
-        if !(wire::MIN_VERSION..=wire::VERSION).contains(&ver[0]) {
+        if ver[0] != wire::VERSION {
             // Version nack: echo magic with version 0, then close.
             let _ = stream.write_all(&ack);
             return;
         }
-        // Echo the offered version: a v1 client must never see a
-        // trace-context block, so the loop strips reply trace ids.
-        ack[4] = ver[0];
+        ack[4] = wire::VERSION;
         if stream.write_all(&ack).is_err() {
             return;
         }
-        bin_loop(&mut stream, state, &mut upstreams, ver[0]);
+        bin_loop(&mut stream, state, &mut upstreams);
     } else {
         json_loop(
             &mut stream,
@@ -370,7 +368,6 @@ fn bin_loop(
     stream: &mut TcpStream,
     state: &Arc<RouterState>,
     upstreams: &mut HashMap<usize, Client>,
-    version: u8,
 ) {
     let mut arena = Vec::new();
     let mut scratch = Vec::new();
@@ -379,16 +376,10 @@ fn bin_loop(
             Ok(true) => {}
             Ok(false) | Err(_) => return,
         }
-        let (mut resp, stop) = match wire::decode_request(&arena) {
+        let (resp, stop) = match wire::decode_request(&arena) {
             Ok(req) => dispatch(state, upstreams, req),
             Err(e) => (Response::Error(format!("bad BIN1 frame: {e}")), true),
         };
-        if version < 2 {
-            // Version gate: v1 decoders predate the trace block.
-            if let Response::Output(r) = &mut resp {
-                r.trace_id = 0;
-            }
-        }
         if wire::write_response(stream, &resp, &mut scratch).is_err() || stop {
             return;
         }
@@ -539,7 +530,7 @@ fn offer_fleet_trace(
 /// Replicated mode: forward the whole `Infer` to one replica, failing
 /// over across replicas on I/O errors. The replica's response passes
 /// through unchanged (except that the reply's `trace_id` is pinned to
-/// the routed trace, even when a v1 replica stripped it).
+/// the routed trace).
 fn route_whole(
     state: &Arc<RouterState>,
     upstreams: &mut HashMap<usize, Client>,

@@ -65,7 +65,7 @@ thread_local! {
 
 /// An active span; finishes (and records) when dropped or via
 /// [`finish`](SpanGuard::finish). Created by [`enter`] or the
-/// [`span!`](crate::span) macro.
+/// [`span!`](macro@crate::span) macro.
 #[must_use = "a span measures the region it is alive for"]
 pub struct SpanGuard {
     /// `false` when this span lost the sampling lottery.
@@ -73,7 +73,7 @@ pub struct SpanGuard {
     done: bool,
 }
 
-/// Starts a span named `name`. Prefer the [`span!`](crate::span) macro.
+/// Starts a span named `name`. Prefer the [`span!`](macro@crate::span) macro.
 pub fn enter(name: &'static str) -> SpanGuard {
     let every = SAMPLE_EVERY.load(Ordering::Relaxed);
     if every > 1 {

@@ -13,11 +13,6 @@
 //! global [`FlightRecorder`]. The recorder is the crash-safe "what just
 //! happened" buffer:
 //!
-//! * **Offering is lock-free.** Kept records are pushed onto a Treiber
-//!   stack (one `AtomicPtr` CAS); the bounded ring is only folded under
-//!   its mutex on the *read* side (scrape / export / dump), never on
-//!   the request path. A pending cap bounds memory between scrapes;
-//!   overflow increments a drop counter instead of blocking.
 //! * **Tail sampling is always on.** Failed, shed, slow
 //!   (≥ [`set_trace_slow_us`]) and energy-outlier records are always
 //!   kept regardless of head sampling. Everything else is kept only
@@ -25,8 +20,10 @@
 //!   ([`set_trace_head_sampling`], default 1 = keep all — the ring
 //!   bounds memory either way).
 //! * **Bounded memory.** The ring holds the most recent
-//!   [`FlightRecorder::CAPACITY`] kept records; older ones are evicted
-//!   oldest-first.
+//!   [`FlightRecorder::CAPACITY`] kept records; each kept offer pushes
+//!   under the ring's mutex and evicts the oldest once the ring is full,
+//!   so what a scrape or the exit dump reads is always the newest
+//!   records, however long since the last read.
 //!
 //! Records are exported as JSON over the obs HTTP endpoint
 //! (`GET /traces`) and dumped on exit by
@@ -37,8 +34,7 @@
 //! it.
 
 use std::collections::VecDeque;
-use std::ptr;
-use std::sync::atomic::{AtomicPtr, AtomicU32, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -230,20 +226,11 @@ impl TraceRec {
     }
 }
 
-struct Node {
-    rec: TraceRec,
-    next: *mut Node,
-}
-
 /// The bounded per-process trace buffer (see module docs).
 pub struct FlightRecorder {
-    /// Lock-free pending stack: the record path only touches this.
-    pending: AtomicPtr<Node>,
-    pending_len: AtomicUsize,
-    /// Kept records, newest last; folded from `pending` on reads.
+    /// Kept records, newest last.
     ring: Mutex<VecDeque<TraceRec>>,
-    /// Kept / dropped tallies (`dropped` = failed keep rules or
-    /// overflowed the pending cap).
+    /// Kept / dropped tallies (`dropped` = failed the keep rules).
     kept: AtomicU64,
     dropped: AtomicU64,
     /// Running energy stats for the outlier rule.
@@ -254,13 +241,9 @@ pub struct FlightRecorder {
 impl FlightRecorder {
     /// Kept records retained (oldest evicted beyond this).
     pub const CAPACITY: usize = 256;
-    /// Pending records tolerated between scrapes before offers drop.
-    const PENDING_CAP: usize = 1024;
 
     const fn new() -> Self {
         Self {
-            pending: AtomicPtr::new(ptr::null_mut()),
-            pending_len: AtomicUsize::new(0),
             ring: Mutex::new(VecDeque::new()),
             kept: AtomicU64::new(0),
             dropped: AtomicU64::new(0),
@@ -272,7 +255,9 @@ impl FlightRecorder {
     /// Offers a finished record. Keeps it when tail rules fire (any
     /// non-ok span, total wall ≥ the slow threshold, energy ≥ 4× the
     /// running mean) or the context was head-sampled; otherwise counts
-    /// a drop. The keep path is one CAS; nothing here blocks.
+    /// a drop. A kept record is pushed under the ring lock, evicting the
+    /// oldest at [`CAPACITY`](Self::CAPACITY); the evicted record is
+    /// freed after the lock is released.
     pub fn offer(&self, rec: TraceRec) {
         let energy = rec.energy_pj();
         if energy > 0 {
@@ -283,31 +268,22 @@ impl FlightRecorder {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
         }
-        if self.pending_len.fetch_add(1, Ordering::Relaxed) >= Self::PENDING_CAP {
-            self.pending_len.fetch_sub(1, Ordering::Relaxed);
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
-        let node = Box::into_raw(Box::new(Node {
-            rec,
-            next: ptr::null_mut(),
-        }));
-        let mut head = self.pending.load(Ordering::Acquire);
-        loop {
-            // SAFETY: `node` came from Box::into_raw above and is not
-            // shared until the CAS below publishes it.
-            unsafe { (*node).next = head };
-            match self.pending.compare_exchange_weak(
-                head,
-                node,
-                Ordering::AcqRel,
-                Ordering::Acquire,
-            ) {
-                Ok(_) => break,
-                Err(seen) => head = seen,
-            }
-        }
+        let mut ring = self.lock_ring();
+        let evicted = if ring.len() >= Self::CAPACITY {
+            ring.pop_front()
+        } else {
+            None
+        };
+        ring.push_back(rec);
+        drop(ring);
+        drop(evicted);
         self.kept.fetch_add(1, Ordering::Relaxed);
+    }
+
+    fn lock_ring(&self) -> std::sync::MutexGuard<'_, VecDeque<TraceRec>> {
+        self.ring
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
     fn keeps(&self, rec: &TraceRec, energy_pj: u64) -> bool {
@@ -329,32 +305,6 @@ impl FlightRecorder {
         false
     }
 
-    /// Folds the pending stack into the ring (oldest-first eviction at
-    /// [`CAPACITY`](Self::CAPACITY)). Read-side only.
-    fn drain(&self, ring: &mut VecDeque<TraceRec>) {
-        let head = self.pending.swap(ptr::null_mut(), Ordering::AcqRel);
-        if head.is_null() {
-            return;
-        }
-        // The stack pops newest-first; reverse into arrival order.
-        let mut batch = Vec::new();
-        let mut cur = head;
-        while !cur.is_null() {
-            // SAFETY: nodes were leaked by `offer` and ownership
-            // transferred wholesale by the swap above.
-            let node = unsafe { Box::from_raw(cur) };
-            cur = node.next;
-            batch.push(node.rec);
-        }
-        self.pending_len.fetch_sub(batch.len(), Ordering::Relaxed);
-        for rec in batch.into_iter().rev() {
-            if ring.len() >= Self::CAPACITY {
-                ring.pop_front();
-            }
-            ring.push_back(rec);
-        }
-    }
-
     /// Every kept record, oldest first.
     ///
     /// # Panics
@@ -362,12 +312,7 @@ impl FlightRecorder {
     /// Never — a poisoned ring lock is recovered.
     #[must_use]
     pub fn snapshot(&self) -> Vec<TraceRec> {
-        let mut ring = self
-            .ring
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        self.drain(&mut ring);
-        ring.iter().cloned().collect()
+        self.lock_ring().iter().cloned().collect()
     }
 
     /// Records kept so far (monotonic).
@@ -376,7 +321,7 @@ impl FlightRecorder {
         self.kept.load(Ordering::Relaxed)
     }
 
-    /// Records dropped (keep rules or pending overflow; monotonic).
+    /// Records dropped by the keep rules (monotonic).
     #[must_use]
     pub fn dropped_total(&self) -> u64 {
         self.dropped.load(Ordering::Relaxed)
@@ -384,25 +329,7 @@ impl FlightRecorder {
 
     /// Empties the recorder (tests).
     pub fn clear(&self) {
-        let mut ring = self
-            .ring
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        self.drain(&mut ring);
-        ring.clear();
-    }
-}
-
-impl Drop for FlightRecorder {
-    fn drop(&mut self) {
-        // Reclaim anything still pending (the global instance never
-        // drops, but tests may build their own).
-        let mut cur = self.pending.swap(ptr::null_mut(), Ordering::AcqRel);
-        while !cur.is_null() {
-            // SAFETY: sole owner after the swap.
-            let node = unsafe { Box::from_raw(cur) };
-            cur = node.next;
-        }
+        self.lock_ring().clear();
     }
 }
 
@@ -550,20 +477,20 @@ mod tests {
 
     #[test]
     fn ring_is_bounded_and_evicts_oldest() {
+        // No reads in between: however many offers pile up, the ring
+        // holds exactly the newest CAPACITY and nothing kept is dropped.
         let r = FlightRecorder::new();
-        let n = FlightRecorder::CAPACITY + 50;
+        let n = 2000;
         for i in 0..n {
-            r.offer(rec(i as u64 + 1, true, SpanStatus::Ok, 10, 0));
-            // Interleave reads so the pending stack stays within its
-            // cap and eviction is exercised through the ring.
-            if i % 100 == 0 {
-                let _ = r.snapshot();
-            }
+            r.offer(rec(i + 1, true, SpanStatus::Ok, 10, 0));
         }
         let snap = r.snapshot();
         assert_eq!(snap.len(), FlightRecorder::CAPACITY);
-        assert_eq!(snap.last().expect("nonempty").trace_id, n as u64);
-        assert_eq!(snap.first().expect("nonempty").trace_id, 51);
+        assert_eq!(snap.last().expect("nonempty").trace_id, n);
+        let oldest = n - FlightRecorder::CAPACITY as u64 + 1;
+        assert_eq!(snap.first().expect("nonempty").trace_id, oldest);
+        assert_eq!(r.kept_total(), n);
+        assert_eq!(r.dropped_total(), 0);
     }
 
     #[test]
@@ -583,8 +510,8 @@ mod tests {
             t.join().expect("offer thread");
         }
         assert_eq!(r.kept_total(), 800);
-        // 800 offers at PENDING_CAP 1024: nothing dropped, ring keeps
-        // the last CAPACITY.
+        // Every offer was head-sampled: nothing dropped, ring keeps the
+        // last CAPACITY.
         assert_eq!(r.dropped_total(), 0);
         assert_eq!(r.snapshot().len(), FlightRecorder::CAPACITY);
     }

@@ -122,10 +122,6 @@ pub struct Client {
     /// [`connect`]: Self::connect
     addrs: Vec<SocketAddr>,
     cfg: ClientConfig,
-    /// Negotiated `BIN1` version (relevant for [`Proto::Bin`] only).
-    /// A version-1 peer predates the optional trace-context block, so
-    /// requests to it have their trace stripped before encoding.
-    peer_version: u8,
     /// `BIN1` encode scratch and read arena, reused across requests so
     /// steady-state round trips allocate nothing on the wire path.
     scratch: Vec<u8>,
@@ -147,12 +143,11 @@ impl Client {
             request_timeout: None,
             proto: Proto::Json,
         };
-        let (stream, peer_version) = Self::open(&addrs, &cfg)?;
+        let stream = Self::open(&addrs, &cfg)?;
         Ok(Self {
             stream,
             addrs,
             cfg,
-            peer_version,
             scratch: Vec::new(),
             arena: Vec::new(),
         })
@@ -166,34 +161,23 @@ impl Client {
     /// address).
     pub fn connect_with<A: ToSocketAddrs>(addr: A, cfg: ClientConfig) -> io::Result<Self> {
         let addrs: Vec<SocketAddr> = addr.to_socket_addrs()?.collect();
-        let (stream, peer_version) = Self::open(&addrs, &cfg)?;
+        let stream = Self::open(&addrs, &cfg)?;
         Ok(Self {
             stream,
             addrs,
             cfg,
-            peer_version,
             scratch: Vec::new(),
             arena: Vec::new(),
         })
     }
 
-    /// Dials and handshakes one stream, returning the negotiated `BIN1`
-    /// version (or [`wire::VERSION`] for JSON, where nothing is
-    /// negotiated — old JSON decoders simply ignore unknown fields). A
-    /// server that nacks the current version gets re-dialed once with
-    /// [`wire::MIN_VERSION`] — the downgrade path against a pre-trace
-    /// deployment.
-    fn open(addrs: &[SocketAddr], cfg: &ClientConfig) -> io::Result<(TcpStream, u8)> {
+    /// Dials and handshakes one stream, trying each resolved address in
+    /// turn.
+    fn open(addrs: &[SocketAddr], cfg: &ClientConfig) -> io::Result<TcpStream> {
         let mut last_err = None;
         for a in addrs {
-            match Self::dial(a, cfg, wire::VERSION) {
-                Ok(ok) => return Ok(ok),
-                Err(e) if e.to_string().contains("unsupported BIN1 version") => {
-                    match Self::dial(a, cfg, wire::MIN_VERSION) {
-                        Ok(ok) => return Ok(ok),
-                        Err(e) => last_err = Some(e),
-                    }
-                }
+            match Self::dial(a, cfg) {
+                Ok(stream) => return Ok(stream),
                 Err(e) => last_err = Some(e),
             }
         }
@@ -202,7 +186,7 @@ impl Client {
         }))
     }
 
-    fn dial(a: &SocketAddr, cfg: &ClientConfig, offer: u8) -> io::Result<(TcpStream, u8)> {
+    fn dial(a: &SocketAddr, cfg: &ClientConfig) -> io::Result<TcpStream> {
         let attempt = match cfg.connect_timeout {
             Some(t) => TcpStream::connect_timeout(a, t),
             None => TcpStream::connect(a),
@@ -211,12 +195,10 @@ impl Client {
         stream.set_nodelay(true).ok();
         stream.set_read_timeout(cfg.request_timeout).ok();
         stream.set_write_timeout(cfg.request_timeout).ok();
-        let version = if cfg.proto == Proto::Bin {
-            wire::client_handshake_offer(&mut stream, offer)?
-        } else {
-            wire::VERSION
-        };
-        Ok((stream, version))
+        if cfg.proto == Proto::Bin {
+            wire::client_handshake(&mut stream)?;
+        }
+        Ok(stream)
     }
 
     /// Drops the current connection and dials the same address again
@@ -226,17 +208,8 @@ impl Client {
     ///
     /// Propagates connection errors.
     pub fn reconnect(&mut self) -> io::Result<()> {
-        let (stream, peer_version) = Self::open(&self.addrs, &self.cfg)?;
-        self.stream = stream;
-        self.peer_version = peer_version;
+        self.stream = Self::open(&self.addrs, &self.cfg)?;
         Ok(())
-    }
-
-    /// The negotiated `BIN1` protocol version of this connection
-    /// ([`wire::VERSION`] for JSON connections).
-    #[must_use]
-    pub fn peer_version(&self) -> u8 {
-        self.peer_version
     }
 
     /// Sends a request frame without waiting for the response (pipelined
@@ -248,33 +221,7 @@ impl Client {
     pub fn send(&mut self, req: &Request) -> io::Result<()> {
         match self.cfg.proto {
             Proto::Json => write_request(&mut self.stream, req),
-            Proto::Bin => {
-                // Version gate: a v1 peer's decoder predates the
-                // optional trace block — strip rather than confuse it.
-                let stripped;
-                let req = if self.peer_version < 2 {
-                    match req {
-                        Request::Infer(r) if r.trace.is_some() => {
-                            stripped = Request::Infer(InferRequest {
-                                trace: None,
-                                ..r.clone()
-                            });
-                            &stripped
-                        }
-                        Request::Partial(r) if r.trace.is_some() => {
-                            stripped = Request::Partial(PartialRequest {
-                                trace: None,
-                                ..r.clone()
-                            });
-                            &stripped
-                        }
-                        other => other,
-                    }
-                } else {
-                    req
-                };
-                wire::write_request(&mut self.stream, req, &mut self.scratch)
-            }
+            Proto::Bin => wire::write_request(&mut self.stream, req, &mut self.scratch),
         }
     }
 
@@ -301,8 +248,7 @@ impl Client {
 
     /// [`infer`](Self::infer) carrying a distributed-tracing context —
     /// the server records its spans under `trace.trace_id` and echoes
-    /// the id on the reply. Against a v1 `BIN1` peer the context is
-    /// stripped (the request still executes untraced).
+    /// the id on the reply.
     ///
     /// # Errors
     ///

@@ -112,11 +112,6 @@ pub(crate) struct ConnWriter {
     stream: TcpStream,
     dead: bool,
     proto: Proto,
-    /// Negotiated `BIN1` version for `Proto::Bin` connections. Version-1
-    /// peers must never see a trace-context block, so replies to them
-    /// have their `trace_id` stripped before encoding. (JSON framing
-    /// needs no gate — old decoders ignore unknown fields.)
-    bin_version: u8,
     scratch: Vec<u8>,
 }
 
@@ -140,28 +135,12 @@ fn send(conn: &Conn, resp: &Response, metrics: &Metrics) {
     let ConnWriter {
         stream,
         proto,
-        bin_version,
         scratch,
         ..
     } = &mut *w;
     let wrote = match proto {
         Proto::Json => write_response(stream, resp),
-        Proto::Bin => {
-            // Version gate: a v1 peer's decoder predates the optional
-            // trace block, so strip the trace id rather than send it.
-            let stripped;
-            let resp = match resp {
-                Response::Output(r) if *bin_version < 2 && r.trace_id != 0 => {
-                    stripped = Response::Output(InferReply {
-                        trace_id: 0,
-                        ..r.clone()
-                    });
-                    &stripped
-                }
-                other => other,
-            };
-            wire::write_response(stream, resp, scratch)
-        }
+        Proto::Bin => wire::write_response(stream, resp, scratch),
     };
     if wrote.is_err() {
         metrics.protocol_errors.inc();
@@ -902,7 +881,6 @@ fn connection_loop(
         stream: write_half,
         dead: false,
         proto: Proto::Json,
-        bin_version: wire::VERSION,
         scratch: Vec::new(),
     }));
     // A read timeout lets the reader notice shutdown even on an idle
@@ -951,7 +929,7 @@ fn connection_loop(
             let mut w = writer
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if !(wire::MIN_VERSION..=wire::VERSION).contains(&ver[0]) {
+            if ver[0] != wire::VERSION {
                 // Reject: echo the magic with version 0, then close.
                 metrics.protocol_errors.inc();
                 let mut nack = [0u8; 5];
@@ -959,17 +937,14 @@ fn connection_loop(
                 let _ = std::io::Write::write_all(&mut w.stream, &nack);
                 return;
             }
-            // Accept by echoing the version the client offered — that
-            // offer governs whether trace blocks may appear on this
-            // connection, in both directions.
+            // Accept by echoing the hello.
             let mut ack = [0u8; 5];
             ack[..4].copy_from_slice(&wire::MAGIC);
-            ack[4] = ver[0];
+            ack[4] = wire::VERSION;
             if std::io::Write::write_all(&mut w.stream, &ack).is_err() {
                 return;
             }
             w.proto = Proto::Bin;
-            w.bin_version = ver[0];
         }
         imc_obs::counter!(
             "imc_serve_bin_connections_total",

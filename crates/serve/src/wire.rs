@@ -12,15 +12,12 @@
 //! A `BIN1` client opens its connection with a 5-byte hello:
 //!
 //! ```text
-//! 'B' 'I' 'N' '1'  version(1|2)
+//! 'B' 'I' 'N' '1'  version(2)
 //! ```
 //!
 //! The server echoes the same 5 bytes to accept, or `BIN1` + `0x00`
-//! (then closes) for an unsupported version. Servers accept any
-//! version in `[`[`MIN_VERSION`]`, `[`VERSION`]`]` and echo what the
-//! client offered; a new client whose version-2 hello is nacked by an
-//! old server redials offering version 1
-//! ([`client_handshake_offer`]). A JSON client's first bytes are
+//! (then closes) for any version other than [`VERSION`]. A JSON
+//! client's first bytes are
 //! instead a big-endian frame length ≤ [`MAX_FRAME_BYTES`] (16 MiB);
 //! `b"BIN1"` read as a big-endian u32 is ≈ 1.1 GiB, so the two
 //! openings can never be confused and JSON clients keep working
@@ -40,8 +37,7 @@
 //! *every* kind tolerate the block — if exactly 18 bytes remain after
 //! the positional fields and the first is `0xC7` they are consumed —
 //! so a context-bearing frame is never a [`WireError`] to a decoder
-//! that does not use it. Peers that negotiated version 1 never see the
-//! block: encoding paths strip trace fields first.
+//! that does not use it.
 //!
 //! # Frames
 //!
@@ -89,12 +85,10 @@ use crate::protocol::{
 /// The 4-byte connection magic a binary client leads with.
 pub const MAGIC: [u8; 4] = *b"BIN1";
 
-/// Current protocol version, sent (and echoed) after [`MAGIC`].
-/// Version 2 added the optional trailing trace-context block.
+/// The protocol version, sent (and echoed) after [`MAGIC`]. Version 2
+/// added the optional trailing trace-context block; it is the only
+/// version peers accept.
 pub const VERSION: u8 = 2;
-
-/// Oldest version servers still accept (frames without trace context).
-pub const MIN_VERSION: u8 = 1;
 
 /// Marker byte opening the optional trace-context block.
 pub const CTX_MARKER: u8 = 0xC7;
@@ -744,34 +738,20 @@ pub fn read_response<R: Read>(r: &mut R, arena: &mut Vec<u8>) -> io::Result<Opti
 /// and surfaced as `ConnectionRefused` so callers can tell
 /// backpressure from protocol failure.
 ///
-/// A pre-trace server nacks the version-2 hello
-/// (`WireError::UnsupportedVersion`); callers wanting interop redial
-/// and call [`client_handshake_offer`] with [`MIN_VERSION`].
-///
 /// # Errors
 ///
 /// I/O errors, version rejection, or an unrecognized server opening.
 pub fn client_handshake<S: Read + Write>(stream: &mut S) -> io::Result<u8> {
-    client_handshake_offer(stream, VERSION)
-}
-
-/// [`client_handshake`] offering an explicit `version` — the downgrade
-/// path after an old server nacked the current version.
-///
-/// # Errors
-///
-/// I/O errors, version rejection, or an unrecognized server opening.
-pub fn client_handshake_offer<S: Read + Write>(stream: &mut S, version: u8) -> io::Result<u8> {
     let mut hello = [0u8; 5];
     hello[..4].copy_from_slice(&MAGIC);
-    hello[4] = version;
+    hello[4] = VERSION;
     stream.write_all(&hello)?;
     stream.flush()?;
     let mut ack = [0u8; 5];
     read_exact_or_eof(stream, &mut ack, false)?;
     if ack[..4] == MAGIC {
         return match ack[4] {
-            v if v == version => Ok(v),
+            VERSION => Ok(VERSION),
             v => Err(WireError::UnsupportedVersion(v).into()),
         };
     }
@@ -1116,16 +1096,6 @@ mod tests {
             pos: 0,
         };
         assert_eq!(client_handshake(&mut peer).unwrap(), VERSION);
-        // Downgrade path: after an old server nacked v2, redial with an
-        // explicit v1 offer; its echo negotiates v1.
-        let mut peer = FakePeer {
-            reply: vec![b'B', b'I', b'N', b'1', MIN_VERSION],
-            pos: 0,
-        };
-        assert_eq!(
-            client_handshake_offer(&mut peer, MIN_VERSION).unwrap(),
-            MIN_VERSION
-        );
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use crate::component::{htree_energy, htree_levels, PeripheryCosts};
 use crate::mapping::{layer_macro_cycles, map_layer, LayerMapping, MacroTile};
-use imc_core::energy::{Activity, ChgFeEnergyModel, CurFeEnergyModel};
+use imc_core::energy::{Activity, DesignPoint, Variant};
 use neural::models::LayerShape;
 use serde::{Deserialize, Serialize};
 
@@ -61,26 +61,25 @@ impl SystemConfig {
         }
     }
 
+    /// The paper macro of the chosen design, as the energy model prices
+    /// it.
+    fn macro_point(&self) -> DesignPoint {
+        DesignPoint::paper(match self.design {
+            Design::CurFe => Variant::CurFe,
+            Design::ChgFe => Variant::ChgFe,
+        })
+    }
+
     /// Per-macro-cycle energy of the chosen design (J).
     #[must_use]
     pub fn macro_cycle_energy(&self) -> f64 {
-        match self.design {
-            Design::CurFe => CurFeEnergyModel::paper()
-                .cycle_breakdown(self.activity)
-                .total(),
-            Design::ChgFe => ChgFeEnergyModel::paper()
-                .cycle_breakdown(self.activity)
-                .total(),
-        }
+        self.macro_point().cycle_breakdown(self.activity).total()
     }
 
     /// Macro cycle time (s).
     #[must_use]
     pub fn macro_cycle_time(&self) -> f64 {
-        match self.design {
-            Design::CurFe => CurFeEnergyModel::paper().config.t_cycle,
-            Design::ChgFe => ChgFeEnergyModel::paper().config.t_cycle,
-        }
+        self.macro_point().t_cycle_s()
     }
 
     /// MACs one macro completes per cycle at this weight precision.

@@ -1,22 +1,32 @@
 //! Interactive-style energy exploration: sweep precision, ADC resolution
 //! and activity, printing TOPS/W tables for both designs (the Fig. 9
-//! design space).
+//! design space). The ADC sweep moves the cycle time with the
+//! resolution (one SAR bit per comparator cycle), so CurFe's static
+//! array and TIA energy grow with it too.
 //!
 //! Run with `cargo run --example energy_explorer`.
 
-use fefet_imc::imc::energy::{Activity, ChgFeEnergyModel, CurFeEnergyModel, WeightBits};
+use fefet_imc::imc::energy::{Activity, DesignPoint, Variant, WeightBits};
+
+/// The paper macro at (`input_bits`, `weight_bits`).
+fn point(variant: Variant, input_bits: u32, weight_bits: WeightBits) -> DesignPoint {
+    DesignPoint {
+        input_bits,
+        weight_bits,
+        ..DesignPoint::paper(variant)
+    }
+}
 
 fn main() {
     println!("== precision sweep (5-bit ADC, 50% activity) ==");
-    let a = Activity::average();
     println!(
         "{:>10} {:>14} {:>14} {:>9}",
         "in/w bits", "CurFe TOPS/W", "ChgFe TOPS/W", "ChgFe/CurFe"
     );
     for wb in [WeightBits::W4, WeightBits::W8] {
         for ib in [1u32, 2, 4, 6, 8] {
-            let c = CurFeEnergyModel::paper().tops_per_watt(ib, wb, a);
-            let q = ChgFeEnergyModel::paper().tops_per_watt(ib, wb, a);
+            let c = point(Variant::CurFe, ib, wb).evaluate().tops_per_watt;
+            let q = point(Variant::ChgFe, ib, wb).evaluate().tops_per_watt;
             println!(
                 "{:>7}b/{}b {c:>14.2} {q:>14.2} {:>9.2}",
                 ib,
@@ -32,14 +42,18 @@ fn main() {
         "ADC bits", "CurFe TOPS/W", "ChgFe TOPS/W"
     );
     for bits in 3..=8u32 {
-        let mut c = CurFeEnergyModel::paper();
-        c.adc_bits = bits;
-        let mut q = ChgFeEnergyModel::paper();
-        q.adc_bits = bits;
+        let at_bits = |variant| {
+            DesignPoint {
+                adc_bits: bits,
+                ..DesignPoint::paper(variant)
+            }
+            .evaluate()
+            .tops_per_watt
+        };
         println!(
             "{bits:>10} {:>14.2} {:>14.2}",
-            c.tops_per_watt(8, WeightBits::W8, a),
-            q.tops_per_watt(8, WeightBits::W8, a)
+            at_bits(Variant::CurFe),
+            at_bits(Variant::ChgFe)
         );
     }
 
@@ -55,8 +69,12 @@ fn main() {
         };
         println!(
             "{d:>18} {:>14.2} {:>14.2}",
-            CurFeEnergyModel::paper().tops_per_watt(8, WeightBits::W8, act),
-            ChgFeEnergyModel::paper().tops_per_watt(8, WeightBits::W8, act)
+            DesignPoint::paper(Variant::CurFe)
+                .evaluate_with_activity(act)
+                .tops_per_watt,
+            DesignPoint::paper(Variant::ChgFe)
+                .evaluate_with_activity(act)
+                .tops_per_watt
         );
     }
 }

@@ -4,7 +4,7 @@
 //! Run with `cargo run --example quickstart`.
 
 use fefet_imc::imc::array::CurFeMacro;
-use fefet_imc::imc::energy::{Activity, CurFeEnergyModel, WeightBits};
+use fefet_imc::imc::energy::{DesignPoint, Variant};
 use fefet_imc::imc::reference::ideal_mac;
 use fefet_imc::imc::weights::InputPrecision;
 
@@ -32,11 +32,16 @@ fn main() {
         out.error_bound
     );
 
-    // 4. What does it cost? The calibrated circuit-level energy model:
-    let e = CurFeEnergyModel::paper();
+    // 4. What does it cost? The calibrated circuit-level energy model
+    //    at the paper geometry, 4-bit inputs and 8-bit weights:
+    let cost = DesignPoint {
+        input_bits: 4,
+        ..DesignPoint::paper(Variant::CurFe)
+    }
+    .evaluate();
     println!(
         "CurFe @(4b,8b): {:.2} TOPS/W, {:.1} GOPS peak",
-        e.tops_per_watt(4, WeightBits::W8, Activity::average()),
-        e.throughput_ops(4, WeightBits::W8) / 1e9
+        cost.tops_per_watt,
+        cost.peak_tops * 1e3
     );
 }

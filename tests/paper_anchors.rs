@@ -2,7 +2,7 @@
 //! workspace. These are the claims EXPERIMENTS.md records.
 
 use fefet_imc::baselines::sota::headline_ratios;
-use fefet_imc::imc::energy::{Activity, ChgFeEnergyModel, CurFeEnergyModel, WeightBits};
+use fefet_imc::imc::energy::{DesignPoint, Variant};
 use fefet_imc::nn::models::resnet18_shapes;
 use fefet_imc::system::chip::{evaluate, Design, SystemConfig};
 
@@ -16,9 +16,8 @@ fn abstract_headline_ratios() {
 
 #[test]
 fn circuit_level_efficiency_anchors() {
-    let a = Activity::average();
-    let cur = CurFeEnergyModel::paper().tops_per_watt(8, WeightBits::W8, a);
-    let chg = ChgFeEnergyModel::paper().tops_per_watt(8, WeightBits::W8, a);
+    let cur = DesignPoint::paper(Variant::CurFe).evaluate().tops_per_watt;
+    let chg = DesignPoint::paper(Variant::ChgFe).evaluate().tops_per_watt;
     assert!((cur - 12.18).abs() / 12.18 < 0.10, "CurFe {cur:.2}");
     assert!((chg - 14.47).abs() / 14.47 < 0.10, "ChgFe {chg:.2}");
     assert!(chg > cur, "ChgFe must win on energy at equal precision");
@@ -62,8 +61,8 @@ fn fig3_anchor_currents_via_behavioral_bank() {
 
 #[test]
 fn throughput_ordering_curfe_over_chgfe() {
-    let cur = CurFeEnergyModel::paper().throughput_ops(8, WeightBits::W8);
-    let chg = ChgFeEnergyModel::paper().throughput_ops(8, WeightBits::W8);
+    let cur = DesignPoint::paper(Variant::CurFe).evaluate().peak_tops;
+    let chg = DesignPoint::paper(Variant::ChgFe).evaluate().peak_tops;
     assert!(cur > chg);
     let shapes = resnet18_shapes(32, 10);
     let fps_cur = evaluate(&shapes, &SystemConfig::paper(Design::CurFe, 4, 8)).fps;

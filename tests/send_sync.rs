@@ -25,7 +25,7 @@ fn imc_types_are_send_sync() {
     assert_send_sync::<fefet_imc::imc::array::ChgFeMacro>();
     assert_send_sync::<fefet_imc::imc::grid::CurFeGrid>();
     assert_send_sync::<fefet_imc::imc::adc::SarAdc>();
-    assert_send_sync::<fefet_imc::imc::energy::CurFeEnergyModel>();
+    assert_send_sync::<fefet_imc::imc::energy::DesignPoint>();
 }
 
 #[test]

@@ -201,22 +201,24 @@ fn bin1_version_mismatch_is_nacked_and_the_listener_survives() {
     let model = Arc::new(ServeModel::synthetic(ImcDesign::ChgFe, DEFAULT_SEED));
     let handle = serve("127.0.0.1:0", model, &ServeConfig::default()).expect("bind");
 
-    // Speak the magic with an unsupported version: the server answers
-    // MAGIC + 0x00 (explicit nack) and closes — no hang, no JSON
-    // misinterpretation of the magic bytes.
-    let mut s = std::net::TcpStream::connect(handle.addr()).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(5))).ok();
-    let mut hello = wire::MAGIC.to_vec();
-    hello.push(wire::VERSION + 1);
-    s.write_all(&hello).expect("hello");
-    let mut ack = [0u8; 5];
-    s.read_exact(&mut ack).expect("nack bytes");
-    assert_eq!(&ack[..4], &wire::MAGIC);
-    assert_eq!(ack[4], 0, "expected version nack");
-    let mut rest = [0u8; 8];
-    match s.read(&mut rest) {
-        Ok(0) | Err(_) => {}
-        Ok(n) => panic!("connection should close after nack, got {n} more bytes"),
+    // Speak the magic with an unsupported version, older or newer: the
+    // server answers MAGIC + 0x00 (explicit nack) and closes — no hang,
+    // no JSON misinterpretation of the magic bytes.
+    for version in [wire::VERSION - 1, wire::VERSION + 1] {
+        let mut s = std::net::TcpStream::connect(handle.addr()).expect("connect");
+        s.set_read_timeout(Some(Duration::from_secs(5))).ok();
+        let mut hello = wire::MAGIC.to_vec();
+        hello.push(version);
+        s.write_all(&hello).expect("hello");
+        let mut ack = [0u8; 5];
+        s.read_exact(&mut ack).expect("nack bytes");
+        assert_eq!(&ack[..4], &wire::MAGIC);
+        assert_eq!(ack[4], 0, "expected a nack of version {version}");
+        let mut rest = [0u8; 8];
+        match s.read(&mut rest) {
+            Ok(0) | Err(_) => {}
+            Ok(n) => panic!("connection should close after nack, got {n} more bytes"),
+        }
     }
 
     // A correct client (and the JSON fallback) still work afterwards.
