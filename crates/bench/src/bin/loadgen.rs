@@ -4,7 +4,6 @@
 //! loadgen [--addr HOST:PORT] [--design curfe|chgfe] [--seed N]
 //!         [--image PATH] [--qps N] [--duration-s N] [--conns N]
 //!         [--out PATH] [--smoke] [--stop-server] [--obs-addr HOST:PORT]
-//!         [--proto json|bin]
 //! ```
 //!
 //! Replays MNIST-shaped traffic at a target QPS. Without `--addr` it
@@ -12,9 +11,8 @@
 //! setup). Pacing is **open-loop**: requests are sent on a fixed
 //! schedule regardless of response latency, so an overloaded server
 //! exhibits real queueing and shed behaviour instead of the client
-//! backing off. Connections speak the `BIN1` binary protocol by
-//! default; `--proto json` keeps the legacy JSON framing for compat
-//! testing.
+//! backing off. Connections speak `BIN1`, the serve protocol's wire
+//! format.
 //!
 //! Every sent request is accounted for in the report: answered
 //! (`completed`/`shed`/`errors`/`failed`/`incorrect`), still unanswered
@@ -88,9 +86,9 @@ use std::time::{Duration, Instant};
 use imc_bench::chaos::{ChaosProxy, Fault, Flip};
 use imc_fleet::{serve_fleet, FleetPlan, RouterConfig};
 use imc_serve::model::{parse_design, ServeModel, DEFAULT_SEED};
-use imc_serve::protocol::{read_response, write_request, InferRequest, Request, Response};
+use imc_serve::protocol::{InferRequest, Request, Response};
 use imc_serve::wire;
-use imc_serve::{serve, Client, ClientConfig, Proto, RetryPolicy, ServeConfig, ServerHandle};
+use imc_serve::{serve, Client, ClientConfig, RetryPolicy, ServeConfig, ServerHandle};
 use neural::imc_exec::ImcDesign;
 use serde::Serialize;
 
@@ -116,7 +114,6 @@ struct Args {
     stop_server: bool,
     chaos: bool,
     chaos_seed: u64,
-    proto: Proto,
     /// In-process fleet: number of replica servers behind an `imc-fleet`
     /// router (0 = no fleet).
     fleet: usize,
@@ -171,18 +168,6 @@ fn infer_request(id: u64, sent: &SentReq, inputs: &[Vec<f32>]) -> Request {
     })
 }
 
-/// Encodes `req` as one complete frame, length prefix included, into
-/// `buf` (cleared first).
-fn encode_frame(req: &Request, proto: Proto, buf: &mut Vec<u8>) {
-    match proto {
-        Proto::Json => {
-            buf.clear();
-            write_request(buf, req).expect("a request frame fits in memory");
-        }
-        Proto::Bin => wire::encode_request(req, buf),
-    }
-}
-
 /// The infer request the server reads after the chaos proxy applied
 /// `flip` to one of this connection's frames, or `None` if the flip
 /// landed outside every in-flight frame or left bytes that do not decode
@@ -196,29 +181,19 @@ fn flipped_request(
     flip: &Flip,
     in_flight: &HashMap<u64, SentReq>,
     inputs: &[Vec<f32>],
-    proto: Proto,
 ) -> Option<InferRequest> {
     let (&id, sent) = in_flight
         .iter()
         .filter(|(_, s)| s.offset <= flip.offset)
         .max_by_key(|(_, s)| s.offset)?;
     let mut frame = Vec::new();
-    encode_frame(&infer_request(id, sent, inputs), proto, &mut frame);
+    wire::encode_request(&infer_request(id, sent, inputs), &mut frame);
     let frame = flip.apply(sent.offset, &frame)?;
-    let request = match proto {
-        Proto::Json => {
-            let text = imc_serve::protocol::read_frame(&mut frame.as_slice()).ok()??;
-            serde_json::from_str(&text).ok()?
-        }
-        Proto::Bin => {
-            let mut body = Vec::new();
-            if !wire::read_frame_into(&mut frame.as_slice(), &mut body).ok()? {
-                return None;
-            }
-            wire::decode_request(&body).ok()?
-        }
-    };
-    match request {
+    let mut body = Vec::new();
+    if !wire::read_frame_into(&mut frame.as_slice(), &mut body).ok()? {
+        return None;
+    }
+    match wire::decode_request(&body).ok()? {
         Request::Infer(r) => Some(r),
         _ => None,
     }
@@ -250,7 +225,6 @@ impl FlipCheck<'_> {
         id: u64,
         in_flight: &HashMap<u64, SentReq>,
         inputs: &[Vec<f32>],
-        proto: Proto,
     ) -> Option<Vec<f32>> {
         let flips: Vec<Flip> = self
             .proxy
@@ -259,7 +233,7 @@ impl FlipCheck<'_> {
             .filter(|f| f.client == self.client)
             .collect();
         for flip in &flips[self.seen..] {
-            if let Some(r) = flipped_request(flip, in_flight, inputs, proto) {
+            if let Some(r) = flipped_request(flip, in_flight, inputs) {
                 eprintln!(
                     "loadgen: the proxy flipped stream byte {} of {}; request {} must match \
                      the oracle of the flipped input",
@@ -299,7 +273,7 @@ fn parse_args() -> Result<Args, String> {
     let usage = "usage: loadgen [--addr HOST:PORT ...] [--design curfe|chgfe] [--seed N]\n\
                  \x20              [--image PATH] [--qps N] [--duration-s N] [--conns N]\n\
                  \x20              [--out PATH] [--smoke] [--stop-server] [--obs-addr HOST:PORT]\n\
-                 \x20              [--chaos] [--chaos-seed N] [--proto json|bin]\n\
+                 \x20              [--chaos] [--chaos-seed N]\n\
                  \x20              [--fleet N] [--shards N] [--kill-replica-ms N]\n\
                  \x20              [--trace-slowest N] [--trace-addr HOST:PORT ...]\n\
                  \x20              [--swap-image PATH] [--swap-after-ms N]";
@@ -317,7 +291,6 @@ fn parse_args() -> Result<Args, String> {
         stop_server: false,
         chaos: false,
         chaos_seed: 0xC4A0,
-        proto: Proto::Bin,
         fleet: 0,
         shards: 1,
         kill_replica_ms: 0,
@@ -366,7 +339,6 @@ fn parse_args() -> Result<Args, String> {
                     .parse()
                     .map_err(|e| format!("--chaos-seed: {e}"))?;
             }
-            "--proto" => args.proto = value("--proto")?.parse()?,
             "--fleet" => {
                 args.fleet = value("--fleet")?
                     .parse()
@@ -443,8 +415,6 @@ fn parse_args() -> Result<Args, String> {
 #[derive(Serialize)]
 struct Report {
     design: String,
-    /// Wire protocol the load connections spoke (`json` or `bin`).
-    proto: String,
     qps_target: u64,
     /// Completed responses over the completed-only wall time (first send
     /// to last response), so idle drain time doesn't dilute throughput.
@@ -571,22 +541,16 @@ fn build_inputs(features: usize) -> Vec<Vec<f32>> {
 /// Parses the next complete response frame out of `acc[*parse_from..]`,
 /// advancing `parse_from` past it (consumed bytes are compacted away
 /// once they pile up). `Ok(None)` means the buffer holds at most a
-/// partial frame — read more bytes and try again. JSON frames carry a
-/// big-endian length prefix, `BIN1` frames a little-endian one.
+/// partial frame — read more bytes and try again.
 fn next_buffered_response(
     acc: &mut Vec<u8>,
     parse_from: &mut usize,
-    proto: Proto,
 ) -> std::io::Result<Option<Response>> {
     let avail = &acc[*parse_from..];
     if avail.len() < 4 {
         return Ok(None);
     }
-    let prefix: [u8; 4] = avail[..4].try_into().expect("4 bytes");
-    let len = match proto {
-        Proto::Json => u32::from_be_bytes(prefix),
-        Proto::Bin => u32::from_le_bytes(prefix),
-    };
+    let len = u32::from_le_bytes(avail[..4].try_into().expect("4 bytes"));
     if len > imc_serve::protocol::MAX_FRAME_BYTES {
         return Err(wire::WireError::Oversized(len).into());
     }
@@ -594,19 +558,13 @@ fn next_buffered_response(
     if avail.len() < 4 + len {
         return Ok(None);
     }
-    let resp = match proto {
-        Proto::Json => {
-            let mut cursor = &avail[..4 + len];
-            read_response(&mut cursor)?
-        }
-        Proto::Bin => Some(wire::decode_response(&avail[4..4 + len])?),
-    };
+    let resp = wire::decode_response(&avail[4..4 + len])?;
     *parse_from += 4 + len;
     if *parse_from > 1 << 16 {
         acc.drain(..*parse_from);
         *parse_from = 0;
     }
-    Ok(resp)
+    Ok(Some(resp))
 }
 
 /// One connection's open-loop run: a sender thread paces requests on a
@@ -624,17 +582,13 @@ fn run_connection(
     expected: &Arc<Vec<Vec<f32>>>,
     swap_expected: &Arc<Option<Vec<Vec<f32>>>>,
     global_sent: &AtomicU64,
-    proto: Proto,
     chaos: Option<(&ChaosProxy, &ServeModel)>,
 ) -> Result<ConnResult, String> {
     let mut writer = TcpStream::connect(addr).map_err(|e| format!("connect {addr}: {e}"))?;
     writer.set_nodelay(true).ok();
+    wire::client_handshake(&mut writer).map_err(|e| format!("handshake {addr}: {e}"))?;
     // Stream bytes written before the first frame: the BIN1 hello.
-    let mut hello_len = 0;
-    if proto == Proto::Bin {
-        wire::client_handshake(&mut writer).map_err(|e| format!("handshake {addr}: {e}"))?;
-        hello_len = wire::MAGIC.len() + 1;
-    }
+    let hello_len = wire::MAGIC.len() + 1;
     let client = writer
         .local_addr()
         .map_err(|e| format!("local addr: {e}"))?;
@@ -695,7 +649,7 @@ fn run_connection(
                     root_span: imc_obs::next_span_id(),
                     offset,
                 };
-                encode_frame(&infer_request(id, &sent, &inputs), proto, &mut scratch);
+                wire::encode_request(&infer_request(id, &sent, &inputs), &mut scratch);
                 in_flight.lock().unwrap().insert(id, sent);
                 if writer.write_all(&scratch).is_err() {
                     in_flight.lock().unwrap().remove(&id);
@@ -751,7 +705,7 @@ fn run_connection(
         }
         // Pull the next complete frame out of the accumulator, reading
         // more bytes only when it can't supply one.
-        let next = match next_buffered_response(&mut acc, &mut parse_from, proto) {
+        let next = match next_buffered_response(&mut acc, &mut parse_from) {
             Err(e) => Err(e),
             Ok(Some(r)) => Ok(Some(r)),
             Ok(None) => match reader.read(&mut chunk) {
@@ -769,7 +723,7 @@ fn run_connection(
                 res.last_response = Some(Instant::now());
                 let owed = flip_check
                     .as_mut()
-                    .and_then(|f| f.owed(r.id, &in_flight.lock().unwrap(), inputs, proto));
+                    .and_then(|f| f.owed(r.id, &in_flight.lock().unwrap(), inputs));
                 let sent_at = in_flight.lock().unwrap().remove(&r.id);
                 if let Some(sent) = sent_at {
                     res.latencies_us.push(sent.at.elapsed().as_micros() as u64);
@@ -826,7 +780,7 @@ fn run_connection(
                 res.busy += 1;
                 break;
             }
-            Ok(Some(_)) => {}  // Pong/Stats/ShuttingDown: not expected here
+            Ok(Some(_)) => {}  // Pong/ShuttingDown/...: not expected here
             Ok(None) => break, // server closed
             Err(e)
                 if e.kind() == std::io::ErrorKind::WouldBlock
@@ -977,15 +931,9 @@ fn main() -> ExitCode {
                 return ExitCode::FAILURE;
             }
         };
-        let rcfg = RouterConfig {
-            client: ClientConfig {
-                proto: args.proto,
-                ..ClientConfig::default()
-            },
-            ..RouterConfig::default()
-        };
         let (router, admission) =
-            serve_fleet("127.0.0.1:0", plan, &replica_addrs, rcfg).expect("bind fleet router");
+            serve_fleet("127.0.0.1:0", plan, &replica_addrs, RouterConfig::default())
+                .expect("bind fleet router");
         if !admission.is_empty() {
             eprintln!("loadgen: fleet admission failed: {admission:?}");
             return ExitCode::FAILURE;
@@ -1057,15 +1005,10 @@ fn main() -> ExitCode {
         } else {
             Duration::from_secs_f64(args.duration_s / 2.0)
         };
-        let proto = args.proto;
         std::thread::spawn(move || -> Result<imc_serve::SwapDoneReply, String> {
             std::thread::sleep(delay);
-            let cfg = ClientConfig {
-                proto,
-                ..ClientConfig::default()
-            };
-            let mut c =
-                Client::connect_with(&addr, cfg).map_err(|e| format!("swap connect: {e}"))?;
+            let mut c = Client::connect_with(&addr, ClientConfig::default())
+                .map_err(|e| format!("swap connect: {e}"))?;
             let d = c.swap_image(&path).map_err(|e| format!("swap: {e}"))?;
             eprintln!(
                 "loadgen: hot-swapped to {path} (version {}, digest {:#018x}, pause {}us)",
@@ -1090,12 +1033,11 @@ fn main() -> ExitCode {
 
     let duration = Duration::from_secs_f64(args.duration_s);
     eprintln!(
-        "loadgen: {} qps for {:.1}s over {} connection(s) against {} (proto {})",
+        "loadgen: {} qps for {:.1}s over {} connection(s) against {}",
         args.qps,
         args.duration_s,
         args.conns,
         targets.join(", "),
-        args.proto
     );
     let t0 = Instant::now();
     let global_sent = Arc::new(AtomicU64::new(0));
@@ -1120,7 +1062,6 @@ fn main() -> ExitCode {
                         expected,
                         swap_expected,
                         global_sent,
-                        args.proto,
                         chaos,
                     )
                 })
@@ -1182,7 +1123,7 @@ fn main() -> ExitCode {
     // `Failed` even through retries — the fail-point is deterministic),
     // then ping, then check the panic counter advanced.
     let chaos_ok = if args.chaos {
-        match chaos_probe(&server_addr, oracle.input_features(), args.proto) {
+        match chaos_probe(&server_addr, oracle.input_features()) {
             Ok(()) => {
                 eprintln!("loadgen: chaos probe OK (typed Failed + post-panic ping)");
                 true
@@ -1290,7 +1231,6 @@ fn main() -> ExitCode {
 
     let report = Report {
         design: format!("{:?}", oracle.design()),
-        proto: args.proto.to_string(),
         qps_target: args.qps,
         qps_achieved: completed as f64 / completed_wall,
         duration_s: wall,
@@ -1407,13 +1347,9 @@ fn main() -> ExitCode {
 /// fail-point (a deterministic worker panic), expect it back as a typed
 /// [`Response::Failed`] even through a retrying client, and confirm the
 /// server still answers a plain ping and counted the panics.
-fn chaos_probe(server_addr: &str, features: usize, proto: Proto) -> Result<(), String> {
-    let cfg = ClientConfig {
-        proto,
-        ..ClientConfig::default()
-    };
-    let mut c =
-        Client::connect_with(server_addr, cfg).map_err(|e| format!("probe connect: {e}"))?;
+fn chaos_probe(server_addr: &str, features: usize) -> Result<(), String> {
+    let mut c = Client::connect_with(server_addr, ClientConfig::default())
+        .map_err(|e| format!("probe connect: {e}"))?;
     let mut input = vec![0.0f32; features];
     input[0] = CHAOS_SENTINEL;
     let policy = RetryPolicy {
@@ -1446,7 +1382,7 @@ mod tests {
 
     /// Three in-flight requests with the frames the sender wrote for
     /// them, back to back from stream byte 5 (after a `BIN1` hello).
-    fn sent_frames(inputs: &[Vec<f32>], proto: Proto) -> (HashMap<u64, SentReq>, Vec<Vec<u8>>) {
+    fn sent_frames(inputs: &[Vec<f32>]) -> (HashMap<u64, SentReq>, Vec<Vec<u8>>) {
         let mut offset = 5;
         let mut in_flight = HashMap::new();
         let mut frames = Vec::new();
@@ -1458,7 +1394,7 @@ mod tests {
                 offset,
             };
             let mut frame = Vec::new();
-            encode_frame(&infer_request(id, &sent, inputs), proto, &mut frame);
+            wire::encode_request(&infer_request(id, &sent, inputs), &mut frame);
             offset += frame.len();
             in_flight.insert(id, sent);
             frames.push(frame);
@@ -1477,44 +1413,38 @@ mod tests {
     #[test]
     fn a_flip_maps_to_the_frame_that_holds_its_byte() {
         let inputs = build_inputs(8);
-        for proto in [Proto::Bin, Proto::Json] {
-            let (in_flight, frames) = sent_frames(&inputs, proto);
-            let ids = [3u64, 7, 11];
-            let first = in_flight[&3].offset;
-            let end = in_flight[&11].offset + frames[2].len();
-            for offset in (0..first).chain(end..end + 16) {
-                assert!(
-                    flipped_request(&flip_at(offset), &in_flight, &inputs, proto).is_none(),
-                    "{proto}: byte {offset} lies in no frame"
-                );
-            }
-            let mut decoded = 0;
-            for offset in first..end {
-                let Some(r) = flipped_request(&flip_at(offset), &in_flight, &inputs, proto) else {
-                    continue;
-                };
-                decoded += 1;
-                let k = (0..3)
-                    .rev()
-                    .find(|&k| in_flight[&ids[k]].offset <= offset)
-                    .unwrap();
-                if proto == Proto::Bin {
-                    // BIN1 re-encodes the decoded request as the frame
-                    // that holds the byte, with that byte flipped. The
-                    // last byte, the trace context's sampled flag, decodes
-                    // any non-zero value as set and re-encodes it as 1.
-                    let mut want = frames[k].clone();
-                    want[offset - in_flight[&ids[k]].offset] ^= 0x40;
-                    let mut got = Vec::new();
-                    encode_frame(&Request::Infer(r), proto, &mut got);
-                    let flag = want.len() - 1;
-                    assert_eq!(got[..flag], want[..flag], "bin: byte {offset}");
-                } else {
-                    assert_eq!(r.id, ids[k], "json: byte {offset}");
-                }
-            }
-            assert!(decoded > 0, "{proto}: some flips leave a valid frame");
+        let (in_flight, frames) = sent_frames(&inputs);
+        let ids = [3u64, 7, 11];
+        let first = in_flight[&3].offset;
+        let end = in_flight[&11].offset + frames[2].len();
+        for offset in (0..first).chain(end..end + 16) {
+            assert!(
+                flipped_request(&flip_at(offset), &in_flight, &inputs).is_none(),
+                "byte {offset} lies in no frame"
+            );
         }
+        let mut decoded = 0;
+        for offset in first..end {
+            let Some(r) = flipped_request(&flip_at(offset), &in_flight, &inputs) else {
+                continue;
+            };
+            decoded += 1;
+            let k = (0..3)
+                .rev()
+                .find(|&k| in_flight[&ids[k]].offset <= offset)
+                .unwrap();
+            // The decoded request re-encodes as the frame that holds the
+            // byte, with that byte flipped. The last byte, the trace
+            // context's sampled flag, decodes any non-zero value as set
+            // and re-encodes it as 1.
+            let mut want = frames[k].clone();
+            want[offset - in_flight[&ids[k]].offset] ^= 0x40;
+            let mut got = Vec::new();
+            wire::encode_request(&Request::Infer(r), &mut got);
+            let flag = want.len() - 1;
+            assert_eq!(got[..flag], want[..flag], "byte {offset}");
+        }
+        assert!(decoded > 0, "some flips leave a valid frame");
     }
 
     #[test]
@@ -1522,11 +1452,11 @@ mod tests {
         // The chaos smoke's case: the flip lands on the top byte of one
         // f32 feature, and the frame stays valid.
         let inputs = build_inputs(8);
-        let (in_flight, _) = sent_frames(&inputs, Proto::Bin);
+        let (in_flight, _) = sent_frames(&inputs);
         let feature = 2;
         // length prefix, kind, id, feature count, then f32 LE features
         let offset = in_flight[&7].offset + 4 + 1 + 8 + 4 + 4 * feature + 3;
-        let r = flipped_request(&flip_at(offset), &in_flight, &inputs, Proto::Bin)
+        let r = flipped_request(&flip_at(offset), &in_flight, &inputs)
             .expect("a flipped exponent byte still decodes");
         assert_eq!(r.id, 7);
         let bits = |v: &[f32]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();

@@ -57,7 +57,7 @@ pub enum Fault {
     /// half: the server sees EOF mid-frame.
     TruncateAfter(usize),
     /// Flip one bit in request byte `n` and keep forwarding — a corrupt
-    /// length prefix or JSON payload the server must reject without
+    /// length prefix or frame body the server must reject without
     /// dying.
     CorruptAfter(usize),
 }

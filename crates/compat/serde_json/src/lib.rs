@@ -2,6 +2,10 @@
 //! [`to_string`], [`to_string_pretty`], and [`from_str`], operating on the
 //! stub serde's [`Value`] tree ([`Value`] is re-exported here so callers
 //! can parse arbitrary documents, upstream-style).
+//!
+//! The parser recurses once per array or object level, so [`from_str`]
+//! refuses documents nested deeper than [`MAX_DEPTH`] with an [`Error`]
+//! instead of overflowing the stack on hostile input.
 
 #![deny(missing_docs)]
 
@@ -28,6 +32,10 @@ impl From<serde::Error> for Error {
 
 /// Result alias matching `serde_json::Result`.
 pub type Result<T> = std::result::Result<T, Error>;
+
+/// Deepest array/object nesting [`from_str`] accepts — upstream
+/// `serde_json`'s recursion limit.
+pub const MAX_DEPTH: usize = 128;
 
 // ---------------------------------------------------------------------------
 // Writing
@@ -162,6 +170,8 @@ pub fn to_string_pretty<T: Serialize + ?Sized>(value: &T) -> Result<String> {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -169,6 +179,7 @@ impl<'a> Parser<'a> {
         Self {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         }
     }
 
@@ -215,8 +226,19 @@ impl<'a> Parser<'a> {
             Some(b't') if self.eat_literal("true") => Ok(Value::Bool(true)),
             Some(b'f') if self.eat_literal("false") => Ok(Value::Bool(false)),
             Some(b'"') => self.parse_string().map(Value::Str),
-            Some(b'[') => self.parse_array(),
-            Some(b'{') => self.parse_object(),
+            Some(open @ (b'[' | b'{')) => {
+                if self.depth == MAX_DEPTH {
+                    return Err(self.err(&format!("nesting deeper than {MAX_DEPTH} levels")));
+                }
+                self.depth += 1;
+                let value = if open == b'[' {
+                    self.parse_array()
+                } else {
+                    self.parse_object()
+                };
+                self.depth -= 1;
+                value
+            }
             Some(b) if b == b'-' || b.is_ascii_digit() => self.parse_number(),
             _ => Err(self.err("expected a JSON value")),
         }
@@ -444,6 +466,24 @@ mod tests {
     #[test]
     fn floats_keep_trailing_zero() {
         assert_eq!(to_string(&vec![2.0f64]).unwrap(), "[2.0]");
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        let arrays = |n: usize| "[".repeat(n) + &"]".repeat(n);
+        let objects = |n: usize| "{\"a\":".repeat(n) + "0" + &"}".repeat(n);
+        for doc in [arrays(MAX_DEPTH), objects(MAX_DEPTH)] {
+            from_str::<Value>(&doc).expect("MAX_DEPTH levels parse");
+        }
+        for doc in [
+            arrays(MAX_DEPTH + 1),
+            objects(MAX_DEPTH + 1),
+            "[".repeat(100_000),
+            "{\"a\":".repeat(100_000),
+        ] {
+            let err = from_str::<Value>(&doc).expect_err("too deep");
+            assert!(err.to_string().contains("nesting deeper than 128"), "{err}");
+        }
     }
 
     #[test]

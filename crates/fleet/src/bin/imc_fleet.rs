@@ -5,7 +5,7 @@
 //! imc-fleet --listen 127.0.0.1:7500 \
 //!           --replica 127.0.0.1:7501 --replica 127.0.0.1:7502 \
 //!           [--manifest fleet.json | --design chgfe --shards 2] \
-//!           [--proto bin|json] [--obs-addr 127.0.0.1:9901]
+//!           [--obs-addr 127.0.0.1:9901]
 //! ```
 //!
 //! The plan comes either from a `fleet.json` written by `imc-compile
@@ -18,7 +18,7 @@ use std::process::ExitCode;
 use std::time::Duration;
 
 use imc_fleet::{serve_fleet, EnergyBudget, FleetPlan, RouterConfig};
-use imc_serve::{install_signal_handlers, parse_design, wire::Proto};
+use imc_serve::{install_signal_handlers, parse_design};
 
 fn usage() -> &'static str {
     "imc-fleet: fleet router over imc-serve replicas\n\
@@ -26,8 +26,7 @@ fn usage() -> &'static str {
      USAGE:\n\
        imc-fleet [--listen ADDR] --replica ADDR [--replica ADDR ...]\n\
                  (--manifest FLEET.json | [--design NAME] [--seed N] [--shards N] [--variants])\n\
-                 [--energy-budget J [--energy-window-ms MS]]\n\
-                 [--proto bin|json] [--obs-addr ADDR]\n\
+                 [--energy-budget J [--energy-window-ms MS]] [--obs-addr ADDR]\n\
      \n\
      OPTIONS:\n\
        --listen ADDR          front-door bind address (default 127.0.0.1:7500)\n\
@@ -41,7 +40,6 @@ fn usage() -> &'static str {
        --energy-budget J      per-window analytical energy budget in joules;\n\
                               also turns on lowest-energy-variant routing\n\
        --energy-window-ms MS  budget accounting window (default 1000)\n\
-       --proto P              upstream protocol: bin (default) or json\n\
        --obs-addr ADDR        serve GET /metrics for the router process\n"
 }
 
@@ -59,7 +57,6 @@ fn main() -> ExitCode {
     let mut variants = false;
     let mut energy_budget_j: Option<f64> = None;
     let mut energy_window_ms = 1000u64;
-    let mut proto = Proto::Bin;
     let mut obs_addr: Option<String> = None;
 
     let mut it = args.iter();
@@ -104,17 +101,6 @@ fn main() -> ExitCode {
                 v.parse()
                     .map(|ms| energy_window_ms = ms)
                     .map_err(|e| format!("--energy-window-ms: {e}"))
-            }),
-            "--proto" => val("--proto").and_then(|v| match v.as_str() {
-                "bin" => {
-                    proto = Proto::Bin;
-                    Ok(())
-                }
-                "json" => {
-                    proto = Proto::Json;
-                    Ok(())
-                }
-                other => Err(format!("--proto: unknown protocol `{other}`")),
             }),
             "--obs-addr" => val("--obs-addr").map(|v| obs_addr = Some(v)),
             "--help" | "-h" => {
@@ -191,10 +177,6 @@ fn main() -> ExitCode {
     });
 
     let cfg = RouterConfig {
-        client: imc_serve::ClientConfig {
-            proto,
-            ..Default::default()
-        },
         energy_budget: energy_budget_j.map(|joules| EnergyBudget {
             joules,
             window: Duration::from_millis(energy_window_ms),

@@ -6,7 +6,7 @@
 //! makes N replicas answer exactly like one chip.
 //!
 //! ```text
-//!  clients ──Infer (JSON/BIN1)──▶ imc-fleet router
+//!  clients ──Infer (BIN1)───────▶ imc-fleet router
 //!                                   │ per layer: quantize once
 //!                                   │ scatter Partial ──▶ shard-0 replica(s)
 //!                                   │                 ──▶ shard-1 replica(s)

@@ -1,6 +1,6 @@
 //! The fleet front door: a TCP server speaking the `imc-serve`
-//! protocol (JSON and `BIN1`) that routes whole-model `Infer` requests
-//! over a fleet of chip replicas.
+//! protocol (`BIN1`) that routes whole-model `Infer` requests over a
+//! fleet of chip replicas.
 //!
 //! Two routing modes, chosen by the plan's shard count:
 //!
@@ -33,9 +33,7 @@ use std::time::{Duration, Instant};
 use imc_obs::{
     counter, counter_vec, gauge, gauge_vec, SpanRec, SpanStatus, TraceContext, TraceRec,
 };
-use imc_serve::protocol::{
-    self, DescribeReply, FailedReply, InferReply, Request, Response, ShedReply, MAX_FRAME_BYTES,
-};
+use imc_serve::protocol::{DescribeReply, FailedReply, InferReply, Request, Response, ShedReply};
 use imc_serve::{argmax_total, wire, Client, ClientConfig, RetryPolicy, ShutdownFlag};
 use neural::quant::quantize_activations;
 use neural::tensor::Tensor;
@@ -61,8 +59,7 @@ pub struct EnergyBudget {
 /// Router tuning knobs.
 #[derive(Debug, Clone)]
 pub struct RouterConfig {
-    /// Upstream (router → replica) client settings; `client.proto`
-    /// picks JSON or `BIN1` toward the replicas.
+    /// Upstream (router → replica) client settings.
     pub client: ClientConfig,
     /// Failover pacing: attempt `k` against a shard sleeps
     /// `retry.backoff_delay(k, request_id)` before trying the next
@@ -327,98 +324,39 @@ fn accept_loop(listener: &TcpListener, state: &Arc<RouterState>) {
     }
 }
 
-/// One downstream connection: negotiate JSON vs `BIN1` exactly like
-/// `imc-serve`, then serve frames until EOF. Each connection thread
-/// owns its upstream clients, so replica sockets are never shared
-/// across request streams.
+/// One downstream connection: the `BIN1` handshake exactly like
+/// `imc-serve` (any opening but the hello gets the nack and a close),
+/// then frames until EOF. Each connection thread owns its upstream
+/// clients, so replica sockets are never shared across request streams.
 fn handle_conn(mut stream: TcpStream, state: &Arc<RouterState>) {
-    let mut upstreams: HashMap<usize, Client> = HashMap::new();
-    let mut prefix = [0u8; 4];
-    if stream.read_exact(&mut prefix).is_err() {
+    let mut hello = [0u8; 5];
+    if stream.read_exact(&mut hello).is_err() {
         return;
     }
-    if prefix == wire::MAGIC {
-        let mut ver = [0u8; 1];
-        if stream.read_exact(&mut ver).is_err() {
-            return;
-        }
-        let mut ack = [0u8; 5];
-        ack[..4].copy_from_slice(&wire::MAGIC);
-        if ver[0] != wire::VERSION {
-            // Version nack: echo magic with version 0, then close.
-            let _ = stream.write_all(&ack);
-            return;
-        }
-        ack[4] = wire::VERSION;
-        if stream.write_all(&ack).is_err() {
-            return;
-        }
-        bin_loop(&mut stream, state, &mut upstreams);
-    } else {
-        json_loop(
-            &mut stream,
-            state,
-            &mut upstreams,
-            u32::from_be_bytes(prefix),
-        );
+    let mut ack = [0u8; 5];
+    ack[..4].copy_from_slice(&wire::MAGIC);
+    if hello[..4] != wire::MAGIC || hello[4] != wire::VERSION {
+        // Nack: echo the magic with version 0, then close.
+        let _ = stream.write_all(&ack);
+        return;
     }
-}
-
-fn bin_loop(
-    stream: &mut TcpStream,
-    state: &Arc<RouterState>,
-    upstreams: &mut HashMap<usize, Client>,
-) {
+    ack[4] = wire::VERSION;
+    if stream.write_all(&ack).is_err() {
+        return;
+    }
+    let mut upstreams: HashMap<usize, Client> = HashMap::new();
     let mut arena = Vec::new();
     let mut scratch = Vec::new();
     loop {
-        match wire::read_frame_into(stream, &mut arena) {
+        match wire::read_frame_into(&mut stream, &mut arena) {
             Ok(true) => {}
             Ok(false) | Err(_) => return,
         }
         let (resp, stop) = match wire::decode_request(&arena) {
-            Ok(req) => dispatch(state, upstreams, req),
+            Ok(req) => dispatch(state, &mut upstreams, req),
             Err(e) => (Response::Error(format!("bad BIN1 frame: {e}")), true),
         };
-        if wire::write_response(stream, &resp, &mut scratch).is_err() || stop {
-            return;
-        }
-    }
-}
-
-fn json_loop(
-    stream: &mut TcpStream,
-    state: &Arc<RouterState>,
-    upstreams: &mut HashMap<usize, Client>,
-    first_len: u32,
-) {
-    // The negotiation sniff already consumed the first frame's length
-    // prefix; read its payload directly, then fall into read_frame.
-    let mut pending_len = Some(first_len);
-    loop {
-        let json = if let Some(len) = pending_len.take() {
-            if len > MAX_FRAME_BYTES {
-                return;
-            }
-            let mut payload = vec![0u8; len as usize];
-            if stream.read_exact(&mut payload).is_err() {
-                return;
-            }
-            match String::from_utf8(payload) {
-                Ok(s) => s,
-                Err(_) => return,
-            }
-        } else {
-            match protocol::read_frame(stream) {
-                Ok(Some(s)) => s,
-                Ok(None) | Err(_) => return,
-            }
-        };
-        let (resp, stop) = match serde_json::from_str::<Request>(&json) {
-            Ok(req) => dispatch(state, upstreams, req),
-            Err(e) => (Response::Error(format!("bad request: {e}")), true),
-        };
-        if protocol::write_response(stream, &resp).is_err() || stop {
+        if wire::write_response(&mut stream, &resp, &mut scratch).is_err() || stop {
             return;
         }
     }
@@ -442,12 +380,6 @@ fn dispatch(
                 features: state.plan.features,
                 classes: state.plan.classes,
             }),
-            false,
-        ),
-        Request::Stats => (
-            Response::Error(
-                "imc-fleet: stats are per-replica; scrape the router obs endpoint".into(),
-            ),
             false,
         ),
         Request::Shutdown => {

@@ -7,9 +7,9 @@
 //! split into [`SUB_BUCKETS`] linear sub-buckets, bounding the relative
 //! quantile error at `1/SUB_BUCKETS` (6.25 %) across nine decades
 //! without per-observation allocation. The bucket math is **identical**
-//! to the original `crates/serve/src/metrics.rs` implementation, which
-//! is what keeps `Stats` replies bit-compatible after the migration
-//! (asserted by `crates/serve/tests/metrics_compat.rs`).
+//! to the original `crates/serve/src/metrics.rs` implementation, so
+//! serve's latency quantiles did not move in the migration (asserted
+//! against a frozen copy by `crates/serve/tests/metrics_compat.rs`).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

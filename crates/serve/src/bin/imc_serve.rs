@@ -15,7 +15,7 @@
 //! `imc-compile` chip image instead (effective post-fault weights; the
 //! image fixes the architecture and design). Stop with ctrl-c / SIGTERM
 //! or a `Shutdown` control request; either way the server drains all
-//! admitted work before exiting and prints a final stats summary.
+//! admitted work before exiting and prints a final metrics summary.
 //!
 //! `--obs-addr` additionally serves the process-wide `imc-obs` registry
 //! over HTTP (`GET /metrics` Prometheus text, `GET /metrics.json`) for
@@ -262,16 +262,16 @@ fn main() -> ExitCode {
     println!("imc-serve: shutting down, draining admitted work...");
     let metrics = handle.metrics_handle();
     handle.join();
-    let snap = metrics.snapshot(0);
+    let latency = metrics.request_latency.summary();
     println!(
         "imc-serve: done. admitted={} completed={} shed={} batches={} errors={} p50={}us p99={}us",
-        snap.admitted,
-        snap.completed,
-        snap.shed,
-        snap.batches,
-        snap.protocol_errors,
-        snap.request_latency.p50_us,
-        snap.request_latency.p99_us,
+        metrics.admitted.get(),
+        metrics.completed.get(),
+        metrics.shed.get(),
+        metrics.batches.get(),
+        metrics.protocol_errors.get(),
+        latency.p50,
+        latency.p99,
     );
     imc_obs::print_summary_if_env();
     ExitCode::SUCCESS

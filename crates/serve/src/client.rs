@@ -21,8 +21,8 @@ use std::time::Duration;
 use imc_obs::TraceContext;
 
 use crate::protocol::{
-    read_response, write_request, DescribeReply, InferRequest, PartialRequest, PartialSumReply,
-    Request, Response, StatsReply, SwapDoneReply, SwapRequest,
+    DescribeReply, InferRequest, PartialRequest, PartialSumReply, Request, Response, SwapDoneReply,
+    SwapRequest,
 };
 use crate::wire::{self, Proto};
 
@@ -35,10 +35,9 @@ pub struct ClientConfig {
     /// forever). Reads that exceed it surface `WouldBlock`/`TimedOut`
     /// errors, which [`Client::infer_retry`] treats as retryable.
     pub request_timeout: Option<Duration>,
-    /// Wire protocol: legacy JSON (default) or the negotiated `BIN1`
-    /// binary framing. With [`Proto::Bin`] the connect path performs
-    /// the magic+version handshake; a pre-handshake `Busy` from a full
-    /// server surfaces as `ConnectionRefused`.
+    /// Wire protocol; `BIN1` is the only one. The connect path performs
+    /// the magic+version handshake, and a `Busy` from a full server
+    /// surfaces as `ConnectionRefused`.
     pub proto: Proto,
 }
 
@@ -47,7 +46,7 @@ impl Default for ClientConfig {
         Self {
             connect_timeout: Some(Duration::from_secs(5)),
             request_timeout: Some(Duration::from_secs(30)),
-            proto: Proto::Json,
+            proto: Proto::Bin,
         }
     }
 }
@@ -122,7 +121,7 @@ pub struct Client {
     /// [`connect`]: Self::connect
     addrs: Vec<SocketAddr>,
     cfg: ClientConfig,
-    /// `BIN1` encode scratch and read arena, reused across requests so
+    /// Encode scratch and read arena, reused across requests so
     /// steady-state round trips allocate nothing on the wire path.
     scratch: Vec<u8>,
     arena: Vec<u8>,
@@ -141,7 +140,7 @@ impl Client {
         let cfg = ClientConfig {
             connect_timeout: None,
             request_timeout: None,
-            proto: Proto::Json,
+            proto: Proto::Bin,
         };
         let stream = Self::open(&addrs, &cfg)?;
         Ok(Self {
@@ -195,9 +194,7 @@ impl Client {
         stream.set_nodelay(true).ok();
         stream.set_read_timeout(cfg.request_timeout).ok();
         stream.set_write_timeout(cfg.request_timeout).ok();
-        if cfg.proto == Proto::Bin {
-            wire::client_handshake(&mut stream)?;
-        }
+        wire::client_handshake(&mut stream)?;
         Ok(stream)
     }
 
@@ -219,10 +216,7 @@ impl Client {
     ///
     /// Propagates I/O errors.
     pub fn send(&mut self, req: &Request) -> io::Result<()> {
-        match self.cfg.proto {
-            Proto::Json => write_request(&mut self.stream, req),
-            Proto::Bin => wire::write_request(&mut self.stream, req, &mut self.scratch),
-        }
+        wire::write_request(&mut self.stream, req, &mut self.scratch)
     }
 
     /// Receives the next response frame (`None` on clean server close).
@@ -231,10 +225,7 @@ impl Client {
     ///
     /// Propagates I/O and parse errors.
     pub fn recv(&mut self) -> io::Result<Option<Response>> {
-        match self.cfg.proto {
-            Proto::Json => read_response(&mut self.stream),
-            Proto::Bin => wire::read_response(&mut self.stream, &mut self.arena),
-        }
+        wire::read_response(&mut self.stream, &mut self.arena)
     }
 
     /// Round-trips one inference request.
@@ -300,22 +291,6 @@ impl Client {
             // A failed re-dial is not fatal here: the next attempt's
             // send will surface it, and the server may be back by then.
             self.reconnect().ok();
-        }
-    }
-
-    /// Fetches a statistics snapshot.
-    ///
-    /// # Errors
-    ///
-    /// Fails on I/O errors or an unexpected response variant.
-    pub fn stats(&mut self) -> io::Result<StatsReply> {
-        self.send(&Request::Stats)?;
-        match self.recv()? {
-            Some(Response::Stats(s)) => Ok(s),
-            other => Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("expected Stats, got {other:?}"),
-            )),
         }
     }
 

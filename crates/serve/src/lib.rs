@@ -20,12 +20,10 @@
 //!
 //! Layer by layer:
 //!
-//! * [`protocol`] — length-prefixed JSON framing and the request/response
-//!   types.
-//! * [`wire`] — the negotiated `BIN1` binary framing (magic + version
-//!   hello, little-endian frames, raw f32 payloads) that the client,
-//!   server, and loadgen speak by default on the hot path; JSON stays
-//!   as the compat fallback.
+//! * [`protocol`] — the request/response types.
+//! * [`wire`] — `BIN1`, the one wire format (magic + version hello,
+//!   little-endian frames, raw f32 payloads) that the client, server,
+//!   fleet router and loadgen speak.
 //! * [`batcher`] — the bounded admission queue with deadline-based
 //!   dynamic batching; overflow is shed immediately (backpressure).
 //! * [`scheduler`] — least-loaded dispatch across per-bank workers,
@@ -34,7 +32,7 @@
 //!   deterministic weights or a `neural::checkpoint` restore.
 //! * [`metrics`] — service counters and latency histograms, backed by
 //!   the shared `imc-obs` registry (scrapeable via `--obs-addr`) and
-//!   folded into `Stats` control replies.
+//!   readable in-process through [`ServerHandle::metrics`].
 //! * [`server`] — ties it together: [`server::serve`] returns a
 //!   [`server::ServerHandle`] for graceful shutdown.
 //! * [`client`] — a small blocking client (used by `loadgen` and the

@@ -2,12 +2,9 @@
 //!
 //! Recording sits on the response path, so everything is lock-free —
 //! every handle is an `imc-obs` counter/gauge/histogram whose hot path
-//! is a single relaxed atomic op. Snapshots ([`Metrics::snapshot`])
-//! fold the histograms into p50/p95/p99 summaries for the `Stats`
-//! control request, with **exactly** the same bucket math as the
-//! original in-crate implementation (the log-linear histogram now lives
-//! in [`imc_obs::hist`]), so `Stats` replies are byte-identical across
-//! the migration — asserted by `tests/metrics_compat.rs`.
+//! is a single relaxed atomic op. The metrics are read in one of two
+//! ways: a scrape of the registry (`/metrics`), or the handles
+//! themselves through [`ServerHandle::metrics`](crate::ServerHandle::metrics).
 //!
 //! Each [`Metrics`] instance owns fresh handles (tests run several
 //! servers per process and must not share counters) and *also*
@@ -15,25 +12,7 @@
 //! scrape endpoint (`--obs-addr`) always reports the most recently
 //! started server.
 
-use std::time::Instant;
-
 use imc_obs::{registry, Counter, Gauge, Histogram};
-
-use crate::protocol::{BankStats, LatencySummary, StatsReply};
-
-/// Converts an obs histogram summary into the wire-format summary. The
-/// field-by-field copy is the whole migration: the quantile math is
-/// shared, so the wire values cannot drift.
-fn to_latency_summary(s: &imc_obs::Summary) -> LatencySummary {
-    LatencySummary {
-        count: s.count,
-        mean_us: s.mean,
-        p50_us: s.p50,
-        p95_us: s.p95,
-        p99_us: s.p99,
-        max_us: s.max,
-    }
-}
 
 /// Per-bank dispatch counters.
 #[derive(Debug, Clone, Default)]
@@ -76,8 +55,7 @@ pub struct Metrics {
     pub request_latency: Histogram,
     /// Bank execution latency per batch.
     pub batch_latency: Histogram,
-    /// Admission-queue depth, sampled by the batcher (exporters only —
-    /// `Stats` replies carry the depth passed to [`Metrics::snapshot`]).
+    /// Admission-queue depth, sampled by the batcher.
     pub queue_depth: Gauge,
     /// Completed hot swaps of the serving image —
     /// `serve.swaps_total` on the scrape endpoint.
@@ -87,7 +65,6 @@ pub struct Metrics {
     pub image_version: Gauge,
     /// Per-bank counters, indexed by bank id.
     pub banks: Vec<BankCounters>,
-    started: Instant,
 }
 
 impl Metrics {
@@ -113,7 +90,6 @@ impl Metrics {
             swaps_total: Counter::new(),
             image_version: Gauge::new(),
             banks: (0..banks).map(|_| BankCounters::default()).collect(),
-            started: Instant::now(),
         };
         let r = registry();
         r.insert_counter(
@@ -223,36 +199,6 @@ impl Metrics {
         }
         m
     }
-
-    /// Folds everything into a wire-format snapshot. `queue_depth` is
-    /// sampled by the caller (the metrics layer doesn't own the queue).
-    #[must_use]
-    pub fn snapshot(&self, queue_depth: usize) -> StatsReply {
-        let uptime = self.started.elapsed();
-        let completed = self.completed.get();
-        StatsReply {
-            admitted: self.admitted.get(),
-            completed,
-            shed: self.shed.get(),
-            protocol_errors: self.protocol_errors.get(),
-            batches: self.batches.get(),
-            queue_depth,
-            throughput_rps: completed as f64 / uptime.as_secs_f64().max(1e-9),
-            uptime_ms: uptime.as_millis() as u64,
-            request_latency: to_latency_summary(&self.request_latency.summary()),
-            batch_latency: to_latency_summary(&self.batch_latency.summary()),
-            banks: self
-                .banks
-                .iter()
-                .enumerate()
-                .map(|(bank, c)| BankStats {
-                    bank,
-                    batches: c.batches.get(),
-                    requests: c.requests.get(),
-                })
-                .collect(),
-        }
-    }
 }
 
 #[cfg(test)]
@@ -263,17 +209,6 @@ mod tests {
     // registry, so parallel tests would race on what "latest" means.
     #[test]
     fn instances_are_isolated_and_the_latest_wins_the_scrape() {
-        let m = Metrics::new(3);
-        m.banks[1].batches.add(2);
-        m.banks[1].requests.add(9);
-        m.completed.add(9);
-        let s = m.snapshot(5);
-        assert_eq!(s.queue_depth, 5);
-        assert_eq!(s.banks.len(), 3);
-        assert_eq!(s.banks[1].batches, 2);
-        assert_eq!(s.banks[1].requests, 9);
-        assert!(s.throughput_rps > 0.0);
-
         // Fresh instances do not share counters.
         let a = Metrics::new(1);
         a.admitted.add(4);

@@ -1,37 +1,18 @@
-//! Wire protocol: length-prefixed JSON frames over TCP.
-//!
-//! Every message — in both directions — is one *frame*: a 4-byte
-//! big-endian `u32` payload length followed by exactly that many bytes of
-//! UTF-8 JSON. Frames larger than [`MAX_FRAME_BYTES`] are rejected so a
-//! corrupt length prefix cannot make the server allocate gigabytes.
-//!
-//! The JSON bodies are the externally-tagged [`Request`] / [`Response`]
-//! enums (the encoding the offline serde stub produces): a unit variant
-//! renders as its name (`"Stats"`), a payload variant as a one-field
-//! object (`{"Infer": {...}}`).
-//!
-//! f32 payloads survive the round trip bit-exactly for finite values:
-//! the writer prints the shortest `f64` representation of the widened
-//! float and the parser narrows it back.
-
-use std::io::{self, Read, Write};
+//! The serve protocol's messages: the [`Request`] and [`Response`]
+//! enums and their payload structs. [`crate::wire`] frames them as
+//! `BIN1`, the only encoding the server, the fleet router and the
+//! client speak.
 
 use imc_obs::TraceContext;
-use serde::{Deserialize, Serialize, Value};
 
-/// Upper bound on a frame payload (16 MiB) — far above any legal request
-/// (a 784-feature MNIST-shaped input is a few KiB of JSON) but small
-/// enough that a garbage length prefix fails fast.
+/// Upper bound on a frame body (16 MiB) — far above any legal request
+/// (a 784-feature MNIST-shaped input is about 3 KiB) but small enough
+/// that a garbage length prefix fails fast.
 pub const MAX_FRAME_BYTES: u32 = 16 * 1024 * 1024;
 
 /// One inference request: an `id` chosen by the client (echoed back in
 /// the matching [`InferReply`] / [`ShedReply`]) and the flat input
 /// vector, row-major, matching the served model's `input_features`.
-///
-/// Serde impls are hand-written (not derived) because `trace` must be
-/// *optional on the wire*: the field is omitted when `None` and
-/// tolerated as missing on decode, so traced and untraced builds
-/// interoperate in both directions.
 #[derive(Debug, Clone, PartialEq)]
 pub struct InferRequest {
     /// Client-chosen correlation id.
@@ -39,59 +20,8 @@ pub struct InferRequest {
     /// Flat input features in `[0, 1]`.
     pub input: Vec<f32>,
     /// Optional distributed-tracing context. `None` (the default for
-    /// untraced clients) encodes as an absent field.
+    /// untraced clients) adds no bytes to the frame.
     pub trace: Option<TraceContext>,
-}
-
-/// Lowers a [`TraceContext`] into the inline JSON object
-/// `{"trace_id":N,"parent_span":N,"sampled":b}` (the context lives in
-/// the zero-dependency `imc-obs` crate, so its serde shape is defined
-/// here with the protocol).
-fn trace_to_value(t: &TraceContext) -> Value {
-    Value::Object(vec![
-        ("trace_id".to_owned(), Value::UInt(t.trace_id)),
-        ("parent_span".to_owned(), Value::UInt(t.parent_span)),
-        ("sampled".to_owned(), Value::Bool(t.sampled)),
-    ])
-}
-
-fn trace_from_value(v: &Value) -> Result<TraceContext, serde::Error> {
-    Ok(TraceContext {
-        trace_id: v.field("trace_id")?.as_u64()?,
-        parent_span: v.field("parent_span")?.as_u64()?,
-        sampled: v.field("sampled")?.as_bool()?,
-    })
-}
-
-/// An optional trace field: absent or `null` → `None`.
-fn opt_trace_field(v: &Value, name: &str) -> Result<Option<TraceContext>, serde::Error> {
-    match v.field(name) {
-        Ok(Value::Null) | Err(_) => Ok(None),
-        Ok(tv) => Ok(Some(trace_from_value(tv)?)),
-    }
-}
-
-impl Serialize for InferRequest {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("id".to_owned(), self.id.to_value()),
-            ("input".to_owned(), self.input.to_value()),
-        ];
-        if let Some(t) = &self.trace {
-            fields.push(("trace".to_owned(), trace_to_value(t)));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for InferRequest {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        Ok(Self {
-            id: u64::from_value(v.field("id")?)?,
-            input: Vec::from_value(v.field("input")?)?,
-            trace: opt_trace_field(v, "trace")?,
-        })
-    }
 }
 
 /// One partial-MAC request from a fleet router: run MAC layer `layer`
@@ -114,37 +44,8 @@ pub struct PartialRequest {
     /// Quantized activation codes for the layer's full fan-in (each an
     /// integer-valued f32 straight out of `quantize_activations`).
     pub codes: Vec<f32>,
-    /// Optional distributed-tracing context (absent field when `None`).
+    /// Optional distributed-tracing context (no bytes when `None`).
     pub trace: Option<TraceContext>,
-}
-
-impl Serialize for PartialRequest {
-    fn to_value(&self) -> Value {
-        let mut fields = vec![
-            ("id".to_owned(), self.id.to_value()),
-            ("layer".to_owned(), self.layer.to_value()),
-            ("chunk_lo".to_owned(), self.chunk_lo.to_value()),
-            ("chunk_hi".to_owned(), self.chunk_hi.to_value()),
-            ("codes".to_owned(), self.codes.to_value()),
-        ];
-        if let Some(t) = &self.trace {
-            fields.push(("trace".to_owned(), trace_to_value(t)));
-        }
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for PartialRequest {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        Ok(Self {
-            id: u64::from_value(v.field("id")?)?,
-            layer: usize::from_value(v.field("layer")?)?,
-            chunk_lo: usize::from_value(v.field("chunk_lo")?)?,
-            chunk_hi: usize::from_value(v.field("chunk_hi")?)?,
-            codes: Vec::from_value(v.field("codes")?)?,
-            trace: opt_trace_field(v, "trace")?,
-        })
-    }
 }
 
 /// Ask the server to hot-swap its serving model to the chip image at a
@@ -154,7 +55,7 @@ impl Deserialize for PartialRequest {
 /// success or [`Response::Error`] when the image is missing, corrupt,
 /// or shape-incompatible (wrong feature/class count or shard cut) —
 /// a rejected swap leaves the old model serving untouched.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SwapRequest {
     /// Path of the new `ChipImage` JSON, resolved on the server's
     /// filesystem (the image is never shipped over this protocol).
@@ -162,7 +63,7 @@ pub struct SwapRequest {
 }
 
 /// Acknowledgement of a completed [`Request::SwapImage`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SwapDoneReply {
     /// Image version now serving: 1 at startup, +1 per successful swap.
     pub version: u64,
@@ -175,12 +76,10 @@ pub struct SwapDoneReply {
 }
 
 /// A client → server message.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Request {
     /// Run one inference (may be shed under backpressure).
     Infer(InferRequest),
-    /// Return a [`StatsReply`] snapshot.
-    Stats,
     /// Liveness probe; answered with [`Response::Pong`].
     Ping,
     /// Begin graceful shutdown: drain in-flight batches, then exit.
@@ -216,42 +115,8 @@ pub struct InferReply {
     pub trace_id: u64,
 }
 
-impl Serialize for InferReply {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("id".to_owned(), self.id.to_value()),
-            ("logits".to_owned(), self.logits.to_value()),
-            ("class".to_owned(), self.class.to_value()),
-            ("bank".to_owned(), self.bank.to_value()),
-            ("batch".to_owned(), self.batch.to_value()),
-            ("queue_us".to_owned(), self.queue_us.to_value()),
-            ("service_us".to_owned(), self.service_us.to_value()),
-            ("trace_id".to_owned(), self.trace_id.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for InferReply {
-    fn from_value(v: &Value) -> Result<Self, serde::Error> {
-        Ok(Self {
-            id: u64::from_value(v.field("id")?)?,
-            logits: Vec::from_value(v.field("logits")?)?,
-            class: usize::from_value(v.field("class")?)?,
-            bank: usize::from_value(v.field("bank")?)?,
-            batch: usize::from_value(v.field("batch")?)?,
-            queue_us: u64::from_value(v.field("queue_us")?)?,
-            service_us: u64::from_value(v.field("service_us")?)?,
-            // Replies from pre-tracing servers lack the field: untraced.
-            trace_id: match v.field("trace_id") {
-                Ok(t) => u64::from_value(t)?,
-                Err(_) => 0,
-            },
-        })
-    }
-}
-
 /// Backpressure response: the request was not executed.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShedReply {
     /// Echo of the request id.
     pub id: u64,
@@ -262,7 +127,7 @@ pub struct ShedReply {
 /// Connection-level backpressure: the server is at its concurrent
 /// connection cap and refused this connection before reading any
 /// request. Sent once, then the connection is closed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BusyReply {
     /// Connections currently being served.
     pub active: usize,
@@ -274,7 +139,7 @@ pub struct BusyReply {
 /// panicked on its batch). Unlike [`Response::Error`], it carries the
 /// request id so pipelined clients can correlate — and because infer
 /// ids are client-chosen and idempotent, the request is safe to retry.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FailedReply {
     /// Echo of the request id.
     pub id: u64,
@@ -287,7 +152,7 @@ pub struct FailedReply {
 /// requested chunk range, before dequantization. Partials from a chunk
 /// tiling add in i64 with no rounding, so the router-side combine is
 /// bit-exact.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct PartialSumReply {
     /// Echo of the request id.
     pub id: u64,
@@ -301,7 +166,7 @@ pub struct PartialSumReply {
 /// Routers use the digest to refuse mixing replicas that load different
 /// images (stale weights, different executor settings, or a different
 /// shard slice all change the digest).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DescribeReply {
     /// Content digest of the loaded image (0 for synthetic models).
     pub digest: u64,
@@ -315,70 +180,13 @@ pub struct DescribeReply {
     pub classes: usize,
 }
 
-/// Latency distribution summary (microseconds).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct LatencySummary {
-    /// Number of recorded observations.
-    pub count: u64,
-    /// Mean (µs).
-    pub mean_us: f64,
-    /// Median (µs).
-    pub p50_us: u64,
-    /// 95th percentile (µs).
-    pub p95_us: u64,
-    /// 99th percentile (µs).
-    pub p99_us: u64,
-    /// Largest observation (µs, bucket-rounded).
-    pub max_us: u64,
-}
-
-/// Per-bank scheduler counters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct BankStats {
-    /// Bank index.
-    pub bank: usize,
-    /// Batches executed on this bank.
-    pub batches: u64,
-    /// Requests executed on this bank.
-    pub requests: u64,
-}
-
-/// Server statistics snapshot (`Stats` control request).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
-pub struct StatsReply {
-    /// Requests admitted to the queue so far.
-    pub admitted: u64,
-    /// Requests completed (responses written).
-    pub completed: u64,
-    /// Requests shed by backpressure.
-    pub shed: u64,
-    /// Malformed frames / JSON errors seen.
-    pub protocol_errors: u64,
-    /// Batches dispatched to banks.
-    pub batches: u64,
-    /// Current admission-queue depth.
-    pub queue_depth: usize,
-    /// Completed requests per second since startup.
-    pub throughput_rps: f64,
-    /// Uptime (ms).
-    pub uptime_ms: u64,
-    /// End-to-end request latency (admission → response ready).
-    pub request_latency: LatencySummary,
-    /// Per-batch service latency (bank execution only).
-    pub batch_latency: LatencySummary,
-    /// Per-bank dispatch counters.
-    pub banks: Vec<BankStats>,
-}
-
 /// A server → client message.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum Response {
     /// Successful inference.
     Output(InferReply),
     /// Backpressure: request not executed.
     Shed(ShedReply),
-    /// Statistics snapshot.
-    Stats(StatsReply),
     /// Answer to [`Request::Ping`].
     Pong,
     /// Acknowledgement of [`Request::Shutdown`]; the server drains and
@@ -396,348 +204,4 @@ pub enum Response {
     Describe(DescribeReply),
     /// A [`Request::SwapImage`] completed; the new image is serving.
     SwapDone(SwapDoneReply),
-}
-
-/// Writes one frame (length prefix + JSON payload).
-///
-/// # Errors
-///
-/// Propagates I/O errors; fails if the payload exceeds
-/// [`MAX_FRAME_BYTES`].
-pub fn write_frame<W: Write>(w: &mut W, json: &str) -> io::Result<()> {
-    let len = u32::try_from(json.len())
-        .ok()
-        .filter(|&l| l <= MAX_FRAME_BYTES)
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(json.as_bytes())?;
-    w.flush()
-}
-
-/// Reads one frame, returning `Ok(None)` on a clean EOF at a frame
-/// boundary (the peer closed the connection between messages).
-///
-/// # Errors
-///
-/// Propagates I/O errors; fails on an oversized length prefix, a
-/// truncated payload, or non-UTF-8 bytes.
-pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Option<String>> {
-    let mut len_buf = [0u8; 4];
-    let mut filled = 0usize;
-    while filled < 4 {
-        match r.read(&mut len_buf[filled..]) {
-            Ok(0) if filled == 0 => return Ok(None),
-            Ok(0) => {
-                return Err(io::Error::new(
-                    io::ErrorKind::UnexpectedEof,
-                    "EOF inside frame length prefix",
-                ))
-            }
-            Ok(n) => filled += n,
-            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    let len = u32::from_be_bytes(len_buf);
-    if len > MAX_FRAME_BYTES {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"),
-        ));
-    }
-    let mut payload = vec![0u8; len as usize];
-    r.read_exact(&mut payload)?;
-    String::from_utf8(payload)
-        .map(Some)
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidData, "frame payload is not UTF-8"))
-}
-
-/// Serializes and writes a [`Response`] frame.
-///
-/// # Errors
-///
-/// Propagates I/O errors from [`write_frame`].
-pub fn write_response<W: Write>(w: &mut W, resp: &Response) -> io::Result<()> {
-    let json = serde_json::to_string(resp).expect("response serializes");
-    write_frame(w, &json)
-}
-
-/// Serializes and writes a [`Request`] frame.
-///
-/// # Errors
-///
-/// Propagates I/O errors from [`write_frame`].
-pub fn write_request<W: Write>(w: &mut W, req: &Request) -> io::Result<()> {
-    let json = serde_json::to_string(req).expect("request serializes");
-    write_frame(w, &json)
-}
-
-/// Reads and parses one [`Response`] frame (`Ok(None)` on clean EOF).
-///
-/// # Errors
-///
-/// Propagates frame I/O errors; fails on JSON that is not a `Response`.
-pub fn read_response<R: Read>(r: &mut R) -> io::Result<Option<Response>> {
-    match read_frame(r)? {
-        None => Ok(None),
-        Some(json) => serde_json::from_str(&json)
-            .map(Some)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string())),
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn frames_round_trip() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, "hello").unwrap();
-        write_frame(&mut buf, "").unwrap();
-        let mut r = &buf[..];
-        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some("hello"));
-        assert_eq!(read_frame(&mut r).unwrap().as_deref(), Some(""));
-        assert_eq!(read_frame(&mut r).unwrap(), None);
-    }
-
-    #[test]
-    fn truncated_frame_is_an_error_not_a_hang() {
-        let mut buf = Vec::new();
-        write_frame(&mut buf, "payload").unwrap();
-        buf.truncate(buf.len() - 3);
-        let mut r = &buf[..];
-        assert!(read_frame(&mut r).is_err());
-        // EOF inside the length prefix is also an error.
-        let mut short = &[0u8, 0][..];
-        assert!(read_frame(&mut short).is_err());
-    }
-
-    #[test]
-    fn oversized_length_prefix_is_rejected() {
-        let bytes = (MAX_FRAME_BYTES + 1).to_be_bytes();
-        let mut r = &bytes[..];
-        assert!(read_frame(&mut r).is_err());
-    }
-
-    /// A reader that interleaves `ErrorKind::Interrupted` failures and
-    /// single-byte reads — the worst-case syscall schedule a signal-heavy
-    /// host can produce.
-    struct InterruptedReader<'a> {
-        data: &'a [u8],
-        pos: usize,
-        calls: usize,
-    }
-
-    impl Read for InterruptedReader<'_> {
-        fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-            self.calls += 1;
-            if self.calls % 2 == 1 {
-                return Err(io::Error::new(io::ErrorKind::Interrupted, "signal"));
-            }
-            if self.pos >= self.data.len() || buf.is_empty() {
-                return Ok(0);
-            }
-            buf[0] = self.data[self.pos];
-            self.pos += 1;
-            Ok(1)
-        }
-    }
-
-    #[test]
-    fn interrupted_single_byte_reads_still_assemble_the_frame() {
-        let mut framed = Vec::new();
-        write_frame(&mut framed, "{\"Ping\":null}").unwrap();
-        let mut r = InterruptedReader {
-            data: &framed,
-            pos: 0,
-            calls: 0,
-        };
-        assert_eq!(
-            read_frame(&mut r).unwrap().as_deref(),
-            Some("{\"Ping\":null}")
-        );
-        // A second read hits the interrupted-then-EOF path cleanly.
-        assert_eq!(read_frame(&mut r).unwrap(), None);
-    }
-
-    #[test]
-    fn partial_length_prefix_then_eof_is_an_error() {
-        for cut in 1..4usize {
-            let mut framed = Vec::new();
-            write_frame(&mut framed, "x").unwrap();
-            framed.truncate(cut);
-            let mut r = &framed[..];
-            let err = read_frame(&mut r).expect_err("truncated prefix must error");
-            assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "cut at {cut}");
-        }
-    }
-
-    #[test]
-    fn requests_round_trip_through_json() {
-        let reqs = [
-            Request::Infer(InferRequest {
-                id: 42,
-                input: vec![0.0, 0.25, 1.0, 0.1234567],
-                trace: None,
-            }),
-            Request::Infer(InferRequest {
-                id: 43,
-                input: vec![0.5],
-                trace: Some(TraceContext {
-                    trace_id: 0xFEED_BEEF,
-                    parent_span: 7,
-                    sampled: true,
-                }),
-            }),
-            Request::Stats,
-            Request::Ping,
-            Request::Shutdown,
-        ];
-        for req in &reqs {
-            let json = serde_json::to_string(req).unwrap();
-            let back: Request = serde_json::from_str(&json).unwrap();
-            assert_eq!(&back, req);
-        }
-    }
-
-    #[test]
-    fn responses_round_trip_with_f32_bit_fidelity() {
-        let logits = vec![1.5e-7f32, -3.25, 0.1, f32::MIN_POSITIVE, 1234.5678];
-        let resp = Response::Output(InferReply {
-            id: 7,
-            logits: logits.clone(),
-            class: 4,
-            bank: 11,
-            batch: 32,
-            queue_us: 1500,
-            service_us: 800,
-            trace_id: 0xABCD,
-        });
-        let json = serde_json::to_string(&resp).unwrap();
-        let back: Response = serde_json::from_str(&json).unwrap();
-        match back {
-            Response::Output(r) => {
-                for (a, b) in r.logits.iter().zip(&logits) {
-                    assert_eq!(a.to_bits(), b.to_bits());
-                }
-            }
-            other => panic!("wrong variant: {other:?}"),
-        }
-    }
-
-    #[test]
-    fn partial_and_describe_round_trip_through_json() {
-        let req = Request::Partial(PartialRequest {
-            id: 17,
-            layer: 1,
-            chunk_lo: 3,
-            chunk_hi: 9,
-            codes: vec![0.0, 15.0, 7.0, 1.0],
-            trace: None,
-        });
-        let back: Request = serde_json::from_str(&serde_json::to_string(&req).unwrap()).unwrap();
-        assert_eq!(back, req);
-        let back: Request =
-            serde_json::from_str(&serde_json::to_string(&Request::Describe).unwrap()).unwrap();
-        assert_eq!(back, Request::Describe);
-        let resps = [
-            Response::PartialSum(PartialSumReply {
-                id: 17,
-                layer: 1,
-                sums: vec![i64::MIN, -1, 0, 123_456_789, i64::MAX],
-            }),
-            Response::Describe(DescribeReply {
-                digest: 0xDEAD_BEEF_0042_F00D,
-                shard_index: 2,
-                shard_count: 4,
-                features: 784,
-                classes: 10,
-            }),
-        ];
-        for resp in &resps {
-            let back: Response =
-                serde_json::from_str(&serde_json::to_string(resp).unwrap()).unwrap();
-            assert_eq!(&back, resp);
-        }
-    }
-
-    #[test]
-    fn trace_field_is_optional_in_both_directions() {
-        // A pre-tracing client's JSON (no `trace` key) still decodes.
-        let legacy = r#"{"Infer":{"id":1,"input":[0.5,0.25]}}"#;
-        let req: Request = serde_json::from_str(legacy).unwrap();
-        match req {
-            Request::Infer(r) => {
-                assert_eq!(r.id, 1);
-                assert_eq!(r.trace, None);
-            }
-            other => panic!("wrong variant {other:?}"),
-        }
-        // An untraced request does not emit the field at all (so old
-        // decoders that reject unknown shapes never see it), a traced
-        // one does.
-        let untraced = serde_json::to_string(&Request::Infer(InferRequest {
-            id: 2,
-            input: vec![1.0],
-            trace: None,
-        }))
-        .unwrap();
-        assert!(!untraced.contains("trace"));
-        let traced = serde_json::to_string(&Request::Infer(InferRequest {
-            id: 2,
-            input: vec![1.0],
-            trace: Some(TraceContext {
-                trace_id: 9,
-                parent_span: 3,
-                sampled: true,
-            }),
-        }))
-        .unwrap();
-        assert!(traced.contains("\"trace_id\":9"));
-        assert!(traced.contains("\"sampled\":true"));
-
-        // A pre-tracing server's reply (no `trace_id`) decodes to 0.
-        let legacy_reply = r#"{"Output":{"id":1,"logits":[0.5],"class":0,"bank":0,"batch":1,"queue_us":0,"service_us":0}}"#;
-        let resp: Response = serde_json::from_str(legacy_reply).unwrap();
-        match resp {
-            Response::Output(r) => assert_eq!(r.trace_id, 0),
-            other => panic!("wrong variant {other:?}"),
-        }
-    }
-
-    #[test]
-    fn swap_messages_round_trip_through_json() {
-        let req = Request::SwapImage(SwapRequest {
-            path: "/models/mnist.v2.chip.json".to_owned(),
-        });
-        let back: Request = serde_json::from_str(&serde_json::to_string(&req).unwrap()).unwrap();
-        assert_eq!(back, req);
-        let resp = Response::SwapDone(SwapDoneReply {
-            version: 2,
-            digest: 0xFEED_F00D_1234_5678,
-            pause_us: 83,
-        });
-        let back: Response = serde_json::from_str(&serde_json::to_string(&resp).unwrap()).unwrap();
-        assert_eq!(back, resp);
-    }
-
-    #[test]
-    fn busy_and_failed_round_trip_through_json() {
-        let resps = [
-            Response::Busy(BusyReply {
-                active: 128,
-                limit: 128,
-            }),
-            Response::Failed(FailedReply {
-                id: 99,
-                reason: "worker panic".to_owned(),
-            }),
-        ];
-        for resp in &resps {
-            let json = serde_json::to_string(resp).unwrap();
-            let back: Response = serde_json::from_str(&json).unwrap();
-            assert_eq!(&back, resp);
-        }
-    }
 }

@@ -36,12 +36,12 @@ use crate::batcher::{AdmissionQueue, Pending};
 use crate::metrics::Metrics;
 use crate::model::ServeModel;
 use crate::protocol::{
-    write_response, BusyReply, FailedReply, InferReply, PartialSumReply, Request, Response,
-    ShedReply, SwapDoneReply, MAX_FRAME_BYTES,
+    BusyReply, FailedReply, InferReply, PartialSumReply, Request, Response, ShedReply,
+    SwapDoneReply, MAX_FRAME_BYTES,
 };
 use crate::scheduler::{BankScheduler, LoadProbe};
 use crate::shutdown::ShutdownFlag;
-use crate::wire::{self, Proto};
+use crate::wire;
 
 /// Serving configuration.
 #[derive(Debug, Clone)]
@@ -99,19 +99,17 @@ impl Default for ServeConfig {
     }
 }
 
-/// A connection's write half plus its liveness state and negotiated
-/// framing. Once a write fails or times out mid-frame the stream's
-/// framing is unrecoverable, so the writer is marked dead and every
-/// later response to this connection is dropped without touching the
-/// socket — one stalled client costs each bank worker at most one
-/// write timeout. The `scratch` arena is reused for every `BIN1`
-/// response this connection ever writes, so steady-state encoding
-/// allocates nothing.
+/// A connection's write half plus its liveness state. Once a write
+/// fails or times out mid-frame the stream's framing is unrecoverable,
+/// so the writer is marked dead and every later response to this
+/// connection is dropped without touching the socket — one stalled
+/// client costs each bank worker at most one write timeout. The
+/// `scratch` arena is reused for every response this connection ever
+/// writes, so steady-state encoding allocates nothing.
 #[derive(Debug)]
 pub(crate) struct ConnWriter {
     stream: TcpStream,
     dead: bool,
-    proto: Proto,
     scratch: Vec<u8>,
 }
 
@@ -119,12 +117,12 @@ pub(crate) struct ConnWriter {
 /// bank worker holding one of its pending requests.
 type Conn = Arc<Mutex<ConnWriter>>;
 
-/// Writes a response on a connection in its negotiated framing; I/O
-/// errors are counted, not fatal (the client may have gone away — the
-/// server must keep running). A poisoned writer mutex is recovered, not
-/// propagated: the guarded stream is only ever written through the
-/// response encoders, which never panic, so the framing invariant
-/// cannot have been broken by whoever poisoned it.
+/// Writes a response on a connection; I/O errors are counted, not
+/// fatal (the client may have gone away — the server must keep
+/// running). A poisoned writer mutex is recovered, not propagated: the
+/// guarded stream is only ever written through the response encoders,
+/// which never panic, so the framing invariant cannot have been broken
+/// by whoever poisoned it.
 fn send(conn: &Conn, resp: &Response, metrics: &Metrics) {
     let mut w = conn
         .lock()
@@ -133,16 +131,9 @@ fn send(conn: &Conn, resp: &Response, metrics: &Metrics) {
         return;
     }
     let ConnWriter {
-        stream,
-        proto,
-        scratch,
-        ..
+        stream, scratch, ..
     } = &mut *w;
-    let wrote = match proto {
-        Proto::Json => write_response(stream, resp),
-        Proto::Bin => wire::write_response(stream, resp, scratch),
-    };
-    if wrote.is_err() {
+    if wire::write_response(stream, resp, scratch).is_err() {
         metrics.protocol_errors.inc();
         w.dead = true;
         // Wake the connection's reader thread too (it sees EOF).
@@ -246,14 +237,14 @@ impl ServerHandle {
         self.shutdown.clone()
     }
 
-    /// The live metrics (snapshot with `metrics().snapshot(depth)`).
+    /// The live metrics: the counters and histograms `/metrics` exports.
     #[must_use]
     pub fn metrics(&self) -> &Metrics {
         &self.metrics
     }
 
     /// An owned handle to the metrics — outlives [`join`](Self::join),
-    /// so callers can snapshot final counts after the drain completes.
+    /// so callers can read final counts after the drain completes.
     #[must_use]
     pub fn metrics_handle(&self) -> Arc<Metrics> {
         Arc::clone(&self.metrics)
@@ -473,7 +464,7 @@ fn accept_loop(
                         active: now_active,
                         limit: cfg.max_conns,
                     });
-                    let _ = write_response(&mut stream, &busy);
+                    let _ = wire::write_response(&mut stream, &busy, &mut Vec::new());
                     continue;
                 }
                 active.fetch_add(1, Ordering::AcqRel);
@@ -563,43 +554,8 @@ fn read_full(
     Ok(true)
 }
 
-/// Reads and validates a JSON frame payload whose big-endian length
-/// prefix has already been consumed (the shared `frame_deadline` clock
-/// keeps running across the two halves).
-fn read_json_payload(
-    reader: &mut TcpStream,
-    len: u32,
-    shutdown: &ShutdownFlag,
-    frame_deadline: &mut Option<Instant>,
-    deadline_after: Duration,
-) -> std::io::Result<String> {
-    if len > MAX_FRAME_BYTES {
-        return Err(std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds the {MAX_FRAME_BYTES}-byte cap"),
-        ));
-    }
-    let mut payload = vec![0u8; len as usize];
-    read_full(
-        reader,
-        &mut payload,
-        false,
-        shutdown,
-        frame_deadline,
-        deadline_after,
-    )?;
-    String::from_utf8(payload).map_err(|_| {
-        std::io::Error::new(
-            std::io::ErrorKind::InvalidData,
-            "frame payload is not UTF-8",
-        )
-    })
-}
-
 /// Classifies a reader-loop error: a mid-frame deadline drop is counted
-/// separately from protocol damage. Returns `true` always (callers
-/// return right after); split out so the JSON and BIN1 loops cannot
-/// drift apart on accounting.
+/// separately from protocol damage.
 fn count_read_error(e: &std::io::Error, metrics: &Metrics) {
     if e.kind() == std::io::ErrorKind::TimedOut {
         // Half a frame held past the deadline: drop the connection so
@@ -610,7 +566,7 @@ fn count_read_error(e: &std::io::Error, metrics: &Metrics) {
     }
 }
 
-/// Handles one parsed request on behalf of either framing loop.
+/// Handles one decoded request.
 /// Rejected or shed inference inputs are recycled into the input pool;
 /// admitted ones travel to `execute_batch`, which recycles them after
 /// tensor assembly.
@@ -630,10 +586,6 @@ fn handle_request(
     let model = shared.slot.current();
     match request {
         Request::Ping => send(writer, &Response::Pong, metrics),
-        Request::Stats => {
-            let snap = metrics.snapshot(queue.depth());
-            send(writer, &Response::Stats(snap), metrics);
-        }
         Request::Shutdown => {
             send(writer, &Response::ShuttingDown, metrics);
             shutdown.trigger();
@@ -856,10 +808,10 @@ fn do_swap(shared: &Shared, metrics: &Metrics, path: &str) -> Result<SwapDoneRep
 }
 
 /// Reads frames off one connection until EOF, error, shutdown, or a
-/// frame-deadline drop. The first four bytes decide the framing: the
-/// `BIN1` magic selects the binary protocol (version byte, then an
-/// echoed 5-byte ack), anything else is the opening big-endian length
-/// prefix of a JSON frame — so legacy clients negotiate nothing.
+/// frame-deadline drop. The first five bytes must be the `BIN1` hello
+/// (magic + [`wire::VERSION`]), answered with its echo; any other
+/// opening gets the `BIN1` + `0x00` nack and a close, counted as a
+/// protocol error.
 fn connection_loop(
     stream: TcpStream,
     queue: &AdmissionQueue<Conn>,
@@ -880,7 +832,6 @@ fn connection_loop(
     let writer: Conn = Arc::new(Mutex::new(ConnWriter {
         stream: write_half,
         dead: false,
-        proto: Proto::Json,
         scratch: Vec::new(),
     }));
     // A read timeout lets the reader notice shutdown even on an idle
@@ -891,12 +842,12 @@ fn connection_loop(
         .set_read_timeout(Some(Duration::from_millis(200)))
         .ok();
 
-    // --- negotiation ---------------------------------------------------
+    // --- handshake -----------------------------------------------------
     let mut frame_deadline: Option<Instant> = None;
-    let mut prefix = [0u8; 4];
+    let mut hello = [0u8; 5];
     match read_full(
         &mut reader,
-        &mut prefix,
+        &mut hello,
         true,
         shutdown,
         &mut frame_deadline,
@@ -909,141 +860,34 @@ fn connection_loop(
             return;
         }
     }
-    if prefix == wire::MAGIC {
-        let mut ver = [0u8; 1];
-        match read_full(
-            &mut reader,
-            &mut ver,
-            false,
-            shutdown,
-            &mut frame_deadline,
-            cfg.frame_deadline,
-        ) {
-            Ok(_) => {}
-            Err(e) => {
-                count_read_error(&e, metrics);
-                return;
-            }
-        }
-        {
-            let mut w = writer
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if ver[0] != wire::VERSION {
-                // Reject: echo the magic with version 0, then close.
-                metrics.protocol_errors.inc();
-                let mut nack = [0u8; 5];
-                nack[..4].copy_from_slice(&wire::MAGIC);
-                let _ = std::io::Write::write_all(&mut w.stream, &nack);
-                return;
-            }
-            // Accept by echoing the hello.
-            let mut ack = [0u8; 5];
-            ack[..4].copy_from_slice(&wire::MAGIC);
-            ack[4] = wire::VERSION;
-            if std::io::Write::write_all(&mut w.stream, &ack).is_err() {
-                return;
-            }
-            w.proto = Proto::Bin;
-        }
-        imc_obs::counter!(
-            "imc_serve_bin_connections_total",
-            "Connections negotiated onto the BIN1 binary protocol"
-        )
-        .inc();
-        bin_loop(&mut reader, &writer, queue, metrics, shared, shutdown, cfg);
+    let mut ack = [0u8; 5];
+    ack[..4].copy_from_slice(&wire::MAGIC);
+    let accepted = hello[..4] == wire::MAGIC && hello[4] == wire::VERSION;
+    if accepted {
+        ack[4] = wire::VERSION;
     } else {
-        imc_obs::counter!(
-            "imc_serve_json_connections_total",
-            "Connections speaking the legacy JSON protocol"
-        )
-        .inc();
-        json_loop(
-            &mut reader,
-            &writer,
-            u32::from_be_bytes(prefix),
-            frame_deadline,
-            queue,
-            metrics,
-            shared,
-            shutdown,
-            cfg,
-        );
+        metrics.protocol_errors.inc();
     }
+    {
+        let mut w = writer
+            .lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner);
+        if std::io::Write::write_all(&mut w.stream, &ack).is_err() || !accepted {
+            return;
+        }
+    }
+    imc_obs::counter!(
+        "imc_serve_bin_connections_total",
+        "Connections that completed the BIN1 handshake"
+    )
+    .inc();
+    frame_loop(&mut reader, &writer, queue, metrics, shared, shutdown, cfg);
 }
 
-/// The legacy JSON frame loop. `first_len` / `first_deadline` carry the
-/// already-consumed opening length prefix out of negotiation.
-#[allow(clippy::too_many_arguments)]
-fn json_loop(
-    reader: &mut TcpStream,
-    writer: &Conn,
-    first_len: u32,
-    first_deadline: Option<Instant>,
-    queue: &AdmissionQueue<Conn>,
-    metrics: &Metrics,
-    shared: &Shared,
-    shutdown: &ShutdownFlag,
-    cfg: &ServeConfig,
-) {
-    let mut pending = Some((first_len, first_deadline));
-    loop {
-        let frame = if let Some((len, mut deadline)) = pending.take() {
-            match read_json_payload(reader, len, shutdown, &mut deadline, cfg.frame_deadline) {
-                Ok(json) => json,
-                Err(e) => {
-                    count_read_error(&e, metrics);
-                    return;
-                }
-            }
-        } else {
-            let mut frame_deadline: Option<Instant> = None;
-            let mut len_buf = [0u8; 4];
-            match read_full(
-                reader,
-                &mut len_buf,
-                true,
-                shutdown,
-                &mut frame_deadline,
-                cfg.frame_deadline,
-            ) {
-                Ok(true) => {}
-                Ok(false) => return, // clean EOF or idle shutdown
-                Err(e) => {
-                    count_read_error(&e, metrics);
-                    return;
-                }
-            }
-            match read_json_payload(
-                reader,
-                u32::from_be_bytes(len_buf),
-                shutdown,
-                &mut frame_deadline,
-                cfg.frame_deadline,
-            ) {
-                Ok(json) => json,
-                Err(e) => {
-                    count_read_error(&e, metrics);
-                    return;
-                }
-            }
-        };
-        let request: Request = match serde_json::from_str(&frame) {
-            Ok(r) => r,
-            Err(e) => {
-                metrics.protocol_errors.inc();
-                send(writer, &Response::Error(e.to_string()), metrics);
-                continue;
-            }
-        };
-        handle_request(request, writer, queue, metrics, shared, shutdown);
-    }
-}
-
-/// The `BIN1` frame loop: one reused read arena and one pooled input
+/// The frame loop: one reused read arena and one pooled input
 /// spare for the connection's whole life — at steady state a request
 /// costs no allocations on the read path.
-fn bin_loop(
+fn frame_loop(
     reader: &mut TcpStream,
     writer: &Conn,
     queue: &AdmissionQueue<Conn>,
@@ -1314,8 +1158,8 @@ fn execute_batch(
                 ],
             });
         }
-        // Count completion before the reply goes out: a client that
-        // pipelines `Stats` right behind its answered `Infer` must see
+        // Count completion before the reply goes out: a caller that
+        // reads the metrics right after its answered `Infer` must see
         // the request already counted.
         metrics
             .request_latency

@@ -15,7 +15,7 @@ use std::time::Duration;
 use imc_fleet::{serve_fleet, FleetPlan, RouterConfig};
 use imc_serve::model::{ServeModel, DEFAULT_SEED, MNIST_FEATURES};
 use imc_serve::protocol::Response;
-use imc_serve::{Client, ClientConfig, Proto, RetryPolicy};
+use imc_serve::{Client, ClientConfig, RetryPolicy};
 use neural::imc_exec::ImcDesign;
 
 fn test_input(k: usize) -> Vec<f32> {
@@ -91,9 +91,9 @@ fn fast_retry() -> RouterConfig {
             ..RetryPolicy::default()
         },
         client: ClientConfig {
-            proto: Proto::Bin,
             connect_timeout: Some(Duration::from_secs(2)),
             request_timeout: Some(Duration::from_secs(5)),
+            ..ClientConfig::default()
         },
         admit_attempts: 8,
         ..RouterConfig::default()

@@ -4,13 +4,14 @@
 //! single-node execution, through sharding, replication, failover, and
 //! replica death.
 
+use std::io::{Read as _, Write as _};
 use std::sync::Arc;
 use std::time::Duration;
 
 use imc_fleet::{serve_fleet, EnergyBudget, FleetError, FleetPlan, ReplicaState, RouterConfig};
 use imc_serve::model::{ServeModel, DEFAULT_SEED, MNIST_FEATURES};
 use imc_serve::protocol::Response;
-use imc_serve::{serve, Client, ClientConfig, Proto, RetryPolicy, ServeConfig, ServerHandle};
+use imc_serve::{serve, wire, Client, ClientConfig, RetryPolicy, ServeConfig, ServerHandle};
 use neural::imc_exec::ImcDesign;
 
 /// Gracefully stops an in-process replica server.
@@ -39,17 +40,13 @@ fn fast_retry() -> RouterConfig {
             max_delay: Duration::from_millis(10),
             ..RetryPolicy::default()
         },
-        client: ClientConfig {
-            proto: Proto::Bin,
-            ..ClientConfig::default()
-        },
         admit_attempts: 2,
         ..RouterConfig::default()
     }
 }
 
 #[test]
-fn sharded_fleet_is_bit_exact_vs_single_node_on_both_protocols() {
+fn sharded_fleet_is_bit_exact_vs_single_node() {
     let design = ImcDesign::ChgFe;
     let replicas: Vec<ServerHandle> = (0..2).map(|i| shard_replica(design, i, 2)).collect();
     let addrs: Vec<String> = replicas.iter().map(|r| r.addr().to_string()).collect();
@@ -58,32 +55,38 @@ fn sharded_fleet_is_bit_exact_vs_single_node_on_both_protocols() {
         serve_fleet("127.0.0.1:0", plan, &addrs, fast_retry()).expect("bind router");
     assert!(admission.is_empty(), "clean admission: {admission:?}");
 
+    // One opening of a big-endian length prefix and 10,000 nested `[`
+    // gets the BIN1 nack and a close; the router keeps serving.
+    let mut s = std::net::TcpStream::connect(router.addr()).expect("connect");
+    s.set_read_timeout(Some(Duration::from_secs(5))).ok();
+    let mut nested = 10_000u32.to_be_bytes().to_vec();
+    nested.resize(4 + 10_000, b'[');
+    // The router may close before reading all of the opening.
+    let _ = s.write_all(&nested);
+    let mut nack = [0u8; 5];
+    s.read_exact(&mut nack).expect("nack bytes");
+    assert_eq!(&nack[..4], &wire::MAGIC);
+    assert_eq!(nack[4], 0, "expected a nack");
+
     let oracle = ServeModel::synthetic(design, DEFAULT_SEED);
-    for proto in [Proto::Bin, Proto::Json] {
-        let cfg = ClientConfig {
-            proto,
-            ..ClientConfig::default()
-        };
-        let mut client =
-            Client::connect_with(router.addr().to_string().as_str(), cfg).expect("connect");
-        client.ping().expect("router answers ping");
-        for k in 0..8usize {
-            let input = test_input(k);
-            let expect = oracle.infer_one(&input);
-            match client.infer(k as u64, input).expect("infer") {
-                Response::Output(r) => {
-                    assert_eq!(r.id, k as u64);
-                    assert_eq!(r.logits.len(), expect.len());
-                    for (i, (a, b)) in expect.iter().zip(&r.logits).enumerate() {
-                        assert_eq!(
-                            a.to_bits(),
-                            b.to_bits(),
-                            "{proto:?} request {k}: logit {i} diverged ({a} vs {b})"
-                        );
-                    }
+    let mut client = Client::connect(router.addr()).expect("connect");
+    client.ping().expect("router answers ping");
+    for k in 0..8usize {
+        let input = test_input(k);
+        let expect = oracle.infer_one(&input);
+        match client.infer(k as u64, input).expect("infer") {
+            Response::Output(r) => {
+                assert_eq!(r.id, k as u64);
+                assert_eq!(r.logits.len(), expect.len());
+                for (i, (a, b)) in expect.iter().zip(&r.logits).enumerate() {
+                    assert_eq!(
+                        a.to_bits(),
+                        b.to_bits(),
+                        "request {k}: logit {i} diverged ({a} vs {b})"
+                    );
                 }
-                other => panic!("expected Output, got {other:?}"),
             }
+            other => panic!("expected Output, got {other:?}"),
         }
     }
 
@@ -316,15 +319,12 @@ fn energy_budget_prefers_cheap_variant_and_sheds_with_typed_reply() {
 
     // Every answered request went to the cheap variant: the CurFe
     // replica never executed anything.
-    let mut direct = Client::connect(curfe.addr()).expect("connect curfe");
-    let stats = direct.stats().expect("stats");
+    let cur_completed = curfe.metrics().completed.get();
     assert_eq!(
-        stats.completed, 0,
-        "CurFe replica served {} requests despite a healthy ChgFe peer",
-        stats.completed
+        cur_completed, 0,
+        "CurFe replica served {cur_completed} requests despite a healthy ChgFe peer"
     );
-    let mut direct = Client::connect(chgfe.addr()).expect("connect chgfe");
-    assert_eq!(direct.stats().expect("stats").completed, 4);
+    assert_eq!(chgfe.metrics().completed.get(), 4);
 
     router.shutdown();
     stop(curfe);
@@ -416,14 +416,7 @@ fn traced_request_stitches_across_router_and_both_shards() {
         serve_fleet("127.0.0.1:0", plan, &addrs, fast_retry()).expect("bind router");
     assert!(admission.is_empty(), "clean admission: {admission:?}");
 
-    let mut client = Client::connect_with(
-        router.addr().to_string().as_str(),
-        ClientConfig {
-            proto: Proto::Bin,
-            ..ClientConfig::default()
-        },
-    )
-    .expect("connect");
+    let mut client = Client::connect_with(router.addr(), ClientConfig::default()).expect("connect");
 
     // A known root context; sampled so head sampling can't drop it.
     let ctx = imc_obs::TraceContext {

@@ -5,8 +5,8 @@
 //! acknowledges, responses match only the new image; (c) the obs HTTP
 //! endpoint (`/metrics`, `/traces`) can be scraped *throughout* the
 //! swap without ever seeing an error or torn registry state; and
-//! (d) a rejected swap (missing file, wrong shape) leaves the old
-//! image serving untouched.
+//! (d) a rejected swap (missing file, wrong shape, nesting past the
+//! JSON parser's depth limit) leaves the old image serving untouched.
 //!
 //! Everything lives in one test body: `Metrics::new` registers its
 //! handles into the process-global obs registry with replace
@@ -262,6 +262,14 @@ fn hot_swap_under_load_is_atomic_and_scrape_safe() {
         err.contains("shape mismatch"),
         "error explains the mismatch: {err}"
     );
+    // ...and a file of 100,000 `[`, which the depth-limited parser
+    // refuses instead of overflowing the stack.
+    let path_d = temp_path("image_nested.json");
+    std::fs::write(&path_d, "[".repeat(100_000)).expect("write nested file");
+    let err = handle
+        .swap_model(&path_d)
+        .expect_err("a too-deep document must not swap");
+    assert!(err.contains("nesting"), "error names the nesting: {err}");
     assert_eq!(
         handle.image_version(),
         2,

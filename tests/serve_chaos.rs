@@ -12,8 +12,8 @@ use std::time::{Duration, Instant};
 
 use imc_bench::chaos::{ChaosProxy, Fault};
 use imc_serve::model::{ServeModel, DEFAULT_SEED, MNIST_FEATURES};
-use imc_serve::protocol::{write_request, Request, Response};
-use imc_serve::{serve, Client, ClientConfig, Proto, ServeConfig, ServerHandle};
+use imc_serve::protocol::{Request, Response};
+use imc_serve::{serve, wire, Client, ClientConfig, ServeConfig, ServerHandle};
 use neural::imc_exec::ImcDesign;
 
 fn test_input(k: usize) -> Vec<f32> {
@@ -46,6 +46,14 @@ fn eventually(within: Duration, what: &str, mut cond: impl FnMut() -> bool) {
     }
 }
 
+/// A raw socket past the `BIN1` handshake: what follows is up to the
+/// test, not the client's well-formed framing.
+fn handshaken(handle: &ServerHandle) -> TcpStream {
+    let mut s = TcpStream::connect(handle.addr()).expect("connect");
+    wire::client_handshake(&mut s).expect("handshake");
+    s
+}
+
 fn assert_bit_exact(model: &ServeModel, r: &imc_serve::protocol::InferReply, k: usize) {
     let direct = model.infer_one(&test_input(k));
     assert_eq!(r.logits.len(), direct.len());
@@ -60,59 +68,9 @@ fn assert_bit_exact(model: &ServeModel, r: &imc_serve::protocol::InferReply, k: 
 }
 
 #[test]
-fn corrupted_frames_leave_clean_connections_bit_exact() {
-    let model = Arc::new(ServeModel::synthetic(ImcDesign::ChgFe, DEFAULT_SEED));
-    let handle = serve("127.0.0.1:0", Arc::clone(&model), &ServeConfig::default()).expect("bind");
-    // Connection 0 through the proxy is clean; connection 1 gets a bit
-    // flipped inside its first frame's JSON payload (stream byte 10 =
-    // payload byte 6 — the framing prefix stays intact, so the server
-    // sees a well-framed but unparseable request).
-    let proxy = ChaosProxy::start(handle.addr(), |conn| {
-        if conn == 0 {
-            Fault::None
-        } else {
-            Fault::CorruptAfter(10)
-        }
-    })
-    .expect("start proxy");
-    let proxy_addr = proxy.addr().to_string();
-
-    let mut clean = Client::connect(proxy_addr.as_str()).expect("clean connect");
-    clean.ping().expect("clean ping"); // pin connection index 0
-    let mut corrupt = Client::connect(proxy_addr.as_str()).expect("corrupt connect");
-
-    // The corrupted request comes back as a typed Error — not a hang,
-    // not a dead server — and the connection's framing survives.
-    match corrupt.infer(500, test_input(0)).expect("corrupt infer") {
-        Response::Error(_) => {}
-        other => panic!("expected Error for the corrupted frame, got {other:?}"),
-    }
-
-    // Clean traffic before, during, and after stays bit-exact.
-    for k in 0..6usize {
-        match clean.infer(k as u64, test_input(k)).expect("clean infer") {
-            Response::Output(r) => assert_bit_exact(&model, &r, k),
-            other => panic!("expected Output, got {other:?}"),
-        }
-    }
-    // The corrupt fault only fires once (byte 10 is long past); the same
-    // connection works again afterwards — the server never punished it
-    // beyond the one Error.
-    match corrupt.infer(501, test_input(1)).expect("later infer") {
-        Response::Output(r) => assert_bit_exact(&model, &r, 1),
-        other => panic!("expected Output, got {other:?}"),
-    }
-    assert!(handle.metrics().protocol_errors.get() >= 1);
-
-    drop(proxy);
-    handle.shutdown_flag().trigger();
-    join_with_deadline(handle);
-}
-
-#[test]
 fn bin1_through_the_chaos_proxy_stays_bit_exact_and_errors_are_typed() {
-    // The binary protocol under the same byte-level abuse the JSON path
-    // survives. Stream layout on a BIN1 connection: 5 hello bytes, then
+    // Byte-level abuse through the proxy. Stream layout on a BIN1
+    // connection: 5 hello bytes, then
     // a 4-byte LE length prefix, kind (1), id (8), count (4), payload.
     // Corrupting stream byte 19 flips a bit inside the Infer frame's
     // f32 *count* field — the length prefix stays intact, so the server
@@ -129,15 +87,12 @@ fn bin1_through_the_chaos_proxy_stays_bit_exact_and_errors_are_typed() {
     })
     .expect("start proxy");
     let proxy_addr = proxy.addr().to_string();
-    let bin_cfg = || ClientConfig {
-        proto: Proto::Bin,
-        ..ClientConfig::default()
-    };
 
-    let mut clean = Client::connect_with(proxy_addr.as_str(), bin_cfg()).expect("clean connect");
+    let mut clean =
+        Client::connect_with(proxy_addr.as_str(), ClientConfig::default()).expect("clean connect");
     clean.ping().expect("clean ping"); // pin connection index 0
-    let mut corrupt =
-        Client::connect_with(proxy_addr.as_str(), bin_cfg()).expect("corrupt connect");
+    let mut corrupt = Client::connect_with(proxy_addr.as_str(), ClientConfig::default())
+        .expect("corrupt connect");
 
     // The corrupted frame comes back as a typed Error over BIN1.
     match corrupt.infer(500, test_input(0)).expect("corrupt infer") {
@@ -168,9 +123,9 @@ fn bin1_through_the_chaos_proxy_stays_bit_exact_and_errors_are_typed() {
 
 #[test]
 fn bin1_seeded_chaos_mix_preserves_bit_exactness_for_untouched_requests() {
-    // The loadgen chaos blend, speaking BIN1: faulted connections may
-    // die at any point (including during the handshake), but every
-    // Output that does arrive must match direct execution bit-for-bit.
+    // The loadgen chaos blend: faulted connections may die at any point
+    // (including during the handshake), but every Output that does
+    // arrive must match direct execution bit-for-bit.
     let model = Arc::new(ServeModel::synthetic(ImcDesign::CurFe, DEFAULT_SEED));
     let cfg = ServeConfig {
         frame_deadline: Duration::from_millis(500),
@@ -183,13 +138,8 @@ fn bin1_seeded_chaos_mix_preserves_bit_exactness_for_untouched_requests() {
 
     let mut outputs = 0usize;
     for conn in 0..6usize {
-        let Ok(mut client) = Client::connect_with(
-            proxy_addr.as_str(),
-            ClientConfig {
-                proto: Proto::Bin,
-                ..ClientConfig::default()
-            },
-        ) else {
+        let Ok(mut client) = Client::connect_with(proxy_addr.as_str(), ClientConfig::default())
+        else {
             continue; // handshake through a faulted connection may fail
         };
         for k in 0..4usize {
@@ -214,15 +164,8 @@ fn bin1_seeded_chaos_mix_preserves_bit_exactness_for_untouched_requests() {
         "the seeded mix keeps clean connections; got only {outputs} outputs"
     );
 
-    // After the storm: direct BIN1 traffic is untouched.
-    let mut direct = Client::connect_with(
-        handle.addr(),
-        ClientConfig {
-            proto: Proto::Bin,
-            ..ClientConfig::default()
-        },
-    )
-    .expect("connect");
+    // After the storm: direct traffic is untouched.
+    let mut direct = Client::connect_with(handle.addr(), ClientConfig::default()).expect("connect");
     match direct.infer(999, test_input(5)).expect("infer") {
         Response::Output(r) => assert_bit_exact(&model, &r, 5),
         other => panic!("expected Output, got {other:?}"),
@@ -241,9 +184,9 @@ fn client_vanishing_mid_frame_is_cleaned_up() {
 
     // Claim a 100-byte frame, deliver 10 bytes, vanish.
     {
-        let mut s = TcpStream::connect(handle.addr()).expect("connect");
-        s.write_all(&100u32.to_be_bytes()).expect("prefix");
-        s.write_all(&[0x7B; 10]).expect("partial payload");
+        let mut s = handshaken(&handle);
+        s.write_all(&100u32.to_le_bytes()).expect("prefix");
+        s.write_all(&[0x7B; 10]).expect("partial body");
     } // dropped: the server reads EOF inside the frame
     eventually(Duration::from_secs(5), "mid-frame EOF counted", || {
         metrics.protocol_errors.get() >= 1
@@ -324,7 +267,7 @@ fn stalled_half_frame_is_dropped_at_the_deadline_without_collateral() {
 
     // Two bytes of a length prefix, then silence with the socket open —
     // the attack that used to park an imc-conn thread forever.
-    let mut stalled = TcpStream::connect(handle.addr()).expect("connect");
+    let mut stalled = handshaken(&handle);
     stalled.write_all(&[0x00, 0x00]).expect("half a prefix");
 
     // Healthy traffic flows while the stalled connection ages out.
@@ -363,17 +306,17 @@ fn slow_writer_finishing_under_the_deadline_is_served() {
     };
     let handle = serve("127.0.0.1:0", Arc::clone(&model), &cfg).expect("bind");
 
-    // A Ping frame trickled out a few bytes at a time: slow, but always
+    // A Ping frame trickled out a byte at a time: slow, but always
     // inside the deadline — the server must wait, not drop.
     let mut frame = Vec::new();
-    write_request(&mut frame, &Request::Ping).expect("encode ping");
-    let mut s = TcpStream::connect(handle.addr()).expect("connect");
+    wire::encode_request(&Request::Ping, &mut frame);
+    let mut s = handshaken(&handle);
     s.set_read_timeout(Some(Duration::from_secs(10))).ok();
-    for chunk in frame.chunks(3) {
-        s.write_all(chunk).expect("trickle");
+    for byte in &frame {
+        s.write_all(std::slice::from_ref(byte)).expect("trickle");
         std::thread::sleep(Duration::from_millis(40));
     }
-    match imc_serve::protocol::read_response(&mut s).expect("read") {
+    match wire::read_response(&mut s, &mut Vec::new()).expect("read") {
         Some(Response::Pong) => {}
         other => panic!("expected Pong, got {other:?}"),
     }
@@ -390,10 +333,16 @@ fn oversized_length_prefix_is_rejected_promptly() {
     let handle = serve("127.0.0.1:0", Arc::clone(&model), &ServeConfig::default()).expect("bind");
     let metrics = handle.metrics_handle();
 
-    let mut s = TcpStream::connect(handle.addr()).expect("connect");
-    s.write_all(&u32::MAX.to_be_bytes()).expect("huge prefix");
+    let mut s = handshaken(&handle);
+    s.write_all(&u32::MAX.to_le_bytes()).expect("huge prefix");
     let t0 = Instant::now();
     s.set_read_timeout(Some(Duration::from_secs(8))).ok();
+    // A typed Error frame names the cap, then the server closes.
+    let mut arena = Vec::new();
+    match wire::read_response(&mut s, &mut arena).expect("error frame") {
+        Some(Response::Error(msg)) => assert!(msg.contains("exceeds"), "got: {msg}"),
+        other => panic!("expected a typed Error, got {other:?}"),
+    }
     let mut buf = [0u8; 16];
     match s.read(&mut buf) {
         Ok(0) | Err(_) => {}
@@ -429,9 +378,13 @@ fn connection_cap_answers_busy_and_frees_slots() {
     let mut first = Client::connect(handle.addr()).expect("first connect");
     first.ping().expect("first ping"); // the slot is definitely taken
 
-    // The second connection gets a typed Busy, unprompted, and close.
-    let mut second = Client::connect(handle.addr()).expect("second connect");
-    match second.recv().expect("recv busy") {
+    // The second connection gets a typed Busy frame, unprompted, and a
+    // close.
+    let mut second = TcpStream::connect(handle.addr()).expect("second connect");
+    second
+        .set_read_timeout(Some(Duration::from_secs(5)))
+        .expect("set timeout");
+    match wire::read_response(&mut second, &mut Vec::new()).expect("recv busy") {
         Some(Response::Busy(b)) => {
             assert_eq!(b.limit, 1);
             assert!(b.active >= 1);
@@ -439,6 +392,11 @@ fn connection_cap_answers_busy_and_frees_slots() {
         other => panic!("expected Busy, got {other:?}"),
     }
     assert!(metrics.busy_rejects.get() >= 1);
+    // A client's handshake reads that Busy as backpressure.
+    match Client::connect(handle.addr()) {
+        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionRefused, "{e}"),
+        Ok(_) => panic!("a full server must refuse the handshake"),
+    }
 
     // Dropping the first connection frees the slot (eventually — the
     // conn thread must notice EOF), after which new clients are served.
@@ -449,62 +407,6 @@ fn connection_cap_answers_busy_and_frees_slots() {
         || Client::connect(handle.addr()).is_ok_and(|mut c| c.ping().is_ok()),
     );
 
-    handle.shutdown_flag().trigger();
-    join_with_deadline(handle);
-}
-
-#[test]
-fn seeded_chaos_mix_preserves_bit_exactness_for_untouched_requests() {
-    // The loadgen-style blend: several proxied connections, some faulted
-    // by the seeded mix, against a server with a short frame deadline.
-    // Every Output that does come back must match direct execution.
-    let model = Arc::new(ServeModel::synthetic(ImcDesign::CurFe, DEFAULT_SEED));
-    let cfg = ServeConfig {
-        frame_deadline: Duration::from_millis(500),
-        ..ServeConfig::default()
-    };
-    let handle = serve("127.0.0.1:0", Arc::clone(&model), &cfg).expect("bind");
-    let proxy =
-        ChaosProxy::start(handle.addr(), |conn| Fault::seeded_mix(0xDEAD, conn)).expect("proxy");
-    let proxy_addr = proxy.addr().to_string();
-
-    let mut outputs = 0usize;
-    for conn in 0..6usize {
-        let Ok(mut client) = Client::connect(proxy_addr.as_str()) else {
-            continue; // a faulted connection may die at any point
-        };
-        for k in 0..4usize {
-            let id = (conn * 10 + k) as u64;
-            // Requests through a faulted connection may error out or
-            // never come back — but they must never come back *wrong*.
-            let mut sock_dead = false;
-            match client.infer(id, test_input(k)) {
-                Ok(Response::Output(r)) => {
-                    assert_bit_exact(&model, &r, k);
-                    outputs += 1;
-                }
-                Ok(Response::Error(_) | Response::Shed(_) | Response::Failed(_)) => {}
-                Ok(other) => panic!("unexpected response {other:?}"),
-                Err(_) => sock_dead = true,
-            }
-            if sock_dead {
-                break;
-            }
-        }
-    }
-    assert!(
-        outputs >= 4,
-        "the seeded mix keeps clean connections; got only {outputs} outputs"
-    );
-
-    // After the storm: direct traffic is untouched.
-    let mut direct = Client::connect(handle.addr()).expect("connect");
-    match direct.infer(999, test_input(5)).expect("infer") {
-        Response::Output(r) => assert_bit_exact(&model, &r, 5),
-        other => panic!("expected Output, got {other:?}"),
-    }
-
-    drop(proxy);
     handle.shutdown_flag().trigger();
     join_with_deadline(handle);
 }

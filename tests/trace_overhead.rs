@@ -19,7 +19,7 @@ use std::time::{Duration, Instant};
 
 use imc_serve::model::{ServeModel, DEFAULT_SEED};
 use imc_serve::protocol::Response;
-use imc_serve::{serve, Client, ClientConfig, Proto, ServeConfig};
+use imc_serve::{serve, Client, ClientConfig, ServeConfig};
 use neural::imc_exec::ImcDesign;
 
 /// Timed requests per mode.
@@ -52,11 +52,7 @@ fn traced_bin1_serving_stays_within_five_percent_of_untraced() {
         &scfg,
     )
     .expect("bind single server");
-    let ccfg = ClientConfig {
-        proto: Proto::Bin,
-        ..ClientConfig::default()
-    };
-    let mut client = Client::connect_with(single.addr(), ccfg).expect("connect");
+    let mut client = Client::connect_with(single.addr(), ClientConfig::default()).expect("connect");
     for id in 0..32u64 {
         client.infer(id, input.clone()).expect("warmup infer");
     }

@@ -1,9 +1,9 @@
-//! Trace-context propagation over both wire protocols, property
-//! tested: a [`TraceContext`] must round-trip bit-exactly through the
-//! `BIN1` trailing block and the optional JSON field, absent contexts
-//! must stay absent (the v1 frame shape is unchanged byte for byte),
-//! and a context-bearing frame must never turn into a `WireError` —
-//! the block is a tolerated suffix, not a schema break.
+//! Trace-context propagation over the wire, property tested: a
+//! [`TraceContext`] must round-trip bit-exactly through the `BIN1`
+//! trailing block, absent contexts must stay absent (the v1 frame shape
+//! is unchanged byte for byte), and a context-bearing frame must never
+//! turn into a `WireError` — the block is a tolerated suffix, not a
+//! schema break.
 
 use imc_obs::TraceContext;
 use imc_serve::protocol::{InferRequest, PartialRequest, Request};
@@ -56,35 +56,6 @@ proptest! {
         });
         let buf = frame(&partial);
         prop_assert_eq!(&wire::decode_request(&buf[4..]).expect("decode"), &partial);
-    }
-
-    /// The same context survives the JSON protocol, and a document
-    /// without the field decodes to `trace: None` — old JSON clients
-    /// and new servers interoperate unchanged.
-    #[test]
-    fn trace_context_round_trips_over_json(
-        id in any::<u64>(),
-        trace_id in any::<u64>(),
-        parent_span in any::<u64>(),
-        sampled in any::<bool>(),
-    ) {
-        let req = Request::Infer(InferRequest {
-            id,
-            input: vec![0.5, 0.25],
-            trace: ctx(trace_id, parent_span, sampled),
-        });
-        let json = serde_json::to_string(&req).expect("encode");
-        let back: Request = serde_json::from_str(&json).expect("decode");
-        prop_assert_eq!(&back, &req);
-
-        let bare = format!(
-            "{{\"Infer\": {{\"id\": {id}, \"input\": [0.5, 0.25]}}}}"
-        );
-        let old: Request = serde_json::from_str(&bare).expect("v1 document decodes");
-        prop_assert_eq!(
-            old,
-            Request::Infer(InferRequest { id, input: vec![0.5, 0.25], trace: None })
-        );
     }
 
     /// An absent context adds no bytes: the traced encoding is exactly
