@@ -19,6 +19,10 @@
 //! The statistical model runs on the packed bit-plane kernel of
 //! [`packed`]; its noise constants are validated against the
 //! cycle-accurate [`imc_core`] bank models by the integration tests.
+//! Convolutions and linear layers are one MAC layer type, and its one
+//! quantize → kernel → dequantize step serves both
+//! [`QNetwork::forward`] (the noisy kernel) and [`QNetwork::calibrate`]
+//! (the ideal calibration kernel).
 
 pub mod packed;
 
@@ -131,35 +135,78 @@ impl ImcConfig {
     }
 }
 
-/// A MAC layer's weights: packed `u64` bit-planes (shared through the
-/// weight-stationary cache) plus the derived per-conversion noise
-/// constants.
+/// A MAC (convolution or linear) layer: packed `u64` weight bit-planes
+/// (shared through the weight-stationary cache), their per-conversion
+/// noise constants, the H4B/L4B ADC pair, and the digital dequantize
+/// glue.
 #[derive(Debug)]
-struct MacPlanes {
+struct MacLayer {
     planes: Arc<packed::PackedPlanes>,
     noise: packed::PlaneNoise,
+    adcs: (SarAdc, SarAdc),
+    w_scale: f32,
+    bias: Vec<f32>,
+    /// Convolution geometry; `None` for a linear layer.
+    conv: Option<ConvGeometry>,
+}
+
+/// Kernel size, stride, padding and input channels of a convolution
+/// (its output channels are the planes' `out_features`).
+#[derive(Debug, Clone, Copy)]
+struct ConvGeometry {
+    k: usize,
+    stride: usize,
+    pad: usize,
+    in_ch: usize,
+}
+
+impl MacLayer {
+    /// Quantize → MAC → dequantize: quantizes `x` to `input_bits`-bit
+    /// codes (im2col'd for a convolution), runs `kernel` on the
+    /// `[positions, fan]` codes, and maps its `[positions, oc]` MAC
+    /// units back to floats (`units · w_scale · x_scale + bias`), in
+    /// NCHW for a convolution.
+    fn run(&self, x: &Tensor, input_bits: u32, kernel: impl FnOnce(&Tensor) -> Tensor) -> Tensor {
+        let qa = quantize_activations(x, input_bits);
+        let codes = qa.q.iter().map(|&v| v as f32).collect();
+        let n = x.shape()[0];
+        let (cols, out_hw) = match self.conv {
+            Some(g) => {
+                let (n, c, h, w) = nchw(x);
+                assert_eq!(c, g.in_ch);
+                let codes = Tensor::from_vec(&[n, c, h, w], codes);
+                let (cols, hw) = im2col_codes(&codes, g.k, g.stride, g.pad);
+                (cols, Some(hw))
+            }
+            None => (Tensor::from_vec(&[n, x.len() / n], codes), None),
+        };
+        let mut units = kernel(&cols);
+        let oc = self.planes.out_features;
+        for row in units.data_mut().chunks_exact_mut(oc) {
+            for (v, b) in row.iter_mut().zip(&self.bias) {
+                *v = *v * self.w_scale * qa.scale + b;
+            }
+        }
+        let Some((oh, ow)) = out_hw else {
+            return units;
+        };
+        // Positions-major `[n·oh·ow, oc]` → NCHW.
+        let mut out = Tensor::zeros(&[n, oc, oh, ow]);
+        let od = out.data_mut();
+        for (pos, row) in units.data().chunks_exact(oc).enumerate() {
+            let (ni, yx) = (pos / (oh * ow), pos % (oh * ow));
+            for (o, &v) in row.iter().enumerate() {
+                od[(ni * oc + o) * oh * ow + yx] = v;
+            }
+        }
+        out
+    }
 }
 
 /// A quantized network layer.
 #[derive(Debug)]
 enum QLayer {
-    Conv {
-        mac: MacPlanes,
-        adcs: (SarAdc, SarAdc),
-        w_scale: f32,
-        bias: Vec<f32>,
-        k: usize,
-        stride: usize,
-        pad: usize,
-        in_ch: usize,
-        out_ch: usize,
-    },
-    Linear {
-        mac: MacPlanes,
-        adcs: (SarAdc, SarAdc),
-        w_scale: f32,
-        bias: Vec<f32>,
-    },
+    Mac(MacLayer),
     /// Folded eval-mode batch norm: per-channel `a·x + b`.
     Affine {
         a: Vec<f32>,
@@ -261,34 +308,29 @@ impl QNetwork {
             mac_idx += 1;
             out
         };
-        let build = |qw: &QuantizedWeights| MacPlanes {
-            planes: packed::pack_planes_cached(qw, cfg.rows),
-            noise: packed::PlaneNoise::for_config(&cfg),
+        let mut mac = |weight: &Tensor, bias: &Tensor, conv: Option<ConvGeometry>| {
+            let qw = reweigh(quantize_weights(weight, cfg.weight_bits));
+            QLayer::Mac(MacLayer {
+                planes: packed::pack_planes_cached(&qw, cfg.rows),
+                noise: packed::PlaneNoise::for_config(&cfg),
+                adcs: default_adcs(&cfg),
+                w_scale: qw.scale,
+                bias: bias.data().to_vec(),
+                conv,
+            })
         };
         for l in net.layers() {
             let any = l.as_any();
             if let Some(conv) = any.downcast_ref::<Conv2d>() {
-                let qw = reweigh(quantize_weights(&conv.weight.value, cfg.weight_bits));
-                let (in_ch, out_ch) = conv.channels();
-                layers.push(QLayer::Conv {
-                    mac: build(&qw),
-                    adcs: default_adcs(&cfg),
-                    w_scale: qw.scale,
-                    bias: conv.bias.value.data().to_vec(),
+                let geometry = ConvGeometry {
                     k: conv.kernel(),
                     stride: conv.stride(),
                     pad: conv.padding(),
-                    in_ch,
-                    out_ch,
-                });
+                    in_ch: conv.channels().0,
+                };
+                layers.push(mac(&conv.weight.value, &conv.bias.value, Some(geometry)));
             } else if let Some(lin) = any.downcast_ref::<Linear>() {
-                let qw = reweigh(quantize_weights(&lin.weight.value, cfg.weight_bits));
-                layers.push(QLayer::Linear {
-                    mac: build(&qw),
-                    adcs: default_adcs(&cfg),
-                    w_scale: qw.scale,
-                    bias: lin.bias.value.data().to_vec(),
-                });
+                layers.push(mac(&lin.weight.value, &lin.bias.value, None));
             } else if let Some(bn) = any.downcast_ref::<BatchNorm2d>() {
                 let (a, b) = bn.affine_eval();
                 layers.push(QLayer::Affine { a, b });
@@ -320,14 +362,10 @@ impl QNetwork {
     #[must_use]
     pub fn prepack(&self) -> PrepackSummary {
         let mut s = PrepackSummary::default();
-        for l in &self.layers {
-            let planes = match l {
-                QLayer::Conv { mac, .. } | QLayer::Linear { mac, .. } => &mac.planes,
-                _ => continue,
-            };
+        for mac in self.macs() {
             s.mac_layers += 1;
-            s.chunks += planes.chunks.len();
-            s.words += planes.words();
+            s.chunks += mac.planes.chunks.len();
+            s.words += mac.planes.words();
         }
         s.bytes = s.words * std::mem::size_of::<u64>();
         s
@@ -352,72 +390,15 @@ impl QNetwork {
         let mut cur = x.clone();
         for layer in &mut self.layers {
             cur = match layer {
-                QLayer::Conv {
-                    mac,
-                    adcs,
-                    w_scale,
-                    bias,
-                    k,
-                    stride,
-                    pad,
-                    in_ch,
-                    out_ch,
-                } => {
-                    let (n, c, h, w) = nchw(&cur);
-                    assert_eq!(c, *in_ch);
-                    let qa = quantize_activations(&cur, cfg.input_bits);
-                    let codes =
-                        Tensor::from_vec(&[n, c, h, w], qa.q.iter().map(|&v| v as f32).collect());
-                    let (cols, (oh, ow)) = im2col_codes(&codes, *k, *stride, *pad);
+                QLayer::Mac(mac) => {
                     let mut max_units = (0.0, 0.0);
-                    let units =
-                        packed::ideal_matmul_packed(&cols, &mac.planes, &cfg, &mut max_units);
-                    *adcs = calibrated_adcs(&cfg, max_units, margin);
-                    // Rearrange + dequantize like the real path.
-                    let mut out = Tensor::zeros(&[n, *out_ch, oh, ow]);
-                    let od = out.data_mut();
-                    let ud = units.data();
-                    for ni in 0..n {
-                        for oy in 0..oh {
-                            for ox in 0..ow {
-                                let row = ((ni * oh + oy) * ow + ox) * *out_ch;
-                                for o in 0..*out_ch {
-                                    od[((ni * *out_ch + o) * oh + oy) * ow + ox] =
-                                        ud[row + o] * *w_scale * qa.scale + bias[o];
-                                }
-                            }
-                        }
-                    }
+                    let out = mac.run(&cur, cfg.input_bits, |codes| {
+                        packed::ideal_matmul_packed(codes, &mac.planes, &cfg, &mut max_units)
+                    });
+                    mac.adcs = calibrated_adcs(&cfg, max_units, margin);
                     out
                 }
-                QLayer::Linear {
-                    mac,
-                    adcs,
-                    w_scale,
-                    bias,
-                } => {
-                    let qa = quantize_activations(&cur, cfg.input_bits);
-                    let n = cur.shape()[0];
-                    let f = cur.len() / n;
-                    let codes = Tensor::from_vec(&[n, f], qa.q.iter().map(|&v| v as f32).collect());
-                    let mut max_units = (0.0, 0.0);
-                    let units =
-                        packed::ideal_matmul_packed(&codes, &mac.planes, &cfg, &mut max_units);
-                    *adcs = calibrated_adcs(&cfg, max_units, margin);
-                    let oc = mac.planes.out_features;
-                    let mut out = units;
-                    let od = out.data_mut();
-                    for i in 0..n {
-                        for o in 0..oc {
-                            od[i * oc + o] = od[i * oc + o] * *w_scale * qa.scale + bias[o];
-                        }
-                    }
-                    out
-                }
-                other => {
-                    // Stateless layers: reuse the inference path.
-                    Self::run_stateless(other, &cur)
-                }
+                other => Self::run_stateless(other, &cur),
             };
         }
     }
@@ -438,9 +419,36 @@ impl QNetwork {
         let mut mac_idx = 0u32;
         let mut cur = x.clone();
         for layer in &self.layers {
-            cur = self.run_layer(layer, &cur, &mut mac_idx);
+            cur = match layer {
+                QLayer::Mac(mac) => {
+                    let key = packed::StreamKey {
+                        seed: self.cfg.seed,
+                        layer: mac_idx,
+                    };
+                    mac_idx += 1;
+                    mac.run(&cur, self.cfg.input_bits, |codes| {
+                        packed::imc_matmul_packed(
+                            codes,
+                            &mac.planes,
+                            &mac.noise,
+                            &mac.adcs,
+                            &self.cfg,
+                            key,
+                        )
+                    })
+                }
+                other => Self::run_stateless(other, &cur),
+            };
         }
         cur
+    }
+
+    /// The MAC layers in execution order (index = MAC layer index).
+    fn macs(&self) -> impl Iterator<Item = &MacLayer> {
+        self.layers.iter().filter_map(|l| match l {
+            QLayer::Mac(mac) => Some(mac),
+            _ => None,
+        })
     }
 
     /// Stateless (non-MAC) layers shared by inference and calibration.
@@ -483,88 +491,7 @@ impl QNetwork {
                 let rest: usize = x.shape()[1..].iter().product();
                 x.clone().reshape(&[n, rest])
             }
-            QLayer::Conv { .. } | QLayer::Linear { .. } => {
-                unreachable!("MAC layers are handled by the caller")
-            }
-        }
-    }
-
-    /// Noisy packed MAC of one layer; `mac_idx` counts MAC layers in
-    /// execution order and keys the layer's noise streams.
-    fn run_mac(
-        &self,
-        codes: &Tensor,
-        mac: &MacPlanes,
-        adcs: &(SarAdc, SarAdc),
-        mac_idx: &mut u32,
-    ) -> Tensor {
-        let key = packed::StreamKey {
-            seed: self.cfg.seed,
-            layer: *mac_idx,
-        };
-        *mac_idx += 1;
-        packed::imc_matmul_packed(codes, &mac.planes, &mac.noise, adcs, &self.cfg, key)
-    }
-
-    fn run_layer(&self, layer: &QLayer, x: &Tensor, mac_idx: &mut u32) -> Tensor {
-        match layer {
-            QLayer::Conv {
-                mac,
-                adcs,
-                w_scale,
-                bias,
-                k,
-                stride,
-                pad,
-                in_ch,
-                out_ch,
-            } => {
-                let (n, c, h, w) = nchw(x);
-                assert_eq!(c, *in_ch);
-                let qa = quantize_activations(x, self.cfg.input_bits);
-                let codes =
-                    Tensor::from_vec(&[n, c, h, w], qa.q.iter().map(|&v| v as f32).collect());
-                let (cols, (oh, ow)) = im2col_codes(&codes, *k, *stride, *pad);
-                let units = self.run_mac(&cols, mac, adcs, mac_idx);
-                // Dequantize: MAC = units · w_scale · x_scale + bias.
-                let mut out = Tensor::zeros(&[n, *out_ch, oh, ow]);
-                let od = out.data_mut();
-                let ud = units.data();
-                for ni in 0..n {
-                    for oy in 0..oh {
-                        for ox in 0..ow {
-                            let row = ((ni * oh + oy) * ow + ox) * out_ch;
-                            for o in 0..*out_ch {
-                                od[((ni * out_ch + o) * oh + oy) * ow + ox] =
-                                    ud[row + o] * w_scale * qa.scale + bias[o];
-                            }
-                        }
-                    }
-                }
-                out
-            }
-            QLayer::Linear {
-                mac,
-                adcs,
-                w_scale,
-                bias,
-            } => {
-                let qa = quantize_activations(x, self.cfg.input_bits);
-                let n = x.shape()[0];
-                let f = x.len() / n;
-                let codes = Tensor::from_vec(&[n, f], qa.q.iter().map(|&v| v as f32).collect());
-                let units = self.run_mac(&codes, mac, adcs, mac_idx);
-                let oc = mac.planes.out_features;
-                let mut out = units;
-                let od = out.data_mut();
-                for i in 0..n {
-                    for o in 0..oc {
-                        od[i * oc + o] = od[i * oc + o] * w_scale * qa.scale + bias[o];
-                    }
-                }
-                out
-            }
-            other => Self::run_stateless(other, x),
+            QLayer::Mac(_) => unreachable!("MAC layers are handled by the caller"),
         }
     }
 
@@ -653,24 +580,14 @@ impl QNetwork {
     /// §14): `out[o] = (Σ shards) · w_scale · act_scale + bias[o]`.
     #[must_use]
     pub fn mac_layer_meta(&self) -> Vec<MacLayerMeta> {
-        self.layers
-            .iter()
-            .filter_map(|l| match l {
-                QLayer::Conv {
-                    mac, w_scale, bias, ..
-                } => Some((&mac.planes, w_scale, bias, false)),
-                QLayer::Linear {
-                    mac, w_scale, bias, ..
-                } => Some((&mac.planes, w_scale, bias, true)),
-                _ => None,
-            })
-            .map(|(planes, w_scale, bias, is_linear)| MacLayerMeta {
-                fan: planes.chunks.iter().map(|c| c.rows).sum(),
-                out_features: planes.out_features,
-                chunks: planes.chunks.len(),
-                w_scale: *w_scale,
-                bias: bias.clone(),
-                is_linear,
+        self.macs()
+            .map(|mac| MacLayerMeta {
+                fan: mac.planes.chunks.iter().map(|c| c.rows).sum(),
+                out_features: mac.planes.out_features,
+                chunks: mac.planes.chunks.len(),
+                w_scale: mac.w_scale,
+                bias: mac.bias.clone(),
+                is_linear: mac.conv.is_none(),
             })
             .collect()
     }
@@ -680,12 +597,8 @@ impl QNetwork {
     /// precondition for bit-exact sharded serving.
     #[must_use]
     pub fn partials_are_exact(&self) -> bool {
-        self.layers.iter().all(|l| match l {
-            QLayer::Conv { mac, adcs, .. } | QLayer::Linear { mac, adcs, .. } => {
-                packed::shift_add_is_exact(adcs, &self.cfg, mac.planes.chunks.len())
-            }
-            _ => true,
-        })
+        self.macs()
+            .all(|mac| packed::shift_add_is_exact(&mac.adcs, &self.cfg, mac.planes.chunks.len()))
     }
 
     /// Executes global chunks `chunk_lo..chunk_hi` of the `mac_idx`-th
@@ -700,7 +613,8 @@ impl QNetwork {
     /// # Errors
     ///
     /// Typed [`PartialMacError`]s on a missing/non-linear layer, fan
-    /// mismatch, bad chunk range, or an ADC operating point that breaks
+    /// mismatch, bad chunk range, a code that is not an integer in
+    /// `0..=2^input_bits − 1`, or an ADC operating point that breaks
     /// integer-exact recombination.
     pub fn linear_partial(
         &self,
@@ -709,18 +623,14 @@ impl QNetwork {
         chunk_lo: usize,
         chunk_hi: usize,
     ) -> Result<Vec<i64>, PartialMacError> {
-        let mut macs = self
-            .layers
-            .iter()
-            .filter(|l| matches!(l, QLayer::Conv { .. } | QLayer::Linear { .. }));
-        let layer = macs
+        let mac = self
+            .macs()
             .nth(mac_idx)
             .ok_or(PartialMacError::NoSuchLayer(mac_idx))?;
-        let (MacPlanes { planes, noise }, adcs) = match layer {
-            QLayer::Linear { mac, adcs, .. } => (mac, adcs),
-            QLayer::Conv { .. } => return Err(PartialMacError::NotLinear(mac_idx)),
-            _ => unreachable!("filtered to MAC layers"),
-        };
+        if mac.conv.is_some() {
+            return Err(PartialMacError::NotLinear(mac_idx));
+        }
+        let planes = &mac.planes;
         let chunks = planes.chunks.len();
         if chunk_lo >= chunk_hi || chunk_hi > chunks {
             return Err(PartialMacError::BadChunkRange {
@@ -736,7 +646,15 @@ impl QNetwork {
                 want: fan,
             });
         }
-        if !packed::shift_add_is_exact(adcs, &self.cfg, chunks) {
+        let max_code = ((1u32 << self.cfg.input_bits) - 1) as f32;
+        if let Some(index) = codes
+            .data()
+            .iter()
+            .position(|&v| !((0.0..=max_code).contains(&v) && v.fract() == 0.0))
+        {
+            return Err(PartialMacError::BadCode { index });
+        }
+        if !packed::shift_add_is_exact(&mac.adcs, &self.cfg, chunks) {
             return Err(PartialMacError::InexactShiftAdd);
         }
         #[allow(clippy::cast_possible_truncation)]
@@ -747,8 +665,8 @@ impl QNetwork {
         Ok(packed::imc_matmul_packed_partial(
             codes,
             planes,
-            noise,
-            adcs,
+            &mac.noise,
+            &mac.adcs,
             &self.cfg,
             key,
             chunk_lo..chunk_hi,
@@ -798,6 +716,12 @@ pub enum PartialMacError {
         /// Fan-in the layer expects.
         want: usize,
     },
+    /// An activation code is not an integer in `0..=2^input_bits − 1`
+    /// (NaN, fractional, negative or too large).
+    BadCode {
+        /// Position of the first bad code.
+        index: usize,
+    },
     /// The ADC operating point breaks integer-exact recombination
     /// ([`packed::shift_add_is_exact`]).
     InexactShiftAdd,
@@ -816,6 +740,9 @@ impl std::fmt::Display for PartialMacError {
                     f,
                     "activation fan-in {got} does not match layer fan-in {want}"
                 )
+            }
+            Self::BadCode { index } => {
+                write!(f, "activation code {index} is not a valid input code")
             }
             Self::InexactShiftAdd => {
                 write!(
@@ -1208,5 +1135,16 @@ mod tests {
             q.linear_partial(0, &short, 0, 1),
             Err(PartialMacError::BadFan { got: 8, want: 64 })
         );
+        // 4-bit inputs: codes are the integers 0..=15.
+        for (index, bad) in [(3, 300.0), (17, f32::NAN), (40, 2.7), (63, -1.0)] {
+            let mut data = vec![15.0; 64];
+            data[index] = bad;
+            let codes = Tensor::from_vec(&[1, 64], data);
+            assert_eq!(
+                q.linear_partial(0, &codes, 0, 1),
+                Err(PartialMacError::BadCode { index }),
+                "code {bad}"
+            );
+        }
     }
 }

@@ -21,7 +21,21 @@
 //! combine `16·H + L` plus the input-bit shift-add `Σ_t 2^t` accumulate
 //! in f32 in a fixed input bit → chunk → output order. At
 //! `noise_scale = 0` the kernel is pinned bit for bit to an independent
-//! per-row reference in `tests/kernel_equivalence.rs`.
+//! per-row reference in `tests/kernel_equivalence.rs`; with noise on,
+//! the same file pins its outputs by golden digest.
+//!
+//! The AND+popcount loop is written once, as an `#[inline(always)]` pass
+//! body generic over the *read* of each conversion's popcounts (the
+//! noisy ADC pair, or the ideal calibration read that converts nothing
+//! and records the largest |H| and L) and over the *accumulator* its
+//! `2^t` shift-add lands in (f32, or exact i64 for shard partial sums).
+//! [`imc_matmul_packed`], [`imc_matmul_packed_partial`] and
+//! [`ideal_matmul_packed`] are its three pairings, all run by one driver
+//! that builds the input bit-masks, opens the noise streams and picks
+//! the compile. The body is compiled exactly twice, portably and with
+//! `popcnt,sse4.1` on x86-64 (detected at run time), so calibration
+//! takes the fast compile too. Its position loop keeps an explicit
+//! bound; the comment there says why.
 //!
 //! Statistical device noise rides on top of the integer pMACV: the
 //! per-active-cell variances are recovered *exactly* from the popcounts
@@ -310,103 +324,181 @@ impl StreamKey {
     }
 }
 
-/// One noisy conversion of a chunk's plane popcounts through the ADC
-/// pair, returning the combined pMACV `16·H + L` (or `H` in 4-bit
-/// mode). Shared verbatim by the packed kernel and the scalar
-/// reference so their semantics cannot drift.
-///
-/// `inline(always)`: the feature-specialized chunk pass must absorb
-/// this body (and the ADC math inside it) for SSE4.1 `roundsd`
-/// lowering to apply; a plain `#[inline]` hint loses that and leaves
-/// two libm calls per conversion on the hot path.
-#[inline(always)]
-fn convert_counts(
-    n: &[u32; PLANES],
-    noise: &PlaneNoise,
-    adc_h: &AdcReader,
-    adc_l: &AdcReader,
+/// How one conversion's plane popcounts `n` are read out: the noisy
+/// ADC pair of inference ([`AdcRead`]) or the ideal calibration read
+/// ([`IdealRead`]). Returns the combined pMACV `16·H + L` (`H` in 4-bit
+/// mode).
+trait Readout {
+    fn read(&mut self, n: &[u32; PLANES], gauss: &mut ZigGauss) -> f64;
+}
+
+/// Where a read pMACV lands: shift-added by its input bit `t` into an
+/// f32 output (single-node kernel) or an exact i64 partial sum (shard
+/// kernel).
+trait ShiftAdd: Copy + Default {
+    fn shift_add(&mut self, combined: f64, t: u32);
+}
+
+impl ShiftAdd for f32 {
+    #[inline(always)]
+    fn shift_add(&mut self, combined: f64, t: u32) {
+        *self += (combined * f64::from(1u32 << t)) as f32;
+    }
+}
+
+impl ShiftAdd for i64 {
+    /// `combined` is integral whenever the ADC step sizes are
+    /// ([`shift_add_is_exact`]); the cast is exact there and the debug
+    /// assert pins it.
+    #[inline(always)]
+    #[allow(clippy::cast_possible_truncation)]
+    fn shift_add(&mut self, combined: f64, t: u32) {
+        debug_assert_eq!(
+            combined.fract(),
+            0.0,
+            "partial-sum MAC requires integer ADC outputs (shift_add_is_exact)"
+        );
+        *self += (combined as i64) << t;
+    }
+}
+
+/// The noisy read through the ADC pair.
+struct AdcRead<'a> {
+    noise: &'a PlaneNoise,
+    adc_h: AdcReader,
+    adc_l: AdcReader,
     eight_bit: bool,
-    gauss: &mut ZigGauss,
-) -> f64 {
-    let eff = noise.eff_scale;
-    // Integer shift-add first, one exact int→f64 convert after: the
-    // popcounts are ≤ 64·words, so both the i64 sums and their f64
-    // images are exact — bit-identical to summing f64 terms.
-    let h_int =
-        (i64::from(n[0]) + 2 * i64::from(n[1]) + 4 * i64::from(n[2]) - 8 * i64::from(n[3])) as f64;
-    let noise_h = if eff > 0.0 {
-        let vh = f64::from(n[0]) * noise.ch[0]
-            + f64::from(n[1]) * noise.ch[1]
-            + f64::from(n[2]) * noise.ch[2]
-            + f64::from(n[3]) * noise.ch[3];
-        eff * vh.sqrt() * gauss.normal()
-    } else {
-        0.0
-    };
-    let h_units = adc_h.read_units(h_int + noise_h);
-    if eight_bit {
+}
+
+impl<'a> AdcRead<'a> {
+    fn new(noise: &'a PlaneNoise, adcs: &(SarAdc, SarAdc), cfg: &ImcConfig) -> Self {
+        Self {
+            noise,
+            adc_h: adcs.0.reader(),
+            adc_l: adcs.1.reader(),
+            eight_bit: cfg.weight_bits == 8,
+        }
+    }
+}
+
+impl Readout for AdcRead<'_> {
+    /// `inline(always)`: the feature-specialized pass must absorb this
+    /// body (and the ADC math inside it) for SSE4.1 `roundsd` lowering
+    /// to apply; a plain `#[inline]` hint loses that and leaves two libm
+    /// calls per conversion on the hot path.
+    #[inline(always)]
+    fn read(&mut self, n: &[u32; PLANES], gauss: &mut ZigGauss) -> f64 {
+        let eff = self.noise.eff_scale;
+        // Integer shift-add first, one exact int→f64 convert after: the
+        // popcounts are ≤ 64·words, so both the i64 sums and their f64
+        // images are exact — bit-identical to summing f64 terms.
+        let h_int = (i64::from(n[0]) + 2 * i64::from(n[1]) + 4 * i64::from(n[2])
+            - 8 * i64::from(n[3])) as f64;
+        let noise_h = if eff > 0.0 {
+            let ch = &self.noise.ch;
+            let vh = f64::from(n[0]) * ch[0]
+                + f64::from(n[1]) * ch[1]
+                + f64::from(n[2]) * ch[2]
+                + f64::from(n[3]) * ch[3];
+            eff * vh.sqrt() * gauss.normal()
+        } else {
+            0.0
+        };
+        let h_units = self.adc_h.read_units(h_int + noise_h);
+        if !self.eight_bit {
+            return h_units;
+        }
         let l_int =
             (i64::from(n[4]) + 2 * i64::from(n[5]) + 4 * i64::from(n[6]) + 8 * i64::from(n[7]))
                 as f64;
         let noise_l = if eff > 0.0 {
-            let vl = f64::from(n[4]) * noise.cl[0]
-                + f64::from(n[5]) * noise.cl[1]
-                + f64::from(n[6]) * noise.cl[2]
-                + f64::from(n[7]) * noise.cl[3];
+            let cl = &self.noise.cl;
+            let vl = f64::from(n[4]) * cl[0]
+                + f64::from(n[5]) * cl[1]
+                + f64::from(n[6]) * cl[2]
+                + f64::from(n[7]) * cl[3];
             eff * vl.sqrt() * gauss.normal()
         } else {
             0.0
         };
-        let l_units = adc_l.read_units(l_int + noise_l);
-        16.0 * h_units + l_units
-    } else {
-        h_units
+        16.0 * h_units + self.adc_l.read_units(l_int + noise_l)
     }
 }
 
-/// Borrowed arguments of one chunk's conversion pass, bundled so the
-/// hot loop can be compiled twice (portable and feature-specialized)
-/// from a single body.
-struct ChunkPass<'a> {
+/// The calibration read: no noise and no conversion, recording the
+/// largest |H4B| and L4B chunk partial sums seen.
+struct IdealRead {
+    eight_bit: bool,
+    max_units: (f64, f64),
+}
+
+impl Readout for IdealRead {
+    #[inline(always)]
+    fn read(&mut self, n: &[u32; PLANES], _gauss: &mut ZigGauss) -> f64 {
+        let h =
+            f64::from(n[0]) + 2.0 * f64::from(n[1]) + 4.0 * f64::from(n[2]) - 8.0 * f64::from(n[3]);
+        let l =
+            f64::from(n[4]) + 2.0 * f64::from(n[5]) + 4.0 * f64::from(n[6]) + 8.0 * f64::from(n[7]);
+        self.max_units.0 = self.max_units.0.max(h.abs());
+        self.max_units.1 = self.max_units.1.max(l);
+        if self.eight_bit {
+            16.0 * h + l
+        } else {
+            h
+        }
+    }
+}
+
+/// One chunk at input bit `t`: the chunk's input bit-masks (`positions`
+/// sets of `wpp` words) and its packed weight words.
+struct Pass<'a> {
     masks: &'a [u64],
     words: &'a [u64],
     wpp: usize,
     positions: usize,
     oc: usize,
-    noise: &'a PlaneNoise,
-    adc_h: AdcReader,
-    adc_l: AdcReader,
-    eight_bit: bool,
-    weight: f64,
+    t: u32,
 }
 
-/// The `positions × oc` popcount-convert-accumulate loop for one chunk
-/// at one input-bit significance. Shared verbatim by both compiled
-/// entry points below.
+/// The `positions × oc` popcount → read → shift-add loop of one pass,
+/// the only popcount loop of the kernel. Compiled exactly twice, by the
+/// two functions below.
 #[inline(always)]
-fn chunk_pass_body(a: &ChunkPass<'_>, gauss: &mut ZigGauss, ad: &mut [f32]) {
-    let wpp = a.wpp;
-    for p in 0..a.positions {
-        let xm = &a.masks[p * wpp..(p + 1) * wpp];
-        let base = p * a.oc;
-        for o in 0..a.oc {
-            let w = &a.words[o * PLANES * wpp..(o + 1) * PLANES * wpp];
+fn pass_body<R: Readout, A: ShiftAdd>(
+    p: &Pass<'_>,
+    read: &mut R,
+    gauss: &mut ZigGauss,
+    acc: &mut [A],
+) {
+    let wpp = p.wpp;
+    // Keep the explicit `positions` bound: bounding this loop by
+    // `masks.len() / wpp`, or iterating `masks.chunks_exact(wpp)`,
+    // compiles the f32 pass ~40% slower with the same instruction mix.
+    for pos in 0..p.positions {
+        let xm = &p.masks[pos * wpp..(pos + 1) * wpp];
+        let base = pos * p.oc;
+        for o in 0..p.oc {
+            let w = &p.words[o * PLANES * wpp..(o + 1) * PLANES * wpp];
             let mut n = [0u32; PLANES];
             for (s, &x) in xm.iter().enumerate() {
                 for (j, nj) in n.iter_mut().enumerate() {
                     *nj += (x & w[j * wpp + s]).count_ones();
                 }
             }
-            let combined = convert_counts(&n, a.noise, &a.adc_h, &a.adc_l, a.eight_bit, gauss);
-            ad[base + o] += (combined * a.weight) as f32;
+            acc[base + o].shift_add(read.read(&n, gauss), p.t);
         }
     }
 }
 
-/// Baseline-ISA compilation of the chunk pass (software popcount on
-/// x86-64 without `-C target-cpu`).
-fn chunk_pass_portable(a: &ChunkPass<'_>, gauss: &mut ZigGauss, ad: &mut [f32]) {
-    chunk_pass_body(a, gauss, ad);
+/// Baseline-ISA compilation of the pass (software popcount on x86-64
+/// without `-C target-cpu`).
+fn pass_portable<R: Readout, A: ShiftAdd>(
+    p: &Pass<'_>,
+    read: &mut R,
+    gauss: &mut ZigGauss,
+    acc: &mut [A],
+) {
+    pass_body(p, read, gauss, acc);
 }
 
 /// The same pass compiled with hardware `popcnt` (the eight AND+count
@@ -421,74 +513,16 @@ fn chunk_pass_portable(a: &ChunkPass<'_>, gauss: &mut ZigGauss, ad: &mut [f32]) 
 /// ([`have_fast_mac_features`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "popcnt,sse4.1")]
-unsafe fn chunk_pass_x86_fast(a: &ChunkPass<'_>, gauss: &mut ZigGauss, ad: &mut [f32]) {
-    chunk_pass_body(a, gauss, ad);
+unsafe fn pass_x86_fast<R: Readout, A: ShiftAdd>(
+    p: &Pass<'_>,
+    read: &mut R,
+    gauss: &mut ZigGauss,
+    acc: &mut [A],
+) {
+    pass_body(p, read, gauss, acc);
 }
 
-/// Borrowed arguments of one chunk's *integer partial-sum* pass
-/// ([`imc_matmul_packed_partial`]): same popcount/convert loop as
-/// [`ChunkPass`], but the shifted pMACV accumulates into `i64`s.
-struct PartialPass<'a> {
-    masks: &'a [u64],
-    words: &'a [u64],
-    wpp: usize,
-    positions: usize,
-    oc: usize,
-    noise: &'a PlaneNoise,
-    adc_h: AdcReader,
-    adc_l: AdcReader,
-    eight_bit: bool,
-    shift: u32,
-}
-
-/// The `positions × oc` loop of the partial-sum kernel. `combined` is
-/// integral whenever the ADC step sizes are ([`shift_add_is_exact`]);
-/// the cast is exact there and the debug assert pins it.
-#[inline(always)]
-#[allow(clippy::cast_possible_truncation)]
-fn partial_pass_body(a: &PartialPass<'_>, gauss: &mut ZigGauss, acc: &mut [i64]) {
-    let wpp = a.wpp;
-    for p in 0..a.positions {
-        let xm = &a.masks[p * wpp..(p + 1) * wpp];
-        let base = p * a.oc;
-        for o in 0..a.oc {
-            let w = &a.words[o * PLANES * wpp..(o + 1) * PLANES * wpp];
-            let mut n = [0u32; PLANES];
-            for (s, &x) in xm.iter().enumerate() {
-                for (j, nj) in n.iter_mut().enumerate() {
-                    *nj += (x & w[j * wpp + s]).count_ones();
-                }
-            }
-            let combined = convert_counts(&n, a.noise, &a.adc_h, &a.adc_l, a.eight_bit, gauss);
-            debug_assert_eq!(
-                combined.fract(),
-                0.0,
-                "partial-sum MAC requires integer ADC outputs (shift_add_is_exact)"
-            );
-            acc[base + o] += (combined as i64) << a.shift;
-        }
-    }
-}
-
-/// Baseline-ISA compilation of the partial pass.
-fn partial_pass_portable(a: &PartialPass<'_>, gauss: &mut ZigGauss, acc: &mut [i64]) {
-    partial_pass_body(a, gauss, acc);
-}
-
-/// [`partial_pass_body`] compiled with hardware `popcnt` + SSE4.1,
-/// mirroring [`chunk_pass_x86_fast`].
-///
-/// # Safety
-///
-/// Caller must ensure the CPU supports `popcnt` and `sse4.1`
-/// ([`have_fast_mac_features`]).
-#[cfg(target_arch = "x86_64")]
-#[target_feature(enable = "popcnt,sse4.1")]
-unsafe fn partial_pass_x86_fast(a: &PartialPass<'_>, gauss: &mut ZigGauss, acc: &mut [i64]) {
-    partial_pass_body(a, gauss, acc);
-}
-
-/// Runtime CPU feature gate for [`chunk_pass_x86_fast`], probed once.
+/// Runtime CPU feature gate for [`pass_x86_fast`], probed once.
 #[cfg(target_arch = "x86_64")]
 fn have_fast_mac_features() -> bool {
     static HAVE: OnceLock<bool> = OnceLock::new();
@@ -496,6 +530,63 @@ fn have_fast_mac_features() -> bool {
         std::arch::is_x86_feature_detected!("popcnt")
             && std::arch::is_x86_feature_detected!("sse4.1")
     })
+}
+
+/// The kernel driver: for every input bit `t` and global chunk `c` of
+/// `chunks`, in that order, builds the chunk's input bit-masks from
+/// `acts_codes` (`[positions, fan]`) and runs one pass on stream
+/// `key.stream(t, c)`, on the fastest compile the CPU supports.
+/// Returns the `[positions, oc]` accumulators.
+fn run_passes<R: Readout, A: ShiftAdd>(
+    acts_codes: &Tensor,
+    planes: &PackedPlanes,
+    chunks: std::ops::Range<usize>,
+    cfg: &ImcConfig,
+    key: StreamKey,
+    read: &mut R,
+) -> Vec<A> {
+    let positions = acts_codes.shape()[0];
+    let fan = acts_codes.shape()[1];
+    let src = acts_codes.data();
+    let mut acc = vec![A::default(); positions * planes.out_features];
+    // Reused input bit-mask arena: one u64 row-mask set per position.
+    let mut masks: Vec<u64> = Vec::new();
+    // Row offset of the first chunk in the slice.
+    let base_r0: usize = planes.chunks[..chunks.start].iter().map(|c| c.rows).sum();
+    for t in 0..cfg.input_bits {
+        let mut r0 = base_r0;
+        for c in chunks.clone() {
+            let chunk = &planes.chunks[c];
+            let (rc, wpp) = (chunk.rows, chunk.words_per_plane);
+            masks.clear();
+            masks.resize(positions * wpp, 0);
+            for p in 0..positions {
+                let row = &src[p * fan + r0..p * fan + r0 + rc];
+                let m = &mut masks[p * wpp..(p + 1) * wpp];
+                for (r, &code) in row.iter().enumerate() {
+                    m[r >> 6] |= u64::from((code as u32 >> t) & 1) << (r & 63);
+                }
+            }
+            r0 += rc;
+            let pass = Pass {
+                masks: &masks,
+                words: &chunk.words,
+                wpp,
+                positions,
+                oc: planes.out_features,
+                t,
+            };
+            let mut gauss = key.stream(t, c);
+            #[cfg(target_arch = "x86_64")]
+            if have_fast_mac_features() {
+                // SAFETY: guarded by runtime CPU feature detection.
+                unsafe { pass_x86_fast(&pass, read, &mut gauss, &mut acc) };
+                continue;
+            }
+            pass_portable(&pass, read, &mut gauss, &mut acc);
+        }
+    }
+    acc
 }
 
 /// The packed bit-serial MAC: `acts_codes` is `[positions, fan]`
@@ -515,56 +606,10 @@ pub fn imc_matmul_packed(
     key: StreamKey,
 ) -> Tensor {
     let _span = imc_obs::span!("kernel.packed_mac");
-    let positions = acts_codes.shape()[0];
-    let fan = acts_codes.shape()[1];
-    let oc = planes.out_features;
-    let (adc_h, adc_l) = (adcs.0.reader(), adcs.1.reader());
-    let eight_bit = cfg.weight_bits == 8;
-    let mut acc = Tensor::zeros(&[positions, oc]);
-    // Reused input bit-mask arena: one u64 row-mask set per position.
-    let mut masks: Vec<u64> = Vec::new();
-    for t in 0..cfg.input_bits {
-        let weight = f64::from(1u32 << t);
-        let mut r0 = 0usize;
-        for (c, chunk) in planes.chunks.iter().enumerate() {
-            let rc = chunk.rows;
-            let wpp = chunk.words_per_plane;
-            masks.clear();
-            masks.resize(positions * wpp, 0);
-            let src = acts_codes.data();
-            for p in 0..positions {
-                let row = &src[p * fan + r0..p * fan + r0 + rc];
-                let m = &mut masks[p * wpp..(p + 1) * wpp];
-                for (r, &code) in row.iter().enumerate() {
-                    m[r >> 6] |= u64::from((code as u32 >> t) & 1) << (r & 63);
-                }
-            }
-            let ad = acc.data_mut();
-            let mut gauss = key.stream(t, c);
-            let pass = ChunkPass {
-                masks: &masks,
-                words: &chunk.words,
-                wpp,
-                positions,
-                oc,
-                noise,
-                adc_h,
-                adc_l,
-                eight_bit,
-                weight,
-            };
-            #[cfg(target_arch = "x86_64")]
-            if have_fast_mac_features() {
-                // SAFETY: guarded by runtime CPU feature detection.
-                unsafe { chunk_pass_x86_fast(&pass, &mut gauss, ad) };
-                r0 += rc;
-                continue;
-            }
-            chunk_pass_portable(&pass, &mut gauss, ad);
-            r0 += rc;
-        }
-    }
-    acc
+    let mut read = AdcRead::new(noise, adcs, cfg);
+    let all = 0..planes.chunks.len();
+    let units = run_passes(acts_codes, planes, all, cfg, key, &mut read);
+    Tensor::from_vec(&[acts_codes.shape()[0], planes.out_features], units)
 }
 
 /// Integer partial-sum MAC over a global chunk slice — the shard-side
@@ -595,61 +640,13 @@ pub fn imc_matmul_packed_partial(
     chunks: std::ops::Range<usize>,
 ) -> Vec<i64> {
     let _span = imc_obs::span!("kernel.packed_mac_partial");
-    let (chunk_lo, chunk_hi) = (chunks.start, chunks.end);
     assert!(
-        chunk_lo <= chunk_hi && chunk_hi <= planes.chunks.len(),
-        "chunk slice {chunk_lo}..{chunk_hi} out of bounds ({} chunks)",
+        chunks.start <= chunks.end && chunks.end <= planes.chunks.len(),
+        "chunk slice {chunks:?} out of bounds ({} chunks)",
         planes.chunks.len()
     );
-    let positions = acts_codes.shape()[0];
-    let fan = acts_codes.shape()[1];
-    let oc = planes.out_features;
-    let (adc_h, adc_l) = (adcs.0.reader(), adcs.1.reader());
-    let eight_bit = cfg.weight_bits == 8;
-    let mut acc = vec![0i64; positions * oc];
-    let mut masks: Vec<u64> = Vec::new();
-    // Row offset of the first chunk in the slice.
-    let base_r0: usize = planes.chunks[..chunk_lo].iter().map(|c| c.rows).sum();
-    for t in 0..cfg.input_bits {
-        let mut r0 = base_r0;
-        for (c, chunk) in planes.chunks[chunk_lo..chunk_hi].iter().enumerate() {
-            let rc = chunk.rows;
-            let wpp = chunk.words_per_plane;
-            masks.clear();
-            masks.resize(positions * wpp, 0);
-            let src = acts_codes.data();
-            for p in 0..positions {
-                let row = &src[p * fan + r0..p * fan + r0 + rc];
-                let m = &mut masks[p * wpp..(p + 1) * wpp];
-                for (r, &code) in row.iter().enumerate() {
-                    m[r >> 6] |= u64::from((code as u32 >> t) & 1) << (r & 63);
-                }
-            }
-            let mut gauss = key.stream(t, chunk_lo + c);
-            let pass = PartialPass {
-                masks: &masks,
-                words: &chunk.words,
-                wpp,
-                positions,
-                oc,
-                noise,
-                adc_h,
-                adc_l,
-                eight_bit,
-                shift: t,
-            };
-            #[cfg(target_arch = "x86_64")]
-            if have_fast_mac_features() {
-                // SAFETY: guarded by runtime CPU feature detection.
-                unsafe { partial_pass_x86_fast(&pass, &mut gauss, &mut acc) };
-                r0 += rc;
-                continue;
-            }
-            partial_pass_portable(&pass, &mut gauss, &mut acc);
-            r0 += rc;
-        }
-    }
-    acc
+    let mut read = AdcRead::new(noise, adcs, cfg);
+    run_passes(acts_codes, planes, chunks, cfg, key, &mut read)
 }
 
 /// Checks the preconditions under which i64 partial sums recombine
@@ -680,63 +677,10 @@ pub fn shift_add_is_exact(adcs: &(SarAdc, SarAdc), cfg: &ImcConfig, n_chunks: us
     total < f64::from(1u32 << 24)
 }
 
-/// Scalar reference for the packed kernel: identical semantics, draw
-/// order, and accumulation order, but the plane popcounts are rebuilt
-/// per row directly from the quantized codes — no packed data is
-/// involved, so an equivalence test against [`imc_matmul_packed`]
-/// checks the packing *and* the SWAR popcount logic at once.
-#[must_use]
-pub fn imc_matmul_reference(
-    acts_codes: &Tensor,
-    qw: &QuantizedWeights,
-    noise: &PlaneNoise,
-    adcs: &(SarAdc, SarAdc),
-    cfg: &ImcConfig,
-    key: StreamKey,
-) -> Tensor {
-    let positions = acts_codes.shape()[0];
-    let fan = acts_codes.shape()[1];
-    let [oc, qfan] = qw.shape;
-    assert_eq!(fan, qfan, "activation fan-in must match the weights");
-    let (adc_h, adc_l) = (adcs.0.reader(), adcs.1.reader());
-    let eight_bit = cfg.weight_bits == 8;
-    let rows = cfg.rows;
-    let n_chunks = fan.div_ceil(rows);
-    let mut acc = Tensor::zeros(&[positions, oc]);
-    let src = acts_codes.data();
-    for t in 0..cfg.input_bits {
-        let weight = f64::from(1u32 << t);
-        for c in 0..n_chunks {
-            let r0 = c * rows;
-            let r1 = (r0 + rows).min(fan);
-            let ad = acc.data_mut();
-            let mut gauss = key.stream(t, c);
-            for p in 0..positions {
-                let base = p * oc;
-                for o in 0..oc {
-                    let mut n = [0u32; PLANES];
-                    for r in r0..r1 {
-                        if (src[p * fan + r] as u32 >> t) & 1 == 0 {
-                            continue;
-                        }
-                        let (hb, lb) = nibble_bits(qw.q[o * fan + r], qw.bits);
-                        for j in 0..4 {
-                            n[j] += u32::from(hb[j]);
-                            n[4 + j] += u32::from(lb[j]);
-                        }
-                    }
-                    let combined = convert_counts(&n, noise, &adc_h, &adc_l, eight_bit, &mut gauss);
-                    ad[base + o] += (combined * weight) as f32;
-                }
-            }
-        }
-    }
-    acc
-}
-
 /// Noise-free, conversion-free packed MAC recording the largest |H4B|
 /// and L4B chunk partial sums — the calibration pass of the packed
-/// kernel.
+/// kernel. It runs the same passes as [`imc_matmul_packed`] with the
+/// ideal read, which draws nothing from its streams.
 #[must_use]
 pub fn ideal_matmul_packed(
     acts_codes: &Tensor,
@@ -744,56 +688,18 @@ pub fn ideal_matmul_packed(
     cfg: &ImcConfig,
     max_units: &mut (f64, f64),
 ) -> Tensor {
-    let positions = acts_codes.shape()[0];
-    let fan = acts_codes.shape()[1];
-    let oc = planes.out_features;
-    let eight_bit = cfg.weight_bits == 8;
-    let mut acc = Tensor::zeros(&[positions, oc]);
-    let mut masks: Vec<u64> = Vec::new();
-    for t in 0..cfg.input_bits {
-        let weight = f64::from(1u32 << t);
-        let mut r0 = 0usize;
-        for chunk in &planes.chunks {
-            let rc = chunk.rows;
-            let wpp = chunk.words_per_plane;
-            masks.clear();
-            masks.resize(positions * wpp, 0);
-            let src = acts_codes.data();
-            for p in 0..positions {
-                let row = &src[p * fan + r0..p * fan + r0 + rc];
-                let m = &mut masks[p * wpp..(p + 1) * wpp];
-                for (r, &code) in row.iter().enumerate() {
-                    m[r >> 6] |= u64::from((code as u32 >> t) & 1) << (r & 63);
-                }
-            }
-            let ad = acc.data_mut();
-            for p in 0..positions {
-                let xm = &masks[p * wpp..(p + 1) * wpp];
-                let base = p * oc;
-                for o in 0..oc {
-                    let w = &chunk.words[o * PLANES * wpp..(o + 1) * PLANES * wpp];
-                    let mut n = [0u32; PLANES];
-                    for (s, &x) in xm.iter().enumerate() {
-                        for (j, nj) in n.iter_mut().enumerate() {
-                            *nj += (x & w[j * wpp + s]).count_ones();
-                        }
-                    }
-                    let h = f64::from(n[0]) + 2.0 * f64::from(n[1]) + 4.0 * f64::from(n[2])
-                        - 8.0 * f64::from(n[3]);
-                    let l = f64::from(n[4])
-                        + 2.0 * f64::from(n[5])
-                        + 4.0 * f64::from(n[6])
-                        + 8.0 * f64::from(n[7]);
-                    max_units.0 = max_units.0.max(h.abs());
-                    max_units.1 = max_units.1.max(l);
-                    let combined = if eight_bit { 16.0 * h + l } else { h };
-                    ad[base + o] += (combined * weight) as f32;
-                }
-            }
-            r0 += rc;
-        }
-    }
-    acc
+    let mut read = IdealRead {
+        eight_bit: cfg.weight_bits == 8,
+        max_units: *max_units,
+    };
+    let key = StreamKey {
+        seed: cfg.seed,
+        layer: 0,
+    };
+    let all = 0..planes.chunks.len();
+    let units = run_passes(acts_codes, planes, all, cfg, key, &mut read);
+    *max_units = read.max_units;
+    Tensor::from_vec(&[acts_codes.shape()[0], planes.out_features], units)
 }
 
 /// Ziggurat normal sampler (Marsaglia–Tsang, 128 layers) over a
@@ -934,6 +840,117 @@ mod tests {
                 })
                 .collect(),
         )
+    }
+
+    /// Scalar reference for the packed kernel: identical semantics, draw
+    /// order, and accumulation order, but the plane popcounts are rebuilt
+    /// per row directly from the quantized codes — no packed data is
+    /// involved, so an equivalence test against [`imc_matmul_packed`]
+    /// checks the packing *and* the SWAR popcount logic at once. It shares
+    /// only the ADC read ([`AdcRead`]) with the kernel.
+    fn imc_matmul_reference(
+        acts_codes: &Tensor,
+        qw: &QuantizedWeights,
+        noise: &PlaneNoise,
+        adcs: &(SarAdc, SarAdc),
+        cfg: &ImcConfig,
+        key: StreamKey,
+    ) -> Tensor {
+        let positions = acts_codes.shape()[0];
+        let fan = acts_codes.shape()[1];
+        let [oc, qfan] = qw.shape;
+        assert_eq!(fan, qfan, "activation fan-in must match the weights");
+        let mut read = AdcRead::new(noise, adcs, cfg);
+        let rows = cfg.rows;
+        let n_chunks = fan.div_ceil(rows);
+        let mut acc = Tensor::zeros(&[positions, oc]);
+        let src = acts_codes.data();
+        for t in 0..cfg.input_bits {
+            let weight = f64::from(1u32 << t);
+            for c in 0..n_chunks {
+                let r0 = c * rows;
+                let r1 = (r0 + rows).min(fan);
+                let ad = acc.data_mut();
+                let mut gauss = key.stream(t, c);
+                for p in 0..positions {
+                    let base = p * oc;
+                    for o in 0..oc {
+                        let mut n = [0u32; PLANES];
+                        for r in r0..r1 {
+                            if (src[p * fan + r] as u32 >> t) & 1 == 0 {
+                                continue;
+                            }
+                            let (hb, lb) = nibble_bits(qw.q[o * fan + r], qw.bits);
+                            for j in 0..4 {
+                                n[j] += u32::from(hb[j]);
+                                n[4 + j] += u32::from(lb[j]);
+                            }
+                        }
+                        let combined = read.read(&n, &mut gauss);
+                        ad[base + o] += (combined * weight) as f32;
+                    }
+                }
+            }
+        }
+        acc
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn portable_and_fast_compiles_agree_bit_for_bit() {
+        // `run_passes` takes the `popcnt,sse4.1` compile on any x86-64
+        // host, so the portable one runs only here: one pass through each
+        // compile for every (read, accumulator) pairing the kernel uses.
+        assert!(have_fast_mac_features(), "x86-64 has popcnt and sse4.1");
+        let cfg = ImcConfig::paper(super::super::ImcDesign::ChgFe, 4, 8);
+        let (positions, oc) = (3, 5);
+        let planes = pack_planes(&test_weights(oc, 70, 8, 0xFA57), cfg.rows);
+        let chunk = &planes.chunks[1];
+        // Mask bits past the chunk's rows meet zero weight bits.
+        let masks: Vec<u64> = (0..positions * chunk.words_per_plane)
+            .map(|i| stream_seed(9, 0, 0, i))
+            .collect();
+        let pass = Pass {
+            masks: &masks,
+            words: &chunk.words,
+            wpp: chunk.words_per_plane,
+            positions,
+            oc,
+            t: 2,
+        };
+        fn run<R: Readout, A: ShiftAdd>(
+            fast: bool,
+            pass: &Pass<'_>,
+            read: &mut R,
+            init: A,
+        ) -> Vec<A> {
+            let mut acc = vec![init; pass.positions * pass.oc];
+            let mut gauss = ZigGauss::new(0x5EED);
+            if fast {
+                // SAFETY: the test asserts the CPU has the features.
+                unsafe { pass_x86_fast(pass, read, &mut gauss, &mut acc) };
+            } else {
+                pass_portable(pass, read, &mut gauss, &mut acc);
+            }
+            acc
+        }
+        let noise = PlaneNoise::for_config(&cfg);
+        let adcs = super::super::default_adcs(&cfg);
+        let noisy = || AdcRead::new(&noise, &adcs, &cfg);
+        let bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        let f32_pass = |fast| bits(run(fast, &pass, &mut noisy(), 0.5f32));
+        assert_eq!(f32_pass(false), f32_pass(true), "noisy f32 pass");
+        let i64_pass = |fast| run(fast, &pass, &mut noisy(), 7i64);
+        assert_eq!(i64_pass(false), i64_pass(true), "noisy i64 pass");
+        let ideal_pass = |fast| {
+            let mut read = IdealRead {
+                eight_bit: true,
+                max_units: (1.0, 2.0),
+            };
+            let acc = bits(run(fast, &pass, &mut read, 0.5f32));
+            (acc, read.max_units.0.to_bits(), read.max_units.1.to_bits())
+        };
+        assert_eq!(ideal_pass(false), ideal_pass(true), "ideal pass");
     }
 
     #[test]

@@ -4,9 +4,9 @@
 //! A [`TraceContext`] names one logical request: a process-unique
 //! `trace_id`, the span it is nested under on the *sending* side
 //! (`parent_span`), and a head-sampling flag. The context rides the
-//! wire (an optional JSON field; an optional trailing block in `BIN1`
-//! frames — see `imc-serve::wire`) so every process a request passes
-//! through tags its spans with the same `trace_id`.
+//! wire (an optional trailing block in `BIN1` frames — see
+//! `imc-serve::wire`) so every process a request passes through tags
+//! its spans with the same `trace_id`.
 //!
 //! Each process records its view of a finished request as a
 //! [`TraceRec`] — a flat list of [`SpanRec`]s — and offers it to the

@@ -8,7 +8,7 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use imc_serve::model::{ServeModel, DEFAULT_SEED, MNIST_FEATURES};
-use imc_serve::protocol::{InferRequest, Request, Response};
+use imc_serve::protocol::{InferRequest, PartialRequest, Request, Response};
 use imc_serve::{serve, wire, Client, ServeConfig};
 use neural::imc_exec::ImcDesign;
 
@@ -304,6 +304,25 @@ fn malformed_and_mis_sized_requests_get_error_responses() {
         other => panic!("expected Error, got {other:?}"),
     }
     client.ping().expect("connection survives a bad request");
+
+    // A `Partial` whose codes are not 4-bit activation codes.
+    let mut codes = vec![1.0; MNIST_FEATURES];
+    codes[5] = 300.0;
+    client
+        .send(&Request::Partial(PartialRequest {
+            id: 2,
+            layer: 0,
+            chunk_lo: 0,
+            chunk_hi: 1,
+            codes,
+            trace: None,
+        }))
+        .expect("send");
+    match client.recv().expect("recv").expect("open") {
+        Response::Error(msg) => assert!(msg.contains("activation code 5"), "got: {msg}"),
+        other => panic!("expected Error, got {other:?}"),
+    }
+    client.ping().expect("connection survives a bad partial");
 
     handle.shutdown_flag().trigger();
     join_with_deadline(handle);
