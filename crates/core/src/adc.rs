@@ -163,6 +163,9 @@ impl SarAdc {
             v_zero: self.v_zero,
             volts_per_unit: self.volts_per_unit,
             offset_units: self.offset_units,
+            unit_scale: self.v_zero == 0.0
+                && self.volts_per_unit == 1.0
+                && self.offset_units == 0.0,
             lsb: self.units_per_lsb(),
             lo: i64::from(lo),
             hi: i64::from(hi),
@@ -173,14 +176,16 @@ impl SarAdc {
 /// Hoisted read-path constants of a [`SarAdc`] (LSB, code range, and
 /// transfer parameters), so a MAC inner loop making millions of
 /// conversions per second pays none of the per-call derivations.
-/// [`AdcReader::read_units`] performs the exact floating-point
-/// operation sequence of [`SarAdc::read_units`] — results are
-/// bit-identical.
+/// [`AdcReader::read_units`] returns exactly what
+/// [`SarAdc::read_units`] returns — results are bit-identical.
 #[derive(Debug, Clone, Copy)]
 pub struct AdcReader {
     v_zero: f64,
     volts_per_unit: f64,
     offset_units: f64,
+    /// `v_zero` 0, 1 V/unit and no offset: the voltage → units affine is
+    /// the identity and is skipped.
+    unit_scale: bool,
     lsb: f64,
     lo: i64,
     hi: i64,
@@ -190,20 +195,52 @@ impl AdcReader {
     /// Converts a block output voltage to reconstructed unit counts,
     /// bit-identical to [`SarAdc::read_units`] on the source ADC.
     ///
+    /// On a unit-scale ADC (every ADC the packed MAC kernel reads) the
+    /// identity affine `(v − 0)/1 + 0` is skipped. That changes nothing:
+    /// it maps every `v` to itself except −0.0, which it turns into
+    /// +0.0, and both round to code 0.
+    ///
     /// `inline(always)` so feature-specialized MAC loops absorb the
     /// `f64::round` and lower it to `roundsd` instead of a libm call.
     #[inline(always)]
     #[must_use]
     pub fn read_units(&self, v: f64) -> f64 {
-        let units = (v - self.v_zero) / self.volts_per_unit + self.offset_units;
+        let units = if self.unit_scale {
+            v
+        } else {
+            (v - self.v_zero) / self.volts_per_unit + self.offset_units
+        };
         let code = (units / self.lsb).round();
         let code = if code.is_nan() {
             0
         } else {
-            (code as i64).clamp(self.lo, self.hi) as i32
+            (code as i64).clamp(self.lo, self.hi)
         };
-        f64::from(code) * self.lsb
+        exact_f64(code) * self.lsb
     }
+}
+
+/// `v as f64` for `|v| < 2^51`, bit for bit, without an int → float
+/// convert instruction, for MAC inner loops.
+///
+/// SSE's `cvtsi2sd` writes only the low lane of its register and so
+/// waits for the register's previous value. When the register allocator
+/// gives a MAC loop's convert a register that last held the previous
+/// conversion's ADC result, that false dependency chains conversions
+/// that are independent, and it comes and goes from build to build: in
+/// one build the packed kernel's f32 pass took 263 µs for the serving
+/// model's 784→64 layer where its i64 pass took 170 µs (2-vCPU Xeon).
+/// Adding `v` to the bits of `1.5·2^52` puts it in the mantissa, and
+/// subtracting `1.5·2^52` again is exact (0 gives +0.0).
+#[inline(always)]
+#[must_use]
+pub fn exact_f64(v: i64) -> f64 {
+    const SHIFT: f64 = 6_755_399_441_055_744.0; // 1.5 · 2^52
+    debug_assert!(
+        v.unsigned_abs() < 1 << 51,
+        "{v} is out of exact_f64's range"
+    );
+    f64::from_bits(SHIFT.to_bits().wrapping_add(v as u64)) - SHIFT
 }
 
 /// Builds the 2CM ADC for an H4B block: units span `[-8·rows, 7·rows]`.
@@ -333,6 +370,28 @@ mod tests {
             let c = adc.convert(0.5 + f64::from(k) * 1.0e-3);
             assert!(c >= last);
             last = c;
+        }
+    }
+
+    #[test]
+    fn exact_f64_matches_the_cast() {
+        let edge = (1i64 << 51) - 1;
+        for v in [
+            0,
+            1,
+            -1,
+            7,
+            -8,
+            480,
+            -4096,
+            1 << 40,
+            -(1 << 40),
+            edge,
+            -edge,
+        ] {
+            #[allow(clippy::cast_precision_loss)]
+            let cast = v as f64;
+            assert_eq!(exact_f64(v).to_bits(), cast.to_bits(), "v = {v}");
         }
     }
 

@@ -409,7 +409,9 @@ impl QNetwork {
     /// a [`packed::StreamKey`] over `(cfg.seed, MAC layer index)`: one
     /// stream per `(input bit, chunk)`, shared by every row of the batch
     /// in row order, so a row's noise depends on its batch position (see
-    /// [`forward_each`](Self::forward_each)).
+    /// [`forward_each`](Self::forward_each)). A single row's normals are
+    /// the same on every call and come from the layer's shared noise
+    /// table, built on the first such call (see [`packed`]).
     ///
     /// # Panics
     ///

@@ -45,7 +45,13 @@
 //! the static program-time share and the per-read re-roll folded into a
 //! single draw with their summed variance; see `DESIGN.md` §13 for the
 //! rationale. Draws come from a ziggurat sampler ([`ZigGauss`]) over a
-//! SplitMix64 stream, ~13k draws per MNIST-MLP inference.
+//! SplitMix64 stream, and a single row's are drawn once per model: a
+//! read takes one normal per H and one per L conversion whatever its
+//! popcounts, so the first `oc · draws` normals of each stream are a
+//! constant of the layer. A layer's first single-row pass builds that
+//! noise table (~100 KiB for the MNIST MLP) and the process shares it by
+//! stream identity, as it shares planes (below); passes over more rows
+//! draw into a per-call buffer instead.
 //!
 //! Noise streams are **chunk-addressed**: every `(MAC layer, input bit,
 //! chunk)` triple gets its own deterministic [`ZigGauss`] stream via
@@ -68,11 +74,12 @@
 //! [`ChipImage`]: ../../../imc_compile/image/struct.ChipImage.html
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::quant::QuantizedWeights;
 use crate::tensor::Tensor;
-use imc_core::adc::{AdcReader, SarAdc};
+use imc_core::adc::{exact_f64, AdcReader, SarAdc};
 use imc_core::weights::{SignedNibble, SplitWeight};
 
 use super::{ImcConfig, NoiseProfile};
@@ -182,13 +189,37 @@ struct CacheKey {
     codes: Vec<i8>,
 }
 
-/// Entries kept before the cache is wholesale cleared (each entry is a
-/// few KiB; 32 covers every model in the workspace many times over).
+/// Entries a process-wide cache keeps before it is wholesale cleared
+/// (the MNIST MLP's plane set and its noise table are ~100 KiB each; 32
+/// covers every model in the workspace many times over).
 const CACHE_CAP: usize = 32;
 
-fn cache() -> &'static Mutex<HashMap<CacheKey, Arc<PackedPlanes>>> {
-    static CACHE: OnceLock<Mutex<HashMap<CacheKey, Arc<PackedPlanes>>>> = OnceLock::new();
-    CACHE.get_or_init(|| Mutex::new(HashMap::new()))
+type Cache<K, V> = OnceLock<Mutex<HashMap<K, Arc<V>>>>;
+
+/// `key`'s entry of a process-wide cache, and whether it was a hit. A
+/// miss builds the entry outside the lock: building is the slow part,
+/// and a racing duplicate insert is harmless (same content, last one
+/// wins).
+fn cached<K: Eq + Hash, V: ?Sized>(
+    cache: &'static Cache<K, V>,
+    key: K,
+    build: impl FnOnce() -> Arc<V>,
+) -> (Arc<V>, bool) {
+    let map = cache.get_or_init(|| Mutex::new(HashMap::new()));
+    let lock = || {
+        map.lock()
+            .unwrap_or_else(std::sync::PoisonError::into_inner)
+    };
+    if let Some(hit) = lock().get(&key) {
+        return (Arc::clone(hit), true);
+    }
+    let built = build();
+    let mut map = lock();
+    if map.len() >= CACHE_CAP {
+        map.clear();
+    }
+    map.insert(key, Arc::clone(&built));
+    (built, false)
 }
 
 /// [`pack_planes`] through the process-wide weight-stationary cache.
@@ -198,41 +229,28 @@ fn cache() -> &'static Mutex<HashMap<CacheKey, Arc<PackedPlanes>>> {
 /// `imc_neural_plane_cache_misses_total`.
 #[must_use]
 pub fn pack_planes_cached(qw: &QuantizedWeights, rows: usize) -> Arc<PackedPlanes> {
+    static PLANES: Cache<CacheKey, PackedPlanes> = OnceLock::new();
     let key = CacheKey {
         rows,
         bits: qw.bits,
         shape: qw.shape,
         codes: qw.q.clone(),
     };
-    {
-        let map = cache()
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if let Some(hit) = map.get(&key) {
-            imc_obs::counter!(
-                "imc_neural_plane_cache_hits_total",
-                "Weight-stationary packed-plane cache hits"
-            )
-            .inc();
-            return Arc::clone(hit);
-        }
+    let (planes, hit) = cached(&PLANES, key, || Arc::new(pack_planes(qw, rows)));
+    if hit {
+        imc_obs::counter!(
+            "imc_neural_plane_cache_hits_total",
+            "Weight-stationary packed-plane cache hits"
+        )
+        .inc();
+    } else {
+        imc_obs::counter!(
+            "imc_neural_plane_cache_misses_total",
+            "Weight-stationary packed-plane cache misses (pack performed)"
+        )
+        .inc();
     }
-    // Pack outside the lock: packing is the slow part, and a racing
-    // duplicate insert is harmless (same content, last one wins).
-    imc_obs::counter!(
-        "imc_neural_plane_cache_misses_total",
-        "Weight-stationary packed-plane cache misses (pack performed)"
-    )
-    .inc();
-    let packed = Arc::new(pack_planes(qw, rows));
-    let mut map = cache()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if map.len() >= CACHE_CAP {
-        map.clear();
-    }
-    map.insert(key, Arc::clone(&packed));
-    packed
+    planes
 }
 
 /// Current (hits, misses) of the plane cache — for tests and the
@@ -307,7 +325,7 @@ pub fn stream_seed(seed: u64, layer: u32, t: u32, chunk: usize) -> u64 {
 
 /// Identifies one MAC layer's family of noise streams: the kernels
 /// spawn a fresh [`ZigGauss`] per `(input bit, chunk)` from this key.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct StreamKey {
     /// Base seed (`ImcConfig::seed` of the serving configuration).
     pub seed: u64,
@@ -324,12 +342,44 @@ impl StreamKey {
     }
 }
 
+/// Identity of a MAC layer's noise table: the streams it prefixes and
+/// the normals one pass of a single row reads from each.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+struct TableKey {
+    key: StreamKey,
+    input_bits: u32,
+    chunks: usize,
+    oc: usize,
+    draws: usize,
+}
+
+/// The first `oc · draws` normals of each of a layer's `(input bit,
+/// chunk)` streams, at `(t · chunks + c) · oc · draws`: everything a
+/// single-row pass draws. A noisy read takes `draws` normals whatever
+/// its popcounts, so these are a constant of the model. Built on the
+/// first single-row pass and shared across the process by identity.
+fn noise_table(id: TableKey) -> Arc<[f64]> {
+    static TABLES: Cache<TableKey, [f64]> = OnceLock::new();
+    let per_pass = id.oc * id.draws;
+    let build = || {
+        (0..id.input_bits)
+            .flat_map(|t| (0..id.chunks).map(move |c| id.key.stream(t, c)))
+            .flat_map(|mut g| (0..per_pass).map(move |_| g.normal()))
+            .collect()
+    };
+    cached(&TABLES, id, build).0
+}
+
 /// How one conversion's plane popcounts `n` are read out: the noisy
 /// ADC pair of inference ([`AdcRead`]) or the ideal calibration read
 /// ([`IdealRead`]). Returns the combined pMACV `16·H + L` (`H` in 4-bit
 /// mode).
 trait Readout {
-    fn read(&mut self, n: &[u32; PLANES], gauss: &mut ZigGauss) -> f64;
+    /// The streams a read's normals come from and how many one
+    /// conversion takes; `None` for a read that draws nothing.
+    fn draws(&self) -> Option<(StreamKey, usize)>;
+    /// Reads one conversion, taking its normals from `g`.
+    fn read(&mut self, n: &[u32; PLANES], g: &[f64]) -> f64;
 }
 
 /// Where a read pMACV lands: shift-added by its input bit `t` into an
@@ -362,45 +412,58 @@ impl ShiftAdd for i64 {
     }
 }
 
-/// The noisy read through the ADC pair.
+/// The noisy read through the ADC pair, drawing from `key`'s streams.
 struct AdcRead<'a> {
     noise: &'a PlaneNoise,
     adc_h: AdcReader,
     adc_l: AdcReader,
     eight_bit: bool,
+    key: StreamKey,
 }
 
 impl<'a> AdcRead<'a> {
-    fn new(noise: &'a PlaneNoise, adcs: &(SarAdc, SarAdc), cfg: &ImcConfig) -> Self {
+    fn new(
+        noise: &'a PlaneNoise,
+        adcs: &(SarAdc, SarAdc),
+        cfg: &ImcConfig,
+        key: StreamKey,
+    ) -> Self {
         Self {
             noise,
             adc_h: adcs.0.reader(),
             adc_l: adcs.1.reader(),
             eight_bit: cfg.weight_bits == 8,
+            key,
         }
     }
 }
 
 impl Readout for AdcRead<'_> {
+    /// One normal per H conversion, one more per L conversion at W8.
+    fn draws(&self) -> Option<(StreamKey, usize)> {
+        let per_conversion = if self.eight_bit { 2 } else { 1 };
+        (self.noise.eff_scale > 0.0).then_some((self.key, per_conversion))
+    }
+
     /// `inline(always)`: the feature-specialized pass must absorb this
     /// body (and the ADC math inside it) for SSE4.1 `roundsd` lowering
     /// to apply; a plain `#[inline]` hint loses that and leaves two libm
     /// calls per conversion on the hot path.
     #[inline(always)]
-    fn read(&mut self, n: &[u32; PLANES], gauss: &mut ZigGauss) -> f64 {
+    fn read(&mut self, n: &[u32; PLANES], g: &[f64]) -> f64 {
         let eff = self.noise.eff_scale;
         // Integer shift-add first, one exact int→f64 convert after: the
         // popcounts are ≤ 64·words, so both the i64 sums and their f64
-        // images are exact — bit-identical to summing f64 terms.
-        let h_int = (i64::from(n[0]) + 2 * i64::from(n[1]) + 4 * i64::from(n[2])
-            - 8 * i64::from(n[3])) as f64;
+        // images are exact — bit-identical to summing f64 terms. Every
+        // convert goes through `exact_f64` (see there why).
+        let f = n.map(|c| exact_f64(i64::from(c)));
+        let h_int = exact_f64(
+            i64::from(n[0]) + 2 * i64::from(n[1]) + 4 * i64::from(n[2]) - 8 * i64::from(n[3]),
+        );
         let noise_h = if eff > 0.0 {
             let ch = &self.noise.ch;
-            let vh = f64::from(n[0]) * ch[0]
-                + f64::from(n[1]) * ch[1]
-                + f64::from(n[2]) * ch[2]
-                + f64::from(n[3]) * ch[3];
-            eff * vh.sqrt() * gauss.normal()
+            let vh = f[0] * ch[0] + f[1] * ch[1] + f[2] * ch[2] + f[3] * ch[3];
+            eff * vh.sqrt() * g[0]
         } else {
             0.0
         };
@@ -408,16 +471,13 @@ impl Readout for AdcRead<'_> {
         if !self.eight_bit {
             return h_units;
         }
-        let l_int =
-            (i64::from(n[4]) + 2 * i64::from(n[5]) + 4 * i64::from(n[6]) + 8 * i64::from(n[7]))
-                as f64;
+        let l_int = exact_f64(
+            i64::from(n[4]) + 2 * i64::from(n[5]) + 4 * i64::from(n[6]) + 8 * i64::from(n[7]),
+        );
         let noise_l = if eff > 0.0 {
             let cl = &self.noise.cl;
-            let vl = f64::from(n[4]) * cl[0]
-                + f64::from(n[5]) * cl[1]
-                + f64::from(n[6]) * cl[2]
-                + f64::from(n[7]) * cl[3];
-            eff * vl.sqrt() * gauss.normal()
+            let vl = f[4] * cl[0] + f[5] * cl[1] + f[6] * cl[2] + f[7] * cl[3];
+            eff * vl.sqrt() * g[1]
         } else {
             0.0
         };
@@ -433,8 +493,12 @@ struct IdealRead {
 }
 
 impl Readout for IdealRead {
+    fn draws(&self) -> Option<(StreamKey, usize)> {
+        None
+    }
+
     #[inline(always)]
-    fn read(&mut self, n: &[u32; PLANES], _gauss: &mut ZigGauss) -> f64 {
+    fn read(&mut self, n: &[u32; PLANES], _g: &[f64]) -> f64 {
         let h =
             f64::from(n[0]) + 2.0 * f64::from(n[1]) + 4.0 * f64::from(n[2]) - 8.0 * f64::from(n[3]);
         let l =
@@ -450,10 +514,13 @@ impl Readout for IdealRead {
 }
 
 /// One chunk at input bit `t`: the chunk's input bit-masks (`positions`
-/// sets of `wpp` words) and its packed weight words.
+/// sets of `wpp` words), its packed weight words, and the normals its
+/// reads take, `draws` per conversion in position → column order.
 struct Pass<'a> {
     masks: &'a [u64],
     words: &'a [u64],
+    normals: &'a [f64],
+    draws: usize,
     wpp: usize,
     positions: usize,
     oc: usize,
@@ -464,13 +531,8 @@ struct Pass<'a> {
 /// the only popcount loop of the kernel. Compiled exactly twice, by the
 /// two functions below.
 #[inline(always)]
-fn pass_body<R: Readout, A: ShiftAdd>(
-    p: &Pass<'_>,
-    read: &mut R,
-    gauss: &mut ZigGauss,
-    acc: &mut [A],
-) {
-    let wpp = p.wpp;
+fn pass_body<R: Readout, A: ShiftAdd>(p: &Pass<'_>, read: &mut R, acc: &mut [A]) {
+    let (wpp, d) = (p.wpp, p.draws);
     // Keep the explicit `positions` bound: bounding this loop by
     // `masks.len() / wpp`, or iterating `masks.chunks_exact(wpp)`,
     // compiles the f32 pass ~40% slower with the same instruction mix.
@@ -485,20 +547,16 @@ fn pass_body<R: Readout, A: ShiftAdd>(
                     *nj += (x & w[j * wpp + s]).count_ones();
                 }
             }
-            acc[base + o].shift_add(read.read(&n, gauss), p.t);
+            let i = base + o;
+            acc[i].shift_add(read.read(&n, &p.normals[i * d..(i + 1) * d]), p.t);
         }
     }
 }
 
 /// Baseline-ISA compilation of the pass (software popcount on x86-64
 /// without `-C target-cpu`).
-fn pass_portable<R: Readout, A: ShiftAdd>(
-    p: &Pass<'_>,
-    read: &mut R,
-    gauss: &mut ZigGauss,
-    acc: &mut [A],
-) {
-    pass_body(p, read, gauss, acc);
+fn pass_portable<R: Readout, A: ShiftAdd>(p: &Pass<'_>, read: &mut R, acc: &mut [A]) {
+    pass_body(p, read, acc);
 }
 
 /// The same pass compiled with hardware `popcnt` (the eight AND+count
@@ -513,13 +571,8 @@ fn pass_portable<R: Readout, A: ShiftAdd>(
 /// ([`have_fast_mac_features`]).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "popcnt,sse4.1")]
-unsafe fn pass_x86_fast<R: Readout, A: ShiftAdd>(
-    p: &Pass<'_>,
-    read: &mut R,
-    gauss: &mut ZigGauss,
-    acc: &mut [A],
-) {
-    pass_body(p, read, gauss, acc);
+unsafe fn pass_x86_fast<R: Readout, A: ShiftAdd>(p: &Pass<'_>, read: &mut R, acc: &mut [A]) {
+    pass_body(p, read, acc);
 }
 
 /// Runtime CPU feature gate for [`pass_x86_fast`], probed once.
@@ -532,25 +585,51 @@ fn have_fast_mac_features() -> bool {
     })
 }
 
+/// Most normals a pass over several rows draws ahead of its reads
+/// (32 KiB): those passes run over blocks of positions, so the buffer
+/// does not grow with the batch.
+const DRAWN_CAP: usize = 4096;
+
 /// The kernel driver: for every input bit `t` and global chunk `c` of
 /// `chunks`, in that order, builds the chunk's input bit-masks from
-/// `acts_codes` (`[positions, fan]`) and runs one pass on stream
-/// `key.stream(t, c)`, on the fastest compile the CPU supports.
-/// Returns the `[positions, oc]` accumulators.
+/// `acts_codes` (`[positions, fan]`) and runs its passes on the fastest
+/// compile the CPU supports. A noisy read takes its normals from stream
+/// `key.stream(t, c)`: a single row's from the layer's noise table; more
+/// rows' are drawn into a buffer in stream order, one block of positions
+/// at a time. Returns the `[positions, oc]` accumulators.
 fn run_passes<R: Readout, A: ShiftAdd>(
     acts_codes: &Tensor,
     planes: &PackedPlanes,
     chunks: std::ops::Range<usize>,
     cfg: &ImcConfig,
-    key: StreamKey,
     read: &mut R,
 ) -> Vec<A> {
     let positions = acts_codes.shape()[0];
     let fan = acts_codes.shape()[1];
     let src = acts_codes.data();
-    let mut acc = vec![A::default(); positions * planes.out_features];
+    let oc = planes.out_features;
+    let mut acc = vec![A::default(); positions * oc];
     // Reused input bit-mask arena: one u64 row-mask set per position.
     let mut masks: Vec<u64> = Vec::new();
+    let draws = read.draws();
+    let d = draws.map_or(0, |(_, d)| d);
+    let table = draws.filter(|_| positions == 1).map(|(key, _)| {
+        noise_table(TableKey {
+            key,
+            input_bits: cfg.input_bits,
+            chunks: planes.chunks.len(),
+            oc,
+            draws: d,
+        })
+    });
+    let mut drawn: Vec<f64> = Vec::new();
+    // Positions per pass: all of them, unless the normals are drawn into
+    // `drawn`, which then holds at most `DRAWN_CAP`.
+    let block = match (&table, draws) {
+        (None, Some(_)) => DRAWN_CAP / (oc * d).max(1),
+        _ => positions,
+    }
+    .max(1);
     // Row offset of the first chunk in the slice.
     let base_r0: usize = planes.chunks[..chunks.start].iter().map(|c| c.rows).sum();
     for t in 0..cfg.input_bits {
@@ -568,22 +647,43 @@ fn run_passes<R: Readout, A: ShiftAdd>(
                 }
             }
             r0 += rc;
-            let pass = Pass {
-                masks: &masks,
-                words: &chunk.words,
-                wpp,
-                positions,
-                oc: planes.out_features,
-                t,
-            };
-            let mut gauss = key.stream(t, c);
-            #[cfg(target_arch = "x86_64")]
-            if have_fast_mac_features() {
-                // SAFETY: guarded by runtime CPU feature detection.
-                unsafe { pass_x86_fast(&pass, read, &mut gauss, &mut acc) };
-                continue;
+            let mut stream = draws
+                .filter(|_| table.is_none())
+                .map(|(key, _)| key.stream(t, c));
+            for p0 in (0..positions).step_by(block) {
+                let rows = block.min(positions - p0);
+                let want = rows * oc * d;
+                let normals: &[f64] = match (&table, &mut stream) {
+                    (Some(table), _) => {
+                        let at = (t as usize * planes.chunks.len() + c) * want;
+                        &table[at..at + want]
+                    }
+                    (None, Some(g)) => {
+                        drawn.clear();
+                        drawn.extend((0..want).map(|_| g.normal()));
+                        &drawn
+                    }
+                    (None, None) => &[],
+                };
+                let pass = Pass {
+                    masks: &masks[p0 * wpp..(p0 + rows) * wpp],
+                    words: &chunk.words,
+                    normals,
+                    draws: d,
+                    wpp,
+                    positions: rows,
+                    oc,
+                    t,
+                };
+                let out = &mut acc[p0 * oc..(p0 + rows) * oc];
+                #[cfg(target_arch = "x86_64")]
+                if have_fast_mac_features() {
+                    // SAFETY: guarded by runtime CPU feature detection.
+                    unsafe { pass_x86_fast(&pass, read, out) };
+                    continue;
+                }
+                pass_portable(&pass, read, out);
             }
-            pass_portable(&pass, read, &mut gauss, &mut acc);
         }
     }
     acc
@@ -606,9 +706,9 @@ pub fn imc_matmul_packed(
     key: StreamKey,
 ) -> Tensor {
     let _span = imc_obs::span!("kernel.packed_mac");
-    let mut read = AdcRead::new(noise, adcs, cfg);
+    let mut read = AdcRead::new(noise, adcs, cfg, key);
     let all = 0..planes.chunks.len();
-    let units = run_passes(acts_codes, planes, all, cfg, key, &mut read);
+    let units = run_passes(acts_codes, planes, all, cfg, &mut read);
     Tensor::from_vec(&[acts_codes.shape()[0], planes.out_features], units)
 }
 
@@ -645,8 +745,8 @@ pub fn imc_matmul_packed_partial(
         "chunk slice {chunks:?} out of bounds ({} chunks)",
         planes.chunks.len()
     );
-    let mut read = AdcRead::new(noise, adcs, cfg);
-    run_passes(acts_codes, planes, chunks, cfg, key, &mut read)
+    let mut read = AdcRead::new(noise, adcs, cfg, key);
+    run_passes(acts_codes, planes, chunks, cfg, &mut read)
 }
 
 /// Checks the preconditions under which i64 partial sums recombine
@@ -680,7 +780,7 @@ pub fn shift_add_is_exact(adcs: &(SarAdc, SarAdc), cfg: &ImcConfig, n_chunks: us
 /// Noise-free, conversion-free packed MAC recording the largest |H4B|
 /// and L4B chunk partial sums — the calibration pass of the packed
 /// kernel. It runs the same passes as [`imc_matmul_packed`] with the
-/// ideal read, which draws nothing from its streams.
+/// ideal read, which draws no noise.
 #[must_use]
 pub fn ideal_matmul_packed(
     acts_codes: &Tensor,
@@ -692,12 +792,8 @@ pub fn ideal_matmul_packed(
         eight_bit: cfg.weight_bits == 8,
         max_units: *max_units,
     };
-    let key = StreamKey {
-        seed: cfg.seed,
-        layer: 0,
-    };
     let all = 0..planes.chunks.len();
-    let units = run_passes(acts_codes, planes, all, cfg, key, &mut read);
+    let units = run_passes(acts_codes, planes, all, cfg, &mut read);
     *max_units = read.max_units;
     Tensor::from_vec(&[acts_codes.shape()[0], planes.out_features], units)
 }
@@ -860,7 +956,8 @@ mod tests {
         let fan = acts_codes.shape()[1];
         let [oc, qfan] = qw.shape;
         assert_eq!(fan, qfan, "activation fan-in must match the weights");
-        let mut read = AdcRead::new(noise, adcs, cfg);
+        let mut read = AdcRead::new(noise, adcs, cfg, key);
+        let d = read.draws().map_or(0, |(_, d)| d);
         let rows = cfg.rows;
         let n_chunks = fan.div_ceil(rows);
         let mut acc = Tensor::zeros(&[positions, oc]);
@@ -886,7 +983,8 @@ mod tests {
                                 n[4 + j] += u32::from(lb[j]);
                             }
                         }
-                        let combined = read.read(&n, &mut gauss);
+                        let g: Vec<f64> = (0..d).map(|_| gauss.normal()).collect();
+                        let combined = read.read(&n, &g);
                         ad[base + o] += (combined * weight) as f32;
                     }
                 }
@@ -910,9 +1008,13 @@ mod tests {
         let masks: Vec<u64> = (0..positions * chunk.words_per_plane)
             .map(|i| stream_seed(9, 0, 0, i))
             .collect();
+        let mut gauss = ZigGauss::new(0x5EED);
+        let normals: Vec<f64> = (0..positions * oc * 2).map(|_| gauss.normal()).collect();
         let pass = Pass {
             masks: &masks,
             words: &chunk.words,
+            normals: &normals,
+            draws: 2,
             wpp: chunk.words_per_plane,
             positions,
             oc,
@@ -925,18 +1027,18 @@ mod tests {
             init: A,
         ) -> Vec<A> {
             let mut acc = vec![init; pass.positions * pass.oc];
-            let mut gauss = ZigGauss::new(0x5EED);
             if fast {
                 // SAFETY: the test asserts the CPU has the features.
-                unsafe { pass_x86_fast(pass, read, &mut gauss, &mut acc) };
+                unsafe { pass_x86_fast(pass, read, &mut acc) };
             } else {
-                pass_portable(pass, read, &mut gauss, &mut acc);
+                pass_portable(pass, read, &mut acc);
             }
             acc
         }
         let noise = PlaneNoise::for_config(&cfg);
         let adcs = super::super::default_adcs(&cfg);
-        let noisy = || AdcRead::new(&noise, &adcs, &cfg);
+        let key = StreamKey { seed: 1, layer: 0 };
+        let noisy = || AdcRead::new(&noise, &adcs, &cfg, key);
         let bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
         let f32_pass = |fast| bits(run(fast, &pass, &mut noisy(), 0.5f32));
         assert_eq!(f32_pass(false), f32_pass(true), "noisy f32 pass");
@@ -985,13 +1087,17 @@ mod tests {
     #[test]
     fn packed_matches_reference_bit_for_bit() {
         // The SWAR kernel and the scalar reference share one semantics
-        // definition; across designs, noise scales, bit widths, and odd
-        // shapes they must agree on every output bit.
+        // definition; across designs, noise scales, bit widths, odd
+        // shapes, and passes split into blocks of positions (70 rows of
+        // 64 columns draw 2 · 64 normals a row: blocks of 32, 32 and 6)
+        // they must agree on every output bit.
         for (design, noise_scale, bits, oc, fan, positions) in [
             (super::super::ImcDesign::CurFe, 1.0, 8, 5, 70, 3),
             (super::super::ImcDesign::ChgFe, 1.0, 8, 4, 64, 2),
             (super::super::ImcDesign::ChgFe, 0.0, 8, 7, 33, 1),
+            (super::super::ImcDesign::ChgFe, 1.0, 8, 4, 64, 1),
             (super::super::ImcDesign::CurFe, 2.5, 4, 3, 129, 2),
+            (super::super::ImcDesign::CurFe, 1.0, 8, 64, 40, 70),
         ] {
             let mut cfg = ImcConfig::paper(design, 4, bits);
             cfg.noise_scale = noise_scale;
@@ -1079,6 +1185,34 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn noise_table_prefixes_every_stream_and_is_shared() {
+        let id = TableKey {
+            key: StreamKey {
+                seed: 0x7AB1E,
+                layer: 3,
+            },
+            input_bits: 2,
+            chunks: 3,
+            oc: 5,
+            draws: 2,
+        };
+        let table = noise_table(id);
+        assert_eq!(table.len(), 2 * 3 * 5 * 2);
+        for (at, pass) in table.chunks_exact(5 * 2).enumerate() {
+            let mut g = id.key.stream((at / 3) as u32, at % 3);
+            for &v in pass {
+                assert_eq!(v.to_bits(), g.normal().to_bits(), "pass {at}");
+            }
+        }
+        assert!(
+            Arc::ptr_eq(&table, &noise_table(id)),
+            "one copy per identity"
+        );
+        let other = TableKey { draws: 1, ..id };
+        assert!(!Arc::ptr_eq(&table, &noise_table(other)));
     }
 
     #[test]

@@ -1,7 +1,9 @@
 //! ADC edge cases: the resolution extremes (1-bit and the 12-bit cap),
 //! saturation behavior at and beyond the references, and
 //! property-based monotonicity across the full resolution range for
-//! both `SarAdc::convert` and the hoisted `AdcReader` hot path.
+//! both `SarAdc::convert` and the hoisted `AdcReader` hot path,
+//! including the reader's identity-affine skip on the unit-scale ADCs
+//! the MAC kernel reads.
 
 use fefet_imc::imc::adc::{h4b_adc, l4b_adc, AdcMode, SarAdc};
 use proptest::prelude::*;
@@ -86,6 +88,47 @@ fn saturation_clamps_to_end_codes_in_both_modes() {
     assert_eq!(reader.read_units(-10.0), h4b.read_units(-10.0));
 }
 
+/// The unit-scale ADCs the MAC kernel reads: the default H4B/L4B pair
+/// and the calibrated pair (`(−h, h)` for 2CM, `(0, h)` for N2CM).
+fn unit_scale_adc(kind: u8, bits: u32, h: f64) -> SarAdc {
+    match kind {
+        0 => h4b_adc(bits, 32, 0.0, 1.0),
+        1 => l4b_adc(bits, 32, 0.0, 1.0),
+        2 => SarAdc::new(bits, AdcMode::TwosComplement, 0.0, 1.0, (-h, h)),
+        _ => SarAdc::new(bits, AdcMode::Unsigned, 0.0, 1.0, (0.0, h)),
+    }
+}
+
+/// The reader skips the identity affine of a unit-scale ADC; on the
+/// values where skipping could differ (−0.0, which the affine turns into
+/// +0.0) or where the transfer saturates, it still returns exactly what
+/// the full conversion returns.
+#[test]
+fn unit_scale_reader_matches_at_signed_zeros_and_non_finite_inputs() {
+    let inputs = [
+        0.0,
+        -0.0,
+        f64::NAN,
+        f64::INFINITY,
+        f64::NEG_INFINITY,
+        1.0e12,
+        -1.0e12,
+    ];
+    for kind in 0..4 {
+        for bits in [1, 5, 12] {
+            let adc = unit_scale_adc(kind, bits, 37.5);
+            let reader = adc.reader();
+            for v in inputs {
+                assert_eq!(
+                    reader.read_units(v).to_bits(),
+                    adc.read_units(v).to_bits(),
+                    "ADC {kind}, {bits} bits, v = {v}"
+                );
+            }
+        }
+    }
+}
+
 proptest! {
     /// Monotonicity holds at every legal resolution (1..=12 bits), for
     /// both modes, with a comparator offset in play: a higher input
@@ -136,6 +179,29 @@ proptest! {
             adc.read_units(v).to_bits(),
             "reader diverged at {} bits, v = {}",
             bits,
+            v
+        );
+    }
+
+    /// On the unit-scale ADCs the kernel reads, the reader skips the
+    /// identity affine and stays bit-identical to `SarAdc::read_units`,
+    /// over the full resolution range, inside and beyond the references.
+    #[test]
+    fn unit_scale_reader_is_bit_identical_to_source_adc(
+        kind in 0u8..4,
+        bits in 1u32..=12,
+        h in 1.0f64..512.0,
+        v in -1000.0f64..1000.0,
+    ) {
+        let adc = unit_scale_adc(kind, bits, h);
+        let reader = adc.reader();
+        prop_assert_eq!(
+            reader.read_units(v).to_bits(),
+            adc.read_units(v).to_bits(),
+            "unit-scale reader diverged: ADC {}, {} bits, h = {}, v = {}",
+            kind,
+            bits,
+            h,
             v
         );
     }

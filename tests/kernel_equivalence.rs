@@ -165,8 +165,10 @@ fn noisy_outputs_match_golden_digests() {
     // cannot see a change to the draw order, the stream keying or the
     // noisy ADC read, so any kernel rewrite must keep these digests.
     // Columns: design, weight bits, forward, forward_each, the layer-0
-    // partial sums over chunks 0..12 then 12..25, the calibrated 64→16→10
-    // forward (W8 only) and the vgg8 forward (W8 only).
+    // partial sums of one row over chunks 0..12 then 12..25, the layer-0
+    // partial sums of two rows over all 25 chunks (the only multi-row
+    // i64 pass), the calibrated 64→16→10 forward (W8 only) and the vgg8
+    // forward (W8 only).
     let golden = [
         (
             ImcDesign::CurFe,
@@ -174,6 +176,7 @@ fn noisy_outputs_match_golden_digests() {
             0xbd1d_4379_3474_f78f,
             0x188c_42d6_a712_77c7,
             0xe5a2_6886_ce2f_83e8,
+            0x7e9d_a73c_2145_3a96,
             Some((0xe583_4367_df30_5a62, 0x1dbc_28da_8e19_cf63)),
         ),
         (
@@ -182,6 +185,7 @@ fn noisy_outputs_match_golden_digests() {
             0x7679_1e99_93ed_87ff,
             0x27c6_ab43_4ec9_fe91,
             0x6508_7653_f630_c0c2,
+            0x0c95_3af4_524d_ff37,
             None,
         ),
         (
@@ -190,6 +194,7 @@ fn noisy_outputs_match_golden_digests() {
             0x37f4_7286_d9bf_44f9,
             0x3934_346e_0b87_7cab,
             0xd88f_297f_fa35_5a2d,
+            0x7e89_53b9_f025_60d9,
             Some((0x5b55_2c11_a75e_8744, 0xec38_4054_c7d6_5f92)),
         ),
         (
@@ -198,12 +203,13 @@ fn noisy_outputs_match_golden_digests() {
             0xe8d7_1cd2_b6ea_61ab,
             0x5a5e_bbb9_2108_824a,
             0x2aa8_8c5a_8f77_dd24,
+            0xf13c_055d_4772_4f56,
             None,
         ),
     ];
     let serve = mlp(784, 64, 10, DEFAULT_SEED);
     let x = ramp_rows(3, 784, 3);
-    for (design, bits, forward, forward_each, partial, w8_only) in golden {
+    for (design, bits, forward, forward_each, partial, partial_rows2, w8_only) in golden {
         let cfg = ImcConfig::paper(design, 4, bits);
         let net = QNetwork::from_sequential(&serve, cfg);
         let tag = format!("{design:?} W{bits}");
@@ -224,6 +230,16 @@ fn noisy_outputs_match_golden_digests() {
             fnv1a(sums.iter().map(|&v| v as u64)),
             partial,
             "{tag} partial"
+        );
+        let qa = quantize_activations(&ramp_rows(2, 784, 3), 4);
+        let codes = Tensor::from_vec(&[2, 784], qa.q.iter().map(|&v| v as f32).collect());
+        let sums = net
+            .linear_partial(0, &codes, 0, 25)
+            .expect("2 rows, chunks 0..25");
+        assert_eq!(
+            fnv1a(sums.iter().map(|&v| v as u64)),
+            partial_rows2,
+            "{tag} 2-row partial"
         );
         if let Some((calibrated, vgg)) = w8_only {
             let mut small = QNetwork::from_sequential(&mlp(64, 16, 10, 0xA5A5), cfg);
