@@ -139,7 +139,7 @@ struct Args {
 
 /// The chaos fail-point: no generated input starts with this value (the
 /// pool is clamped to [0, 1]), it passes admission validation (finite,
-/// ≥ 0), and the server panics any bank worker that sees it first —
+/// ≥ 0), and the server panics the batch that carries it —
 /// exercising panic isolation, typed `Failed` replies, and client retry.
 const CHAOS_SENTINEL: f32 = 2.0;
 

@@ -8,16 +8,18 @@
 //! The batcher ([`AdmissionQueue::next_batch`]) drains the queue into
 //! batches using the classic dynamic-batching rule: flush when the batch
 //! reaches `max_batch` requests **or** when the oldest queued request has
-//! waited `max_wait`, whichever comes first. Under load batches fill to
-//! `max_batch` instantly (amortizing dispatch overhead across the bank
-//! pool); a lone request never waits more than `max_wait`.
+//! waited `max_wait`, whichever comes first. The deadline is timed from
+//! the oldest request's admission and the server's batcher thread runs
+//! each batch itself, so a batch starts at once after one that ran for
+//! at least `max_wait`; after a shorter one the executor idles on the
+//! timer. No request waits on the timer more than `max_wait`.
 
 use std::collections::VecDeque;
 use std::sync::{Condvar, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 
-/// A request admitted to the queue, carrying everything the bank worker
-/// needs to execute it and route the response back.
+/// A request admitted to the queue, carrying everything the executor
+/// needs to run it and route the response back.
 #[derive(Debug)]
 pub struct Pending<R> {
     /// Client correlation id.
@@ -29,8 +31,8 @@ pub struct Pending<R> {
     /// Opaque reply route (the server wires a connection handle here).
     pub reply: R,
     /// Distributed-tracing context the request arrived with, if any —
-    /// rides through the batcher so the executing bank worker can
-    /// record spans under the originating trace.
+    /// rides through the batcher so the executor can record spans under
+    /// the originating trace.
     pub trace: Option<imc_obs::TraceContext>,
 }
 

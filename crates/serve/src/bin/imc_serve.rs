@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! imc-serve [--addr HOST:PORT] [--design curfe|chgfe] [--checkpoint PATH]
-//!           [--image PATH] [--banks N] [--max-batch N] [--max-wait-us N]
+//!           [--image PATH] [--max-batch N] [--max-wait-us N]
 //!           [--queue-depth N] [--seed N] [--obs-addr HOST:PORT]
 //!           [--max-conns N] [--frame-deadline-ms N] [--write-timeout-ms N]
 //! ```
@@ -17,6 +17,9 @@
 //! or a `Shutdown` control request; either way the server drains all
 //! admitted work before exiting and prints a final metrics summary.
 //!
+//! One executor thread runs the batches, each fanned out over the
+//! `par-exec` pool (`FEFET_IMC_THREADS` wide).
+//!
 //! `--obs-addr` additionally serves the process-wide `imc-obs` registry
 //! over HTTP (`GET /metrics` Prometheus text, `GET /metrics.json`) for
 //! scrapers — read-only and independent of the inference protocol.
@@ -25,7 +28,8 @@
 //! connections (excess get a typed `Busy` reply), `--frame-deadline-ms`
 //! bounds how long a started request frame may stay incomplete before
 //! the connection is dropped, and `--write-timeout-ms` bounds each
-//! response write (0 disables either timeout).
+//! response write (0 disables either timeout; with no write timeout,
+//! one client that stops reading halts every batch and shutdown).
 
 use std::process::ExitCode;
 use std::sync::Arc;
@@ -49,7 +53,7 @@ struct Args {
 
 fn usage() -> String {
     "usage: imc-serve [--addr HOST:PORT] [--design curfe|chgfe] [--checkpoint PATH]\n\
-     \x20                [--image PATH] [--banks N] [--max-batch N] [--max-wait-us N]\n\
+     \x20                [--image PATH] [--max-batch N] [--max-wait-us N]\n\
      \x20                [--queue-depth N] [--seed N] [--obs-addr HOST:PORT]\n\
      \x20                [--max-conns N] [--frame-deadline-ms N] [--write-timeout-ms N]\n\
      \x20                [--shard-index I --shard-count N]"
@@ -99,11 +103,6 @@ fn parse_args() -> Result<Args, String> {
                         .map_err(|e| format!("--shard-count: {e}"))?,
                 );
             }
-            "--banks" => {
-                args.cfg.banks = value("--banks")?
-                    .parse()
-                    .map_err(|e| format!("--banks: {e}"))?;
-            }
             "--max-batch" => {
                 args.cfg.max_batch = value("--max-batch")?
                     .parse()
@@ -139,7 +138,7 @@ fn parse_args() -> Result<Args, String> {
             }
             // Chaos-testing fail-point (undocumented in usage on
             // purpose): requests whose first feature bit-equals this
-            // value panic their bank worker. Lets an external harness
+            // value panic their batch. Lets an external harness
             // exercise panic recovery against the real binary.
             "--fail-sentinel" => {
                 let v: f32 = value("--fail-sentinel")?
@@ -151,14 +150,8 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag `{other}`\n{}", usage())),
         }
     }
-    if args.cfg.banks == 0
-        || args.cfg.max_batch == 0
-        || args.cfg.queue_depth == 0
-        || args.cfg.max_conns == 0
-    {
-        return Err(
-            "--banks, --max-batch, --queue-depth, and --max-conns must be positive".to_owned(),
-        );
+    if args.cfg.max_batch == 0 || args.cfg.queue_depth == 0 || args.cfg.max_conns == 0 {
+        return Err("--max-batch, --queue-depth, and --max-conns must be positive".to_owned());
     }
     if args.image.is_some() && args.checkpoint.is_some() {
         return Err("--image and --checkpoint are mutually exclusive".to_owned());
@@ -238,12 +231,11 @@ fn main() -> ExitCode {
         }
     };
     println!(
-        "imc-serve listening on {} ({:?}, {}->{} features, {} banks, batch<={} wait<={}us queue<={})",
+        "imc-serve listening on {} ({:?}, {}->{} features, one executor, batch<={} wait<={}us queue<={})",
         handle.addr(),
         model.design(),
         model.input_features(),
         model.classes(),
-        args.cfg.banks,
         args.cfg.max_batch,
         args.cfg.max_wait.as_micros(),
         args.cfg.queue_depth,

@@ -9,11 +9,11 @@
 //!  clients ──frames──▶ connection threads ──▶ AdmissionQueue (bounded)
 //!                                                   │ flush on size/deadline
 //!                                                   ▼
-//!                                             batcher thread
-//!                                                   │ least-loaded dispatch
+//!                                   batcher thread = the one executor
+//!                                                   │ dispatch: in place, panic-isolated
 //!                                                   ▼
-//!                                   BankScheduler: 16 bank workers
-//!                                                   │ QNetwork::forward_each
+//!                                       QNetwork::forward_each on par-exec
+//!                                                   │
 //!                                                   ▼
 //!                                       replies + latency histograms
 //! ```
@@ -26,8 +26,9 @@
 //!   fleet router and loadgen speak.
 //! * [`batcher`] — the bounded admission queue with deadline-based
 //!   dynamic batching; overflow is shed immediately (backpressure).
-//! * [`scheduler`] — least-loaded dispatch across per-bank workers,
-//!   mirroring the paper's 16-bank macro organisation.
+//! * [`scheduler`] — runs a batch on the calling thread under
+//!   `catch_unwind`, labelled with its least-loaded bank; a bank is
+//!   accounting, not a thread.
 //! * [`model`] — the served [`model::ServeModel`]: synthetic
 //!   deterministic weights or a `neural::checkpoint` restore.
 //! * [`metrics`] — service counters and latency histograms, backed by
@@ -48,9 +49,10 @@
 //! must never take the service down. Frames that stall mid-read are
 //! dropped at a configurable deadline, writers that stop draining time
 //! out and are marked dead, connections beyond `max_conns` get a typed
-//! `Busy`, a panicking bank worker fails only its own batch (typed
-//! `Failed` replies, worker recovery, `serve.worker_panics` counter),
-//! and poisoned internal locks are recovered instead of cascading.
+//! `Busy`, a panicking batch fails only its own requests (typed
+//! `Failed` replies, `serve.worker_panics` counter) while the executor
+//! keeps serving, and poisoned internal locks are recovered instead of
+//! cascading.
 //! Clients opt into connect/request timeouts and idempotent
 //! bounded-backoff retry via [`ClientConfig`] / [`RetryPolicy`].
 

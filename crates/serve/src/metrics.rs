@@ -14,15 +14,6 @@
 
 use imc_obs::{registry, Counter, Gauge, Histogram};
 
-/// Per-bank dispatch counters.
-#[derive(Debug, Clone, Default)]
-pub struct BankCounters {
-    /// Batches executed.
-    pub batches: Counter,
-    /// Requests executed.
-    pub requests: Counter,
-}
-
 /// All service counters and histograms, shared across threads.
 #[derive(Debug, Clone)]
 pub struct Metrics {
@@ -34,8 +25,8 @@ pub struct Metrics {
     pub shed: Counter,
     /// Unparseable frames / invalid requests.
     pub protocol_errors: Counter,
-    /// Bank-worker panics caught and recovered (each one failed its
-    /// whole batch with typed `Failed` responses).
+    /// Batches lost to a panic (each one failed its whole batch with
+    /// typed `Failed` responses; the executor keeps serving).
     pub worker_panics: Counter,
     /// Connections dropped because a frame stayed incomplete past the
     /// configured read deadline.
@@ -53,7 +44,7 @@ pub struct Metrics {
     pub energy_per_inference_pj: Gauge,
     /// End-to-end request latency (admission → response ready).
     pub request_latency: Histogram,
-    /// Bank execution latency per batch.
+    /// Execution latency per batch.
     pub batch_latency: Histogram,
     /// Admission-queue depth, sampled by the batcher.
     pub queue_depth: Gauge,
@@ -63,16 +54,14 @@ pub struct Metrics {
     /// Version of the image currently serving (1 at startup, +1 per
     /// swap) — `serve.image_version`.
     pub image_version: Gauge,
-    /// Per-bank counters, indexed by bank id.
-    pub banks: Vec<BankCounters>,
 }
 
 impl Metrics {
-    /// Creates zeroed metrics for `banks` banks and publishes the
-    /// handles to the global obs registry (replacing any previous
-    /// server's — latest wins the scrape).
+    /// Creates zeroed metrics and publishes the handles to the global
+    /// obs registry (replacing any previous server's — latest wins the
+    /// scrape).
     #[must_use]
-    pub fn new(banks: usize) -> Self {
+    pub(crate) fn new() -> Self {
         let m = Self {
             admitted: Counter::new(),
             completed: Counter::new(),
@@ -89,7 +78,6 @@ impl Metrics {
             queue_depth: Gauge::new(),
             swaps_total: Counter::new(),
             image_version: Gauge::new(),
-            banks: (0..banks).map(|_| BankCounters::default()).collect(),
         };
         let r = registry();
         r.insert_counter(
@@ -119,7 +107,7 @@ impl Metrics {
         r.insert_counter(
             "imc_serve_worker_panics_total",
             &[],
-            "Bank-worker panics caught, failed as typed responses, and recovered",
+            "Batches lost to a panic, failed as typed responses while the executor keeps serving",
             &m.worker_panics,
         );
         r.insert_counter(
@@ -137,7 +125,7 @@ impl Metrics {
         r.insert_counter(
             "imc_serve_batches_total",
             &[],
-            "Batches dispatched to banks",
+            "Batches executed",
             &m.batches,
         );
         r.insert_counter(
@@ -161,7 +149,7 @@ impl Metrics {
         r.insert_histogram(
             "imc_serve_batch_latency_us",
             &[],
-            "Bank batch execution latency in microseconds",
+            "Batch execution latency in microseconds",
             &m.batch_latency,
         );
         r.insert_gauge(
@@ -182,21 +170,6 @@ impl Metrics {
             "Version of the image currently serving (1 at startup, +1 per swap)",
             &m.image_version,
         );
-        for (bank, c) in m.banks.iter().enumerate() {
-            let id = bank.to_string();
-            r.insert_counter(
-                "imc_serve_bank_batches_total",
-                &[("bank", &id)],
-                "Batches executed per bank",
-                &c.batches,
-            );
-            r.insert_counter(
-                "imc_serve_bank_requests_total",
-                &[("bank", &id)],
-                "Requests executed per bank",
-                &c.requests,
-            );
-        }
         m
     }
 }
@@ -210,18 +183,18 @@ mod tests {
     #[test]
     fn instances_are_isolated_and_the_latest_wins_the_scrape() {
         // Fresh instances do not share counters.
-        let a = Metrics::new(1);
+        let a = Metrics::new();
         a.admitted.add(4);
-        let b = Metrics::new(1);
+        let b = Metrics::new();
         assert_eq!(b.admitted.get(), 0, "second server starts from zero");
         assert_eq!(a.admitted.get(), 4, "first server's handle still live");
         let snap = imc_obs::registry().snapshot();
         assert_eq!(snap.counter("imc_serve_admitted_total"), Some(0));
 
         // The latest instance is what the global registry scrapes.
-        let latest = Metrics::new(2);
+        let latest = Metrics::new();
         latest.request_latency.record(120);
-        latest.banks[0].requests.inc();
+        latest.batches.inc();
         latest.energy_pj.add(4321);
         latest.energy_per_inference_pj.set(4321.0);
         latest.swaps_total.inc();
@@ -235,9 +208,6 @@ mod tests {
             .histogram("imc_serve_request_latency_us")
             .expect("histogram registered");
         assert_eq!(lat.count, 1);
-        assert_eq!(
-            snap.counter_with("imc_serve_bank_requests_total", &[("bank", "0")]),
-            Some(1)
-        );
+        assert_eq!(snap.counter("imc_serve_batches_total"), Some(1));
     }
 }

@@ -102,13 +102,14 @@ pub struct InferReply {
     pub logits: Vec<f32>,
     /// Argmax class of the logits.
     pub class: usize,
-    /// Which simulated bank executed the batch containing this request.
+    /// Bank label of the batch containing this request. `imc-serve`
+    /// runs every batch on one executor, so it always answers 0.
     pub bank: usize,
     /// Size of the batch this request was coalesced into.
     pub batch: usize,
     /// Time spent in the admission queue + batcher (µs).
     pub queue_us: u64,
-    /// Time spent executing on the bank (µs, shared by the batch).
+    /// Time spent executing the batch (µs, shared by its members).
     pub service_us: u64,
     /// Trace id of the request this reply answers (0 = untraced).
     /// Clients use it to look the request up in a flight recorder.
@@ -135,8 +136,8 @@ pub struct BusyReply {
     pub limit: usize,
 }
 
-/// Execution failure for one admitted request (e.g. the bank worker
-/// panicked on its batch). Unlike [`Response::Error`], it carries the
+/// Execution failure for one admitted request (e.g. its batch panicked;
+/// the executor keeps serving). Unlike [`Response::Error`], it carries the
 /// request id so pipelined clients can correlate — and because infer
 /// ids are client-chosen and idempotent, the request is safe to retry.
 #[derive(Debug, Clone, PartialEq)]

@@ -1,68 +1,47 @@
-//! Bank-aware batch scheduler.
+//! Least-loaded, panic-isolated batch dispatch on the caller's thread.
 //!
-//! The paper's chip instantiates 16 independent banks (the 128×128 macro
-//! is 16 banks × 8 bit-columns wide); a bank is the natural unit of
-//! concurrent batch execution, so the scheduler models each as a
-//! dedicated worker thread with its own FIFO of batches. Dispatch is
-//! **least-loaded**: a new batch goes to the bank with the fewest
-//! outstanding requests (queued + executing), ties broken by lowest bank
-//! index — deterministic under serial dispatch, and naturally spreading
-//! load when a slow batch stalls one bank.
+//! The paper's chip instantiates 16 banks (the 128×128 macro is 16 banks
+//! × 8 bit-columns wide) that fire in the same cycle, and
+//! `imc_cost::inference_cost` prices that parallelism in closed form. So
+//! a bank here is accounting, not a thread: [`BankScheduler::dispatch`]
+//! labels a batch with the **least-loaded** bank — the one with the
+//! fewest outstanding requests, ties broken by lowest index — runs it on
+//! the calling thread through the executor closure supplied at
+//! construction, and releases the bank's count before it returns. The
+//! server builds one bank and dispatches from its batcher thread, which
+//! makes that thread the server's one executor; the batch's rows fan out
+//! over the shared `par-exec` pool inside the executor.
 //!
-//! Bank workers execute batches through an executor closure supplied at
-//! construction (the server wires model execution, reply writing, and
-//! metrics in there), so the scheduling policy is testable in isolation.
-//!
-//! Shutdown is graceful by construction: [`BankScheduler::shutdown`]
-//! closes the bank queues and joins the workers, and each worker drains
-//! its remaining batches before exiting — accepted work is never dropped.
-//!
-//! Workers are **panic-isolated**: each batch executes under
+//! Dispatch is **panic-isolated**: each batch executes under
 //! `catch_unwind`, so a panicking executor (a malformed request tripping
-//! a model assertion, say) loses only its own batch. The worker body
-//! respawns for the next batch on the same thread, and the reply routes
-//! of the lost batch — captured before execution — are handed to the
+//! a model assertion, say) loses only its own batch. The reply routes of
+//! the lost batch — captured before execution — are handed to the
 //! `on_panic` callback so the server can answer those requests with a
-//! typed failure instead of leaving clients hanging. Bank-queue locks
-//! recover from poisoning for the same reason the admission queue does:
-//! the guarded state is plain data with no intermediate invalid states.
+//! typed failure instead of leaving clients hanging, and the caller goes
+//! on dispatching.
 
-use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::thread::JoinHandle;
+use std::sync::Arc;
 
 use crate::batcher::Pending;
 
-struct BankState<R> {
-    queue: VecDeque<Vec<Pending<R>>>,
-    closed: bool,
-}
-
-struct Bank<R> {
-    state: Mutex<BankState<R>>,
-    ready: Condvar,
-    /// Requests queued on or executing in this bank. Shared (rather than
-    /// inline) so a [`LoadProbe`] can watch drain progress after the
-    /// scheduler itself has been moved into the batcher thread.
-    outstanding: Arc<AtomicUsize>,
-}
+type Executor<R> = Box<dyn Fn(usize, Vec<Pending<R>>) + Send + Sync>;
+type OnPanic<R> = Box<dyn Fn(usize, Vec<(u64, R)>) + Send + Sync>;
 
 /// A detached, cloneable view of the scheduler's outstanding-request
-/// counters. [`BankScheduler::shutdown`] consumes the scheduler and the
-/// batcher thread owns it in the meantime, so anything that needs to
-/// watch load from outside — the hot-swap drain wait, for instance —
-/// takes a probe up front via [`BankScheduler::probe`].
+/// counters. The batcher thread owns the scheduler, so anything that
+/// needs to watch load from outside — the hot-swap drain wait, for
+/// instance — takes a probe up front via [`BankScheduler::probe`].
 #[derive(Clone)]
 pub struct LoadProbe {
-    outstanding: Vec<Arc<AtomicUsize>>,
+    outstanding: Arc<[AtomicUsize]>,
 }
 
 impl LoadProbe {
-    /// Outstanding requests (queued + executing) across all banks, as of
-    /// this instant. Monotonicity is not guaranteed — new dispatches can
-    /// race the read — so callers treat it as a best-effort drain signal.
+    /// Requests executing across all banks, as of this instant.
+    /// Monotonicity is not guaranteed — new dispatches can race the
+    /// read — so callers treat it as a best-effort drain signal.
     #[must_use]
     pub fn in_flight(&self) -> usize {
         self.outstanding
@@ -72,22 +51,25 @@ impl LoadProbe {
     }
 }
 
-/// Dispatches batches across per-bank worker threads.
+/// Runs batches on the dispatching thread, each labelled with the
+/// least-loaded bank.
 pub struct BankScheduler<R> {
-    banks: Vec<Arc<Bank<R>>>,
-    workers: Vec<JoinHandle<()>>,
+    /// Requests executing per bank; shared with every [`LoadProbe`].
+    outstanding: Arc<[AtomicUsize]>,
+    executor: Executor<R>,
+    on_panic: OnPanic<R>,
 }
 
 impl<R: Clone + Send + 'static> BankScheduler<R> {
-    /// Spawns `banks` worker threads. Each executed batch is handed to
-    /// `executor(bank_index, batch)`. If the executor panics, the batch's
-    /// reply routes (id + reply handle, captured before execution) are
-    /// handed to `on_panic(bank_index, routes)` and the worker keeps
-    /// serving subsequent batches.
+    /// A scheduler over `banks` banks. Each dispatched batch is handed to
+    /// `executor(bank_index, batch)` on the dispatching thread. If the
+    /// executor panics, the batch's reply routes (id + reply handle,
+    /// captured before execution) are handed to `on_panic(bank_index,
+    /// routes)` and the scheduler keeps serving later batches.
     ///
     /// # Panics
     ///
-    /// Panics if `banks` is zero or a worker thread cannot be spawned.
+    /// Panics if `banks` is zero.
     #[must_use]
     pub fn new<F, P>(banks: usize, executor: F, on_panic: P) -> Self
     where
@@ -95,139 +77,62 @@ impl<R: Clone + Send + 'static> BankScheduler<R> {
         P: Fn(usize, Vec<(u64, R)>) + Send + Sync + 'static,
     {
         assert!(banks > 0, "need at least one bank");
-        let executor = Arc::new(executor);
-        let on_panic = Arc::new(on_panic);
-        let banks: Vec<Arc<Bank<R>>> = (0..banks)
-            .map(|_| {
-                Arc::new(Bank {
-                    state: Mutex::new(BankState {
-                        queue: VecDeque::new(),
-                        closed: false,
-                    }),
-                    ready: Condvar::new(),
-                    outstanding: Arc::new(AtomicUsize::new(0)),
-                })
-            })
-            .collect();
-        let workers = banks
-            .iter()
-            .enumerate()
-            .map(|(i, bank)| {
-                let bank = Arc::clone(bank);
-                let executor = Arc::clone(&executor);
-                let on_panic = Arc::clone(&on_panic);
-                std::thread::Builder::new()
-                    .name(format!("imc-bank-{i}"))
-                    .spawn(move || loop {
-                        let batch = {
-                            let mut st = bank.state.lock().unwrap_or_else(PoisonError::into_inner);
-                            loop {
-                                if let Some(batch) = st.queue.pop_front() {
-                                    break batch;
-                                }
-                                if st.closed {
-                                    return;
-                                }
-                                st = bank.ready.wait(st).unwrap_or_else(PoisonError::into_inner);
-                            }
-                        };
-                        // Captured up front so a panicking executor can
-                        // still have its requests answered.
-                        let routes: Vec<(u64, R)> =
-                            batch.iter().map(|p| (p.id, p.reply.clone())).collect();
-                        let n = batch.len();
-                        let outcome = catch_unwind(AssertUnwindSafe(|| executor(i, batch)));
-                        bank.outstanding.fetch_sub(n, Ordering::Release);
-                        if outcome.is_err() {
-                            // The worker body respawns (next loop turn);
-                            // a panic in the panic handler itself must
-                            // not kill it either.
-                            let _ = catch_unwind(AssertUnwindSafe(|| on_panic(i, routes)));
-                        }
-                    })
-                    .expect("spawn bank worker")
-            })
-            .collect();
-        Self { banks, workers }
+        Self {
+            outstanding: (0..banks).map(|_| AtomicUsize::new(0)).collect(),
+            executor: Box::new(executor),
+            on_panic: Box::new(on_panic),
+        }
     }
 
-    /// Number of banks.
-    #[must_use]
-    pub fn banks(&self) -> usize {
-        self.banks.len()
-    }
-
-    /// Queues `batch` on the least-loaded bank and returns its index.
-    ///
-    /// # Panics
-    ///
-    /// Panics if called after [`shutdown`](Self::shutdown) (the batcher
-    /// is always stopped first).
+    /// Runs `batch` to completion on the calling thread, labelled with
+    /// the least-loaded bank, and returns that bank's index. The bank's
+    /// outstanding count covers the batch while it runs and is released
+    /// before this returns, also when the executor panics.
     pub fn dispatch(&self, batch: Vec<Pending<R>>) -> usize {
         let n = batch.len();
-        let (idx, bank) = self
-            .banks
+        let (bank, outstanding) = self
+            .outstanding
             .iter()
             .enumerate()
-            .min_by_key(|(_, b)| b.outstanding.load(Ordering::Acquire))
+            .min_by_key(|(_, b)| b.load(Ordering::Acquire))
             .expect("at least one bank");
-        bank.outstanding.fetch_add(n, Ordering::AcqRel);
-        let mut st = bank.state.lock().unwrap_or_else(PoisonError::into_inner);
-        assert!(!st.closed, "dispatch after shutdown");
-        st.queue.push_back(batch);
-        drop(st);
-        bank.ready.notify_one();
-        idx
-    }
-
-    /// Outstanding requests (queued + executing) across all banks.
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
-        self.banks
-            .iter()
-            .map(|b| b.outstanding.load(Ordering::Acquire))
-            .sum()
+        outstanding.fetch_add(n, Ordering::AcqRel);
+        // Captured up front so a panicking executor can still have its
+        // requests answered.
+        let routes: Vec<(u64, R)> = batch.iter().map(|p| (p.id, p.reply.clone())).collect();
+        let outcome = catch_unwind(AssertUnwindSafe(|| (self.executor)(bank, batch)));
+        outstanding.fetch_sub(n, Ordering::Release);
+        if outcome.is_err() {
+            // A panic in the panic handler itself must not escape to the
+            // dispatching thread either.
+            let _ = catch_unwind(AssertUnwindSafe(|| (self.on_panic)(bank, routes)));
+        }
+        bank
     }
 
     /// A detached [`LoadProbe`] over this scheduler's outstanding
-    /// counters, valid (and cheap to clone) for the scheduler's whole
-    /// lifetime — including after the scheduler value itself has moved
-    /// into the batcher thread.
+    /// counters, valid (and cheap to clone) for as long as anyone holds
+    /// it — including after the scheduler value itself has moved into
+    /// the batcher thread.
     #[must_use]
     pub fn probe(&self) -> LoadProbe {
         LoadProbe {
-            outstanding: self
-                .banks
-                .iter()
-                .map(|b| Arc::clone(&b.outstanding))
-                .collect(),
+            outstanding: Arc::clone(&self.outstanding),
         }
     }
 
-    /// Closes every bank queue and joins the workers; each worker drains
-    /// its queued batches before exiting. A worker thread that died
-    /// anyway (catch_unwind cannot intercept an abort) is not allowed to
-    /// panic the shutdown path on top.
-    pub fn shutdown(self) {
-        for bank in &self.banks {
-            let mut st = bank.state.lock().unwrap_or_else(PoisonError::into_inner);
-            st.closed = true;
-            drop(st);
-            bank.ready.notify_all();
-        }
-        for w in self.workers {
-            if w.join().is_err() {
-                eprintln!("imc-serve: a bank worker thread died; its queue was abandoned");
-            }
-        }
-    }
+    /// Ends the scheduler. Every dispatched batch has already run to
+    /// completion inside [`dispatch`](Self::dispatch), so there is
+    /// nothing left to drain.
+    pub fn shutdown(self) {}
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
-    use std::time::{Duration, Instant};
+    use std::sync::{mpsc, Barrier, Mutex};
+    use std::time::Instant;
 
     fn batch(ids: &[u64]) -> Vec<Pending<u64>> {
         ids.iter()
@@ -265,89 +170,63 @@ mod tests {
     }
 
     #[test]
-    fn dispatch_prefers_the_least_loaded_bank() {
-        // Bank workers that block until released, so outstanding counts
-        // are observable.
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let g = Arc::clone(&gate);
+    fn dispatch_runs_the_batch_on_the_calling_thread() {
+        let ran_on = Arc::new(Mutex::new(None));
+        let r = Arc::clone(&ran_on);
         let sched = BankScheduler::new(
-            2,
+            16,
             move |_bank, _b: Vec<Pending<u64>>| {
-                let (lock, cv) = &*g;
-                let mut open = lock.lock().unwrap();
-                while !*open {
-                    open = cv.wait(open).unwrap();
-                }
+                *r.lock().unwrap() = Some(std::thread::current().id());
             },
             |_bank, _routes| {},
         );
-        // First batch (3 requests) → bank 0; second (1) → bank 1;
-        // third (1) must also go to bank 1 (1 < 3 outstanding).
-        assert_eq!(sched.dispatch(batch(&[1, 2, 3])), 0);
-        assert_eq!(sched.dispatch(batch(&[4])), 1);
-        assert_eq!(sched.dispatch(batch(&[5])), 1);
-        assert_eq!(sched.in_flight(), 5);
-        let (lock, cv) = &*gate;
-        *lock.lock().unwrap() = true;
-        cv.notify_all();
-        sched.shutdown();
+        assert_eq!(sched.dispatch(batch(&[1])), 0);
+        assert_eq!(
+            *ran_on.lock().unwrap(),
+            Some(std::thread::current().id()),
+            "the batch ran on another thread"
+        );
     }
 
     #[test]
-    fn probe_tracks_in_flight_and_survives_scheduler_move() {
-        let gate = Arc::new((Mutex::new(false), Condvar::new()));
-        let g = Arc::clone(&gate);
+    fn concurrent_batches_take_the_least_loaded_banks_and_the_probe_sees_them() {
+        // Each executor reports its start, then waits at the barrier with
+        // the test thread, so all three batches are in flight at once.
+        let hold = Arc::new(Barrier::new(4));
+        let (started_tx, started_rx) = mpsc::channel::<()>();
+        let started_tx = Mutex::new(started_tx);
+        let h = Arc::clone(&hold);
         let sched = BankScheduler::new(
             2,
             move |_bank, _b: Vec<Pending<u64>>| {
-                let (lock, cv) = &*g;
-                let mut open = lock.lock().unwrap();
-                while !*open {
-                    open = cv.wait(open).unwrap();
-                }
+                started_tx.lock().unwrap().send(()).unwrap();
+                h.wait();
             },
             |_bank, _routes| {},
         );
+        // Taken before the scheduler is shared with the dispatching
+        // threads, as the server takes one before its batcher owns it.
         let probe = sched.probe();
-        sched.dispatch(batch(&[1, 2, 3]));
-        sched.dispatch(batch(&[4]));
-        assert_eq!(probe.in_flight(), 4);
-        // The probe keeps reporting after the scheduler moves elsewhere
-        // (here: into a thread, as the server's batcher does).
-        let mover = std::thread::spawn(move || {
-            let (lock, cv) = &*gate;
-            *lock.lock().unwrap() = true;
-            cv.notify_all();
-            sched.shutdown();
+        std::thread::scope(|s| {
+            // Dispatched one after another, each held once started: 3
+            // requests hold bank 0, so [4] takes bank 1; with both banks
+            // busy, [5] takes bank 1 again, the less loaded (1 < 3).
+            let sched = &sched;
+            let held = [&[1, 2, 3][..], &[4], &[5]].map(|ids| {
+                let h = s.spawn(move || sched.dispatch(batch(ids)));
+                started_rx.recv().unwrap();
+                h
+            });
+            // Read before the release and asserted after it, so a wrong
+            // count fails the test instead of stranding the executors.
+            let in_flight = probe.in_flight();
+            hold.wait();
+            assert_eq!(in_flight, 5);
+            assert_eq!(held.map(|h| h.join().unwrap()), [0, 1, 1]);
         });
-        let t0 = Instant::now();
-        while probe.in_flight() > 0 {
-            assert!(
-                t0.elapsed() < Duration::from_secs(10),
-                "probe never saw the drain"
-            );
-            std::thread::sleep(Duration::from_millis(2));
-        }
-        mover.join().unwrap();
-    }
-
-    #[test]
-    fn shutdown_drains_queued_batches() {
-        let done = Arc::new(AtomicU64::new(0));
-        let d = Arc::clone(&done);
-        let sched = BankScheduler::new(
-            1,
-            move |_bank, b: Vec<Pending<u64>>| {
-                std::thread::sleep(Duration::from_millis(5));
-                d.fetch_add(b.len() as u64, Ordering::Relaxed);
-            },
-            |_bank, _routes| {},
-        );
-        for _ in 0..10 {
-            sched.dispatch(batch(&[1, 2]));
-        }
+        assert_eq!(probe.in_flight(), 0);
         sched.shutdown();
-        assert_eq!(done.load(Ordering::Relaxed), 20, "no accepted work dropped");
+        assert_eq!(probe.in_flight(), 0, "the probe outlives the scheduler");
     }
 
     #[test]
@@ -357,7 +236,7 @@ mod tests {
         let e = Arc::clone(&executed);
         let f = Arc::clone(&failed_ids);
         let sched = BankScheduler::new(
-            1,
+            2,
             move |_bank, b: Vec<Pending<u64>>| {
                 if b.iter().any(|p| p.id == 666) {
                     panic!("injected executor fault");
@@ -368,34 +247,21 @@ mod tests {
                 f.lock().unwrap().extend(routes.iter().map(|(id, _)| *id));
             },
         );
+        let probe = sched.probe();
         sched.dispatch(batch(&[1, 2]));
-        sched.dispatch(batch(&[666, 3])); // whole batch lost to the panic
-        sched.dispatch(batch(&[4, 5])); // the same worker keeps going
-        sched.shutdown();
-        assert_eq!(executed.load(Ordering::Relaxed), 4);
-        assert_eq!(&*failed_ids.lock().unwrap(), &[666, 3]);
-    }
-
-    #[test]
-    fn outstanding_count_drains_even_through_panics() {
-        let sched = BankScheduler::new(
-            2,
-            |_bank, _b: Vec<Pending<u64>>| panic!("always fails"),
-            |_bank, _routes| {},
+        // Panicked batches release their outstanding counts before
+        // dispatch returns, or least-loaded dispatch would shun bank 0
+        // for good: every batch here lands on it.
+        for _ in 0..3 {
+            assert_eq!(sched.dispatch(batch(&[666, 3])), 0);
+            assert_eq!(probe.in_flight(), 0);
+        }
+        assert_eq!(
+            sched.dispatch(batch(&[4, 5])),
+            0,
+            "the scheduler keeps going"
         );
-        for _ in 0..8 {
-            sched.dispatch(batch(&[7, 8, 9]));
-        }
-        // Panicked batches must still release their outstanding counts,
-        // or least-loaded dispatch would permanently shun healthy banks.
-        let t0 = Instant::now();
-        while sched.in_flight() > 0 {
-            assert!(
-                t0.elapsed() < Duration::from_secs(10),
-                "outstanding count leaked on panic"
-            );
-            std::thread::sleep(Duration::from_millis(5));
-        }
-        sched.shutdown();
+        assert_eq!(executed.load(Ordering::Relaxed), 4);
+        assert_eq!(*failed_ids.lock().unwrap(), [666, 3].repeat(3));
     }
 }

@@ -1,28 +1,27 @@
-//! The TCP server: connection handling, admission, batching, dispatch,
+//! The TCP server: connection handling, admission, batching, execution,
 //! and graceful shutdown.
 //!
-//! Thread topology (for a `banks = B` config):
+//! Thread topology:
 //!
 //! ```text
-//! accept loop ─┬─ conn thread ──┐ try_enqueue      ┌─ bank worker 0
-//!              ├─ conn thread ──┼──► admission ──► batcher ─► least-loaded
-//!              └─ ...           ┘    queue (bounded)  thread   dispatch ─► bank worker B-1
+//! accept loop ─┬─ conn thread ──┐ try_enqueue
+//!              ├─ conn thread ──┼──► admission ──► batcher thread: dispatch
+//!              └─ ...           ┘    queue (bounded)  runs each batch in place
 //! ```
 //!
 //! * Connection threads parse frames and either answer control requests
 //!   inline or admit inference requests to the bounded queue. A full
 //!   queue produces an immediate `Shed` response on the same connection.
-//! * The batcher thread drains the queue with flush-on-size-or-deadline
-//!   semantics and hands batches to the bank scheduler.
-//! * Bank workers execute batches on the shared `par_exec` pool (one
-//!   noise-isolated stream per sample) and write responses back through
-//!   each request's connection handle.
+//! * The batcher thread is the server's one executor. It drains the queue
+//!   with flush-on-size-or-deadline semantics and runs each batch itself
+//!   through [`BankScheduler::dispatch`], fanning the rows out over the
+//!   shared `par_exec` pool (one noise-isolated stream per sample), and
+//!   writes responses back through each request's connection handle.
 //!
 //! Shutdown (control request or SIGINT/SIGTERM): the accept loop stops,
 //! the admission queue closes (new requests shed as `shutting down`),
-//! the batcher drains what was admitted, the banks finish every
-//! dispatched batch, and only then does [`ServerHandle::join`] return —
-//! accepted work is never dropped.
+//! the batcher runs every admitted request to its reply, and only then
+//! does [`ServerHandle::join`] return — accepted work is never dropped.
 
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -46,10 +45,6 @@ use crate::wire;
 /// Serving configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Simulated banks executing batches concurrently — the paper chip
-    /// has 16 (`system_perf::mapping::MacroTile::paper`: 16 banks × 8
-    /// bit-columns).
-    pub banks: usize,
     /// Dynamic batcher: flush when this many requests have coalesced.
     pub max_batch: usize,
     /// Dynamic batcher: flush when the oldest queued request has waited
@@ -63,37 +58,33 @@ pub struct ServeConfig {
     /// that sends one byte of a length prefix parks an `imc-conn`
     /// thread forever.
     pub frame_deadline: Duration,
-    /// Write timeout on each connection's shared writer, so a client
-    /// that stops draining its socket cannot head-of-line block a bank
-    /// worker (and with it a whole batch) behind the connection mutex.
-    /// The first timed-out write marks the connection dead; later
-    /// responses to it are skipped instead of blocking again.
+    /// Write timeout on each connection's shared writer. The one
+    /// executor writes every reply, so a client that stops draining its
+    /// socket holds every batch for up to one timeout per blocked write;
+    /// a timed-out write marks the connection dead and later responses
+    /// to it are skipped. Zero disables the timeout: then one client
+    /// that stops reading halts every batch and graceful shutdown.
     pub write_timeout: Duration,
     /// Cap on concurrently served connections. Connections beyond it
     /// receive a typed [`Response::Busy`] and are closed immediately
     /// (counted in `serve.busy_rejects`).
     pub max_conns: usize,
-    /// Artificial per-batch service delay. Zero in production; tests use
-    /// it to force queue buildup deterministically.
-    pub service_delay: Duration,
     /// Chaos fail-point: when set, any admitted request whose first
-    /// input feature equals this sentinel makes the executing bank
-    /// worker panic. Used by the chaos harness to prove panic isolation
-    /// and recovery end to end; `None` (the default) in production.
+    /// input feature equals this sentinel makes its batch panic. Used by
+    /// the chaos harness to prove panic isolation and recovery end to
+    /// end; `None` (the default) in production.
     pub fail_input_sentinel: Option<f32>,
 }
 
 impl Default for ServeConfig {
     fn default() -> Self {
         Self {
-            banks: 16,
             max_batch: 64,
             max_wait: Duration::from_millis(2),
             queue_depth: 1024,
             frame_deadline: Duration::from_secs(10),
             write_timeout: Duration::from_secs(5),
             max_conns: 1024,
-            service_delay: Duration::ZERO,
             fail_input_sentinel: None,
         }
     }
@@ -102,8 +93,8 @@ impl Default for ServeConfig {
 /// A connection's write half plus its liveness state. Once a write
 /// fails or times out mid-frame the stream's framing is unrecoverable,
 /// so the writer is marked dead and every later response to this
-/// connection is dropped without touching the socket — one stalled
-/// client costs each bank worker at most one write timeout. The
+/// connection is dropped without touching the socket — a stalled
+/// client costs the executor one write timeout per blocked write. The
 /// `scratch` arena is reused for every response this connection ever
 /// writes, so steady-state encoding allocates nothing.
 #[derive(Debug)]
@@ -113,8 +104,8 @@ pub(crate) struct ConnWriter {
     scratch: Vec<u8>,
 }
 
-/// A live connection's write half, shared by its reader thread and every
-/// bank worker holding one of its pending requests.
+/// A live connection's write half, shared by its reader thread and the
+/// executor answering its pending requests.
 type Conn = Arc<Mutex<ConnWriter>>;
 
 /// Writes a response on a connection; I/O errors are counted, not
@@ -173,7 +164,7 @@ fn pool_put(mut v: Vec<f32>) {
 /// The swappable serving model: an `Arc` behind an `RwLock`, plus a
 /// monotone version number (1 at startup).
 ///
-/// Readers — the bank executor, admission validation, `Describe`,
+/// Readers — the batch executor, admission validation, `Describe`,
 /// `Partial` — take the lock only long enough to clone the `Arc`, so a
 /// batch is internally consistent by construction: it executes entirely
 /// on whichever model it snapshotted, even if a swap lands mid-batch.
@@ -204,9 +195,9 @@ impl ModelSlot {
     }
 }
 
-/// State every connection thread and the bank executor share: the
+/// State every connection thread and the batch executor share: the
 /// swappable model slot and a probe over the scheduler's outstanding
-/// counters (for the swap path's best-effort drain wait).
+/// counter (for the swap path's best-effort drain wait).
 pub(crate) struct Shared {
     slot: Arc<ModelSlot>,
     probe: LoadProbe,
@@ -248,12 +239,6 @@ impl ServerHandle {
     #[must_use]
     pub fn metrics_handle(&self) -> Arc<Metrics> {
         Arc::clone(&self.metrics)
-    }
-
-    /// Current admission-queue depth.
-    #[must_use]
-    pub fn queue_depth(&self) -> usize {
-        self.queue.depth()
     }
 
     /// Version of the image currently serving (1 at startup, +1 per
@@ -302,8 +287,8 @@ impl ServerHandle {
 }
 
 /// Starts the service on `addr` (e.g. `"127.0.0.1:0"` for an ephemeral
-/// port) and returns once the listener is bound and all worker threads
-/// are running.
+/// port) and returns once the listener is bound and the accept and
+/// batcher threads are running.
 ///
 /// # Errors
 ///
@@ -311,7 +296,7 @@ impl ServerHandle {
 ///
 /// # Panics
 ///
-/// Panics if worker threads cannot be spawned.
+/// Panics if the accept or batcher thread cannot be spawned.
 pub fn serve<A: ToSocketAddrs>(
     addr: A,
     model: Arc<ServeModel>,
@@ -326,7 +311,7 @@ pub fn serve<A: ToSocketAddrs>(
     par_exec::warmup();
 
     let shutdown = ShutdownFlag::new();
-    let metrics = Arc::new(Metrics::new(cfg.banks));
+    let metrics = Arc::new(Metrics::new());
     metrics
         .energy_per_inference_pj
         .set(model.energy_per_inference_pj() as f64);
@@ -334,26 +319,27 @@ pub fn serve<A: ToSocketAddrs>(
     let slot = Arc::new(ModelSlot::new(model));
     let queue: Arc<AdmissionQueue<Conn>> = Arc::new(AdmissionQueue::new(cfg.queue_depth));
 
-    // --- bank executor ---------------------------------------------------
+    // --- batch executor --------------------------------------------------
+    // One bank: the batcher thread is the one executor, so every reply
+    // carries `bank` 0.
     let scheduler = {
         let slot = Arc::clone(&slot);
         let metrics = Arc::clone(&metrics);
         let panic_metrics = Arc::clone(&metrics);
-        let delay = cfg.service_delay;
         let sentinel = cfg.fail_input_sentinel;
         BankScheduler::new(
-            cfg.banks,
+            1,
             move |bank, batch: Vec<Pending<Conn>>| {
                 // One model snapshot per batch: every request in the
                 // batch executes on the same image, and a concurrent
                 // swap affects only *later* batches.
                 let model = slot.current();
-                execute_batch(bank, batch, &model, &metrics, delay, sentinel);
+                execute_batch(bank, batch, &model, &metrics, sentinel);
             },
             move |_bank, routes: Vec<(u64, Conn)>| {
-                // A worker panicked away its whole batch: count it and
-                // answer every affected request with a typed, retryable
-                // failure instead of leaving the clients hanging.
+                // The batch panicked: count it and answer every affected
+                // request with a typed, retryable failure instead of
+                // leaving the clients hanging.
                 panic_metrics.worker_panics.inc();
                 for (id, conn) in routes {
                     let resp = Response::Failed(FailedReply {
@@ -387,9 +373,6 @@ pub fn serve<A: ToSocketAddrs>(
                     metrics.queue_depth.set(queue.depth() as f64);
                     scheduler.dispatch(batch);
                 }
-                // Queue closed and drained: wind the banks down, letting
-                // them finish everything already dispatched.
-                scheduler.shutdown();
             })
             .expect("spawn batcher thread")
     };
@@ -595,8 +578,8 @@ fn handle_request(
         }
         Request::SwapImage(req) => {
             // Runs on this control connection's thread: the expensive
-            // load/prepack never touches the bank workers, and a failed
-            // swap leaves the old model serving.
+            // load/prepack never touches the executor, and a failed swap
+            // leaves the old model serving.
             let resp = match do_swap(shared, metrics, &req.path) {
                 Ok(done) => Response::SwapDone(done),
                 Err(why) => {
@@ -608,8 +591,8 @@ fn handle_request(
         }
         Request::Partial(req) => {
             // Deterministic (chunk-addressed noise) and small, so it runs
-            // right here on the connection thread instead of competing
-            // with whole-model batches for the banks.
+            // right here on the connection thread instead of queueing
+            // behind whole-model batches.
             let t0 = Instant::now();
             let result = model.partial(req.layer, req.chunk_lo, req.chunk_hi, &req.codes);
             if let Some(ctx) = req.trace {
@@ -658,8 +641,8 @@ fn handle_request(
                 return;
             }
             // The executor's activation quantizer asserts inputs are
-            // non-negative; a NaN or negative feature would panic a
-            // bank worker. Reject exactly those at admission —
+            // non-negative; a NaN or negative feature would panic its
+            // batch. Reject exactly those at admission —
             // catch_unwind downstream stays as defense in depth,
             // not the first line.
             if req.input.iter().any(|v| v.is_nan() || *v < 0.0) {
@@ -732,9 +715,9 @@ const SWAP_DRAIN_POLL: Duration = Duration::from_millis(1);
 ///    shard cut (clients validated against the old shape must stay
 ///    well-formed); any failure returns `Err` with nothing changed.
 /// 3. **Drain, best-effort** — wait up to [`SWAP_DRAIN_WAIT`] for the
-///    banks to go idle, bounding how long the old image lingers.
+///    executor to go idle, bounding how long the old image lingers.
 /// 4. **Flip** — swap the `Arc` under the write lock; the hold time is
-///    the reported `pause_us`. Prepacked per-bank state rides inside the
+///    the reported `pause_us`. Prepacked weight planes ride inside the
 ///    `ServeModel`, so stale plane caches are impossible by construction.
 /// 5. **Announce** — bump `serve.swaps_total` / `serve.image_version`,
 ///    retarget the energy gauge, and offer a `serve.swap` span to the
@@ -825,7 +808,7 @@ fn connection_loop(
         Err(_) => return,
     };
     // Bounded writes: a non-draining client errors out instead of
-    // holding the connection mutex (and a bank worker) indefinitely.
+    // holding the connection mutex (and the executor) indefinitely.
     write_half
         .set_write_timeout(duration_opt(cfg.write_timeout))
         .ok();
@@ -975,7 +958,7 @@ fn duration_opt(d: Duration) -> Option<Duration> {
 /// Argmax under a total order that ranks every NaN below every non-NaN
 /// (and all NaNs equal), so non-finite logits — which the analog model
 /// can emit for extreme inputs — pick a deterministic class instead of
-/// panicking the bank worker (`partial_cmp(..).expect("finite logits")`
+/// panicking the batch (`partial_cmp(..).expect("finite logits")`
 /// was a remote kill). `f32::total_cmp` orders NaNs by sign bit, which
 /// would rank -NaN below -inf but +NaN above +inf; this explicit
 /// NaN-is-lowest rule keeps "any real logit beats a NaN". Ties keep the
@@ -1046,14 +1029,13 @@ fn record_partial_trace(
     );
 }
 
-/// Runs one batch on a bank: assemble the input tensor, execute with
-/// per-sample noise isolation, write each response, record latencies.
+/// Runs one batch: assemble the input tensor, execute with per-sample
+/// noise isolation, write each response, record latencies.
 fn execute_batch(
     bank: usize,
     mut batch: Vec<Pending<Conn>>,
     model: &ServeModel,
     metrics: &Metrics,
-    service_delay: Duration,
     fail_input_sentinel: Option<f32>,
 ) {
     let span = imc_obs::span!("serve.batch");
@@ -1082,16 +1064,9 @@ fn execute_batch(
     let x = Tensor::from_vec(&[n, features], data);
 
     let t0 = Instant::now();
-    if !service_delay.is_zero() {
-        std::thread::sleep(service_delay);
-    }
-    let tk = Instant::now();
     let logits = model.infer_batch(&x);
-    let kernel_us = tk.elapsed().as_micros() as u64;
     let service_us = t0.elapsed().as_micros() as u64;
     metrics.batch_latency.record(service_us);
-    metrics.banks[bank].batches.inc();
-    metrics.banks[bank].requests.add(n as u64);
     metrics
         .energy_pj
         .add(model.energy_per_inference_pj() * n as u64);
@@ -1149,8 +1124,8 @@ fn execute_batch(
                         parent_span: root,
                         name: "serve.kernel",
                         service: "serve",
-                        start_unix_us: start + queue_us + (service_us - kernel_us),
-                        dur_us: kernel_us,
+                        start_unix_us: start + queue_us,
+                        dur_us: service_us,
                         status: imc_obs::SpanStatus::Ok,
                         energy_pj: 0,
                         detail: String::new(),

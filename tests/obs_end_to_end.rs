@@ -75,11 +75,9 @@ fn generate_work() {
     // Serve traffic: an in-process server and a handful of requests.
     let model = Arc::new(ServeModel::synthetic(ImcDesign::ChgFe, DEFAULT_SEED));
     let cfg = ServeConfig {
-        banks: 2,
         max_batch: 4,
         max_wait: Duration::from_millis(2),
         queue_depth: 64,
-        service_delay: Duration::ZERO,
         ..ServeConfig::default()
     };
     let handle = serve("127.0.0.1:0", model, &cfg).expect("bind serve");

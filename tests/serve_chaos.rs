@@ -25,16 +25,14 @@ fn test_input(k: usize) -> Vec<f32> {
 /// Joins the handle on a helper thread so a drain bug fails the test
 /// instead of hanging the harness forever.
 fn join_with_deadline(handle: ServerHandle) {
-    let j = std::thread::spawn(move || handle.join());
-    let t0 = Instant::now();
-    while !j.is_finished() {
-        assert!(
-            t0.elapsed() < Duration::from_secs(30),
-            "server join did not complete within 30s"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    }
-    j.join().expect("join thread panicked");
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        handle.join();
+        done_tx.send(())
+    });
+    done_rx
+        .recv_timeout(Duration::from_secs(30))
+        .expect("server join did not return within 30s");
 }
 
 /// Polls `cond` until it holds or `within` elapses.
@@ -207,8 +205,8 @@ fn client_vanishing_mid_frame_is_cleaned_up() {
 fn forced_worker_panic_returns_typed_failed_and_recovers() {
     let model = Arc::new(ServeModel::synthetic(ImcDesign::ChgFe, DEFAULT_SEED));
     let sentinel = 7.5f32;
+    // The server has one executor, so recovery must happen in place.
     let cfg = ServeConfig {
-        banks: 1, // one worker: recovery must happen in place
         fail_input_sentinel: Some(sentinel),
         ..ServeConfig::default()
     };
@@ -228,7 +226,7 @@ fn forced_worker_panic_returns_typed_failed_and_recovers() {
     }
     assert_eq!(handle.metrics().worker_panics.get(), 1);
 
-    // The sole bank worker survived and still answers bit-exactly.
+    // The one executor survived and still answers bit-exactly.
     match client.infer(67, test_input(3)).expect("infer") {
         Response::Output(r) => assert_bit_exact(&model, &r, 3),
         other => panic!("expected Output, got {other:?}"),
