@@ -962,7 +962,7 @@ fn main() -> ExitCode {
             // A deadline short enough that stalled half-frames are
             // reclaimed within the run, and the deliberate panic
             // fail-point the probe will trip.
-            cfg.frame_deadline = Duration::from_secs(2);
+            cfg.limits.frame_deadline = Duration::from_secs(2);
             cfg.fail_input_sentinel = Some(CHAOS_SENTINEL);
         }
         let handle =

@@ -32,11 +32,13 @@
 //! ```
 
 use std::io::{Read, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::Duration;
+
+use imc_obs::{Listener, Waker};
 
 /// What the proxy does to one connection's client → server byte stream.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -125,11 +127,12 @@ impl Flip {
 }
 
 /// A running fault-injecting proxy. Dropping it (or calling
-/// [`stop`](Self::stop)) shuts the listener down; forwarding threads for
-/// live connections die with their sockets.
+/// [`stop`](Self::stop)) wakes its blocked accept and closes the
+/// listener; forwarding threads for live connections die with their
+/// sockets.
 pub struct ChaosProxy {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    waker: Waker,
     accept_thread: Option<JoinHandle<()>>,
     /// Connections accepted so far (fault plan indices consumed).
     accepted: Arc<AtomicUsize>,
@@ -144,51 +147,35 @@ impl ChaosProxy {
     ///
     /// # Errors
     ///
-    /// Fails if the listener cannot bind.
+    /// Fails if the listener cannot bind or its thread cannot start.
     pub fn start<F>(upstream: SocketAddr, pick: F) -> std::io::Result<Self>
     where
         F: Fn(usize) -> Fault + Send + Sync + 'static,
     {
-        let listener = TcpListener::bind("127.0.0.1:0")?;
-        let addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
-        let stop = Arc::new(AtomicBool::new(false));
+        let listener = Listener::bind("127.0.0.1:0", "chaos")?;
+        let addr = listener.local_addr();
+        let waker = listener.waker();
         let accepted = Arc::new(AtomicUsize::new(0));
         let flips = Arc::new(Mutex::new(Vec::new()));
         let accept_thread = {
-            let stop = Arc::clone(&stop);
             let accepted = Arc::clone(&accepted);
             let flips = Arc::clone(&flips);
             std::thread::Builder::new()
                 .name("chaos-accept".into())
                 .spawn(move || {
-                    while !stop.load(Ordering::Acquire) {
-                        match listener.accept() {
-                            Ok((client, _)) => {
-                                let conn = accepted.fetch_add(1, Ordering::AcqRel);
-                                let fault = pick(conn);
-                                let flips = Arc::clone(&flips);
-                                if let Err(e) =
-                                    spawn_forwarders(client, upstream, fault, conn, flips)
-                                {
-                                    eprintln!("chaos: conn {conn}: upstream connect failed: {e}");
-                                }
-                            }
-                            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                                std::thread::sleep(Duration::from_millis(5));
-                            }
-                            Err(e) => {
-                                eprintln!("chaos: accept failed: {e}");
-                                break;
-                            }
+                    while let Some(client) = listener.accept() {
+                        let conn = accepted.fetch_add(1, Ordering::AcqRel);
+                        let fault = pick(conn);
+                        let flips = Arc::clone(&flips);
+                        if let Err(e) = spawn_forwarders(client, upstream, fault, conn, flips) {
+                            eprintln!("chaos: conn {conn}: not proxied: {e}");
                         }
                     }
-                })
-                .expect("spawn chaos accept thread")
+                })?
         };
         Ok(Self {
             addr,
-            stop,
+            waker,
             accept_thread: Some(accept_thread),
             accepted,
             flips,
@@ -215,23 +202,20 @@ impl ChaosProxy {
         self.flips.lock().expect("flip log lock").clone()
     }
 
-    /// Stops accepting. Existing forwarding threads exit when their
-    /// sockets close (the server or client side tearing down is enough).
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Release);
-        if let Some(t) = self.accept_thread.take() {
-            let _ = t.join();
-        }
+    /// Stops accepting (as dropping does). Existing forwarding threads
+    /// exit when their sockets close (the server or client side tearing
+    /// down is enough).
+    pub fn stop(self) {
+        drop(self);
     }
 }
 
 impl Drop for ChaosProxy {
     fn drop(&mut self) {
-        self.shutdown();
+        self.waker.wake();
+        if let Some(t) = self.accept_thread.take() {
+            let _ = t.join();
+        }
     }
 }
 
@@ -253,13 +237,11 @@ fn spawn_forwarders(
     // client → server: the faulted direction.
     std::thread::Builder::new()
         .name(format!("chaos-c2s-{conn}"))
-        .spawn(move || forward_with_fault(client_r, server, fault, peer, &flips))
-        .expect("spawn c2s forwarder");
+        .spawn(move || forward_with_fault(client_r, server, fault, peer, &flips))?;
     // server → client: always clean, so returned answers are authentic.
     std::thread::Builder::new()
         .name(format!("chaos-s2c-{conn}"))
-        .spawn(move || forward_clean(server_r, client))
-        .expect("spawn s2c forwarder");
+        .spawn(move || forward_clean(server_r, client))?;
     Ok(())
 }
 
@@ -360,6 +342,7 @@ fn forward_with_fault(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::net::TcpListener;
 
     #[test]
     fn seeded_mix_is_deterministic_and_contains_clean_connections() {

@@ -196,8 +196,8 @@ fn main() -> ExitCode {
     }
     eprintln!("imc-fleet: listening on {}", handle.addr());
 
-    // The accept loop exits when a Shutdown request or SIGINT/SIGTERM
-    // trips the shared flag.
+    // Parks until a Shutdown request or SIGINT/SIGTERM trips the flag,
+    // then wakes the blocked accept and joins it.
     handle.wait();
     imc_obs::print_summary_if_env();
     eprintln!("imc-fleet: bye");

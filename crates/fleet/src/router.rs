@@ -22,10 +22,18 @@
 //! retries on the next replica of the same shard. Only correctness
 //! checks (stale digest, wrong shard width) quarantine — those replicas
 //! never serve again.
+//!
+//! Connections come in through `imc-serve`'s BIN1 door
+//! ([`imc_serve::door`]), with the same hardening as a single server at
+//! its default [`ConnLimits`] (DESIGN §12): blocking accept, connection
+//! cap, hello and nack, frame deadline, write timeout. The router
+//! supplies only the frame handler and counts the door's faults as
+//! `fleet.protocol_errors_total`, `fleet.conn_deadline_drops_total` and
+//! `fleet.busy_rejects_total`.
 
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
+use std::io;
+use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
@@ -33,8 +41,9 @@ use std::time::{Duration, Instant};
 use imc_obs::{
     counter, counter_vec, gauge, gauge_vec, SpanRec, SpanStatus, TraceContext, TraceRec,
 };
+use imc_serve::door::{ConnLimits, Door, DoorCounters, FrameHandler, Reply};
 use imc_serve::protocol::{DescribeReply, FailedReply, InferReply, Request, Response, ShedReply};
-use imc_serve::{argmax_total, wire, Client, ClientConfig, RetryPolicy, ShutdownFlag};
+use imc_serve::{argmax_total, Client, ClientConfig, RetryPolicy, ShutdownFlag};
 use neural::quant::quantize_activations;
 use neural::tensor::Tensor;
 
@@ -57,31 +66,19 @@ pub struct EnergyBudget {
 }
 
 /// Router tuning knobs.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct RouterConfig {
     /// Upstream (router → replica) client settings.
     pub client: ClientConfig,
     /// Failover pacing: attempt `k` against a shard sleeps
     /// `retry.backoff_delay(k, request_id)` before trying the next
-    /// replica.
+    /// replica. Admission dials each replica up to `retry.max_attempts`
+    /// times on the same schedule.
     pub retry: RetryPolicy,
-    /// Connect+`Describe` attempts per replica during admission.
-    pub admit_attempts: u32,
     /// Optional per-window energy budget. Setting it also turns on
     /// energy-aware routing: whole-model picks prefer the
     /// lowest-energy healthy replica variant.
     pub energy_budget: Option<EnergyBudget>,
-}
-
-impl Default for RouterConfig {
-    fn default() -> Self {
-        Self {
-            client: ClientConfig::default(),
-            retry: RetryPolicy::default(),
-            admit_attempts: 4,
-            energy_budget: None,
-        }
-    }
 }
 
 /// Energy spent in the current accounting window.
@@ -94,6 +91,7 @@ struct RouterState {
     plan: FleetPlan,
     board: Mutex<HealthBoard>,
     cfg: RouterConfig,
+    /// Triggering it wakes the door's blocked accept.
     shutdown: ShutdownFlag,
     /// Plan variant indices, cheapest per-inference energy first — the
     /// preference order energy-aware picks walk.
@@ -105,6 +103,7 @@ struct RouterState {
 pub struct FleetHandle {
     addr: SocketAddr,
     state: Arc<RouterState>,
+    counters: DoorCounters,
     accept: Option<thread::JoinHandle<()>>,
 }
 
@@ -115,10 +114,17 @@ impl FleetHandle {
         self.addr
     }
 
-    /// The router's shutdown latch (shared with the accept loop).
+    /// The router's shutdown latch; a trigger also wakes its accept.
     #[must_use]
     pub fn shutdown_flag(&self) -> ShutdownFlag {
         self.state.shutdown.clone()
+    }
+
+    /// The front door's fault counters (`fleet.protocol_errors_total`,
+    /// `fleet.conn_deadline_drops_total`, `fleet.busy_rejects_total`).
+    #[must_use]
+    pub fn door_counters(&self) -> &DoorCounters {
+        &self.counters
     }
 
     /// Snapshot of the replica scoreboard.
@@ -136,8 +142,9 @@ impl FleetHandle {
             .to_vec()
     }
 
-    /// Trips shutdown and joins the accept loop. In-flight connection
-    /// threads finish their current request and exit on client EOF.
+    /// Trips shutdown, which wakes the accept, and joins the accept
+    /// thread. Connection threads finish their current request and exit
+    /// on client EOF, or within a read tick once idle.
     pub fn shutdown(mut self) {
         self.state.shutdown.trigger();
         if let Some(h) = self.accept.take() {
@@ -146,11 +153,10 @@ impl FleetHandle {
     }
 
     /// Blocks until shutdown is triggered elsewhere (a `Shutdown`
-    /// request or a delivered signal), then joins the accept loop.
-    pub fn wait(mut self) {
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        }
+    /// request or a delivered signal), then shuts down.
+    pub fn wait(self) {
+        self.state.shutdown.park();
+        self.shutdown();
     }
 }
 
@@ -165,16 +171,16 @@ impl FleetHandle {
 ///
 /// # Errors
 ///
-/// Only binding the listener can fail.
+/// Binding the listener, or spawning its accept thread.
 pub fn serve_fleet<A: ToSocketAddrs>(
     addr: A,
     plan: FleetPlan,
     replica_addrs: &[String],
     cfg: RouterConfig,
 ) -> io::Result<(FleetHandle, Vec<FleetError>)> {
-    let listener = TcpListener::bind(addr)?;
-    let local = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
+    let counters = DoorCounters::registered("fleet.");
+    let door = Door::bind(addr, "fleet", ConnLimits::default(), counters.clone())?;
+    let local = door.local_addr();
 
     let mut variant_order: Vec<usize> = (0..plan.variants.len()).collect();
     variant_order.sort_by(|&a, &b| {
@@ -186,7 +192,7 @@ pub fn serve_fleet<A: ToSocketAddrs>(
         board: Mutex::new(HealthBoard::new(plan.shard_count())),
         plan,
         cfg,
-        shutdown: ShutdownFlag::new(),
+        shutdown: ShutdownFlag::new(door.waker()),
         variant_order,
         energy: Mutex::new(EnergyMeter {
             opened: Instant::now(),
@@ -203,13 +209,13 @@ pub fn serve_fleet<A: ToSocketAddrs>(
     let accept_state = Arc::clone(&state);
     let accept = thread::Builder::new()
         .name("fleet-accept".into())
-        .spawn(move || accept_loop(&listener, &accept_state))
-        .expect("spawn fleet accept thread");
+        .spawn(move || door.run(&accept_state))?;
 
     Ok((
         FleetHandle {
             addr: local,
             state,
+            counters,
             accept: Some(accept),
         },
         admission,
@@ -219,7 +225,7 @@ pub fn serve_fleet<A: ToSocketAddrs>(
 /// Connects to one replica, verifies its `Describe` against the plan,
 /// and registers it on the board.
 fn admit_replica(state: &RouterState, addr: &str) -> Result<(), FleetError> {
-    let attempts = state.cfg.admit_attempts.max(1);
+    let attempts = state.cfg.retry.max_attempts.max(1);
     let mut last = String::new();
     for attempt in 1..=attempts {
         match Client::connect_with(addr, state.cfg.client).and_then(|mut c| c.describe()) {
@@ -302,116 +308,50 @@ fn log(msg: &str) {
     eprintln!("imc-fleet: {msg}");
 }
 
-fn accept_loop(listener: &TcpListener, state: &Arc<RouterState>) {
-    loop {
-        if state.shutdown.is_set() {
-            return;
-        }
-        match listener.accept() {
-            Ok((stream, _)) => {
-                stream.set_nodelay(true).ok();
-                let conn_state = Arc::clone(state);
-                thread::Builder::new()
-                    .name("fleet-conn".into())
-                    .spawn(move || handle_conn(stream, &conn_state))
-                    .ok();
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => return,
-        }
-    }
-}
+/// Routes each request of one connection. The connection's thread owns
+/// its upstream clients, so replica sockets are never shared across
+/// request streams.
+impl FrameHandler for RouterState {
+    type Session = HashMap<usize, Client>;
 
-/// One downstream connection: the `BIN1` handshake exactly like
-/// `imc-serve` (any opening but the hello gets the nack and a close),
-/// then frames until EOF. Each connection thread owns its upstream
-/// clients, so replica sockets are never shared across request streams.
-fn handle_conn(mut stream: TcpStream, state: &Arc<RouterState>) {
-    let mut hello = [0u8; 5];
-    if stream.read_exact(&mut hello).is_err() {
-        return;
-    }
-    let mut ack = [0u8; 5];
-    ack[..4].copy_from_slice(&wire::MAGIC);
-    if hello[..4] != wire::MAGIC || hello[4] != wire::VERSION {
-        // Nack: echo the magic with version 0, then close.
-        let _ = stream.write_all(&ack);
-        return;
-    }
-    ack[4] = wire::VERSION;
-    if stream.write_all(&ack).is_err() {
-        return;
-    }
-    let mut upstreams: HashMap<usize, Client> = HashMap::new();
-    let mut arena = Vec::new();
-    let mut scratch = Vec::new();
-    loop {
-        match wire::read_frame_into(&mut stream, &mut arena) {
-            Ok(true) => {}
-            Ok(false) | Err(_) => return,
-        }
-        let (resp, stop) = match wire::decode_request(&arena) {
-            Ok(req) => dispatch(state, &mut upstreams, req),
-            Err(e) => (Response::Error(format!("bad BIN1 frame: {e}")), true),
-        };
-        if wire::write_response(&mut stream, &resp, &mut scratch).is_err() || stop {
-            return;
-        }
-    }
-}
-
-/// Routes one request; the bool asks the connection loop to close
-/// afterwards.
-fn dispatch(
-    state: &Arc<RouterState>,
-    upstreams: &mut HashMap<usize, Client>,
-    req: Request,
-) -> (Response, bool) {
-    match req {
-        Request::Ping => (Response::Pong, false),
-        Request::Describe => (
+    fn handle(&self, upstreams: &mut Self::Session, request: Request, reply: &Reply) -> bool {
+        let resp = match request {
+            Request::Ping => Response::Pong,
             // The fleet presents itself as one whole-model server.
-            Response::Describe(DescribeReply {
-                digest: state.plan.base_digest,
+            Request::Describe => Response::Describe(DescribeReply {
+                digest: self.plan.base_digest,
                 shard_index: 0,
                 shard_count: 0,
-                features: state.plan.features,
-                classes: state.plan.classes,
+                features: self.plan.features,
+                classes: self.plan.classes,
             }),
-            false,
-        ),
-        Request::Shutdown => {
-            state.shutdown.trigger();
-            (Response::ShuttingDown, true)
-        }
-        Request::Partial(p) => (
-            Response::Error(format!(
+            Request::Shutdown => {
+                reply.send(&Response::ShuttingDown);
+                self.shutdown.trigger();
+                return false;
+            }
+            Request::Partial(p) => Response::Error(format!(
                 "partial id {}: the fleet router is a whole-model front door; send Infer",
                 p.id
             )),
-            false,
-        ),
-        Request::SwapImage(r) => (
-            Response::Error(format!(
+            Request::SwapImage(r) => Response::Error(format!(
                 "swap {}: swap replicas directly, then retarget the fleet plan to the new digest",
                 r.path
             )),
-            false,
-        ),
-        Request::Infer(r) => {
-            counter!("fleet.infer_total", "Infer requests routed by the fleet").inc();
-            // Adopt the caller's trace, or start one: the router is the
-            // fleet's front door, so every routed request is traceable.
-            let ctx = r.trace.unwrap_or_else(TraceContext::new_root);
-            let resp = if state.plan.whole_model() {
-                route_whole(state, upstreams, r.id, r.input, ctx)
-            } else {
-                route_sharded(state, upstreams, r.id, r.input, ctx)
-            };
-            (resp, false)
-        }
+            Request::Infer(r) => {
+                counter!("fleet.infer_total", "Infer requests routed by the fleet").inc();
+                // Adopt the caller's trace, or start one: the router is the
+                // fleet's front door, so every routed request is traceable.
+                let ctx = r.trace.unwrap_or_else(TraceContext::new_root);
+                if self.plan.whole_model() {
+                    route_whole(self, upstreams, r.id, r.input, ctx)
+                } else {
+                    route_sharded(self, upstreams, r.id, r.input, ctx)
+                }
+            }
+        };
+        reply.send(&resp);
+        true
     }
 }
 
@@ -464,7 +404,7 @@ fn offer_fleet_trace(
 /// through unchanged (except that the reply's `trace_id` is pinned to
 /// the routed trace).
 fn route_whole(
-    state: &Arc<RouterState>,
+    state: &RouterState,
     upstreams: &mut HashMap<usize, Client>,
     id: u64,
     input: Vec<f32>,
@@ -489,7 +429,7 @@ fn route_whole(
 }
 
 fn route_whole_inner(
-    state: &Arc<RouterState>,
+    state: &RouterState,
     upstreams: &mut HashMap<usize, Client>,
     id: u64,
     input: Vec<f32>,
@@ -553,7 +493,7 @@ fn route_whole_inner(
 /// Bit-exact vs single-node `forward` by the exact shift-add argument
 /// (DESIGN §14).
 fn route_sharded(
-    state: &Arc<RouterState>,
+    state: &RouterState,
     upstreams: &mut HashMap<usize, Client>,
     id: u64,
     input: Vec<f32>,
@@ -584,7 +524,7 @@ fn route_sharded(
 }
 
 fn route_sharded_inner(
-    state: &Arc<RouterState>,
+    state: &RouterState,
     upstreams: &mut HashMap<usize, Client>,
     id: u64,
     input: Vec<f32>,
@@ -714,7 +654,7 @@ fn route_sharded_inner(
 /// shard's replicas.
 #[allow(clippy::too_many_arguments)]
 fn shard_partial(
-    state: &Arc<RouterState>,
+    state: &RouterState,
     upstreams: &mut HashMap<usize, Client>,
     id: u64,
     shard: usize,
@@ -769,7 +709,7 @@ fn shard_partial(
 /// energy to charge if it answers. With an energy budget configured and
 /// a variant-aware plan, healthy replicas of the cheapest variant are
 /// preferred; otherwise plain round-robin.
-fn pick_whole(state: &Arc<RouterState>, tried: &[usize]) -> Option<(usize, String, f64)> {
+fn pick_whole(state: &RouterState, tried: &[usize]) -> Option<(usize, String, f64)> {
     let mut board = state
         .board
         .lock()
@@ -801,7 +741,7 @@ fn pick_whole(state: &Arc<RouterState>, tried: &[usize]) -> Option<(usize, Strin
 /// Admits one `Infer` against the energy budget, rolling the window
 /// when it has elapsed. Returns the typed shed response when even the
 /// cheapest variant no longer fits this window.
-fn energy_admission(state: &Arc<RouterState>, id: u64) -> Option<Response> {
+fn energy_admission(state: &RouterState, id: u64) -> Option<Response> {
     let budget = state.cfg.energy_budget?;
     let next_j = state
         .variant_order
@@ -841,7 +781,7 @@ fn energy_admission(state: &Arc<RouterState>, id: u64) -> Option<Response> {
 
 /// Charges one answered inference to the current window and exports the
 /// running totals.
-fn charge_energy(state: &Arc<RouterState>, joules: f64) {
+fn charge_energy(state: &RouterState, joules: f64) {
     counter!(
         "cost.fleet_energy_pj_total",
         "Cumulative analytical inference energy routed by the fleet (pJ)"
@@ -865,7 +805,7 @@ fn to_pj(joules: f64) -> u64 {
 }
 
 /// Picks a replica for `shard` and counts the routing decision.
-fn pick(state: &Arc<RouterState>, shard: usize, tried: &[usize]) -> Option<(usize, String)> {
+fn pick(state: &RouterState, shard: usize, tried: &[usize]) -> Option<(usize, String)> {
     let mut board = state
         .board
         .lock()
@@ -886,7 +826,7 @@ fn pick(state: &Arc<RouterState>, shard: usize, tried: &[usize]) -> Option<(usiz
 /// connection thread's upstream client. I/O failure drops the cached
 /// connection and marks the replica suspect.
 fn exchange<T>(
-    state: &Arc<RouterState>,
+    state: &RouterState,
     upstreams: &mut HashMap<usize, Client>,
     idx: usize,
     addr: &str,
@@ -921,7 +861,7 @@ fn exchange<T>(
     }
 }
 
-fn mark_suspect(state: &Arc<RouterState>, idx: usize, addr: &str) {
+fn mark_suspect(state: &RouterState, idx: usize, addr: &str) {
     state
         .board
         .lock()
@@ -937,7 +877,7 @@ fn mark_suspect(state: &Arc<RouterState>, idx: usize, addr: &str) {
 }
 
 /// Counts a failover and sleeps the backoff before the next attempt.
-fn failover(state: &Arc<RouterState>, shard: usize, addr: &str, attempt: u32, salt: u64) {
+fn failover(state: &RouterState, shard: usize, addr: &str, attempt: u32, salt: u64) {
     counter_vec!(
         "fleet.failovers",
         ["shard", "replica"],

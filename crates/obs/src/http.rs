@@ -1,9 +1,9 @@
 //! A tiny read-only HTTP/1.1 scrape endpoint over `std::net`.
 //!
-//! One accept thread, non-blocking accept, one short-lived thread per
-//! connection (so a stalled scraper never serializes the endpoint —
-//! concurrent `curl`s each get their own snapshot), one request per
-//! connection (`Connection: close`). Routes:
+//! One accept thread, blocked in a wakeable accept ([`Listener`]); one
+//! short-lived thread per connection (so a stalled scraper never
+//! serializes the endpoint — concurrent `curl`s each get their own
+//! snapshot); one request per connection (`Connection: close`). Routes:
 //!
 //! * `GET /metrics` — Prometheus text exposition
 //! * `GET /metrics.json` — JSON snapshot
@@ -13,17 +13,16 @@
 //!
 //! This is deliberately *not* a web server: no keep-alive, no TLS, no
 //! request body handling. It exists so `curl`/Prometheus can scrape a
-//! running bin, matching the `--obs-addr` flag on `imc-serve` and
-//! `loadgen`.
+//! running bin, matching the `--obs-addr` flag on `imc-serve`,
+//! `imc-fleet` and `loadgen`.
 
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::net::{SocketAddr, TcpStream};
 use std::thread::{self, JoinHandle};
 use std::time::Duration;
 
 use crate::export::{json_snapshot, prometheus_text};
+use crate::listen::{Listener, Waker};
 use crate::registry::registry;
 use crate::trace::{recorder, traces_json};
 
@@ -31,7 +30,7 @@ use crate::trace::{recorder, traces_json};
 /// or drop.
 pub struct HttpHandle {
     addr: SocketAddr,
-    stop: Arc<AtomicBool>,
+    waker: Waker,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -42,22 +41,18 @@ impl HttpHandle {
         self.addr
     }
 
-    /// Signals the serving thread to exit and joins it.
-    pub fn stop(mut self) {
-        self.shutdown();
-    }
-
-    fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
-        if let Some(t) = self.thread.take() {
-            let _ = t.join();
-        }
+    /// Wakes the accept thread and joins it, as dropping does.
+    pub fn stop(self) {
+        drop(self);
     }
 }
 
 impl Drop for HttpHandle {
     fn drop(&mut self) {
-        self.shutdown();
+        self.waker.wake();
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
+        }
     }
 }
 
@@ -67,53 +62,35 @@ impl Drop for HttpHandle {
 ///
 /// # Errors
 ///
-/// Returns the bind error if the address is unavailable.
+/// Returns the bind error if the address is unavailable, or the spawn
+/// error of the accept thread.
 pub fn serve_http(addr: &str) -> io::Result<HttpHandle> {
-    let listener = TcpListener::bind(addr)?;
-    listener.set_nonblocking(true)?;
-    let addr = listener.local_addr()?;
-    let stop = Arc::new(AtomicBool::new(false));
-    let stop2 = Arc::clone(&stop);
+    let listener = Listener::bind(addr, "obs-http")?;
+    let addr = listener.local_addr();
+    let waker = listener.waker();
     let thread = thread::Builder::new()
         .name("obs-http".into())
-        .spawn(move || accept_loop(&listener, &stop2))
-        .expect("spawn obs-http thread");
+        .spawn(move || {
+            while let Some(stream) = listener.accept() {
+                // One short-lived thread per connection: a scraper that
+                // stalls mid-read (or three Prometheis scraping at once)
+                // must not serialize everyone else behind the accept
+                // loop. Responses are small and connections are
+                // `Connection: close`, so threads are gone in
+                // milliseconds; the read/write timeouts inside bound the
+                // worst case. A failed spawn drops only this scrape.
+                let _ = thread::Builder::new()
+                    .name("obs-http-conn".into())
+                    .spawn(move || {
+                        let _ = handle_connection(stream);
+                    });
+            }
+        })?;
     Ok(HttpHandle {
         addr,
-        stop,
+        waker,
         thread: Some(thread),
     })
-}
-
-fn accept_loop(listener: &TcpListener, stop: &AtomicBool) {
-    while !stop.load(Ordering::Relaxed) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                // One short-lived thread per connection: a scraper that
-                // stalls mid-read (or three Prometheis scraping at
-                // once) must not serialize everyone else behind the
-                // accept loop. Responses are small and connections are
-                // `Connection: close`, so threads are gone in
-                // milliseconds; the read/write timeouts inside bound
-                // the worst case.
-                let spawned =
-                    thread::Builder::new()
-                        .name("obs-http-conn".into())
-                        .spawn(move || {
-                            let _ = handle_connection(stream);
-                        });
-                if spawned.is_err() {
-                    // Out of threads: better to drop one scrape than
-                    // the whole endpoint.
-                    continue;
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                thread::sleep(Duration::from_millis(20));
-            }
-            Err(_) => thread::sleep(Duration::from_millis(20)),
-        }
-    }
 }
 
 fn handle_connection(mut stream: TcpStream) -> io::Result<()> {

@@ -41,6 +41,7 @@
 pub mod export;
 pub mod hist;
 pub mod http;
+pub mod listen;
 pub mod registry;
 pub mod span;
 pub mod trace;
@@ -48,6 +49,7 @@ pub mod trace;
 pub use export::{json_snapshot, print_summary_if_env, prometheus_text, text_summary};
 pub use hist::{bucket_index, bucket_value, HistogramCore, Summary, OCTAVES, SUB_BUCKETS};
 pub use http::{serve_http, HttpHandle};
+pub use listen::{Listener, Waker};
 pub use registry::{
     registry, Counter, CounterVec, Gauge, GaugeVec, Histogram, Labels, MetricEntry, MetricHandle,
     MetricSnapshot, MetricValue, Registry, Snapshot,

@@ -120,7 +120,7 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--queue-depth: {e}"))?;
             }
             "--max-conns" => {
-                args.cfg.max_conns = value("--max-conns")?
+                args.cfg.limits.max_conns = value("--max-conns")?
                     .parse()
                     .map_err(|e| format!("--max-conns: {e}"))?;
             }
@@ -128,13 +128,13 @@ fn parse_args() -> Result<Args, String> {
                 let ms: u64 = value("--frame-deadline-ms")?
                     .parse()
                     .map_err(|e| format!("--frame-deadline-ms: {e}"))?;
-                args.cfg.frame_deadline = Duration::from_millis(ms);
+                args.cfg.limits.frame_deadline = Duration::from_millis(ms);
             }
             "--write-timeout-ms" => {
                 let ms: u64 = value("--write-timeout-ms")?
                     .parse()
                     .map_err(|e| format!("--write-timeout-ms: {e}"))?;
-                args.cfg.write_timeout = Duration::from_millis(ms);
+                args.cfg.limits.write_timeout = Duration::from_millis(ms);
             }
             // Chaos-testing fail-point (undocumented in usage on
             // purpose): requests whose first feature bit-equals this
@@ -150,7 +150,7 @@ fn parse_args() -> Result<Args, String> {
             other => return Err(format!("unknown flag `{other}`\n{}", usage())),
         }
     }
-    if args.cfg.max_batch == 0 || args.cfg.queue_depth == 0 || args.cfg.max_conns == 0 {
+    if args.cfg.max_batch == 0 || args.cfg.queue_depth == 0 || args.cfg.limits.max_conns == 0 {
         return Err("--max-batch, --queue-depth, and --max-conns must be positive".to_owned());
     }
     if args.image.is_some() && args.checkpoint.is_some() {
@@ -247,10 +247,7 @@ fn main() -> ExitCode {
     );
 
     // Park until the latch trips (signal or Shutdown control request).
-    let flag = handle.shutdown_flag();
-    while !flag.is_set() {
-        std::thread::sleep(Duration::from_millis(50));
-    }
+    handle.shutdown_flag().park();
     println!("imc-serve: shutting down, draining admitted work...");
     let metrics = handle.metrics_handle();
     handle.join();
@@ -261,7 +258,7 @@ fn main() -> ExitCode {
         metrics.completed.get(),
         metrics.shed.get(),
         metrics.batches.get(),
-        metrics.protocol_errors.get(),
+        metrics.door.protocol_errors.get(),
         latency.p50,
         latency.p99,
     );

@@ -24,6 +24,9 @@
 //! * [`wire`] — `BIN1`, the one wire format (magic + version hello,
 //!   little-endian frames, raw f32 payloads) that the client, server,
 //!   fleet router and loadgen speak.
+//! * [`door`] — the BIN1 front door `imc-serve` and the fleet router
+//!   share: blocking accept, connection cap, hello, frame deadline,
+//!   timeouts; its owner supplies only a frame handler.
 //! * [`batcher`] — the bounded admission queue with deadline-based
 //!   dynamic batching; overflow is shed immediately (backpressure).
 //! * [`scheduler`] — runs a batch on the calling thread under
@@ -60,6 +63,7 @@
 
 pub mod batcher;
 pub mod client;
+pub mod door;
 pub mod metrics;
 pub mod model;
 pub mod protocol;
@@ -69,6 +73,7 @@ pub mod shutdown;
 pub mod wire;
 
 pub use client::{Client, ClientConfig, RetryPolicy};
+pub use door::{ConnLimits, DoorCounters};
 pub use model::{parse_design, synthetic_digest, ServeModel};
 pub use protocol::{DescribeReply, PartialRequest, PartialSumReply, SwapDoneReply, SwapRequest};
 pub use server::{argmax_total, serve, ServeConfig, ServerHandle};

@@ -14,6 +14,8 @@
 
 use imc_obs::{registry, Counter, Gauge, Histogram};
 
+use crate::door::DoorCounters;
+
 /// All service counters and histograms, shared across threads.
 #[derive(Debug, Clone)]
 pub struct Metrics {
@@ -23,17 +25,13 @@ pub struct Metrics {
     pub completed: Counter,
     /// Requests shed by backpressure or shutdown.
     pub shed: Counter,
-    /// Unparseable frames / invalid requests.
-    pub protocol_errors: Counter,
+    /// The BIN1 door's fault counters:
+    /// `imc_serve_{protocol_errors,conn_deadline_drops,busy_rejects}_total`.
+    /// Invalid requests count into its `protocol_errors` too.
+    pub door: DoorCounters,
     /// Batches lost to a panic (each one failed its whole batch with
     /// typed `Failed` responses; the executor keeps serving).
     pub worker_panics: Counter,
-    /// Connections dropped because a frame stayed incomplete past the
-    /// configured read deadline.
-    pub conn_deadline_drops: Counter,
-    /// Connections refused with a `Busy` response at the concurrent
-    /// connection cap.
-    pub busy_rejects: Counter,
     /// Batches dispatched.
     pub batches: Counter,
     /// Cumulative analytical inference energy (pJ) across answered
@@ -66,10 +64,8 @@ impl Metrics {
             admitted: Counter::new(),
             completed: Counter::new(),
             shed: Counter::new(),
-            protocol_errors: Counter::new(),
+            door: DoorCounters::registered("imc_serve_"),
             worker_panics: Counter::new(),
-            conn_deadline_drops: Counter::new(),
-            busy_rejects: Counter::new(),
             batches: Counter::new(),
             energy_pj: Counter::new(),
             energy_per_inference_pj: Gauge::new(),
@@ -99,28 +95,10 @@ impl Metrics {
             &m.shed,
         );
         r.insert_counter(
-            "imc_serve_protocol_errors_total",
-            &[],
-            "Unparseable frames / invalid requests",
-            &m.protocol_errors,
-        );
-        r.insert_counter(
             "imc_serve_worker_panics_total",
             &[],
             "Batches lost to a panic, failed as typed responses while the executor keeps serving",
             &m.worker_panics,
-        );
-        r.insert_counter(
-            "imc_serve_conn_deadline_drops_total",
-            &[],
-            "Connections dropped for holding a frame incomplete past the read deadline",
-            &m.conn_deadline_drops,
-        );
-        r.insert_counter(
-            "imc_serve_busy_rejects_total",
-            &[],
-            "Connections refused with Busy at the concurrent-connection cap",
-            &m.busy_rejects,
         );
         r.insert_counter(
             "imc_serve_batches_total",

@@ -1,46 +1,49 @@
-//! The TCP server: connection handling, admission, batching, execution,
-//! and graceful shutdown.
+//! The inference server: admission, batching, execution and graceful
+//! shutdown behind the shared BIN1 front door ([`crate::door`]).
 //!
 //! Thread topology:
 //!
 //! ```text
-//! accept loop ─┬─ conn thread ──┐ try_enqueue
+//! door accept ─┬─ conn thread ──┐ try_enqueue
 //!              ├─ conn thread ──┼──► admission ──► batcher thread: dispatch
 //!              └─ ...           ┘    queue (bounded)  runs each batch in place
 //! ```
 //!
-//! * Connection threads parse frames and either answer control requests
-//!   inline or admit inference requests to the bounded queue. A full
-//!   queue produces an immediate `Shed` response on the same connection.
+//! * The door accepts, enforces the connection limits of DESIGN §12 and
+//!   decodes frames; this module supplies only the frame handler.
+//!   Control requests are answered inline; inference requests are
+//!   admitted to the bounded queue, and a full queue produces an
+//!   immediate `Shed` response on the same connection.
 //! * The batcher thread is the server's one executor. It drains the queue
 //!   with flush-on-size-or-deadline semantics and runs each batch itself
 //!   through [`BankScheduler::dispatch`], fanning the rows out over the
 //!   shared `par_exec` pool (one noise-isolated stream per sample), and
 //!   writes responses back through each request's connection handle.
 //!
-//! Shutdown (control request or SIGINT/SIGTERM): the accept loop stops,
-//! the admission queue closes (new requests shed as `shutting down`),
-//! the batcher runs every admitted request to its reply, and only then
-//! does [`ServerHandle::join`] return — accepted work is never dropped.
+//! Shutdown (control request, [`ServerHandle::join`], or SIGINT/SIGTERM
+//! noticed by [`ShutdownFlag::park`]): the trigger wakes the door's blocked
+//! accept, the admission queue closes (new requests shed as
+//! `shutting down`), the batcher runs every admitted request to its
+//! reply, and only then does [`ServerHandle::join`] return — accepted
+//! work is never dropped.
 
-use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, OnceLock, PoisonError, RwLock};
+use std::net::{SocketAddr, ToSocketAddrs};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, PoisonError, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use neural::tensor::Tensor;
 
 use crate::batcher::{AdmissionQueue, Pending};
+use crate::door::{pool_put, ConnLimits, Door, FrameHandler, Reply};
 use crate::metrics::Metrics;
 use crate::model::ServeModel;
 use crate::protocol::{
-    BusyReply, FailedReply, InferReply, PartialSumReply, Request, Response, ShedReply,
-    SwapDoneReply, MAX_FRAME_BYTES,
+    FailedReply, InferReply, PartialSumReply, Request, Response, ShedReply, SwapDoneReply,
 };
 use crate::scheduler::{BankScheduler, LoadProbe};
 use crate::shutdown::ShutdownFlag;
-use crate::wire;
 
 /// Serving configuration.
 #[derive(Debug, Clone)]
@@ -52,23 +55,9 @@ pub struct ServeConfig {
     pub max_wait: Duration,
     /// Admission queue capacity; requests beyond it are shed.
     pub queue_depth: usize,
-    /// Once the first byte of a frame has arrived, the whole frame must
-    /// complete within this window or the connection is dropped (and
-    /// counted in `serve.conn_deadline_drops`). Without it, a client
-    /// that sends one byte of a length prefix parks an `imc-conn`
-    /// thread forever.
-    pub frame_deadline: Duration,
-    /// Write timeout on each connection's shared writer. The one
-    /// executor writes every reply, so a client that stops draining its
-    /// socket holds every batch for up to one timeout per blocked write;
-    /// a timed-out write marks the connection dead and later responses
-    /// to it are skipped. Zero disables the timeout: then one client
-    /// that stops reading halts every batch and graceful shutdown.
-    pub write_timeout: Duration,
-    /// Cap on concurrently served connections. Connections beyond it
-    /// receive a typed [`Response::Busy`] and are closed immediately
-    /// (counted in `serve.busy_rejects`).
-    pub max_conns: usize,
+    /// The door's connection limits: frame deadline, write timeout and
+    /// connection cap (DESIGN §12).
+    pub limits: ConnLimits,
     /// Chaos fail-point: when set, any admitted request whose first
     /// input feature equals this sentinel makes its batch panic. Used by
     /// the chaos harness to prove panic isolation and recovery end to
@@ -82,82 +71,9 @@ impl Default for ServeConfig {
             max_batch: 64,
             max_wait: Duration::from_millis(2),
             queue_depth: 1024,
-            frame_deadline: Duration::from_secs(10),
-            write_timeout: Duration::from_secs(5),
-            max_conns: 1024,
+            limits: ConnLimits::default(),
             fail_input_sentinel: None,
         }
-    }
-}
-
-/// A connection's write half plus its liveness state. Once a write
-/// fails or times out mid-frame the stream's framing is unrecoverable,
-/// so the writer is marked dead and every later response to this
-/// connection is dropped without touching the socket — a stalled
-/// client costs the executor one write timeout per blocked write. The
-/// `scratch` arena is reused for every response this connection ever
-/// writes, so steady-state encoding allocates nothing.
-#[derive(Debug)]
-pub(crate) struct ConnWriter {
-    stream: TcpStream,
-    dead: bool,
-    scratch: Vec<u8>,
-}
-
-/// A live connection's write half, shared by its reader thread and the
-/// executor answering its pending requests.
-type Conn = Arc<Mutex<ConnWriter>>;
-
-/// Writes a response on a connection; I/O errors are counted, not
-/// fatal (the client may have gone away — the server must keep
-/// running). A poisoned writer mutex is recovered, not propagated: the
-/// guarded stream is only ever written through the response encoders,
-/// which never panic, so the framing invariant cannot have been broken
-/// by whoever poisoned it.
-fn send(conn: &Conn, resp: &Response, metrics: &Metrics) {
-    let mut w = conn
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if w.dead {
-        return;
-    }
-    let ConnWriter {
-        stream, scratch, ..
-    } = &mut *w;
-    if wire::write_response(stream, resp, scratch).is_err() {
-        metrics.protocol_errors.inc();
-        w.dead = true;
-        // Wake the connection's reader thread too (it sees EOF).
-        w.stream.shutdown(std::net::Shutdown::Both).ok();
-    }
-}
-
-/// Cap on pooled input buffers (a few KiB each at MNIST shapes).
-const INPUT_POOL_CAP: usize = 256;
-
-/// Process-wide recycle pool for inference input vectors: connection
-/// readers take, `execute_batch` (and the rejection paths) put back —
-/// at steady state no request allocates its input buffer.
-fn input_pool() -> &'static Mutex<Vec<Vec<f32>>> {
-    static POOL: OnceLock<Mutex<Vec<Vec<f32>>>> = OnceLock::new();
-    POOL.get_or_init(|| Mutex::new(Vec::new()))
-}
-
-fn pool_take() -> Vec<f32> {
-    input_pool()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .pop()
-        .unwrap_or_default()
-}
-
-fn pool_put(mut v: Vec<f32>) {
-    v.clear();
-    let mut pool = input_pool()
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if pool.len() < INPUT_POOL_CAP {
-        pool.push(v);
     }
 }
 
@@ -195,22 +111,24 @@ impl ModelSlot {
     }
 }
 
-/// State every connection thread and the batch executor share: the
-/// swappable model slot and a probe over the scheduler's outstanding
-/// counter (for the swap path's best-effort drain wait).
+/// State every connection thread, the batch executor and the handle
+/// share; the door's frame handler.
 pub(crate) struct Shared {
     slot: Arc<ModelSlot>,
+    /// The scheduler's outstanding counter, for the swap path's
+    /// best-effort drain wait.
     probe: LoadProbe,
+    queue: Arc<AdmissionQueue<Reply>>,
+    metrics: Arc<Metrics>,
+    /// Trips the drain; triggering it also wakes the door's accept.
+    shutdown: ShutdownFlag,
 }
 
 /// Handle to a running server.
 pub struct ServerHandle {
     addr: SocketAddr,
-    shutdown: ShutdownFlag,
     accept_thread: Option<JoinHandle<()>>,
     batcher_thread: Option<JoinHandle<()>>,
-    metrics: Arc<Metrics>,
-    queue: Arc<AdmissionQueue<Conn>>,
     shared: Arc<Shared>,
 }
 
@@ -222,23 +140,23 @@ impl ServerHandle {
     }
 
     /// The shutdown latch (share it with a signal installer or trip it
-    /// directly).
+    /// directly; a trigger also wakes the server's blocked accept).
     #[must_use]
     pub fn shutdown_flag(&self) -> ShutdownFlag {
-        self.shutdown.clone()
+        self.shared.shutdown.clone()
     }
 
     /// The live metrics: the counters and histograms `/metrics` exports.
     #[must_use]
     pub fn metrics(&self) -> &Metrics {
-        &self.metrics
+        &self.shared.metrics
     }
 
     /// An owned handle to the metrics — outlives [`join`](Self::join),
     /// so callers can read final counts after the drain completes.
     #[must_use]
     pub fn metrics_handle(&self) -> Arc<Metrics> {
-        Arc::clone(&self.metrics)
+        Arc::clone(&self.shared.metrics)
     }
 
     /// Version of the image currently serving (1 at startup, +1 per
@@ -261,7 +179,7 @@ impl ServerHandle {
     /// cannot be loaded or its input/output shape (or shard cut) differs
     /// from the currently served model's.
     pub fn swap_model(&self, path: &str) -> Result<SwapDoneReply, String> {
-        do_swap(&self.shared, &self.metrics, path)
+        do_swap(&self.shared, path)
     }
 
     /// Requests the server stop and blocks until every accepted request
@@ -269,13 +187,13 @@ impl ServerHandle {
     /// threads that died of a panic are reported, not re-panicked — the
     /// caller still gets its drain and final metrics.
     pub fn join(mut self) {
-        self.shutdown.trigger();
+        self.shared.shutdown.trigger();
         if let Some(t) = self.accept_thread.take() {
             if t.join().is_err() {
                 eprintln!("imc-serve: accept thread panicked");
                 // The batcher only exits once the queue closes; do it on
                 // the accept thread's behalf so join still terminates.
-                self.queue.close();
+                self.shared.queue.close();
             }
         }
         if let Some(t) = self.batcher_thread.take() {
@@ -287,8 +205,8 @@ impl ServerHandle {
 }
 
 /// Starts the service on `addr` (e.g. `"127.0.0.1:0"` for an ephemeral
-/// port) and returns once the listener is bound and the accept and
-/// batcher threads are running.
+/// port) and returns once the door is bound and the accept and batcher
+/// threads are running.
 ///
 /// # Errors
 ///
@@ -302,22 +220,20 @@ pub fn serve<A: ToSocketAddrs>(
     model: Arc<ServeModel>,
     cfg: &ServeConfig,
 ) -> std::io::Result<ServerHandle> {
-    let listener = TcpListener::bind(addr)?;
-    let local = listener.local_addr()?;
-    listener.set_nonblocking(true)?;
+    let metrics = Arc::new(Metrics::new());
+    let door = Door::bind(addr, "imc", cfg.limits, metrics.door.clone())?;
+    let local = door.local_addr();
 
     // Spawn the pool before the first request so its cost is not billed
     // to the first batch's latency.
     par_exec::warmup();
 
-    let shutdown = ShutdownFlag::new();
-    let metrics = Arc::new(Metrics::new());
     metrics
         .energy_per_inference_pj
         .set(model.energy_per_inference_pj() as f64);
     metrics.image_version.set(1.0);
     let slot = Arc::new(ModelSlot::new(model));
-    let queue: Arc<AdmissionQueue<Conn>> = Arc::new(AdmissionQueue::new(cfg.queue_depth));
+    let queue: Arc<AdmissionQueue<Reply>> = Arc::new(AdmissionQueue::new(cfg.queue_depth));
 
     // --- batch executor --------------------------------------------------
     // One bank: the batcher thread is the one executor, so every reply
@@ -329,24 +245,23 @@ pub fn serve<A: ToSocketAddrs>(
         let sentinel = cfg.fail_input_sentinel;
         BankScheduler::new(
             1,
-            move |bank, batch: Vec<Pending<Conn>>| {
+            move |bank, batch: Vec<Pending<Reply>>| {
                 // One model snapshot per batch: every request in the
                 // batch executes on the same image, and a concurrent
                 // swap affects only *later* batches.
                 let model = slot.current();
                 execute_batch(bank, batch, &model, &metrics, sentinel);
             },
-            move |_bank, routes: Vec<(u64, Conn)>| {
+            move |_bank, routes: Vec<(u64, Reply)>| {
                 // The batch panicked: count it and answer every affected
                 // request with a typed, retryable failure instead of
                 // leaving the clients hanging.
                 panic_metrics.worker_panics.inc();
-                for (id, conn) in routes {
-                    let resp = Response::Failed(FailedReply {
+                for (id, reply) in routes {
+                    reply.send(&Response::Failed(FailedReply {
                         id,
                         reason: "worker panic".to_owned(),
-                    });
-                    send(&conn, &resp, &panic_metrics);
+                    }));
                 }
             },
         )
@@ -354,14 +269,15 @@ pub fn serve<A: ToSocketAddrs>(
     let shared = Arc::new(Shared {
         slot,
         probe: scheduler.probe(),
+        queue: Arc::clone(&queue),
+        metrics: Arc::clone(&metrics),
+        shutdown: ShutdownFlag::new(door.waker()),
     });
 
     // --- batcher thread ---------------------------------------------------
     let batcher_thread = {
-        let queue = Arc::clone(&queue);
         let max_batch = cfg.max_batch;
         let max_wait = cfg.max_wait;
-        let metrics = Arc::clone(&metrics);
         std::thread::Builder::new()
             .name("imc-batcher".into())
             .spawn(move || {
@@ -377,323 +293,146 @@ pub fn serve<A: ToSocketAddrs>(
             .expect("spawn batcher thread")
     };
 
-    // --- accept loop ------------------------------------------------------
+    // --- the door's accept loop -------------------------------------------
     let accept_thread = {
-        let shutdown = shutdown.clone();
-        let queue = Arc::clone(&queue);
-        let metrics = Arc::clone(&metrics);
         let shared = Arc::clone(&shared);
-        let cfg = cfg.clone();
         std::thread::Builder::new()
             .name("imc-accept".into())
             .spawn(move || {
-                accept_loop(&listener, &shutdown, &queue, &metrics, &shared, &cfg);
+                door.run(&shared);
                 // Stop admitting; the batcher drains and exits.
-                queue.close();
+                shared.queue.close();
             })
             .expect("spawn accept thread")
     };
 
     Ok(ServerHandle {
         addr: local,
-        shutdown,
         accept_thread: Some(accept_thread),
         batcher_thread: Some(batcher_thread),
-        metrics,
-        queue,
         shared,
     })
 }
 
-/// Poll interval of the non-blocking accept loop — bounds shutdown
-/// latency without a self-pipe.
-const ACCEPT_POLL: Duration = Duration::from_millis(20);
-
-/// Decrements the live-connection count when a connection thread exits,
-/// however it exits (including by panic — this is a `Drop` guard).
-struct ConnSlot(Arc<AtomicUsize>);
-
-impl Drop for ConnSlot {
-    fn drop(&mut self) {
-        self.0.fetch_sub(1, Ordering::AcqRel);
-    }
-}
-
-fn accept_loop(
-    listener: &TcpListener,
-    shutdown: &ShutdownFlag,
-    queue: &Arc<AdmissionQueue<Conn>>,
-    metrics: &Arc<Metrics>,
-    shared: &Arc<Shared>,
-    cfg: &ServeConfig,
-) {
-    let active = Arc::new(AtomicUsize::new(0));
-    while !shutdown.is_set() {
-        match listener.accept() {
-            Ok((mut stream, _peer)) => {
-                stream.set_nodelay(true).ok();
-                // Connection-level backpressure: at the cap, answer with
-                // a typed Busy and close, instead of accepting a reader
-                // thread we cannot afford. The write gets a short
-                // timeout so a malicious connector cannot stall the
-                // accept loop itself.
-                let now_active = active.load(Ordering::Acquire);
-                if now_active >= cfg.max_conns {
-                    metrics.busy_rejects.inc();
-                    stream
-                        .set_write_timeout(Some(Duration::from_millis(250)))
-                        .ok();
-                    let busy = Response::Busy(BusyReply {
-                        active: now_active,
-                        limit: cfg.max_conns,
-                    });
-                    let _ = wire::write_response(&mut stream, &busy, &mut Vec::new());
-                    continue;
-                }
-                active.fetch_add(1, Ordering::AcqRel);
-                let slot = ConnSlot(Arc::clone(&active));
-                let queue = Arc::clone(queue);
-                let metrics = Arc::clone(metrics);
-                let shared = Arc::clone(shared);
-                let shutdown = shutdown.clone();
-                let cfg = cfg.clone();
-                std::thread::Builder::new()
-                    .name("imc-conn".into())
-                    .spawn(move || {
-                        let _slot = slot;
-                        connection_loop(stream, &queue, &metrics, &shared, &shutdown, &cfg);
-                    })
-                    .expect("spawn connection thread");
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(ACCEPT_POLL);
-            }
-            Err(_) => std::thread::sleep(ACCEPT_POLL),
-        }
-    }
-}
-
-/// Reads `buf` fully from a timeout-bearing stream. Timeouts are benign
-/// *between* frames (`allow_idle` and nothing read yet → `Ok(false)`);
-/// once any byte of the current frame has arrived, the shared
-/// `frame_deadline` clock starts (set here on the 0→1 byte transition)
-/// and a stream timeout only means "keep waiting" until that deadline —
-/// resuming from scratch would desync the framing, so a frame that
-/// cannot complete in time fails with `ErrorKind::TimedOut` and the
-/// connection is dropped. Returns `Ok(true)` when filled, `Ok(false)`
-/// on clean idle EOF/shutdown before the first byte.
-fn read_full(
-    reader: &mut TcpStream,
-    buf: &mut [u8],
-    allow_idle: bool,
-    shutdown: &ShutdownFlag,
-    frame_deadline: &mut Option<Instant>,
-    deadline_after: Duration,
-) -> std::io::Result<bool> {
-    use std::io::Read;
-    let mut filled = 0usize;
-    while filled < buf.len() {
-        match reader.read(&mut buf[filled..]) {
-            Ok(0) if filled == 0 && allow_idle => return Ok(false),
-            Ok(0) => {
-                return Err(std::io::Error::new(
-                    std::io::ErrorKind::UnexpectedEof,
-                    "EOF inside a frame",
-                ))
-            }
-            Ok(n) => {
-                if frame_deadline.is_none() {
-                    // First byte of this frame: the whole frame now has
-                    // `deadline_after` to finish. Saturate huge values
-                    // to "no deadline" instead of panicking.
-                    *frame_deadline = Instant::now().checked_add(deadline_after);
-                }
-                filled += n;
-            }
-            Err(e)
-                if e.kind() == std::io::ErrorKind::WouldBlock
-                    || e.kind() == std::io::ErrorKind::TimedOut =>
-            {
-                if shutdown.is_set() && filled == 0 && allow_idle {
-                    return Ok(false);
-                }
-                if shutdown.is_set() {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::ConnectionAborted,
-                        "shutdown during a partial frame",
-                    ));
-                }
-                if frame_deadline.is_some_and(|d| Instant::now() >= d) {
-                    return Err(std::io::Error::new(
-                        std::io::ErrorKind::TimedOut,
-                        "frame incomplete past the read deadline",
-                    ));
-                }
-            }
-            Err(e) if e.kind() == std::io::ErrorKind::Interrupted => {}
-            Err(e) => return Err(e),
-        }
-    }
-    Ok(true)
-}
-
-/// Classifies a reader-loop error: a mid-frame deadline drop is counted
-/// separately from protocol damage.
-fn count_read_error(e: &std::io::Error, metrics: &Metrics) {
-    if e.kind() == std::io::ErrorKind::TimedOut {
-        // Half a frame held past the deadline: drop the connection so
-        // its thread is reclaimed.
-        metrics.conn_deadline_drops.inc();
-    } else {
-        metrics.protocol_errors.inc();
-    }
-}
-
-/// Handles one decoded request.
+/// Answers control requests inline and admits inference requests.
 /// Rejected or shed inference inputs are recycled into the input pool;
 /// admitted ones travel to `execute_batch`, which recycles them after
 /// tensor assembly.
-fn handle_request(
-    request: Request,
-    writer: &Conn,
-    queue: &AdmissionQueue<Conn>,
-    metrics: &Metrics,
-    shared: &Shared,
-    shutdown: &ShutdownFlag,
-) {
-    // One model snapshot per request: validation, Describe, and Partial
-    // all see a single consistent image even if a swap lands mid-call.
-    // (Batch execution takes its own snapshot per batch; swaps keep the
-    // input/output shape invariant, so a request validated against the
-    // old image is still well-formed for the new one.)
-    let model = shared.slot.current();
-    match request {
-        Request::Ping => send(writer, &Response::Pong, metrics),
-        Request::Shutdown => {
-            send(writer, &Response::ShuttingDown, metrics);
-            shutdown.trigger();
-        }
-        Request::Describe => {
-            send(writer, &Response::Describe(model.describe()), metrics);
-        }
-        Request::SwapImage(req) => {
-            // Runs on this control connection's thread: the expensive
-            // load/prepack never touches the executor, and a failed swap
-            // leaves the old model serving.
-            let resp = match do_swap(shared, metrics, &req.path) {
-                Ok(done) => Response::SwapDone(done),
-                Err(why) => {
-                    metrics.protocol_errors.inc();
-                    Response::Error(why)
-                }
-            };
-            send(writer, &resp, metrics);
-        }
-        Request::Partial(req) => {
-            // Deterministic (chunk-addressed noise) and small, so it runs
-            // right here on the connection thread instead of queueing
-            // behind whole-model batches.
-            let t0 = Instant::now();
-            let result = model.partial(req.layer, req.chunk_lo, req.chunk_hi, &req.codes);
-            if let Some(ctx) = req.trace {
-                record_partial_trace(&ctx, &req, t0.elapsed(), result.is_err());
+impl FrameHandler for Shared {
+    type Session = ();
+
+    fn handle(&self, (): &mut (), request: Request, writer: &Reply) -> bool {
+        // One model snapshot per request: validation, Describe, and Partial
+        // all see a single consistent image even if a swap lands mid-call.
+        // (Batch execution takes its own snapshot per batch; swaps keep the
+        // input/output shape invariant, so a request validated against the
+        // old image is still well-formed for the new one.)
+        let model = self.slot.current();
+        match request {
+            Request::Ping => writer.send(&Response::Pong),
+            Request::Shutdown => {
+                writer.send(&Response::ShuttingDown);
+                self.shutdown.trigger();
             }
-            let resp = match result {
-                Ok(sums) => Response::PartialSum(PartialSumReply {
-                    id: req.id,
-                    layer: req.layer,
-                    sums,
-                }),
-                Err(why) => {
-                    metrics.protocol_errors.inc();
-                    Response::Error(format!("partial id {}: {why}", req.id))
+            Request::Describe => writer.send(&Response::Describe(model.describe())),
+            Request::SwapImage(req) => {
+                // Runs on this control connection's thread: the expensive
+                // load/prepack never touches the executor, and a failed swap
+                // leaves the old model serving.
+                let resp = match do_swap(self, &req.path) {
+                    Ok(done) => Response::SwapDone(done),
+                    Err(why) => {
+                        self.metrics.door.protocol_errors.inc();
+                        Response::Error(why)
+                    }
+                };
+                writer.send(&resp);
+            }
+            Request::Partial(req) => {
+                // Deterministic (chunk-addressed noise) and small, so it runs
+                // right here on the connection thread instead of queueing
+                // behind whole-model batches.
+                let t0 = Instant::now();
+                let result = model.partial(req.layer, req.chunk_lo, req.chunk_hi, &req.codes);
+                if let Some(ctx) = req.trace {
+                    record_partial_trace(&ctx, &req, t0.elapsed(), result.is_err());
                 }
-            };
-            send(writer, &resp, metrics);
-        }
-        Request::Infer(req) => {
-            if let Some(s) = model.shard() {
-                metrics.protocol_errors.inc();
-                send(
-                    writer,
-                    &Response::Error(format!(
+                let resp = match result {
+                    Ok(sums) => Response::PartialSum(PartialSumReply {
+                        id: req.id,
+                        layer: req.layer,
+                        sums,
+                    }),
+                    Err(why) => {
+                        self.metrics.door.protocol_errors.inc();
+                        Response::Error(format!("partial id {}: {why}", req.id))
+                    }
+                };
+                writer.send(&resp);
+            }
+            Request::Infer(req) => {
+                // The executor's activation quantizer asserts inputs are
+                // non-negative; a NaN or negative feature would panic its
+                // batch. Reject exactly those at admission — catch_unwind
+                // downstream stays as defense in depth, not the first line.
+                let invalid = if let Some(s) = model.shard() {
+                    Some(format!(
                         "replica serves shard {}/{} — route whole-model Infer through \
                          the fleet router",
                         s.index, s.count
-                    )),
-                    metrics,
-                );
-                pool_put(req.input);
-                return;
-            }
-            if req.input.len() != model.input_features() {
-                metrics.protocol_errors.inc();
-                send(
-                    writer,
-                    &Response::Error(format!(
+                    ))
+                } else if req.input.len() != model.input_features() {
+                    Some(format!(
                         "input has {} features, model expects {}",
                         req.input.len(),
                         model.input_features()
-                    )),
-                    metrics,
-                );
-                pool_put(req.input);
-                return;
-            }
-            // The executor's activation quantizer asserts inputs are
-            // non-negative; a NaN or negative feature would panic its
-            // batch. Reject exactly those at admission —
-            // catch_unwind downstream stays as defense in depth,
-            // not the first line.
-            if req.input.iter().any(|v| v.is_nan() || *v < 0.0) {
-                metrics.protocol_errors.inc();
-                send(
-                    writer,
-                    &Response::Error(format!(
+                    ))
+                } else if req.input.iter().any(|v| v.is_nan() || *v < 0.0) {
+                    Some(format!(
                         "input for id {} has NaN or negative features \
                          (expected values in [0, 1])",
                         req.id
-                    )),
-                    metrics,
-                );
-                pool_put(req.input);
-                return;
-            }
-            let pending = Pending {
-                id: req.id,
-                input: req.input,
-                enqueued: Instant::now(),
-                reply: Arc::clone(writer),
-                trace: req.trace,
-            };
-            match queue.try_enqueue(pending) {
-                Ok(()) => {
-                    metrics.admitted.inc();
+                    ))
+                } else {
+                    None
+                };
+                if let Some(why) = invalid {
+                    self.metrics.door.protocol_errors.inc();
+                    writer.send(&Response::Error(why));
+                    pool_put(req.input);
+                    return true;
                 }
-                Err((rejected, why)) => {
-                    metrics.shed.inc();
-                    if let Some(ctx) = rejected.trace {
-                        offer_trace(
-                            &ctx,
-                            "serve.request",
-                            0,
-                            imc_obs::SpanStatus::Shed,
-                            0,
-                            why.reason().to_owned(),
-                        );
-                    }
-                    send(
-                        writer,
-                        &Response::Shed(ShedReply {
+                let pending = Pending {
+                    id: req.id,
+                    input: req.input,
+                    enqueued: Instant::now(),
+                    reply: writer.clone(),
+                    trace: req.trace,
+                };
+                match self.queue.try_enqueue(pending) {
+                    Ok(()) => self.metrics.admitted.inc(),
+                    Err((rejected, why)) => {
+                        self.metrics.shed.inc();
+                        if let Some(ctx) = rejected.trace {
+                            offer_trace(
+                                &ctx,
+                                "serve.request",
+                                0,
+                                imc_obs::SpanStatus::Shed,
+                                0,
+                                why.reason().to_owned(),
+                            );
+                        }
+                        writer.send(&Response::Shed(ShedReply {
                             id: rejected.id,
                             reason: why.reason().to_owned(),
-                        }),
-                        metrics,
-                    );
-                    pool_put(rejected.input);
+                        }));
+                        pool_put(rejected.input);
+                    }
                 }
             }
         }
+        true
     }
 }
 
@@ -722,7 +461,8 @@ const SWAP_DRAIN_POLL: Duration = Duration::from_millis(1);
 /// 5. **Announce** — bump `serve.swaps_total` / `serve.image_version`,
 ///    retarget the energy gauge, and offer a `serve.swap` span to the
 ///    flight recorder (force-sampled: swaps are always notable).
-fn do_swap(shared: &Shared, metrics: &Metrics, path: &str) -> Result<SwapDoneReply, String> {
+fn do_swap(shared: &Shared, path: &str) -> Result<SwapDoneReply, String> {
+    let metrics = &shared.metrics;
     let t_all = Instant::now();
     let old = shared.slot.current();
     let new_model = ServeModel::from_image(path, None).map_err(|e| format!("swap {path}: {e}"))?;
@@ -788,171 +528,6 @@ fn do_swap(shared: &Shared, metrics: &Metrics, path: &str) -> Result<SwapDoneRep
         digest,
         pause_us,
     })
-}
-
-/// Reads frames off one connection until EOF, error, shutdown, or a
-/// frame-deadline drop. The first five bytes must be the `BIN1` hello
-/// (magic + [`wire::VERSION`]), answered with its echo; any other
-/// opening gets the `BIN1` + `0x00` nack and a close, counted as a
-/// protocol error.
-fn connection_loop(
-    stream: TcpStream,
-    queue: &AdmissionQueue<Conn>,
-    metrics: &Metrics,
-    shared: &Shared,
-    shutdown: &ShutdownFlag,
-    cfg: &ServeConfig,
-) {
-    let write_half = match stream.try_clone() {
-        Ok(w) => w,
-        Err(_) => return,
-    };
-    // Bounded writes: a non-draining client errors out instead of
-    // holding the connection mutex (and the executor) indefinitely.
-    write_half
-        .set_write_timeout(duration_opt(cfg.write_timeout))
-        .ok();
-    let writer: Conn = Arc::new(Mutex::new(ConnWriter {
-        stream: write_half,
-        dead: false,
-        scratch: Vec::new(),
-    }));
-    // A read timeout lets the reader notice shutdown even on an idle
-    // connection (the client keeping it open is not a liveness hazard)
-    // and bounds how stale a frame-deadline check can be.
-    let mut reader = stream;
-    reader
-        .set_read_timeout(Some(Duration::from_millis(200)))
-        .ok();
-
-    // --- handshake -----------------------------------------------------
-    let mut frame_deadline: Option<Instant> = None;
-    let mut hello = [0u8; 5];
-    match read_full(
-        &mut reader,
-        &mut hello,
-        true,
-        shutdown,
-        &mut frame_deadline,
-        cfg.frame_deadline,
-    ) {
-        Ok(true) => {}
-        Ok(false) => return, // clean EOF or idle shutdown
-        Err(e) => {
-            count_read_error(&e, metrics);
-            return;
-        }
-    }
-    let mut ack = [0u8; 5];
-    ack[..4].copy_from_slice(&wire::MAGIC);
-    let accepted = hello[..4] == wire::MAGIC && hello[4] == wire::VERSION;
-    if accepted {
-        ack[4] = wire::VERSION;
-    } else {
-        metrics.protocol_errors.inc();
-    }
-    {
-        let mut w = writer
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if std::io::Write::write_all(&mut w.stream, &ack).is_err() || !accepted {
-            return;
-        }
-    }
-    imc_obs::counter!(
-        "imc_serve_bin_connections_total",
-        "Connections that completed the BIN1 handshake"
-    )
-    .inc();
-    frame_loop(&mut reader, &writer, queue, metrics, shared, shutdown, cfg);
-}
-
-/// The frame loop: one reused read arena and one pooled input
-/// spare for the connection's whole life — at steady state a request
-/// costs no allocations on the read path.
-fn frame_loop(
-    reader: &mut TcpStream,
-    writer: &Conn,
-    queue: &AdmissionQueue<Conn>,
-    metrics: &Metrics,
-    shared: &Shared,
-    shutdown: &ShutdownFlag,
-    cfg: &ServeConfig,
-) {
-    let mut arena: Vec<u8> = Vec::new();
-    let mut spare: Vec<f32> = pool_take();
-    loop {
-        let mut frame_deadline: Option<Instant> = None;
-        let mut len_buf = [0u8; 4];
-        match read_full(
-            reader,
-            &mut len_buf,
-            true,
-            shutdown,
-            &mut frame_deadline,
-            cfg.frame_deadline,
-        ) {
-            Ok(true) => {}
-            Ok(false) => {
-                pool_put(spare);
-                return; // clean EOF or idle shutdown
-            }
-            Err(e) => {
-                count_read_error(&e, metrics);
-                pool_put(spare);
-                return;
-            }
-        }
-        let len = u32::from_le_bytes(len_buf);
-        if len > MAX_FRAME_BYTES {
-            metrics.protocol_errors.inc();
-            send(
-                writer,
-                &Response::Error(wire::WireError::Oversized(len).to_string()),
-                metrics,
-            );
-            pool_put(spare);
-            return; // framing is unrecoverable
-        }
-        arena.clear();
-        arena.resize(len as usize, 0);
-        match read_full(
-            reader,
-            &mut arena,
-            false,
-            shutdown,
-            &mut frame_deadline,
-            cfg.frame_deadline,
-        ) {
-            Ok(_) => {}
-            Err(e) => {
-                count_read_error(&e, metrics);
-                pool_put(spare);
-                return;
-            }
-        }
-        let request = match wire::decode_request_reusing(&arena, &mut spare) {
-            Ok(r) => r,
-            Err(e) => {
-                // Typed reject; framing itself is still aligned (the
-                // length prefix was honored), so the connection lives.
-                metrics.protocol_errors.inc();
-                send(writer, &Response::Error(e.to_string()), metrics);
-                continue;
-            }
-        };
-        let took_spare = matches!(request, Request::Infer(_));
-        handle_request(request, writer, queue, metrics, shared, shutdown);
-        if took_spare {
-            spare = pool_take();
-        }
-    }
-}
-
-/// Zero means "no timeout" to the socket API via `None` (passing a zero
-/// `Duration` to `set_write_timeout` is an error, not "disabled").
-fn duration_opt(d: Duration) -> Option<Duration> {
-    (!d.is_zero()).then_some(d)
 }
 
 /// Argmax under a total order that ranks every NaN below every non-NaN
@@ -1033,7 +608,7 @@ fn record_partial_trace(
 /// noise isolation, write each response, record latencies.
 fn execute_batch(
     bank: usize,
-    mut batch: Vec<Pending<Conn>>,
+    mut batch: Vec<Pending<Reply>>,
     model: &ServeModel,
     metrics: &Metrics,
     fail_input_sentinel: Option<f32>,
@@ -1140,7 +715,7 @@ fn execute_batch(
             .request_latency
             .record_with_exemplar(total_us, req.trace.map_or(0, |t| t.trace_id));
         metrics.completed.inc();
-        send(&req.reply, &resp, metrics);
+        req.reply.send(&resp);
     }
     drop(span);
 }
@@ -1183,14 +758,5 @@ mod tests {
             argmax_total(&[f32::NAN, 1.0, f32::NAN, f32::INFINITY])
         })
         .is_ok());
-    }
-
-    #[test]
-    fn zero_write_timeout_means_unbounded_not_error() {
-        assert_eq!(duration_opt(Duration::ZERO), None);
-        assert_eq!(
-            duration_opt(Duration::from_secs(5)),
-            Some(Duration::from_secs(5))
-        );
     }
 }

@@ -1,42 +1,60 @@
 //! Cooperative shutdown flag, optionally wired to SIGINT/SIGTERM.
 //!
-//! The service polls [`ShutdownFlag::is_set`] at its blocking points
-//! (accept loop, batcher). The flag trips either programmatically (a
-//! `Shutdown` control request, [`ShutdownFlag::trigger`]) or — on Unix —
-//! from ctrl-c / SIGTERM via [`install_signal_handlers`], which registers
+//! The flag trips either programmatically (a `Shutdown` control
+//! request, [`ShutdownFlag::trigger`]) or — on Unix — from ctrl-c /
+//! SIGTERM via [`install_signal_handlers`], which registers
 //! async-signal-safe handlers that only store to a process-global atomic
 //! (no libc crate needed: `signal(2)` is resolved from the libc Rust
-//! already links).
+//! already links). The flag is the stop flag of a server's door, so
+//! [`trigger`](ShutdownFlag::trigger) wakes the door's blocked accept; a
+//! signal cannot, so whoever waits for a signal does it in
+//! [`park`](ShutdownFlag::park), which triggers once the flag is set.
 
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::time::Duration;
+
+use imc_obs::Waker;
 
 /// Set by the signal handler; merged into every flag's `is_set`.
 static SIGNALLED: AtomicBool = AtomicBool::new(false);
 
-/// A cheaply clonable shutdown latch.
-#[derive(Debug, Clone, Default)]
+/// How often [`ShutdownFlag::park`] looks at the flag.
+const PARK_POLL: Duration = Duration::from_millis(50);
+
+/// A cheaply clonable shutdown latch over a server's door: triggering it
+/// stops the door's listener. Clones share one latch.
+#[derive(Debug, Clone)]
 pub struct ShutdownFlag {
-    requested: Arc<AtomicBool>,
+    accept: Waker,
 }
 
 impl ShutdownFlag {
-    /// Creates an untripped flag.
+    /// An untripped latch over the listener that `accept` stops.
     #[must_use]
-    pub fn new() -> Self {
-        Self::default()
+    pub fn new(accept: Waker) -> Self {
+        Self { accept }
     }
 
-    /// Trips the flag (idempotent).
+    /// Trips the flag, waking the door's blocked accept (idempotent).
     pub fn trigger(&self) {
-        self.requested.store(true, Ordering::Release);
+        self.accept.wake();
     }
 
     /// Whether shutdown has been requested — programmatically or by a
     /// delivered SIGINT/SIGTERM.
     #[must_use]
     pub fn is_set(&self) -> bool {
-        self.requested.load(Ordering::Acquire) || SIGNALLED.load(Ordering::Acquire)
+        self.accept.is_woken() || SIGNALLED.load(Ordering::Acquire)
+    }
+
+    /// Sleeps until the flag is set, then triggers it, so a delivered
+    /// signal (which only stores to an atomic) also wakes the door's
+    /// blocked accept.
+    pub fn park(&self) {
+        while !self.is_set() {
+            std::thread::sleep(PARK_POLL);
+        }
+        self.trigger();
     }
 }
 
@@ -75,7 +93,8 @@ mod tests {
     // harness runs tests concurrently.
     #[test]
     fn flags_trip_on_trigger_and_on_the_signal_static() {
-        let a = ShutdownFlag::new();
+        let listener = imc_obs::Listener::bind("127.0.0.1:0", "test").expect("bind");
+        let a = ShutdownFlag::new(listener.waker());
         let b = a.clone();
         assert!(!a.is_set());
         b.trigger();
@@ -85,7 +104,8 @@ mod tests {
         // the test harness); restore the static afterwards.
         #[cfg(unix)]
         {
-            let fresh = ShutdownFlag::new();
+            let other = imc_obs::Listener::bind("127.0.0.1:0", "test").expect("bind");
+            let fresh = ShutdownFlag::new(other.waker());
             assert!(!fresh.is_set());
             on_signal(15);
             assert!(fresh.is_set(), "signal trips every flag");

@@ -4,10 +4,15 @@
 //! retries, but every answer that is delivered is bit-identical to
 //! single-node execution — zero wrong answers.
 //!
-//! The tests skip (with a note) when the `imc-serve` binary has not
-//! been built; CI builds it explicitly before running them.
+//! The same binaries also pin the signal stop path: SIGTERM must end
+//! `imc-serve` and `imc-fleet` within a second, their blocked accepts
+//! woken from `ShutdownFlag::park`, even a router out of descriptors.
+//!
+//! The tests skip (with a note) when the binaries have not been built;
+//! `cargo test --workspace` builds them.
 
-use std::io::{BufRead, BufReader};
+use std::io::{BufRead, BufReader, Read};
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
@@ -15,7 +20,7 @@ use std::time::Duration;
 use imc_fleet::{serve_fleet, FleetPlan, RouterConfig};
 use imc_serve::model::{ServeModel, DEFAULT_SEED, MNIST_FEATURES};
 use imc_serve::protocol::Response;
-use imc_serve::{Client, ClientConfig, RetryPolicy};
+use imc_serve::{wire, Client, ClientConfig, RetryPolicy};
 use neural::imc_exec::ImcDesign;
 
 fn test_input(k: usize) -> Vec<f32> {
@@ -24,38 +29,56 @@ fn test_input(k: usize) -> Vec<f32> {
         .collect()
 }
 
-/// Finds the built `imc-serve` binary next to the test executable
-/// (`target/<profile>/imc-serve`), or in the sibling profile dir.
-fn serve_bin() -> Option<PathBuf> {
+/// Finds the built binary `name` next to the test executable
+/// (`target/<profile>/name`), or in the sibling profile dir.
+fn find_bin(name: &str) -> Option<PathBuf> {
     let exe = std::env::current_exe().ok()?;
     let profile_dir = exe.parent()?.parent()?; // target/<profile>/deps -> target/<profile>
     let target_dir = profile_dir.parent()?;
-    for dir in [
-        profile_dir,
-        &target_dir.join("release"),
-        &target_dir.join("debug"),
-    ] {
-        let cand = dir.join("imc-serve");
-        if cand.is_file() {
-            return Some(cand);
-        }
-    }
-    None
+    [
+        profile_dir.join(name),
+        target_dir.join("release").join(name),
+        target_dir.join("debug").join(name),
+    ]
+    .into_iter()
+    .find(|cand| cand.is_file())
+}
+
+fn serve_bin() -> Option<PathBuf> {
+    find_bin("imc-serve")
 }
 
 /// Spawns one replica process on an ephemeral port and parses the bound
 /// address from its startup banner.
 fn spawn_replica(bin: &PathBuf, extra: &[String]) -> (Child, String) {
+    let mut args = vec!["--addr".to_owned(), "127.0.0.1:0".to_owned()];
+    args.extend_from_slice(extra);
+    spawn_with_banner(bin, &args, "imc-serve listening on ")
+}
+
+/// Spawns `bin` and parses its bound address from the first output
+/// line that starts with `banner` (on stdout, or on stderr for
+/// `imc-fleet`), then keeps draining that pipe so the child never
+/// blocks on it.
+fn spawn_with_banner(bin: &PathBuf, args: &[String], banner: &str) -> (Child, String) {
+    let on_stderr = banner.starts_with("imc-fleet");
+    let (out, err) = if on_stderr {
+        (Stdio::null(), Stdio::piped())
+    } else {
+        (Stdio::piped(), Stdio::null())
+    };
     let mut child = Command::new(bin)
-        .arg("--addr")
-        .arg("127.0.0.1:0")
-        .args(extra)
-        .stdout(Stdio::piped())
-        .stderr(Stdio::null())
+        .args(args)
+        .stdout(out)
+        .stderr(err)
         .spawn()
-        .expect("spawn imc-serve");
-    let stdout = child.stdout.take().expect("piped stdout");
-    let mut reader = BufReader::new(stdout);
+        .expect("spawn binary");
+    let pipe: Box<dyn Read + Send> = match (child.stdout.take(), child.stderr.take()) {
+        (Some(o), _) => Box::new(o),
+        (_, Some(e)) => Box::new(e),
+        _ => unreachable!("one pipe is piped"),
+    };
+    let mut reader = BufReader::new(pipe);
     let mut addr = None;
     let mut line = String::new();
     for _ in 0..100 {
@@ -63,12 +86,11 @@ fn spawn_replica(bin: &PathBuf, extra: &[String]) -> (Child, String) {
         if reader.read_line(&mut line).unwrap_or(0) == 0 {
             break;
         }
-        if let Some(rest) = line.strip_prefix("imc-serve listening on ") {
+        if let Some(rest) = line.strip_prefix(banner) {
             addr = rest.split_whitespace().next().map(str::to_owned);
             break;
         }
     }
-    // Keep draining so the child never blocks on a full pipe.
     std::thread::spawn(move || {
         let mut sink = String::new();
         while reader.read_line(&mut sink).map(|n| n > 0).unwrap_or(false) {
@@ -77,7 +99,7 @@ fn spawn_replica(bin: &PathBuf, extra: &[String]) -> (Child, String) {
     });
     let addr = addr.unwrap_or_else(|| {
         let _ = child.kill();
-        panic!("replica did not print its listen address");
+        panic!("{} did not print its listen address", bin.display());
     });
     (child, addr)
 }
@@ -95,7 +117,6 @@ fn fast_retry() -> RouterConfig {
             request_timeout: Some(Duration::from_secs(5)),
             ..ClientConfig::default()
         },
-        admit_attempts: 8,
         ..RouterConfig::default()
     }
 }
@@ -205,4 +226,99 @@ fn sigkill_shard_replica_mid_load_keeps_partial_sums_bit_exact() {
         let _ = child.kill();
         let _ = child.wait();
     }
+}
+
+/// Sends SIGTERM and fails unless the process exits cleanly within a
+/// second (SIGKILLed if it does not).
+#[cfg(unix)]
+fn sigterm_ends_within_a_second(mut child: Child, what: &str) {
+    let pid = child.id().to_string();
+    let signal = |sig: &str| Command::new("kill").args([sig, &pid]).status();
+    assert!(
+        signal("-TERM").expect("run kill").success(),
+        "kill -TERM {what}"
+    );
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done_tx.send(child.wait()));
+    match done_rx.recv_timeout(Duration::from_secs(1)) {
+        Ok(status) => {
+            let status = status.expect("wait");
+            assert!(status.success(), "{what} exited with {status}");
+        }
+        Err(_) => {
+            let _ = signal("-KILL");
+            panic!("{what} still running 1 s after SIGTERM");
+        }
+    }
+}
+
+#[cfg(unix)]
+#[test]
+fn sigterm_stops_imc_serve_and_imc_fleet_within_a_second() {
+    let (Some(serve), Some(fleet)) = (serve_bin(), find_bin("imc-fleet")) else {
+        eprintln!("skipping: imc-serve/imc-fleet binaries not built (cargo build --bins)");
+        return;
+    };
+    let (replica, addr) = spawn_replica(&serve, &[]);
+    let router_args = ["--listen", "127.0.0.1:0", "--replica", &addr].map(str::to_owned);
+    let (router, _) = spawn_with_banner(&fleet, &router_args, "imc-fleet: listening on ");
+    // Each process's signal handler only stores to an atomic; its
+    // `ShutdownFlag::park` must notice and wake the accept blocked in
+    // `accept(2)`.
+    sigterm_ends_within_a_second(router, "imc-fleet");
+    sigterm_ends_within_a_second(replica, "imc-serve");
+}
+
+#[cfg(unix)]
+#[test]
+fn sigterm_stops_imc_fleet_at_its_descriptor_limit() {
+    let (Some(serve), Some(fleet)) = (serve_bin(), find_bin("imc-fleet")) else {
+        eprintln!("skipping: imc-serve/imc-fleet binaries not built (cargo build --bins)");
+        return;
+    };
+    let (replica, addr) = spawn_replica(&serve, &[]);
+    // `sh` lowers the router's own descriptor limit, then execs it.
+    let script = r#"ulimit -n 40 && exec "$0" "$@""#;
+    let fleet = fleet.to_string_lossy();
+    let args = [
+        "-c",
+        script,
+        &fleet,
+        "--listen",
+        "127.0.0.1:0",
+        "--replica",
+        &addr,
+    ];
+    let args = args.map(str::to_owned);
+    let sh = PathBuf::from("sh");
+    let (router, router_addr) = spawn_with_banner(&sh, &args, "imc-fleet: listening on ");
+
+    // Hello after hello until one goes unanswered: it stays queued while
+    // every accept fails for want of a descriptor.
+    let mut held = Vec::new();
+    let mut queued = loop {
+        assert!(held.len() < 200, "the router never ran out of descriptors");
+        let mut conn = TcpStream::connect(&router_addr).expect("connect");
+        conn.set_read_timeout(Some(Duration::from_millis(500))).ok();
+        if wire::client_handshake(&mut conn).is_err() {
+            break conn;
+        }
+        held.push(conn);
+    };
+    // Closing two served connections frees two descriptors. The accept
+    // takes the queued connection with one and blocks in `accept(2)`
+    // holding the other (Linux reserves the new descriptor before it
+    // waits), so no socket can be opened: the stop's wake cannot dial
+    // until the stop has closed idle connections.
+    held.truncate(held.len() - 2);
+    queued.set_read_timeout(Some(Duration::from_secs(5))).ok();
+    let mut ack = [0u8; 5];
+    queued
+        .read_exact(&mut ack)
+        .expect("the queued hello answered");
+    assert_eq!(&ack[..4], &wire::MAGIC);
+    held.push(queued);
+
+    sigterm_ends_within_a_second(router, "imc-fleet out of descriptors");
+    sigterm_ends_within_a_second(replica, "imc-serve");
 }

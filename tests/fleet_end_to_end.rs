@@ -40,7 +40,6 @@ fn fast_retry() -> RouterConfig {
             max_delay: Duration::from_millis(10),
             ..RetryPolicy::default()
         },
-        admit_attempts: 2,
         ..RouterConfig::default()
     }
 }

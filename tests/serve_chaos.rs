@@ -1,19 +1,28 @@
-//! Chaos tests for `imc-serve`: every fault class the hardening layer
-//! claims to survive, exercised against a real server — misbehaving
-//! bytes through the [`imc_bench::chaos`] proxy, raw-socket protocol
-//! abuse, forced worker panics through the config fail-point, and the
-//! connection cap. The invariant throughout: the server keeps serving,
-//! and requests not touched by a fault keep their bit-exact answers.
+//! Chaos tests for the BIN1 front door and the server behind it: every
+//! fault class the hardening layer claims to survive, exercised against
+//! a real server — misbehaving bytes through the [`imc_bench::chaos`]
+//! proxy, raw-socket protocol abuse, forced worker panics through the
+//! config fail-point, and the connection cap. The door's own tests run
+//! on both doors, `imc-serve` and a one-replica `imc-fleet` router, since
+//! both accept through `imc_serve::door`; the router has only the
+//! default limits, so cases that need a short deadline or a small cap
+//! run on `imc-serve`, which shares the code. The invariant throughout:
+//! the server keeps serving, and requests not touched by a fault keep
+//! their bit-exact answers.
 
 use std::io::{Read as _, Write as _};
-use std::net::TcpStream;
-use std::sync::Arc;
+use std::net::{SocketAddr, TcpStream};
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 use imc_bench::chaos::{ChaosProxy, Fault};
+use imc_fleet::{serve_fleet, FleetHandle, FleetPlan, RouterConfig};
 use imc_serve::model::{ServeModel, DEFAULT_SEED, MNIST_FEATURES};
 use imc_serve::protocol::{Request, Response};
-use imc_serve::{serve, wire, Client, ClientConfig, ServeConfig, ServerHandle};
+use imc_serve::{
+    serve, wire, Client, ClientConfig, ConnLimits, DoorCounters, ServeConfig, ServerHandle,
+};
 use neural::imc_exec::ImcDesign;
 
 fn test_input(k: usize) -> Vec<f32> {
@@ -25,7 +34,7 @@ fn test_input(k: usize) -> Vec<f32> {
 /// Joins the handle on a helper thread so a drain bug fails the test
 /// instead of hanging the harness forever.
 fn join_with_deadline(handle: ServerHandle) {
-    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    let (done_tx, done_rx) = mpsc::channel();
     std::thread::spawn(move || {
         handle.join();
         done_tx.send(())
@@ -46,10 +55,117 @@ fn eventually(within: Duration, what: &str, mut cond: impl FnMut() -> bool) {
 
 /// A raw socket past the `BIN1` handshake: what follows is up to the
 /// test, not the client's well-formed framing.
-fn handshaken(handle: &ServerHandle) -> TcpStream {
-    let mut s = TcpStream::connect(handle.addr()).expect("connect");
+fn handshaken(addr: SocketAddr) -> TcpStream {
+    let mut s = TcpStream::connect(addr).expect("connect");
     wire::client_handshake(&mut s).expect("handshake");
     s
+}
+
+/// A client whose every request times out instead of hanging.
+fn client(addr: SocketAddr) -> std::io::Result<Client> {
+    Client::connect_with(addr, ClientConfig::default())
+}
+
+/// Asserts the peer closed `s`: the next read sees EOF or a reset,
+/// never more data and never a timeout (longer than the default 10 s
+/// frame deadline, which is the router's).
+fn assert_closed(mut s: TcpStream, what: &str) {
+    s.set_read_timeout(Some(Duration::from_secs(15))).ok();
+    match s.read(&mut [0u8; 16]) {
+        Ok(0) => {}
+        Err(e) if e.kind() == std::io::ErrorKind::ConnectionReset => {}
+        other => panic!("{what}: expected the connection closed, got {other:?}"),
+    }
+}
+
+/// The serving model every door test runs, for bit-exact checks.
+fn oracle() -> &'static ServeModel {
+    static MODEL: OnceLock<ServeModel> = OnceLock::new();
+    MODEL.get_or_init(|| ServeModel::synthetic(ImcDesign::ChgFe, DEFAULT_SEED))
+}
+
+/// A BIN1 front door under test: `imc-serve` itself, or a one-replica
+/// `imc-fleet` router in front of a default `imc-serve`.
+enum Door {
+    Serve(ServerHandle),
+    Fleet(FleetHandle, ServerHandle),
+}
+
+fn model() -> Arc<ServeModel> {
+    Arc::new(ServeModel::synthetic(ImcDesign::ChgFe, DEFAULT_SEED))
+}
+
+impl Door {
+    /// `imc-serve` enforcing `limits`.
+    fn serve(limits: ConnLimits) -> Self {
+        let cfg = ServeConfig {
+            limits,
+            ..ServeConfig::default()
+        };
+        Self::Serve(serve("127.0.0.1:0", model(), &cfg).expect("bind"))
+    }
+
+    /// A one-replica router, at the default limits.
+    fn fleet() -> Self {
+        let replica = serve("127.0.0.1:0", model(), &ServeConfig::default()).expect("bind");
+        let plan = FleetPlan::synthetic(ImcDesign::ChgFe, DEFAULT_SEED, 1).expect("plan");
+        let replicas = [replica.addr().to_string()];
+        let (router, admission) =
+            serve_fleet("127.0.0.1:0", plan, &replicas, RouterConfig::default())
+                .expect("bind router");
+        assert!(admission.is_empty(), "clean admission: {admission:?}");
+        Self::Fleet(router, replica)
+    }
+
+    /// Both doors at the default limits.
+    fn both() -> [Self; 2] {
+        [Self::serve(ConnLimits::default()), Self::fleet()]
+    }
+
+    fn name(&self) -> &'static str {
+        match self {
+            Self::Serve(_) => "imc-serve",
+            Self::Fleet(..) => "imc-fleet",
+        }
+    }
+
+    fn addr(&self) -> SocketAddr {
+        match self {
+            Self::Serve(h) => h.addr(),
+            Self::Fleet(router, _) => router.addr(),
+        }
+    }
+
+    fn counters(&self) -> DoorCounters {
+        match self {
+            Self::Serve(h) => h.metrics().door.clone(),
+            Self::Fleet(router, _) => router.door_counters().clone(),
+        }
+    }
+
+    /// Runs `scenario` against this door on a helper thread, under a
+    /// `recv_timeout`: a door that never answers fails the test instead
+    /// of hanging it. Then stops the door.
+    fn check(self, scenario: impl FnOnce(SocketAddr, DoorCounters) + Send + 'static) {
+        let (name, addr, counters) = (self.name(), self.addr(), self.counters());
+        let (done_tx, done_rx) = mpsc::channel();
+        std::thread::spawn(move || {
+            scenario(addr, counters);
+            done_tx.send(())
+        });
+        match done_rx.recv_timeout(Duration::from_secs(20)) {
+            Ok(()) => {}
+            Err(RecvTimeoutError::Timeout) => panic!("{name}: hung for 20 s"),
+            Err(RecvTimeoutError::Disconnected) => panic!("{name}: failed (panic above)"),
+        }
+        match self {
+            Self::Serve(h) => join_with_deadline(h),
+            Self::Fleet(router, replica) => {
+                router.shutdown();
+                join_with_deadline(replica);
+            }
+        }
+    }
 }
 
 fn assert_bit_exact(model: &ServeModel, r: &imc_serve::protocol::InferReply, k: usize) {
@@ -112,7 +228,7 @@ fn bin1_through_the_chaos_proxy_stays_bit_exact_and_errors_are_typed() {
         Response::Output(r) => assert_bit_exact(&model, &r, 1),
         other => panic!("expected Output, got {other:?}"),
     }
-    assert!(handle.metrics().protocol_errors.get() >= 1);
+    assert!(handle.metrics().door.protocol_errors.get() >= 1);
 
     drop(proxy);
     handle.shutdown_flag().trigger();
@@ -126,7 +242,10 @@ fn bin1_seeded_chaos_mix_preserves_bit_exactness_for_untouched_requests() {
     // arrive must match direct execution bit-for-bit.
     let model = Arc::new(ServeModel::synthetic(ImcDesign::CurFe, DEFAULT_SEED));
     let cfg = ServeConfig {
-        frame_deadline: Duration::from_millis(500),
+        limits: ConnLimits {
+            frame_deadline: Duration::from_millis(500),
+            ..ConnLimits::default()
+        },
         ..ServeConfig::default()
     };
     let handle = serve("127.0.0.1:0", Arc::clone(&model), &cfg).expect("bind");
@@ -182,12 +301,12 @@ fn client_vanishing_mid_frame_is_cleaned_up() {
 
     // Claim a 100-byte frame, deliver 10 bytes, vanish.
     {
-        let mut s = handshaken(&handle);
+        let mut s = handshaken(handle.addr());
         s.write_all(&100u32.to_le_bytes()).expect("prefix");
         s.write_all(&[0x7B; 10]).expect("partial body");
     } // dropped: the server reads EOF inside the frame
     eventually(Duration::from_secs(5), "mid-frame EOF counted", || {
-        metrics.protocol_errors.get() >= 1
+        metrics.door.protocol_errors.get() >= 1
     });
 
     // Nobody else noticed.
@@ -255,51 +374,73 @@ fn forced_worker_panic_returns_typed_failed_and_recovers() {
 
 #[test]
 fn stalled_half_frame_is_dropped_at_the_deadline_without_collateral() {
-    let model = Arc::new(ServeModel::synthetic(ImcDesign::ChgFe, DEFAULT_SEED));
-    let cfg = ServeConfig {
+    let door = Door::serve(ConnLimits {
         frame_deadline: Duration::from_millis(300),
-        ..ServeConfig::default()
-    };
-    let handle = serve("127.0.0.1:0", Arc::clone(&model), &cfg).expect("bind");
-    let metrics = handle.metrics_handle();
-
-    // Two bytes of a length prefix, then silence with the socket open —
-    // the attack that used to park an imc-conn thread forever.
-    let mut stalled = handshaken(&handle);
-    stalled.write_all(&[0x00, 0x00]).expect("half a prefix");
-
-    // Healthy traffic flows while the stalled connection ages out.
-    let mut client = Client::connect(handle.addr()).expect("connect");
-    for k in 0..4usize {
-        match client.infer(k as u64, test_input(k)).expect("infer") {
-            Response::Output(r) => assert_bit_exact(&model, &r, k),
-            other => panic!("expected Output, got {other:?}"),
-        }
-    }
-
-    eventually(Duration::from_secs(5), "deadline drop counted", || {
-        metrics.conn_deadline_drops.get() >= 1
+        ..ConnLimits::default()
     });
-    // The server actually closed the stalled socket, reclaiming its
-    // thread: the next read sees EOF (or a reset), never more data.
-    stalled
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .expect("set timeout");
-    let mut buf = [0u8; 16];
-    match stalled.read(&mut buf) {
-        Ok(0) | Err(_) => {}
-        Ok(n) => panic!("stalled connection unexpectedly received {n} bytes"),
-    }
+    door.check(|addr, counters| {
+        // Two bytes of a length prefix, then silence with the socket
+        // open — the attack that used to park a connection thread
+        // forever.
+        let mut stalled = handshaken(addr);
+        stalled.write_all(&[0x00, 0x00]).expect("half a prefix");
 
-    handle.shutdown_flag().trigger();
-    join_with_deadline(handle);
+        // Healthy traffic flows while the stalled connection ages out.
+        let mut client = client(addr).expect("connect");
+        for k in 0..4usize {
+            match client.infer(k as u64, test_input(k)).expect("infer") {
+                Response::Output(r) => assert_bit_exact(oracle(), &r, k),
+                other => panic!("expected Output, got {other:?}"),
+            }
+        }
+
+        eventually(Duration::from_secs(5), "deadline drop counted", || {
+            counters.conn_deadline_drops.get() >= 1
+        });
+        // The door actually closed the stalled socket, reclaiming its
+        // thread.
+        assert_closed(stalled, "stalled half-frame");
+    });
+}
+
+#[test]
+fn half_hello_is_closed_at_the_frame_deadline() {
+    // `imc-serve` with a short deadline, the router at its default 10 s.
+    let short = ConnLimits {
+        frame_deadline: Duration::from_millis(300),
+        ..ConnLimits::default()
+    };
+    let doors = [
+        (Door::serve(short), short.frame_deadline),
+        (Door::fleet(), ConnLimits::default().frame_deadline),
+    ];
+    for (door, deadline) in doors {
+        door.check(move |addr, counters| {
+            // Four of the five hello bytes, then silence.
+            let mut s = TcpStream::connect(addr).expect("connect");
+            s.write_all(&wire::MAGIC).expect("half a hello");
+            let t0 = Instant::now();
+            assert_closed(s, "half hello");
+            assert!(
+                t0.elapsed() < deadline + Duration::from_secs(2),
+                "closed {:?} after a {deadline:?} deadline",
+                t0.elapsed()
+            );
+            eventually(Duration::from_secs(5), "deadline drop counted", || {
+                counters.conn_deadline_drops.get() >= 1
+            });
+        });
+    }
 }
 
 #[test]
 fn slow_writer_finishing_under_the_deadline_is_served() {
     let model = Arc::new(ServeModel::synthetic(ImcDesign::ChgFe, DEFAULT_SEED));
     let cfg = ServeConfig {
-        frame_deadline: Duration::from_secs(5),
+        limits: ConnLimits {
+            frame_deadline: Duration::from_secs(5),
+            ..ConnLimits::default()
+        },
         ..ServeConfig::default()
     };
     let handle = serve("127.0.0.1:0", Arc::clone(&model), &cfg).expect("bind");
@@ -308,7 +449,7 @@ fn slow_writer_finishing_under_the_deadline_is_served() {
     // inside the deadline — the server must wait, not drop.
     let mut frame = Vec::new();
     wire::encode_request(&Request::Ping, &mut frame);
-    let mut s = handshaken(&handle);
+    let mut s = handshaken(handle.addr());
     s.set_read_timeout(Some(Duration::from_secs(10))).ok();
     for byte in &frame {
         s.write_all(std::slice::from_ref(byte)).expect("trickle");
@@ -325,97 +466,224 @@ fn slow_writer_finishing_under_the_deadline_is_served() {
 
 #[test]
 fn oversized_length_prefix_is_rejected_promptly() {
-    let model = Arc::new(ServeModel::synthetic(ImcDesign::ChgFe, DEFAULT_SEED));
     // Default 10s frame deadline: the rejection must NOT wait for it —
     // an oversized claim is detectable the moment the prefix lands.
-    let handle = serve("127.0.0.1:0", Arc::clone(&model), &ServeConfig::default()).expect("bind");
-    let metrics = handle.metrics_handle();
+    for door in Door::both() {
+        door.check(|addr, counters| {
+            let mut s = handshaken(addr);
+            s.write_all(&u32::MAX.to_le_bytes()).expect("huge prefix");
+            let t0 = Instant::now();
+            s.set_read_timeout(Some(Duration::from_secs(8))).ok();
+            // A typed Error frame names the cap, then the door closes.
+            match wire::read_response(&mut s, &mut Vec::new()).expect("error frame") {
+                Some(Response::Error(msg)) => assert!(msg.contains("exceeds"), "got: {msg}"),
+                other => panic!("expected a typed Error, got {other:?}"),
+            }
+            assert_closed(s, "oversized prefix");
+            assert!(
+                t0.elapsed() < Duration::from_secs(5),
+                "oversized prefix should be rejected immediately, waited {:?}",
+                t0.elapsed()
+            );
+            eventually(Duration::from_secs(5), "oversize counted", || {
+                counters.protocol_errors.get() >= 1
+            });
 
-    let mut s = handshaken(&handle);
-    s.write_all(&u32::MAX.to_le_bytes()).expect("huge prefix");
-    let t0 = Instant::now();
-    s.set_read_timeout(Some(Duration::from_secs(8))).ok();
-    // A typed Error frame names the cap, then the server closes.
-    let mut arena = Vec::new();
-    match wire::read_response(&mut s, &mut arena).expect("error frame") {
-        Some(Response::Error(msg)) => assert!(msg.contains("exceeds"), "got: {msg}"),
-        other => panic!("expected a typed Error, got {other:?}"),
+            // The listener is unaffected.
+            client(addr).expect("connect").ping().expect("ping");
+        });
     }
-    let mut buf = [0u8; 16];
-    match s.read(&mut buf) {
-        Ok(0) | Err(_) => {}
-        Ok(n) => panic!("expected the connection closed, got {n} bytes"),
-    }
-    assert!(
-        t0.elapsed() < Duration::from_secs(5),
-        "oversized prefix should be rejected immediately, waited {:?}",
-        t0.elapsed()
-    );
-    eventually(Duration::from_secs(5), "oversize counted", || {
-        metrics.protocol_errors.get() >= 1
-    });
-
-    // The listener is unaffected.
-    let mut client = Client::connect(handle.addr()).expect("connect");
-    client.ping().expect("ping");
-
-    handle.shutdown_flag().trigger();
-    join_with_deadline(handle);
 }
 
 #[test]
 fn connection_cap_answers_busy_and_frees_slots() {
-    let model = Arc::new(ServeModel::synthetic(ImcDesign::ChgFe, DEFAULT_SEED));
-    let cfg = ServeConfig {
+    let door = Door::serve(ConnLimits {
         max_conns: 1,
-        ..ServeConfig::default()
-    };
-    let handle = serve("127.0.0.1:0", Arc::clone(&model), &cfg).expect("bind");
-    let metrics = handle.metrics_handle();
+        ..ConnLimits::default()
+    });
+    door.check(|addr, counters| {
+        let mut first = client(addr).expect("first connect");
+        first.ping().expect("first ping"); // the slot is definitely taken
 
-    let mut first = Client::connect(handle.addr()).expect("first connect");
-    first.ping().expect("first ping"); // the slot is definitely taken
-
-    // The second connection gets a typed Busy frame, unprompted, and a
-    // close.
-    let mut second = TcpStream::connect(handle.addr()).expect("second connect");
-    second
-        .set_read_timeout(Some(Duration::from_secs(5)))
-        .expect("set timeout");
-    match wire::read_response(&mut second, &mut Vec::new()).expect("recv busy") {
-        Some(Response::Busy(b)) => {
-            assert_eq!(b.limit, 1);
-            assert!(b.active >= 1);
+        // The second connection gets a typed Busy frame, unprompted, and
+        // a close.
+        let mut second = TcpStream::connect(addr).expect("second connect");
+        second
+            .set_read_timeout(Some(Duration::from_secs(5)))
+            .expect("set timeout");
+        match wire::read_response(&mut second, &mut Vec::new()).expect("recv busy") {
+            Some(Response::Busy(b)) => {
+                assert_eq!(b.limit, 1);
+                assert!(b.active >= 1);
+            }
+            other => panic!("expected Busy, got {other:?}"),
         }
-        other => panic!("expected Busy, got {other:?}"),
-    }
-    assert!(metrics.busy_rejects.get() >= 1);
-    // A client's handshake reads that Busy as backpressure.
-    match Client::connect(handle.addr()) {
-        Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionRefused, "{e}"),
-        Ok(_) => panic!("a full server must refuse the handshake"),
-    }
+        assert!(counters.busy_rejects.get() >= 1);
+        // A client's handshake reads that Busy as backpressure.
+        match client(addr) {
+            Err(e) => assert_eq!(e.kind(), std::io::ErrorKind::ConnectionRefused, "{e}"),
+            Ok(_) => panic!("a full door must refuse the handshake"),
+        }
 
-    // Dropping the first connection frees the slot (eventually — the
-    // conn thread must notice EOF), after which new clients are served.
-    drop(first);
-    eventually(
-        Duration::from_secs(5),
-        "slot freed for a new client",
-        || Client::connect(handle.addr()).is_ok_and(|mut c| c.ping().is_ok()),
-    );
+        // Dropping the first connection frees the slot (eventually — its
+        // thread must notice EOF), after which new clients are served.
+        drop(first);
+        eventually(
+            Duration::from_secs(5),
+            "slot freed for a new client",
+            || client(addr).is_ok_and(|mut c| c.ping().is_ok()),
+        );
+    });
+}
 
-    handle.shutdown_flag().trigger();
-    join_with_deadline(handle);
+#[test]
+fn malformed_body_is_a_typed_error_and_the_connection_lives() {
+    for door in Door::both() {
+        door.check(|addr, counters| {
+            let mut s = handshaken(addr);
+            s.set_read_timeout(Some(Duration::from_secs(5))).ok();
+            // A well-framed body of an unassigned request kind.
+            s.write_all(&[1, 0, 0, 0, 0x02]).expect("bad frame");
+            match wire::read_response(&mut s, &mut Vec::new()).expect("error frame") {
+                Some(Response::Error(msg)) => assert!(msg.contains("kind"), "got: {msg}"),
+                other => panic!("expected a typed Error, got {other:?}"),
+            }
+            assert!(counters.protocol_errors.get() >= 1);
+
+            // The length prefix was honoured, so the framing holds and
+            // the same connection still serves.
+            let mut ping = Vec::new();
+            wire::encode_request(&Request::Ping, &mut ping);
+            s.write_all(&ping).expect("ping");
+            match wire::read_response(&mut s, &mut Vec::new()).expect("pong") {
+                Some(Response::Pong) => {}
+                other => panic!("expected Pong on the same connection, got {other:?}"),
+            }
+        });
+    }
+}
+
+#[test]
+fn bin1_version_mismatch_is_nacked_and_the_listener_survives() {
+    for door in Door::both() {
+        door.check(|addr, counters| {
+            // Openings other than the hello — the magic with an older or
+            // newer version, or a big-endian length prefix and 10,000
+            // nested `[` — get MAGIC + 0x00 (explicit nack) and a close:
+            // no hang, and no parser ever sees the bytes.
+            let mut nested = 10_000u32.to_be_bytes().to_vec();
+            nested.resize(4 + 10_000, b'[');
+            let mut openings: Vec<(String, Vec<u8>)> = [wire::VERSION - 1, wire::VERSION + 1]
+                .into_iter()
+                .map(|v| (format!("version {v}"), [&wire::MAGIC[..], &[v]].concat()))
+                .collect();
+            openings.push(("10,000 nested `[`".to_owned(), nested));
+            for (what, opening) in openings {
+                let mut s = TcpStream::connect(addr).expect("connect");
+                s.set_read_timeout(Some(Duration::from_secs(5))).ok();
+                // The door may close before reading all of a long opening.
+                let _ = s.write_all(&opening);
+                let mut ack = [0u8; 5];
+                s.read_exact(&mut ack).expect("nack bytes");
+                assert_eq!(&ack[..4], &wire::MAGIC, "{what}");
+                assert_eq!(ack[4], 0, "expected a nack of {what}");
+                assert_closed(s, &what);
+            }
+            assert!(counters.protocol_errors.get() >= 3);
+
+            // A correct client still works afterwards.
+            client(addr)
+                .expect("connect")
+                .ping()
+                .expect("ping after nacks");
+        });
+    }
+}
+
+#[test]
+fn wire_shutdown_to_the_router_makes_fleet_wait_return_within_a_second() {
+    let Door::Fleet(router, replica) = Door::fleet() else {
+        unreachable!("fleet() is a router")
+    };
+    let addr = router.addr();
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        router.wait();
+        done_tx.send(())
+    });
+    client(addr)
+        .expect("connect")
+        .shutdown()
+        .expect("shutdown ack");
+    done_rx
+        .recv_timeout(Duration::from_secs(1))
+        .expect("FleetHandle::wait did not return within 1 s of a wire Shutdown");
+    join_with_deadline(replica);
+}
+
+/// Runs `stop` on a helper thread and fails unless it returns within
+/// a second.
+fn stops_within_a_second(what: &str, stop: impl FnOnce() + Send + 'static) {
+    let (done_tx, done_rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        stop();
+        done_tx.send(())
+    });
+    if done_rx.recv_timeout(Duration::from_secs(1)).is_err() {
+        panic!("{what} did not return within 1 s");
+    }
+}
+
+#[test]
+fn every_stop_path_wakes_its_blocked_accept_within_a_second() {
+    // A wire Shutdown wakes either door's accept from its handler: the
+    // listener closes, so a fresh connect is refused, with no join yet.
+    for door in Door::both() {
+        let (name, addr) = (door.name(), door.addr());
+        client(addr)
+            .expect("connect")
+            .shutdown()
+            .expect("shutdown ack");
+        eventually(Duration::from_secs(1), name, || {
+            TcpStream::connect(addr).is_err()
+        });
+        match door {
+            Door::Serve(h) => stops_within_a_second("ServerHandle::join", || h.join()),
+            Door::Fleet(router, replica) => {
+                stops_within_a_second("FleetHandle::shutdown", || router.shutdown());
+                stops_within_a_second("ServerHandle::join", || replica.join());
+            }
+        }
+    }
+    // Every handle's own stop path wakes an accept blocked with no
+    // client in sight.
+    for door in Door::both() {
+        match door {
+            Door::Serve(h) => stops_within_a_second("ServerHandle::join", || h.join()),
+            Door::Fleet(router, replica) => {
+                stops_within_a_second("FleetHandle::shutdown", || router.shutdown());
+                stops_within_a_second("ServerHandle::join", || replica.join());
+            }
+        }
+    }
+    let upstream: SocketAddr = "127.0.0.1:9".parse().expect("addr");
+    let proxy = ChaosProxy::start(upstream, |_| Fault::None).expect("proxy");
+    stops_within_a_second("ChaosProxy::stop", || proxy.stop());
+    let proxy = ChaosProxy::start(upstream, |_| Fault::None).expect("proxy");
+    stops_within_a_second("ChaosProxy drop", || drop(proxy));
+    let obs = imc_obs::serve_http("127.0.0.1:0").expect("bind obs");
+    stops_within_a_second("HttpHandle::stop", || obs.stop());
+    let obs = imc_obs::serve_http("127.0.0.1:0").expect("bind obs");
+    stops_within_a_second("HttpHandle drop", || drop(obs));
 }
 
 #[test]
 fn resilience_counters_are_exported_over_http() {
-    // Starting a server registers the counter families; the obs HTTP
-    // endpoint must then expose all three resilience families to a
+    // Starting a server and a router registers the counter families;
+    // the obs HTTP endpoint must then expose the server's three
+    // resilience families and the router door's counterparts to a
     // Prometheus-style scrape.
-    let model = Arc::new(ServeModel::synthetic(ImcDesign::ChgFe, DEFAULT_SEED));
-    let handle = serve("127.0.0.1:0", model, &ServeConfig::default()).expect("bind");
+    let doors = Door::both();
     let obs = imc_obs::serve_http("127.0.0.1:0").expect("bind obs");
 
     let mut stream = TcpStream::connect(obs.addr()).expect("connect obs");
@@ -435,11 +703,15 @@ fn resilience_counters_are_exported_over_http() {
         "imc_serve_worker_panics_total",
         "imc_serve_conn_deadline_drops_total",
         "imc_serve_busy_rejects_total",
+        "fleet.protocol_errors_total",
+        "fleet.conn_deadline_drops_total",
+        "fleet.busy_rejects_total",
     ] {
         assert!(body.contains(family), "scrape is missing {family}");
     }
 
     obs.stop();
-    handle.shutdown_flag().trigger();
-    join_with_deadline(handle);
+    for door in doors {
+        door.check(|_, _| {});
+    }
 }
