@@ -818,9 +818,6 @@ fn main() -> ExitCode {
     };
 
     imc_obs::set_service_name("loadgen");
-    if let Some(every) = imc_obs::init_span_sampling_from_env() {
-        eprintln!("loadgen: span sampling 1-in-{every} (FEFET_IMC_SPAN_SAMPLE)");
-    }
 
     // Observability endpoint for scrapers, alive for the whole run. The
     // warm-up populates the non-serve metric families before the first

@@ -162,9 +162,6 @@ fn main() -> ExitCode {
     }
 
     imc_obs::set_service_name("fleet");
-    if let Some(every) = imc_obs::init_span_sampling_from_env() {
-        eprintln!("imc-fleet: span sampling 1-in-{every} (FEFET_IMC_SPAN_SAMPLE)");
-    }
     let _obs = obs_addr.as_deref().map(|a| match imc_obs::serve_http(a) {
         Ok(h) => {
             eprintln!("imc-fleet: obs on http://{}/metrics", h.addr());

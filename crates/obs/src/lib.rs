@@ -12,10 +12,11 @@
 //!    this crate, so it must sit at the bottom of the dependency graph
 //!    — not even the offline compat stubs. JSON export is hand-rolled.
 //! 2. **Hot-path cost is one relaxed atomic op.** The [`counter!`],
-//!    [`gauge!`], and [`histogram!`] macros cache their handle in a
-//!    call-site `OnceLock`; recording never takes a lock and never
-//!    allocates. Histograms are the log-linear design generalized from
-//!    `imc-serve` (three relaxed adds, ≤ 6.25 % quantile error).
+//!    [`gauge!`], [`histogram!`] and [`span!`] macros cache their
+//!    handle in a call-site `OnceLock`; recording never takes a lock and
+//!    never allocates. Histograms are the log-linear design generalized
+//!    from `imc-serve` (three relaxed adds, ≤ 6.25 % quantile error); a
+//!    span adds two `Instant` reads around one histogram record.
 //! 3. **Scraping is read-only and optional.** [`serve_http`] exposes
 //!    `GET /metrics` (Prometheus text) and `GET /metrics.json` on a
 //!    background thread; batch bins instead dump [`text_summary`] at
@@ -54,12 +55,8 @@ pub use registry::{
     registry, Counter, CounterVec, Gauge, GaugeVec, Histogram, Labels, MetricEntry, MetricHandle,
     MetricSnapshot, MetricValue, Registry, Snapshot,
 };
-pub use span::{
-    enter, init_span_sampling_from_env, set_span_sampling, span_sampling, SpanGuard,
-    SPAN_SAMPLE_ENV,
-};
+pub use span::SpanGuard;
 pub use trace::{
-    next_span_id, recorder, set_service_name, set_trace_head_sampling, set_trace_slow_us,
-    trace_head_sampling, traces_json, unix_us, FlightRecorder, SpanRec, SpanStatus, TraceContext,
-    TraceRec,
+    next_span_id, recorder, set_service_name, traces_json, unix_us, FlightRecorder, SpanRec,
+    SpanStatus, TraceContext, TraceRec,
 };

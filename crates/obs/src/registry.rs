@@ -3,9 +3,10 @@
 //! Registration (the only operation that takes a lock) happens once per
 //! call site; after that a handle is a cheap `Arc` clone and the hot
 //! path is a single relaxed atomic op. The [`counter!`](crate::counter),
-//! [`gauge!`](crate::gauge), and [`histogram!`](crate::histogram)
-//! macros cache the handle in a `OnceLock` static at the call site, so
-//! instrumented inner loops never touch the registry mutex.
+//! [`gauge!`](crate::gauge), [`histogram!`](crate::histogram) and
+//! [`span!`](macro@crate::span) macros cache the handle in a `OnceLock`
+//! static at the call site, so instrumented inner loops never touch the
+//! registry mutex.
 //!
 //! Two registration flavours exist:
 //!
@@ -380,41 +381,68 @@ pub fn registry() -> &'static Registry {
     GLOBAL.get_or_init(Registry::new)
 }
 
-/// A cached family of counters sharing one name and label *keys*, keyed
+/// A cached family of metrics sharing one name and label *keys*, keyed
 /// by label *values* — e.g. `fleet_shard_requests_total{shard,replica}`.
 ///
 /// [`Registry::counter_with`] already supports labels, but pays the
 /// registry mutex plus label normalization on every call; a family keeps
-/// a private value→handle map so steady-state increments cost one small
-/// map lookup and one relaxed atomic. Built for per-shard/per-replica
+/// a private value→handle map so steady-state use costs one small map
+/// lookup and one relaxed atomic. Built for per-shard/per-replica
 /// traffic families, where the label values are discovered at runtime
 /// and hit on every routed request.
-pub struct CounterVec {
+pub struct MetricVec<M> {
     name: &'static str,
     help: &'static str,
     keys: &'static [&'static str],
-    cache: Mutex<HashMap<Vec<String>, Counter>>,
+    register: Register<M>,
+    cache: Mutex<HashMap<Vec<String>, M>>,
 }
+
+/// How a family registers a member: [`Registry::counter_with`] or
+/// [`Registry::gauge_with`].
+type Register<M> = fn(&Registry, &str, &[(&str, &str)], &str) -> M;
+
+/// A cached family of counters.
+pub type CounterVec = MetricVec<Counter>;
+
+/// A cached family of gauges.
+pub type GaugeVec = MetricVec<Gauge>;
 
 impl CounterVec {
     /// A family registering into the global registry on first use of
     /// each label-value combination.
-    ///
-    /// # Panics
-    ///
-    /// Later [`with`](Self::with) calls panic if `keys` and the values
-    /// passed disagree in length.
     #[must_use]
     pub fn new(name: &'static str, keys: &'static [&'static str], help: &'static str) -> Self {
+        Self::family(name, keys, help, Registry::counter_with)
+    }
+}
+
+impl GaugeVec {
+    /// A family registering into the global registry on first use of
+    /// each label-value combination.
+    #[must_use]
+    pub fn new(name: &'static str, keys: &'static [&'static str], help: &'static str) -> Self {
+        Self::family(name, keys, help, Registry::gauge_with)
+    }
+}
+
+impl<M: Clone> MetricVec<M> {
+    fn family(
+        name: &'static str,
+        keys: &'static [&'static str],
+        help: &'static str,
+        register: Register<M>,
+    ) -> Self {
         Self {
             name,
             help,
             keys,
+            register,
             cache: Mutex::new(HashMap::new()),
         }
     }
 
-    /// The counter for one combination of label values (positionally
+    /// The metric for one combination of label values (positionally
     /// matching the family's keys), creating and registering it on first
     /// use.
     ///
@@ -423,7 +451,7 @@ impl CounterVec {
     /// Panics if `values.len()` differs from the family's key count, or
     /// if the name was registered as a different metric kind.
     #[must_use]
-    pub fn with(&self, values: &[&str]) -> Counter {
+    pub fn with(&self, values: &[&str]) -> M {
         assert_eq!(
             values.len(),
             self.keys.len(),
@@ -432,9 +460,9 @@ impl CounterVec {
             self.keys.len()
         );
         let key: Vec<String> = values.iter().map(|v| (*v).to_owned()).collect();
-        let mut cache = self.cache.lock().expect("counter family poisoned");
-        if let Some(c) = cache.get(&key) {
-            return c.clone();
+        let mut cache = self.cache.lock().expect("metric family poisoned");
+        if let Some(m) = cache.get(&key) {
+            return m.clone();
         }
         let labels: Vec<(&str, &str)> = self
             .keys
@@ -442,62 +470,9 @@ impl CounterVec {
             .copied()
             .zip(values.iter().copied())
             .collect();
-        let c = registry().counter_with(self.name, &labels, self.help);
-        cache.insert(key, c.clone());
-        c
-    }
-}
-
-/// A cached family of gauges — the [`CounterVec`] pattern for gauges.
-pub struct GaugeVec {
-    name: &'static str,
-    help: &'static str,
-    keys: &'static [&'static str],
-    cache: Mutex<HashMap<Vec<String>, Gauge>>,
-}
-
-impl GaugeVec {
-    /// A family registering into the global registry on first use of
-    /// each label-value combination.
-    #[must_use]
-    pub fn new(name: &'static str, keys: &'static [&'static str], help: &'static str) -> Self {
-        Self {
-            name,
-            help,
-            keys,
-            cache: Mutex::new(HashMap::new()),
-        }
-    }
-
-    /// The gauge for one combination of label values.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `values.len()` differs from the family's key count, or
-    /// if the name was registered as a different metric kind.
-    #[must_use]
-    pub fn with(&self, values: &[&str]) -> Gauge {
-        assert_eq!(
-            values.len(),
-            self.keys.len(),
-            "family `{}` takes {} label(s)",
-            self.name,
-            self.keys.len()
-        );
-        let key: Vec<String> = values.iter().map(|v| (*v).to_owned()).collect();
-        let mut cache = self.cache.lock().expect("gauge family poisoned");
-        if let Some(g) = cache.get(&key) {
-            return g.clone();
-        }
-        let labels: Vec<(&str, &str)> = self
-            .keys
-            .iter()
-            .copied()
-            .zip(values.iter().copied())
-            .collect();
-        let g = registry().gauge_with(self.name, &labels, self.help);
-        cache.insert(key, g.clone());
-        g
+        let m = (self.register)(registry(), self.name, &labels, self.help);
+        cache.insert(key, m.clone());
+        m
     }
 }
 

@@ -13,12 +13,11 @@
 //! global [`FlightRecorder`]. The recorder is the crash-safe "what just
 //! happened" buffer:
 //!
-//! * **Tail sampling is always on.** Failed, shed, slow
-//!   (≥ [`set_trace_slow_us`]) and energy-outlier records are always
-//!   kept regardless of head sampling. Everything else is kept only
-//!   when its context won the 1-in-N head lottery
-//!   ([`set_trace_head_sampling`], default 1 = keep all — the ring
-//!   bounds memory either way).
+//! * **Tail sampling is always on.** Failed, shed, slow (≥ 50 ms of
+//!   span wall time) and energy-outlier records are always kept.
+//!   Everything else is kept only when its context is marked sampled:
+//!   every root this process starts is, so only a peer's unsampled
+//!   context reaches the tail rules (the ring bounds memory either way).
 //! * **Bounded memory.** The ring holds the most recent
 //!   [`FlightRecorder::CAPACITY`] kept records; each kept offer pushes
 //!   under the ring's mutex and evicts the oldest once the ring is full,
@@ -34,38 +33,17 @@
 //! it.
 
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, OnceLock};
 use std::time::{SystemTime, UNIX_EPOCH};
 
-/// Head-sampling knob: 1-in-N new root contexts are marked `sampled`.
-static HEAD_EVERY: AtomicU32 = AtomicU32::new(1);
-/// Root-context counter driving the head lottery and id uniqueness.
+/// Root-context counter driving trace-id uniqueness.
 static ROOT_SEQ: AtomicU64 = AtomicU64::new(0);
 /// Span-id counter (process-unique, never 0).
 static SPAN_SEQ: AtomicU64 = AtomicU64::new(0);
-/// Tail-sampling slowness threshold in microseconds.
-static SLOW_US: AtomicU64 = AtomicU64::new(50_000);
-
-/// Marks 1-in-`every` fresh root contexts as head-sampled (`every = 1`,
-/// the default, samples every request; `0` is treated as 1). Tail
-/// sampling (failed / shed / slow / energy-outlier records) is
-/// unaffected — those are always kept.
-pub fn set_trace_head_sampling(every: u32) {
-    HEAD_EVERY.store(every.max(1), Ordering::Relaxed);
-}
-
-/// Current head-sampling setting.
-#[must_use]
-pub fn trace_head_sampling() -> u32 {
-    HEAD_EVERY.load(Ordering::Relaxed)
-}
-
-/// Records at least this slow (total span wall time) are always kept by
-/// the recorder, regardless of head sampling. Default 50 ms.
-pub fn set_trace_slow_us(us: u64) {
-    SLOW_US.store(us, Ordering::Relaxed);
-}
+/// Records at least this slow (total span wall time, µs) are always
+/// kept by the recorder.
+const SLOW_US: u64 = 50_000;
 
 /// splitmix64 — the id mixer (same finalizer the serve retry jitter
 /// uses; period-free, never maps distinct inputs to equal outputs).
@@ -117,11 +95,10 @@ pub struct TraceContext {
 
 impl TraceContext {
     /// Starts a new trace at this process: fresh `trace_id`, no parent,
-    /// `sampled` decided by the 1-in-N head lottery.
+    /// always `sampled`.
     #[must_use]
     pub fn new_root() -> Self {
         let seq = ROOT_SEQ.fetch_add(1, Ordering::Relaxed);
-        let every = u64::from(HEAD_EVERY.load(Ordering::Relaxed).max(1));
         let mut trace_id = splitmix64(seq ^ process_salt().rotate_left(17));
         if trace_id == 0 {
             trace_id = 1;
@@ -129,7 +106,7 @@ impl TraceContext {
         Self {
             trace_id,
             parent_span: 0,
-            sampled: seq.is_multiple_of(every),
+            sampled: true,
         }
     }
 
@@ -290,7 +267,7 @@ impl FlightRecorder {
         if rec.sampled || rec.notable_status() {
             return true;
         }
-        if rec.dur_us() >= SLOW_US.load(Ordering::Relaxed) {
+        if rec.dur_us() >= SLOW_US {
             return true;
         }
         // Energy outlier: ≥ 4× the running mean, once enough records
@@ -437,6 +414,7 @@ mod tests {
         assert_ne!(a.trace_id, 0);
         assert_ne!(a.trace_id, b.trace_id);
         assert_eq!(a.parent_span, 0);
+        assert!(a.sampled && b.sampled, "every root is sampled");
         let c = a.child(42);
         assert_eq!(c.trace_id, a.trace_id);
         assert_eq!(c.parent_span, 42);
@@ -525,16 +503,5 @@ mod tests {
         assert!(json.contains("say \\\"hi\\\"\\n"));
         assert!(json.contains("\"energy_pj\": 34"));
         assert!(json.contains("\"status\": \"ok\""));
-    }
-
-    #[test]
-    fn head_sampling_marks_one_in_n() {
-        set_trace_head_sampling(1);
-        let c = TraceContext::new_root();
-        assert!(c.sampled, "1-in-1 samples everything");
-        set_trace_head_sampling(1_000_000);
-        let sampled = (0..64).filter(|_| TraceContext::new_root().sampled).count();
-        set_trace_head_sampling(1);
-        assert!(sampled <= 1, "1-in-1M should mark at most one of 64");
     }
 }

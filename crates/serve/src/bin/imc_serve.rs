@@ -136,16 +136,6 @@ fn parse_args() -> Result<Args, String> {
                     .map_err(|e| format!("--write-timeout-ms: {e}"))?;
                 args.cfg.limits.write_timeout = Duration::from_millis(ms);
             }
-            // Chaos-testing fail-point (undocumented in usage on
-            // purpose): requests whose first feature bit-equals this
-            // value panic their batch. Lets an external harness
-            // exercise panic recovery against the real binary.
-            "--fail-sentinel" => {
-                let v: f32 = value("--fail-sentinel")?
-                    .parse()
-                    .map_err(|e| format!("--fail-sentinel: {e}"))?;
-                args.cfg.fail_input_sentinel = Some(v);
-            }
             "--help" | "-h" => return Err(usage()),
             other => return Err(format!("unknown flag `{other}`\n{}", usage())),
         }
@@ -207,9 +197,6 @@ fn main() -> ExitCode {
 
     install_signal_handlers();
     imc_obs::set_service_name("serve");
-    if let Some(every) = imc_obs::init_span_sampling_from_env() {
-        println!("imc-serve: span sampling 1-in-{every} (FEFET_IMC_SPAN_SAMPLE)");
-    }
     let _obs = match &args.obs_addr {
         Some(addr) => match imc_obs::serve_http(addr) {
             Ok(h) => {

@@ -11,8 +11,7 @@
 //! * the frame deadline, which covers the hello too, and the oversize
 //!   check on every length prefix;
 //! * the read tick and the write timeout on one shared [`Reply`] writer
-//!   per connection;
-//! * the pool that recycles `Infer` input buffers.
+//!   per connection.
 //!
 //! Its owner supplies only a [`FrameHandler`], which answers each
 //! decoded request of a connection. Faults are counted into the
@@ -125,28 +124,6 @@ const READ_TICK: Duration = Duration::from_millis(200);
 /// Write timeout of the one `Busy` frame, which the accept thread
 /// itself writes.
 const BUSY_WRITE_TIMEOUT: Duration = Duration::from_millis(250);
-
-/// Cap on pooled input buffers (a few KiB each at MNIST shapes).
-const INPUT_POOL_CAP: usize = 256;
-
-/// Process-wide recycle pool for inference input vectors: connection
-/// readers take, the executor (and the rejection paths) put back — at
-/// steady state no request allocates its input buffer.
-static INPUT_POOL: Mutex<Vec<Vec<f32>>> = Mutex::new(Vec::new());
-
-fn pool_take() -> Vec<f32> {
-    let mut pool = INPUT_POOL.lock().unwrap_or_else(PoisonError::into_inner);
-    pool.pop().unwrap_or_default()
-}
-
-/// Returns an `Infer` input buffer to the pool.
-pub(crate) fn pool_put(mut v: Vec<f32>) {
-    v.clear();
-    let mut pool = INPUT_POOL.lock().unwrap_or_else(PoisonError::into_inner);
-    if pool.len() < INPUT_POOL_CAP {
-        pool.push(v);
-    }
-}
 
 /// A connection's write half plus its liveness state. Once a write
 /// fails or times out mid-frame the stream's framing is unrecoverable,
@@ -272,9 +249,7 @@ impl Drop for ConnSlot {
 }
 
 /// One connection: the hello, then frames until EOF, error, a handler
-/// close, or a stop. One reused read arena and one pooled input spare
-/// serve its whole life, so at steady state a request costs no
-/// allocations on the read path.
+/// close, or a stop. One read arena serves its whole life.
 fn serve_conn<H: FrameHandler>(
     stream: TcpStream,
     handler: &H,
@@ -323,7 +298,6 @@ fn serve_conn<H: FrameHandler>(
 
     let mut session = H::Session::default();
     let mut arena: Vec<u8> = Vec::new();
-    let mut spare = pool_take();
     loop {
         let mut len = [0u8; 4];
         if !reader.fill(&mut len) {
@@ -343,14 +317,9 @@ fn serve_conn<H: FrameHandler>(
             break;
         }
         reader.started = None;
-        match wire::decode_request_reusing(&arena, &mut spare) {
+        match wire::decode_request(&arena) {
             Ok(request) => {
-                let took_spare = matches!(request, Request::Infer(_));
-                let open = handler.handle(&mut session, request, &reply);
-                if took_spare {
-                    spare = pool_take();
-                }
-                if !open {
+                if !handler.handle(&mut session, request, &reply) {
                     break;
                 }
             }
@@ -362,7 +331,6 @@ fn serve_conn<H: FrameHandler>(
             }
         }
     }
-    pool_put(spare);
 }
 
 /// A connection's read half and the clock of the frame being read.

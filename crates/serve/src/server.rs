@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 use neural::tensor::Tensor;
 
 use crate::batcher::{AdmissionQueue, Pending};
-use crate::door::{pool_put, ConnLimits, Door, FrameHandler, Reply};
+use crate::door::{ConnLimits, Door, FrameHandler, Reply};
 use crate::metrics::Metrics;
 use crate::model::ServeModel;
 use crate::protocol::{
@@ -314,10 +314,8 @@ pub fn serve<A: ToSocketAddrs>(
     })
 }
 
-/// Answers control requests inline and admits inference requests.
-/// Rejected or shed inference inputs are recycled into the input pool;
-/// admitted ones travel to `execute_batch`, which recycles them after
-/// tensor assembly.
+/// Answers control requests inline and admits inference requests;
+/// admitted ones travel to `execute_batch`.
 impl FrameHandler for Shared {
     type Session = ();
 
@@ -399,7 +397,6 @@ impl FrameHandler for Shared {
                 if let Some(why) = invalid {
                     self.metrics.door.protocol_errors.inc();
                     writer.send(&Response::Error(why));
-                    pool_put(req.input);
                     return true;
                 }
                 let pending = Pending {
@@ -427,7 +424,6 @@ impl FrameHandler for Shared {
                             id: rejected.id,
                             reason: why.reason().to_owned(),
                         }));
-                        pool_put(rejected.input);
                     }
                 }
             }
@@ -608,7 +604,7 @@ fn record_partial_trace(
 /// noise isolation, write each response, record latencies.
 fn execute_batch(
     bank: usize,
-    mut batch: Vec<Pending<Reply>>,
+    batch: Vec<Pending<Reply>>,
     model: &ServeModel,
     metrics: &Metrics,
     fail_input_sentinel: Option<f32>,
@@ -630,11 +626,6 @@ fn execute_batch(
                 .any(|req| req.input.first().map(|v| v.to_bits()) == Some(sentinel.to_bits())),
             "injected chaos fault (fail_input_sentinel hit on bank {bank})"
         );
-    }
-    // The inputs have been copied into the batch tensor; recycle their
-    // buffers so BIN1 connections keep allocation-free at steady state.
-    for req in &mut batch {
-        pool_put(std::mem::take(&mut req.input));
     }
     let x = Tensor::from_vec(&[n, features], data);
 

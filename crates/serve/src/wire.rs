@@ -64,9 +64,8 @@
 //! [`read_frame_into`] reads into a caller-owned arena the same way —
 //! a connection reuses one read arena and one write scratch for its
 //! whole life, so steady-state framing does zero allocations per
-//! request. Decoded payload vectors (`Infer.input`) can come from a
-//! caller-supplied spare via [`decode_request_reusing`], which the
-//! server recycles through its input pool.
+//! request. Decoders return fresh payload vectors (`Infer.input`,
+//! `Output.logits`), one allocation each.
 
 use std::io::{self, Read, Write};
 
@@ -360,22 +359,15 @@ impl<'a> Cursor<'a> {
         usize::try_from(self.u64()?).map_err(|_| WireError::Malformed("usize overflow"))
     }
 
-    /// Reads a `u32`-counted f32 array into `out` (cleared first).
-    fn f32s_into(&mut self, out: &mut Vec<f32>) -> Result<(), WireError> {
+    /// Reads a `u32`-counted f32 array.
+    fn f32s(&mut self) -> Result<Vec<f32>, WireError> {
         let n = self.u32()? as usize;
         let bytes = self.take(n.checked_mul(4).ok_or(WireError::Truncated)?)?;
-        out.clear();
-        out.reserve(n);
+        let mut out = Vec::with_capacity(n);
         for c in bytes.chunks_exact(4) {
             out.push(f32::from_le_bytes(c.try_into().unwrap()));
         }
-        Ok(())
-    }
-
-    fn f32s(&mut self) -> Result<Vec<f32>, WireError> {
-        let mut v = Vec::new();
-        self.f32s_into(&mut v)?;
-        Ok(v)
+        Ok(out)
     }
 
     /// Reads a `u32`-counted i64 array.
@@ -433,27 +425,13 @@ impl<'a> Cursor<'a> {
 ///
 /// Typed [`WireError`] on unknown kind, truncation, or trailing bytes.
 pub fn decode_request(body: &[u8]) -> Result<Request, WireError> {
-    let mut spare = Vec::new();
-    decode_request_reusing(body, &mut spare)
-}
-
-/// [`decode_request`], filling an `Infer` payload into `spare` (taken
-/// and cleared) instead of a fresh allocation — the server's steady
-/// state feeds pooled buffers through here.
-///
-/// # Errors
-///
-/// Typed [`WireError`] on unknown kind, truncation, or trailing bytes.
-pub fn decode_request_reusing(body: &[u8], spare: &mut Vec<f32>) -> Result<Request, WireError> {
     let mut c = Cursor::new(body);
     let req = match c.u8()? {
-        K_INFER => {
-            let id = c.u64()?;
-            let mut input = std::mem::take(spare);
-            c.f32s_into(&mut input)?;
-            let trace = c.maybe_ctx();
-            Request::Infer(InferRequest { id, input, trace })
-        }
+        K_INFER => Request::Infer(InferRequest {
+            id: c.u64()?,
+            input: c.f32s()?,
+            trace: c.maybe_ctx(),
+        }),
         K_PING => Request::Ping,
         K_SHUTDOWN => Request::Shutdown,
         K_PARTIAL => Request::Partial(PartialRequest {
@@ -871,30 +849,6 @@ mod tests {
         assert_eq!(decode_request(&arena), Ok(Request::Describe));
         assert_eq!(arena.capacity(), cap, "steady state must not reallocate");
         assert!(!read_frame_into(&mut r, &mut arena).unwrap(), "clean EOF");
-    }
-
-    #[test]
-    fn decode_reusing_takes_the_spare_buffer() {
-        let mut buf = Vec::new();
-        encode_request(
-            &Request::Infer(InferRequest {
-                id: 5,
-                input: vec![0.25; 16],
-                trace: None,
-            }),
-            &mut buf,
-        );
-        let mut spare = Vec::with_capacity(784);
-        spare.extend_from_slice(&[9.0; 4]); // stale content must vanish
-        let cap = spare.capacity();
-        match decode_request_reusing(&buf[4..], &mut spare).unwrap() {
-            Request::Infer(r) => {
-                assert_eq!(r.input, vec![0.25; 16]);
-                assert_eq!(r.input.capacity(), cap, "reused the spare's storage");
-            }
-            other => panic!("wrong variant {other:?}"),
-        }
-        assert!(spare.is_empty(), "spare was consumed");
     }
 
     /// An in-memory peer that answers a canned byte sequence.

@@ -144,6 +144,8 @@ fn scrape_during_live_work_exposes_every_layer() {
         "span_us{span=\"pass.placement\"",
         "span_us{span=\"pass.programming\"",
         "span_us{span=\"pass.predict\"",
+        // The packed MAC kernel's hot-path span.
+        "span_us{span=\"kernel.packed_mac\"",
         "imc_compile_programmed_cells_total",
         // Sim Newton-iteration counters (acceptance criterion).
         "sim_newton_iterations_total",
