@@ -43,11 +43,11 @@
 //! failure counters from the registry are printed alongside the report.
 //!
 //! Every request carries a fresh trace context, so server hops tag
-//! their spans with the client's `trace_id` and the flight recorder
-//! keeps the notable ones. `--trace-slowest N` prints the N slowest
-//! stitched traces after the run as per-hop waterfalls — local recorder
-//! records (in-process servers and fleets share it) merged with a
-//! `GET /traces` scrape of every `--trace-addr` obs endpoint.
+//! their spans with the client's `trace_id`, and each process's flight
+//! recorder keeps its newest records. `--trace-slowest N` prints the N
+//! slowest stitched traces after the run as per-hop waterfalls — local
+//! recorder records (in-process servers and fleets share it) merged
+//! with a `GET /traces` scrape of every `--trace-addr` obs endpoint.
 //!
 //! `--chaos` turns the run into a resilience exercise: the in-process
 //! server gets a short frame deadline and a deliberate fail-point
@@ -254,7 +254,6 @@ fn offer_client_trace(sent: &SentReq, status: imc_obs::SpanStatus, conn_idx: usi
     let dur_us = sent.at.elapsed().as_micros() as u64;
     imc_obs::recorder().offer(imc_obs::TraceRec {
         trace_id: sent.ctx.trace_id,
-        sampled: sent.ctx.sampled,
         spans: vec![imc_obs::SpanRec {
             span_id: sent.root_span,
             parent_span: 0,
@@ -639,10 +638,6 @@ fn run_connection(
                     break;
                 }
                 let id = conn_idx as u64 + k * total_conns as u64;
-                // Every request starts a trace; the head lottery
-                // inside `new_root` plus the recorder's tail rules
-                // (slow / failed / shed / energy outlier) decide what
-                // is actually kept.
                 let sent = SentReq {
                     at: Instant::now(),
                     ctx: imc_obs::TraceContext::new_root(),
@@ -1431,15 +1426,12 @@ mod tests {
                 .find(|&k| in_flight[&ids[k]].offset <= offset)
                 .unwrap();
             // The decoded request re-encodes as the frame that holds the
-            // byte, with that byte flipped. The last byte, the trace
-            // context's sampled flag, decodes any non-zero value as set
-            // and re-encodes it as 1.
+            // byte, with that byte flipped.
             let mut want = frames[k].clone();
             want[offset - in_flight[&ids[k]].offset] ^= 0x40;
             let mut got = Vec::new();
             wire::encode_request(&Request::Infer(r), &mut got);
-            let flag = want.len() - 1;
-            assert_eq!(got[..flag], want[..flag], "byte {offset}");
+            assert_eq!(got, want, "byte {offset}");
         }
         assert!(decoded > 0, "some flips leave a valid frame");
     }

@@ -327,7 +327,6 @@ mod tests {
     fn parse_round_trips_the_recorder_export() {
         let rec = imc_obs::TraceRec {
             trace_id: 0xAB,
-            sampled: true,
             spans: vec![imc_obs::SpanRec {
                 span_id: 7,
                 parent_span: 0,

@@ -204,7 +204,7 @@ pub fn shard_image(
     base.validate()?;
     let rows = base.imc.rows.max(1);
     let shapes = base.arch.layer_shapes();
-    let layers = shapes
+    let layers: Vec<FleetLayer> = shapes
         .iter()
         .zip(&base.layers)
         .map(|(shape, layer)| FleetLayer {
@@ -219,7 +219,7 @@ pub fn shard_image(
     let mut images = Vec::with_capacity(count);
     let mut shards = Vec::with_capacity(count);
     for index in 0..count {
-        let spec = ShardSpec::even(&base.arch, rows, index, count);
+        let spec = ShardSpec::even(layers.iter().map(|l| l.chunks), index, count);
         let mut img = base.clone();
         img.shard = Some(spec.clone());
         img.validate()?;

@@ -408,19 +408,18 @@ pub struct ShardSpec {
 }
 
 impl ShardSpec {
-    /// The contiguous even chunk partition: shard `index` of `count`
-    /// gets chunks `⌊index·C/count⌋ .. ⌊(index+1)·C/count⌋` of each
-    /// layer — ranges tile every layer exactly, and a layer with fewer
-    /// chunks than shards leaves the surplus shards empty there.
+    /// The contiguous even chunk partition of MAC layers with
+    /// `layer_chunks` chunks each: shard `index` of `count` gets chunks
+    /// `⌊index·C/count⌋ .. ⌊(index+1)·C/count⌋` of each layer — ranges
+    /// tile every layer exactly, and a layer with fewer chunks than
+    /// shards leaves the surplus shards empty there. Compiled shard
+    /// images, synthetic replicas and the router's synthetic plan all
+    /// cut with this one rule, so they agree without a manifest.
     #[must_use]
-    pub fn even(arch: &MlpArch, rows: usize, index: usize, count: usize) -> Self {
-        let layer_chunks = arch
-            .layer_shapes()
-            .iter()
-            .map(|s| {
-                let chunks = s.in_ch.div_ceil(rows.max(1));
-                [index * chunks / count, (index + 1) * chunks / count]
-            })
+    pub fn even(layer_chunks: impl IntoIterator<Item = usize>, index: usize, count: usize) -> Self {
+        let layer_chunks = layer_chunks
+            .into_iter()
+            .map(|c| [index * c / count, (index + 1) * c / count])
             .collect();
         Self {
             index,

@@ -162,16 +162,19 @@ fn main() -> ExitCode {
     }
 
     imc_obs::set_service_name("fleet");
-    let _obs = obs_addr.as_deref().map(|a| match imc_obs::serve_http(a) {
-        Ok(h) => {
-            eprintln!("imc-fleet: obs on http://{}/metrics", h.addr());
-            Some(h)
-        }
-        Err(e) => {
-            eprintln!("imc-fleet: obs bind {a} failed: {e}");
-            None
-        }
-    });
+    let _obs = match &obs_addr {
+        Some(addr) => match imc_obs::serve_http(addr) {
+            Ok(h) => {
+                eprintln!("imc-fleet: obs on http://{}/metrics", h.addr());
+                Some(h)
+            }
+            Err(e) => {
+                eprintln!("imc-fleet: cannot bind obs endpoint {addr}: {e}");
+                return ExitCode::FAILURE;
+            }
+        },
+        None => None,
+    };
 
     let cfg = RouterConfig {
         energy_budget: energy_budget_j.map(|joules| EnergyBudget {

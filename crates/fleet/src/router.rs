@@ -394,7 +394,6 @@ fn offer_fleet_trace(
     spans.append(&mut children);
     imc_obs::recorder().offer(TraceRec {
         trace_id: ctx.trace_id,
-        sampled: ctx.sampled,
         spans,
     });
 }

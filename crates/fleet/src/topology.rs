@@ -12,11 +12,11 @@
 //!   `imc-compile fleet`, for image-backed replicas.
 //! * [`FleetPlan::synthetic`] — the same `(design, seed)` arithmetic
 //!   `ServeModel::synthetic_shard` runs, for synthetic replicas. Both
-//!   sides derive chunk ownership from the identical even-split
-//!   formula, so they agree without a manifest file.
+//!   sides derive chunk ownership from the one even-split rule,
+//!   [`ShardSpec::even`], so they agree without a manifest file.
 
 use imc_compile::fleet::FleetManifest;
-use imc_compile::image::ImcSettings;
+use imc_compile::image::{ImcSettings, ShardSpec};
 use imc_cost::{inference_cost, DesignPoint, LayerShape, Variant, WeightBits};
 use imc_serve::{parse_design, synthetic_digest, ServeModel};
 use neural::imc_exec::ImcDesign;
@@ -148,10 +148,8 @@ impl FleetPlan {
                 } else {
                     synthetic_digest(design, seed, Some((i, shard_count)))
                 },
-                layer_chunks: meta
-                    .iter()
-                    .map(|m| [i * m.chunks / shard_count, (i + 1) * m.chunks / shard_count])
-                    .collect(),
+                layer_chunks: ShardSpec::even(meta.iter().map(|m| m.chunks), i, shard_count)
+                    .layer_chunks,
             })
             .collect();
         Ok(Self {

@@ -231,19 +231,12 @@ pub fn text_summary(snap: &Snapshot) -> String {
 }
 
 /// Compact per-trace exit listing of the flight recorder: one line per
-/// kept trace (id, span count, widest span, energy stamp, worst
+/// trace in the ring (id, span count, widest span, energy stamp, worst
 /// status), newest last.
 #[must_use]
 pub fn trace_summary(recs: &[crate::trace::TraceRec]) -> String {
     let mut out = String::new();
-    let rec = crate::trace::recorder();
-    let _ = writeln!(
-        out,
-        "--- flight recorder ({} kept, {} dropped, {} in ring) ---",
-        rec.kept_total(),
-        rec.dropped_total(),
-        recs.len()
-    );
+    let _ = writeln!(out, "--- flight recorder ({} in ring) ---", recs.len());
     for t in recs {
         let status = t
             .spans
@@ -253,13 +246,12 @@ pub fn trace_summary(recs: &[crate::trace::TraceRec]) -> String {
             .unwrap_or(crate::trace::SpanStatus::Ok);
         let _ = writeln!(
             out,
-            "trace {:#018x} spans={:<2} dur={}us energy={}pJ status={}{}",
+            "trace {:#018x} spans={:<2} dur={}us energy={}pJ status={}",
             t.trace_id,
             t.spans.len(),
             t.dur_us(),
             t.energy_pj(),
-            status.as_str(),
-            if t.sampled { "" } else { " (tail-kept)" }
+            status.as_str()
         );
     }
     out

@@ -2,27 +2,19 @@
 //! recorder.
 //!
 //! A [`TraceContext`] names one logical request: a process-unique
-//! `trace_id`, the span it is nested under on the *sending* side
-//! (`parent_span`), and a head-sampling flag. The context rides the
-//! wire (an optional trailing block in `BIN1` frames — see
-//! `imc-serve::wire`) so every process a request passes through tags
-//! its spans with the same `trace_id`.
+//! `trace_id` and the span it is nested under on the *sending* side
+//! (`parent_span`). The context rides the wire (fixed trailing fields
+//! of `BIN1` `Infer`/`Partial` frames — see `imc-serve::wire`) so every
+//! process a request passes through tags its spans with the same
+//! `trace_id`.
 //!
 //! Each process records its view of a finished request as a
 //! [`TraceRec`] — a flat list of [`SpanRec`]s — and offers it to the
-//! global [`FlightRecorder`]. The recorder is the crash-safe "what just
-//! happened" buffer:
-//!
-//! * **Tail sampling is always on.** Failed, shed, slow (≥ 50 ms of
-//!   span wall time) and energy-outlier records are always kept.
-//!   Everything else is kept only when its context is marked sampled:
-//!   every root this process starts is, so only a peer's unsampled
-//!   context reaches the tail rules (the ring bounds memory either way).
-//! * **Bounded memory.** The ring holds the most recent
-//!   [`FlightRecorder::CAPACITY`] kept records; each kept offer pushes
-//!   under the ring's mutex and evicts the oldest once the ring is full,
-//!   so what a scrape or the exit dump reads is always the newest
-//!   records, however long since the last read.
+//! global [`FlightRecorder`], the crash-safe "what just happened"
+//! buffer: a ring of the newest [`FlightRecorder::CAPACITY`] records.
+//! Every offer is kept; once the ring is full it evicts the oldest, so
+//! what a scrape or the exit dump reads is always the newest records,
+//! however long since the last read.
 //!
 //! Records are exported as JSON over the obs HTTP endpoint
 //! (`GET /traces`) and dumped on exit by
@@ -41,9 +33,6 @@ use std::time::{SystemTime, UNIX_EPOCH};
 static ROOT_SEQ: AtomicU64 = AtomicU64::new(0);
 /// Span-id counter (process-unique, never 0).
 static SPAN_SEQ: AtomicU64 = AtomicU64::new(0);
-/// Records at least this slow (total span wall time, µs) are always
-/// kept by the recorder.
-const SLOW_US: u64 = 50_000;
 
 /// splitmix64 — the id mixer (same finalizer the serve retry jitter
 /// uses; period-free, never maps distinct inputs to equal outputs).
@@ -88,14 +77,10 @@ pub struct TraceContext {
     pub trace_id: u64,
     /// Span id of the hop this context was sent from (0 at the root).
     pub parent_span: u64,
-    /// Head-sampling flag: kept by every recorder on the path even when
-    /// nothing notable happened.
-    pub sampled: bool,
 }
 
 impl TraceContext {
-    /// Starts a new trace at this process: fresh `trace_id`, no parent,
-    /// always `sampled`.
+    /// Starts a new trace at this process: fresh `trace_id`, no parent.
     #[must_use]
     pub fn new_root() -> Self {
         let seq = ROOT_SEQ.fetch_add(1, Ordering::Relaxed);
@@ -106,18 +91,16 @@ impl TraceContext {
         Self {
             trace_id,
             parent_span: 0,
-            sampled: true,
         }
     }
 
     /// The context to send downstream from a span of this trace: same
-    /// identity and sampling, parented under `span_id`.
+    /// identity, parented under `span_id`.
     #[must_use]
     pub fn child(&self, span_id: u64) -> Self {
         Self {
             trace_id: self.trace_id,
             parent_span: span_id,
-            sampled: self.sampled,
         }
     }
 }
@@ -177,8 +160,6 @@ pub struct SpanRec {
 pub struct TraceRec {
     /// Shared identity across processes.
     pub trace_id: u64,
-    /// Head-sampling flag carried by the context.
-    pub sampled: bool,
     /// Finished spans, in recording order.
     pub spans: Vec<SpanRec>,
 }
@@ -195,56 +176,28 @@ impl TraceRec {
     pub fn energy_pj(&self) -> u64 {
         self.spans.iter().map(|s| s.energy_pj).sum()
     }
-
-    /// True when any span ended non-`Ok`.
-    #[must_use]
-    pub fn notable_status(&self) -> bool {
-        self.spans.iter().any(|s| s.status != SpanStatus::Ok)
-    }
 }
 
 /// The bounded per-process trace buffer (see module docs).
 pub struct FlightRecorder {
-    /// Kept records, newest last.
+    /// The newest records, newest last.
     ring: Mutex<VecDeque<TraceRec>>,
-    /// Kept / dropped tallies (`dropped` = failed the keep rules).
-    kept: AtomicU64,
-    dropped: AtomicU64,
-    /// Running energy stats for the outlier rule.
-    energy_sum_pj: AtomicU64,
-    energy_count: AtomicU64,
 }
 
 impl FlightRecorder {
-    /// Kept records retained (oldest evicted beyond this).
+    /// Records retained (oldest evicted beyond this).
     pub const CAPACITY: usize = 256;
 
     const fn new() -> Self {
         Self {
             ring: Mutex::new(VecDeque::new()),
-            kept: AtomicU64::new(0),
-            dropped: AtomicU64::new(0),
-            energy_sum_pj: AtomicU64::new(0),
-            energy_count: AtomicU64::new(0),
         }
     }
 
-    /// Offers a finished record. Keeps it when tail rules fire (any
-    /// non-ok span, total wall ≥ the slow threshold, energy ≥ 4× the
-    /// running mean) or the context was head-sampled; otherwise counts
-    /// a drop. A kept record is pushed under the ring lock, evicting the
+    /// Pushes a finished record under the ring lock, evicting the
     /// oldest at [`CAPACITY`](Self::CAPACITY); the evicted record is
     /// freed after the lock is released.
     pub fn offer(&self, rec: TraceRec) {
-        let energy = rec.energy_pj();
-        if energy > 0 {
-            self.energy_sum_pj.fetch_add(energy, Ordering::Relaxed);
-            self.energy_count.fetch_add(1, Ordering::Relaxed);
-        }
-        if !self.keeps(&rec, energy) {
-            self.dropped.fetch_add(1, Ordering::Relaxed);
-            return;
-        }
         let mut ring = self.lock_ring();
         let evicted = if ring.len() >= Self::CAPACITY {
             ring.pop_front()
@@ -254,7 +207,6 @@ impl FlightRecorder {
         ring.push_back(rec);
         drop(ring);
         drop(evicted);
-        self.kept.fetch_add(1, Ordering::Relaxed);
     }
 
     fn lock_ring(&self) -> std::sync::MutexGuard<'_, VecDeque<TraceRec>> {
@@ -263,26 +215,7 @@ impl FlightRecorder {
             .unwrap_or_else(std::sync::PoisonError::into_inner)
     }
 
-    fn keeps(&self, rec: &TraceRec, energy_pj: u64) -> bool {
-        if rec.sampled || rec.notable_status() {
-            return true;
-        }
-        if rec.dur_us() >= SLOW_US {
-            return true;
-        }
-        // Energy outlier: ≥ 4× the running mean, once enough records
-        // have been priced for the mean to be meaningful.
-        let n = self.energy_count.load(Ordering::Relaxed);
-        if energy_pj > 0 && n >= 16 {
-            let mean = self.energy_sum_pj.load(Ordering::Relaxed) / n;
-            if energy_pj >= mean.saturating_mul(4) {
-                return true;
-            }
-        }
-        false
-    }
-
-    /// Every kept record, oldest first.
+    /// Every record in the ring, oldest first.
     ///
     /// # Panics
     ///
@@ -290,23 +223,6 @@ impl FlightRecorder {
     #[must_use]
     pub fn snapshot(&self) -> Vec<TraceRec> {
         self.lock_ring().iter().cloned().collect()
-    }
-
-    /// Records kept so far (monotonic).
-    #[must_use]
-    pub fn kept_total(&self) -> u64 {
-        self.kept.load(Ordering::Relaxed)
-    }
-
-    /// Records dropped by the keep rules (monotonic).
-    #[must_use]
-    pub fn dropped_total(&self) -> u64 {
-        self.dropped.load(Ordering::Relaxed)
-    }
-
-    /// Empties the recorder (tests).
-    pub fn clear(&self) {
-        self.lock_ring().clear();
     }
 }
 
@@ -344,8 +260,8 @@ pub fn traces_json(recs: &[TraceRec]) -> String {
             out.push(',');
         }
         out.push_str(&format!(
-            "\n    {{\"trace_id\": {}, \"sampled\": {}, \"spans\": [",
-            rec.trace_id, rec.sampled
+            "\n    {{\"trace_id\": {}, \"spans\": [",
+            rec.trace_id
         ));
         for (j, s) in rec.spans.iter().enumerate() {
             if j > 0 {
@@ -389,17 +305,16 @@ static SERVICE: OnceLock<&'static str> = OnceLock::new();
 mod tests {
     use super::*;
 
-    fn rec(trace_id: u64, sampled: bool, status: SpanStatus, dur_us: u64, pj: u64) -> TraceRec {
+    fn rec(trace_id: u64, status: SpanStatus, pj: u64) -> TraceRec {
         TraceRec {
             trace_id,
-            sampled,
             spans: vec![SpanRec {
                 span_id: next_span_id(),
                 parent_span: 0,
                 name: "test.span",
                 service: "test",
                 start_unix_us: unix_us(),
-                dur_us,
+                dur_us: 10,
                 status,
                 energy_pj: pj,
                 detail: String::new(),
@@ -414,61 +329,24 @@ mod tests {
         assert_ne!(a.trace_id, 0);
         assert_ne!(a.trace_id, b.trace_id);
         assert_eq!(a.parent_span, 0);
-        assert!(a.sampled && b.sampled, "every root is sampled");
         let c = a.child(42);
         assert_eq!(c.trace_id, a.trace_id);
         assert_eq!(c.parent_span, 42);
-        assert_eq!(c.sampled, a.sampled);
-    }
-
-    #[test]
-    fn tail_rules_keep_notable_records_and_drop_boring_ones() {
-        let r = FlightRecorder::new();
-        // Unsampled + fast + ok → dropped.
-        r.offer(rec(1, false, SpanStatus::Ok, 10, 0));
-        // Failed → kept even unsampled.
-        r.offer(rec(2, false, SpanStatus::Failed, 10, 0));
-        // Shed → kept.
-        r.offer(rec(3, false, SpanStatus::Shed, 10, 0));
-        // Slow → kept.
-        r.offer(rec(4, false, SpanStatus::Ok, 10_000_000, 0));
-        // Sampled → kept.
-        r.offer(rec(5, true, SpanStatus::Ok, 10, 0));
-        let snap = r.snapshot();
-        let ids: Vec<u64> = snap.iter().map(|t| t.trace_id).collect();
-        assert_eq!(ids, vec![2, 3, 4, 5]);
-        assert_eq!(r.kept_total(), 4);
-        assert_eq!(r.dropped_total(), 1);
-    }
-
-    #[test]
-    fn energy_outliers_are_kept_once_the_mean_settles() {
-        let r = FlightRecorder::new();
-        for i in 0..20 {
-            r.offer(rec(100 + i, false, SpanStatus::Ok, 10, 1000));
-        }
-        // 10× the mean: kept by the outlier rule despite being fast,
-        // ok, and unsampled.
-        r.offer(rec(999, false, SpanStatus::Ok, 10, 10_000));
-        assert!(r.snapshot().iter().any(|t| t.trace_id == 999));
     }
 
     #[test]
     fn ring_is_bounded_and_evicts_oldest() {
-        // No reads in between: however many offers pile up, the ring
-        // holds exactly the newest CAPACITY and nothing kept is dropped.
+        // No reads in between: however many offers pile up, whatever
+        // their status, the ring holds exactly the newest CAPACITY.
         let r = FlightRecorder::new();
         let n = 2000;
+        let statuses = [SpanStatus::Ok, SpanStatus::Failed, SpanStatus::Shed];
         for i in 0..n {
-            r.offer(rec(i + 1, true, SpanStatus::Ok, 10, 0));
+            r.offer(rec(i + 1, statuses[(i % 3) as usize], 0));
         }
-        let snap = r.snapshot();
-        assert_eq!(snap.len(), FlightRecorder::CAPACITY);
-        assert_eq!(snap.last().expect("nonempty").trace_id, n);
+        let ids: Vec<u64> = r.snapshot().iter().map(|t| t.trace_id).collect();
         let oldest = n - FlightRecorder::CAPACITY as u64 + 1;
-        assert_eq!(snap.first().expect("nonempty").trace_id, oldest);
-        assert_eq!(r.kept_total(), n);
-        assert_eq!(r.dropped_total(), 0);
+        assert_eq!(ids, (oldest..=n).collect::<Vec<_>>());
     }
 
     #[test]
@@ -479,7 +357,7 @@ mod tests {
                 let r = std::sync::Arc::clone(&r);
                 std::thread::spawn(move || {
                     for i in 0..200u64 {
-                        r.offer(rec(t * 1000 + i + 1, true, SpanStatus::Ok, 10, 0));
+                        r.offer(rec(t * 1000 + i + 1, SpanStatus::Ok, 0));
                     }
                 })
             })
@@ -487,19 +365,21 @@ mod tests {
         for t in threads {
             t.join().expect("offer thread");
         }
-        assert_eq!(r.kept_total(), 800);
-        // Every offer was head-sampled: nothing dropped, ring keeps the
-        // last CAPACITY.
-        assert_eq!(r.dropped_total(), 0);
-        assert_eq!(r.snapshot().len(), FlightRecorder::CAPACITY);
+        // The ring keeps the last CAPACITY, each thread's in its order.
+        let ids: Vec<u64> = r.snapshot().iter().map(|t| t.trace_id).collect();
+        assert_eq!(ids.len(), FlightRecorder::CAPACITY);
+        for t in 0..4 {
+            let mine: Vec<u64> = ids.iter().copied().filter(|id| id / 1000 == t).collect();
+            assert!(mine.windows(2).all(|w| w[0] < w[1]), "thread {t}: {mine:?}");
+        }
     }
 
     #[test]
     fn json_escapes_detail_and_lists_all_spans() {
-        let mut t = rec(7, true, SpanStatus::Ok, 12, 34);
+        let mut t = rec(7, SpanStatus::Ok, 34);
         t.spans[0].detail = "say \"hi\"\n".into();
         let json = traces_json(&[t]);
-        assert!(json.contains("\"trace_id\": 7"));
+        assert!(json.contains("\"trace_id\": 7, \"spans\": ["));
         assert!(json.contains("say \\\"hi\\\"\\n"));
         assert!(json.contains("\"energy_pj\": 34"));
         assert!(json.contains("\"status\": \"ok\""));

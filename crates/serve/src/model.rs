@@ -151,9 +151,9 @@ impl ServeModel {
     /// the full network is materialized (partials need full weight
     /// planes), but the replica only owns an even contiguous chunk range
     /// per MAC layer and refuses whole-model `Infer` and out-of-range
-    /// `Partial` requests. The same even-split arithmetic runs in the
-    /// fleet router, so both sides agree on ownership without a
-    /// manifest file.
+    /// `Partial` requests. The fleet router's synthetic plan cuts with
+    /// the same [`ShardSpec::even`], so both sides agree on ownership
+    /// without a manifest file.
     ///
     /// # Errors
     ///
@@ -168,17 +168,8 @@ impl ServeModel {
             return Err(format!("shard {index}/{count} is not a valid assignment"));
         }
         let mut m = Self::synthetic(design, seed);
-        let layer_chunks = m
-            .net
-            .mac_layer_meta()
-            .iter()
-            .map(|l| [index * l.chunks / count, (index + 1) * l.chunks / count])
-            .collect();
-        m.shard = Some(ShardSpec {
-            index,
-            count,
-            layer_chunks,
-        });
+        let chunks = m.net.mac_layer_meta().into_iter().map(|l| l.chunks);
+        m.shard = Some(ShardSpec::even(chunks, index, count));
         m.digest = synthetic_digest(design, seed, Some((index, count)));
         Ok(m)
     }

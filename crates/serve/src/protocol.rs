@@ -20,7 +20,7 @@ pub struct InferRequest {
     /// Flat input features in `[0, 1]`.
     pub input: Vec<f32>,
     /// Optional distributed-tracing context. `None` (the default for
-    /// untraced clients) adds no bytes to the frame.
+    /// untraced clients) travels as zero trace fields.
     pub trace: Option<TraceContext>,
 }
 
@@ -44,7 +44,8 @@ pub struct PartialRequest {
     /// Quantized activation codes for the layer's full fan-in (each an
     /// integer-valued f32 straight out of `quantize_activations`).
     pub codes: Vec<f32>,
-    /// Optional distributed-tracing context (no bytes when `None`).
+    /// Optional distributed-tracing context (zero trace fields when
+    /// `None`).
     pub trace: Option<TraceContext>,
 }
 

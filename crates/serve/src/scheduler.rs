@@ -8,6 +8,7 @@
 //! fewest outstanding requests, ties broken by lowest index — runs it on
 //! the calling thread through the executor closure supplied at
 //! construction, and releases the bank's count before it returns. The
+//! counts are private: only the bank choice reads them. The
 //! server builds one bank and dispatches from its batcher thread, which
 //! makes that thread the server's one executor; the batch's rows fan out
 //! over the shared `par-exec` pool inside the executor.
@@ -22,40 +23,17 @@
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Arc;
 
 use crate::batcher::Pending;
 
 type Executor<R> = Box<dyn Fn(usize, Vec<Pending<R>>) + Send + Sync>;
 type OnPanic<R> = Box<dyn Fn(usize, Vec<(u64, R)>) + Send + Sync>;
 
-/// A detached, cloneable view of the scheduler's outstanding-request
-/// counters. The batcher thread owns the scheduler, so anything that
-/// needs to watch load from outside — the hot-swap drain wait, for
-/// instance — takes a probe up front via [`BankScheduler::probe`].
-#[derive(Clone)]
-pub struct LoadProbe {
-    outstanding: Arc<[AtomicUsize]>,
-}
-
-impl LoadProbe {
-    /// Requests executing across all banks, as of this instant.
-    /// Monotonicity is not guaranteed — new dispatches can race the
-    /// read — so callers treat it as a best-effort drain signal.
-    #[must_use]
-    pub fn in_flight(&self) -> usize {
-        self.outstanding
-            .iter()
-            .map(|b| b.load(Ordering::Acquire))
-            .sum()
-    }
-}
-
 /// Runs batches on the dispatching thread, each labelled with the
 /// least-loaded bank.
 pub struct BankScheduler<R> {
-    /// Requests executing per bank; shared with every [`LoadProbe`].
-    outstanding: Arc<[AtomicUsize]>,
+    /// Requests executing per bank.
+    outstanding: Box<[AtomicUsize]>,
     executor: Executor<R>,
     on_panic: OnPanic<R>,
 }
@@ -110,17 +88,6 @@ impl<R: Clone + Send + 'static> BankScheduler<R> {
         bank
     }
 
-    /// A detached [`LoadProbe`] over this scheduler's outstanding
-    /// counters, valid (and cheap to clone) for as long as anyone holds
-    /// it — including after the scheduler value itself has moved into
-    /// the batcher thread.
-    #[must_use]
-    pub fn probe(&self) -> LoadProbe {
-        LoadProbe {
-            outstanding: Arc::clone(&self.outstanding),
-        }
-    }
-
     /// Ends the scheduler. Every dispatched batch has already run to
     /// completion inside [`dispatch`](Self::dispatch), so there is
     /// nothing left to drain.
@@ -131,7 +98,7 @@ impl<R: Clone + Send + 'static> BankScheduler<R> {
 mod tests {
     use super::*;
     use std::sync::atomic::AtomicU64;
-    use std::sync::{mpsc, Barrier, Mutex};
+    use std::sync::{mpsc, Arc, Barrier, Mutex};
     use std::time::Instant;
 
     fn batch(ids: &[u64]) -> Vec<Pending<u64>> {
@@ -189,7 +156,7 @@ mod tests {
     }
 
     #[test]
-    fn concurrent_batches_take_the_least_loaded_banks_and_the_probe_sees_them() {
+    fn concurrent_batches_take_the_least_loaded_banks() {
         // Each executor reports its start, then waits at the barrier with
         // the test thread, so all three batches are in flight at once.
         let hold = Arc::new(Barrier::new(4));
@@ -204,9 +171,6 @@ mod tests {
             },
             |_bank, _routes| {},
         );
-        // Taken before the scheduler is shared with the dispatching
-        // threads, as the server takes one before its batcher owns it.
-        let probe = sched.probe();
         std::thread::scope(|s| {
             // Dispatched one after another, each held once started: 3
             // requests hold bank 0, so [4] takes bank 1; with both banks
@@ -217,16 +181,10 @@ mod tests {
                 started_rx.recv().unwrap();
                 h
             });
-            // Read before the release and asserted after it, so a wrong
-            // count fails the test instead of stranding the executors.
-            let in_flight = probe.in_flight();
             hold.wait();
-            assert_eq!(in_flight, 5);
             assert_eq!(held.map(|h| h.join().unwrap()), [0, 1, 1]);
         });
-        assert_eq!(probe.in_flight(), 0);
         sched.shutdown();
-        assert_eq!(probe.in_flight(), 0, "the probe outlives the scheduler");
     }
 
     #[test]
@@ -247,14 +205,12 @@ mod tests {
                 f.lock().unwrap().extend(routes.iter().map(|(id, _)| *id));
             },
         );
-        let probe = sched.probe();
         sched.dispatch(batch(&[1, 2]));
         // Panicked batches release their outstanding counts before
         // dispatch returns, or least-loaded dispatch would shun bank 0
         // for good: every batch here lands on it.
         for _ in 0..3 {
             assert_eq!(sched.dispatch(batch(&[666, 3])), 0);
-            assert_eq!(probe.in_flight(), 0);
         }
         assert_eq!(
             sched.dispatch(batch(&[4, 5])),

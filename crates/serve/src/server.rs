@@ -19,6 +19,9 @@
 //!   through [`BankScheduler::dispatch`], fanning the rows out over the
 //!   shared `par_exec` pool (one noise-isolated stream per sample), and
 //!   writes responses back through each request's connection handle.
+//! * A hot swap loads the new image on the requesting thread and flips
+//!   the model slot at once; a batch already running finishes on the
+//!   image it snapshotted, and that image is freed with the batch.
 //!
 //! Shutdown (control request, [`ServerHandle::join`], or SIGINT/SIGTERM
 //! noticed by [`ShutdownFlag::park`]): the trigger wakes the door's blocked
@@ -42,7 +45,7 @@ use crate::model::ServeModel;
 use crate::protocol::{
     FailedReply, InferReply, PartialSumReply, Request, Response, ShedReply, SwapDoneReply,
 };
-use crate::scheduler::{BankScheduler, LoadProbe};
+use crate::scheduler::BankScheduler;
 use crate::shutdown::ShutdownFlag;
 
 /// Serving configuration.
@@ -115,9 +118,6 @@ impl ModelSlot {
 /// share; the door's frame handler.
 pub(crate) struct Shared {
     slot: Arc<ModelSlot>,
-    /// The scheduler's outstanding counter, for the swap path's
-    /// best-effort drain wait.
-    probe: LoadProbe,
     queue: Arc<AdmissionQueue<Reply>>,
     metrics: Arc<Metrics>,
     /// Trips the drain; triggering it also wakes the door's accept.
@@ -167,10 +167,10 @@ impl ServerHandle {
     }
 
     /// Hot-swaps the serving model to the chip image at `path` without
-    /// stopping the server: load and prepack happen on this thread, the
-    /// in-flight batches get a best-effort drain wait, and the flip
-    /// itself is a write-locked pointer swap (its hold time is the
-    /// returned `pause_us`). The same operation is reachable over the
+    /// stopping the server: load and prepack happen on this thread, and
+    /// the flip itself is a write-locked pointer swap (its hold time is
+    /// the returned `pause_us`); batches already running finish on the
+    /// old image. The same operation is reachable over the
     /// wire via [`Request::SwapImage`].
     ///
     /// # Errors
@@ -268,7 +268,6 @@ pub fn serve<A: ToSocketAddrs>(
     };
     let shared = Arc::new(Shared {
         slot,
-        probe: scheduler.probe(),
         queue: Arc::clone(&queue),
         metrics: Arc::clone(&metrics),
         shutdown: ShutdownFlag::new(door.waker()),
@@ -432,15 +431,6 @@ impl FrameHandler for Shared {
     }
 }
 
-/// Longest the swap path waits for in-flight batches to drain before
-/// flipping anyway. The wait is a residency bound, not a correctness
-/// gate — every batch snapshots its model once, so batches that outlive
-/// the wait simply finish on the old image.
-const SWAP_DRAIN_WAIT: Duration = Duration::from_secs(5);
-
-/// Poll interval of the swap drain wait.
-const SWAP_DRAIN_POLL: Duration = Duration::from_millis(1);
-
 /// The hot-swap sequence, shared by [`Request::SwapImage`] and
 /// [`ServerHandle::swap_model`]:
 ///
@@ -449,14 +439,14 @@ const SWAP_DRAIN_POLL: Duration = Duration::from_millis(1);
 /// 2. **Validate** — the new image must keep the input/output shape and
 ///    shard cut (clients validated against the old shape must stay
 ///    well-formed); any failure returns `Err` with nothing changed.
-/// 3. **Drain, best-effort** — wait up to [`SWAP_DRAIN_WAIT`] for the
-///    executor to go idle, bounding how long the old image lingers.
-/// 4. **Flip** — swap the `Arc` under the write lock; the hold time is
+/// 3. **Flip** — swap the `Arc` under the write lock; the hold time is
 ///    the reported `pause_us`. Prepacked weight planes ride inside the
 ///    `ServeModel`, so stale plane caches are impossible by construction.
-/// 5. **Announce** — bump `serve.swaps_total` / `serve.image_version`,
+///    A batch already running holds its own `Arc` of the old image,
+///    which is freed when that batch drops it.
+/// 4. **Announce** — bump `serve.swaps_total` / `serve.image_version`,
 ///    retarget the energy gauge, and offer a `serve.swap` span to the
-///    flight recorder (force-sampled: swaps are always notable).
+///    flight recorder.
 fn do_swap(shared: &Shared, path: &str) -> Result<SwapDoneReply, String> {
     let metrics = &shared.metrics;
     let t_all = Instant::now();
@@ -477,11 +467,6 @@ fn do_swap(shared: &Shared, path: &str) -> Result<SwapDoneReply, String> {
         return Err(format!(
             "swap {path}: shard cut mismatch — serving {old_cut:?}, image is {new_cut:?}"
         ));
-    }
-
-    let drain_deadline = Instant::now() + SWAP_DRAIN_WAIT;
-    while shared.probe.in_flight() > 0 && Instant::now() < drain_deadline {
-        std::thread::sleep(SWAP_DRAIN_POLL);
     }
 
     let new_model = Arc::new(new_model);
@@ -505,7 +490,6 @@ fn do_swap(shared: &Shared, path: &str) -> Result<SwapDoneReply, String> {
     let total_us = t_all.elapsed().as_micros() as u64;
     imc_obs::recorder().offer(imc_obs::TraceRec {
         trace_id: imc_obs::next_span_id(),
-        sampled: true, // a swap is always worth keeping
         spans: vec![imc_obs::SpanRec {
             span_id: imc_obs::next_span_id(),
             parent_span: 0,
@@ -556,7 +540,6 @@ fn offer_trace(
 ) {
     imc_obs::recorder().offer(imc_obs::TraceRec {
         trace_id: ctx.trace_id,
-        sampled: ctx.sampled,
         spans: vec![imc_obs::SpanRec {
             span_id: imc_obs::next_span_id(),
             parent_span: ctx.parent_span,
@@ -661,7 +644,6 @@ fn execute_batch(
             let start = imc_obs::unix_us().saturating_sub(total_us);
             imc_obs::recorder().offer(imc_obs::TraceRec {
                 trace_id: ctx.trace_id,
-                sampled: ctx.sampled,
                 spans: vec![
                     imc_obs::SpanRec {
                         span_id: root,

@@ -10,7 +10,7 @@
 //! A client opens its connection with a 5-byte hello:
 //!
 //! ```text
-//! 'B' 'I' 'N' '1'  version(2)
+//! 'B' 'I' 'N' '1'  version(3)
 //! ```
 //!
 //! The server echoes the same 5 bytes to accept, or answers `BIN1` +
@@ -18,22 +18,6 @@
 //! [`VERSION`], or bytes that are not the magic at all. A server at its
 //! connection cap reads nothing: it writes one `Busy` frame and closes,
 //! and [`client_handshake`] reports that as `ConnectionRefused`.
-//!
-//! # Trace context (version 2)
-//!
-//! Version 2 adds an *optional* trailing trace-context block to
-//! `Infer`/`Partial` requests and `Output` responses:
-//!
-//! ```text
-//! 0xC7  trace_id: u64 LE  parent_span: u64 LE  flags: u8
-//! ```
-//!
-//! Exactly [`CTX_BLOCK_LEN`] bytes, appended after the body when the
-//! message carries a trace (`flags` bit 0 = head-sampled). Decoders of
-//! *every* kind tolerate the block — if exactly 18 bytes remain after
-//! the positional fields and the first is `0xC7` they are consumed —
-//! so a context-bearing frame is never a [`WireError`] to a decoder
-//! that does not use it.
 //!
 //! # Frames
 //!
@@ -53,9 +37,18 @@
 //! `n: u32`, `n` f32 logits. Strings (shed/error reasons) are
 //! `u32` length + UTF-8. Unit variants are a bare kind byte.
 //!
-//! Decoders are strict: a frame must consume its body exactly, unknown
-//! kinds and malformed bodies are typed [`WireError`]s, and the
-//! [`MAX_FRAME_BYTES`] cap applies before any allocation.
+//! Trace fields close three kinds: `Infer` and `Partial` bodies end
+//! with `trace_id: u64, parent_span: u64`, and `Output` with
+//! `trace_id: u64`. A zero `trace_id` means untraced. They follow the
+//! payload, so every other field has one offset whether or not the
+//! frame is traced.
+//!
+//! Decoders are strict and positional: each kind has one layout, a
+//! frame must consume its body exactly, unknown kinds and malformed
+//! bodies (a `parent_span` without a `trace_id` among them) are typed
+//! [`WireError`]s, and the [`MAX_FRAME_BYTES`] cap applies before any
+//! allocation. So every body a decoder accepts re-encodes to the same
+//! bytes.
 //!
 //! # Allocation discipline
 //!
@@ -79,17 +72,10 @@ use crate::protocol::{
 /// The 4-byte connection magic a binary client leads with.
 pub const MAGIC: [u8; 4] = *b"BIN1";
 
-/// The protocol version, sent (and echoed) after [`MAGIC`]. Version 2
-/// added the optional trailing trace-context block; it is the only
-/// version peers accept.
-pub const VERSION: u8 = 2;
-
-/// Marker byte opening the optional trace-context block.
-pub const CTX_MARKER: u8 = 0xC7;
-
-/// Exact size of the trace-context block: marker + trace_id +
-/// parent_span + flags.
-pub const CTX_BLOCK_LEN: usize = 1 + 8 + 8 + 1;
+/// The protocol version, sent (and echoed) after [`MAGIC`]. Version 3
+/// gave `Infer`, `Partial` and `Output` their fixed trailing trace
+/// fields; it is the only version peers accept.
+pub const VERSION: u8 = 3;
 
 /// Which wire encoding a connection speaks. `BIN1` is the only one;
 /// the enum stays so code that names `ClientConfig { proto, .. }` keeps
@@ -201,12 +187,11 @@ fn put_str(buf: &mut Vec<u8>, s: &str) {
     buf.extend_from_slice(s.as_bytes());
 }
 
-/// Appends the optional trace-context block (see module docs).
-fn put_ctx(buf: &mut Vec<u8>, trace_id: u64, parent_span: u64, sampled: bool) {
-    buf.push(CTX_MARKER);
+/// Appends a request's trace fields, zeros when untraced.
+fn put_ctx(buf: &mut Vec<u8>, ctx: Option<&TraceContext>) {
+    let (trace_id, parent_span) = ctx.map_or((0, 0), |t| (t.trace_id, t.parent_span));
     put_u64(buf, trace_id);
     put_u64(buf, parent_span);
-    buf.push(u8::from(sampled));
 }
 
 /// Finalizes a frame in `buf`: patches the length prefix reserved by
@@ -232,9 +217,7 @@ pub fn encode_request(req: &Request, buf: &mut Vec<u8>) {
             begin_frame(buf, K_INFER);
             put_u64(buf, r.id);
             put_f32s(buf, &r.input);
-            if let Some(t) = &r.trace {
-                put_ctx(buf, t.trace_id, t.parent_span, t.sampled);
-            }
+            put_ctx(buf, r.trace.as_ref());
         }
         Request::Ping => begin_frame(buf, K_PING),
         Request::Shutdown => begin_frame(buf, K_SHUTDOWN),
@@ -245,9 +228,7 @@ pub fn encode_request(req: &Request, buf: &mut Vec<u8>) {
             put_usize(buf, r.chunk_lo);
             put_usize(buf, r.chunk_hi);
             put_f32s(buf, &r.codes);
-            if let Some(t) = &r.trace {
-                put_ctx(buf, t.trace_id, t.parent_span, t.sampled);
-            }
+            put_ctx(buf, r.trace.as_ref());
         }
         Request::Describe => begin_frame(buf, K_DESCRIBE),
         Request::SwapImage(r) => {
@@ -271,9 +252,7 @@ pub fn encode_response(resp: &Response, buf: &mut Vec<u8>) {
             put_u64(buf, r.queue_us);
             put_u64(buf, r.service_us);
             put_f32s(buf, &r.logits);
-            if r.trace_id != 0 {
-                put_ctx(buf, r.trace_id, 0, false);
-            }
+            put_u64(buf, r.trace_id);
         }
         Response::Shed(r) => {
             begin_frame(buf, K_SHED);
@@ -387,25 +366,17 @@ impl<'a> Cursor<'a> {
         String::from_utf8(bytes.to_vec()).map_err(|_| WireError::Malformed("string is not UTF-8"))
     }
 
-    /// Consumes the optional trailing trace-context block if — and
-    /// only if — exactly [`CTX_BLOCK_LEN`] bytes remain and they open
-    /// with [`CTX_MARKER`]. Anything else leaves the cursor untouched,
-    /// so [`finish`](Cursor::finish) still rejects genuine trailing
-    /// garbage. Returns `None` when no block is present.
-    fn maybe_ctx(&mut self) -> Option<TraceContext> {
-        let rest = &self.b[self.pos..];
-        if rest.len() != CTX_BLOCK_LEN || rest[0] != CTX_MARKER {
-            return None;
+    /// Reads a request's trace fields: `None` for a zero `trace_id`.
+    fn ctx(&mut self) -> Result<Option<TraceContext>, WireError> {
+        let (trace_id, parent_span) = (self.u64()?, self.u64()?);
+        match (trace_id, parent_span) {
+            (0, 0) => Ok(None),
+            (0, _) => Err(WireError::Malformed("parent span without a trace id")),
+            _ => Ok(Some(TraceContext {
+                trace_id,
+                parent_span,
+            })),
         }
-        let trace_id = u64::from_le_bytes(rest[1..9].try_into().unwrap());
-        let parent_span = u64::from_le_bytes(rest[9..17].try_into().unwrap());
-        let sampled = rest[17] & 1 != 0;
-        self.pos = self.b.len();
-        Some(TraceContext {
-            trace_id,
-            parent_span,
-            sampled,
-        })
     }
 
     /// The body must be fully consumed — trailing bytes mean a framing
@@ -430,7 +401,7 @@ pub fn decode_request(body: &[u8]) -> Result<Request, WireError> {
         K_INFER => Request::Infer(InferRequest {
             id: c.u64()?,
             input: c.f32s()?,
-            trace: c.maybe_ctx(),
+            trace: c.ctx()?,
         }),
         K_PING => Request::Ping,
         K_SHUTDOWN => Request::Shutdown,
@@ -440,16 +411,12 @@ pub fn decode_request(body: &[u8]) -> Result<Request, WireError> {
             chunk_lo: c.usize()?,
             chunk_hi: c.usize()?,
             codes: c.f32s()?,
-            trace: c.maybe_ctx(),
+            trace: c.ctx()?,
         }),
         K_DESCRIBE => Request::Describe,
         K_SWAP => Request::SwapImage(SwapRequest { path: c.string()? }),
         k => return Err(WireError::UnknownKind(k)),
     };
-    // Tolerate (and discard) a trace-context block on kinds that do not
-    // carry one in their struct — a newer peer's frame must decode, not
-    // error, here.
-    let _ = c.maybe_ctx();
     c.finish()?;
     Ok(req)
 }
@@ -462,22 +429,16 @@ pub fn decode_request(body: &[u8]) -> Result<Request, WireError> {
 pub fn decode_response(body: &[u8]) -> Result<Response, WireError> {
     let mut c = Cursor::new(body);
     let resp = match c.u8()? {
-        K_OUTPUT => {
-            let mut r = InferReply {
-                id: c.u64()?,
-                class: c.u32()? as usize,
-                bank: c.u32()? as usize,
-                batch: c.u32()? as usize,
-                queue_us: c.u64()?,
-                service_us: c.u64()?,
-                logits: c.f32s()?,
-                trace_id: 0,
-            };
-            if let Some(t) = c.maybe_ctx() {
-                r.trace_id = t.trace_id;
-            }
-            Response::Output(r)
-        }
+        K_OUTPUT => Response::Output(InferReply {
+            id: c.u64()?,
+            class: c.u32()? as usize,
+            bank: c.u32()? as usize,
+            batch: c.u32()? as usize,
+            queue_us: c.u64()?,
+            service_us: c.u64()?,
+            logits: c.f32s()?,
+            trace_id: c.u64()?,
+        }),
         K_SHED => Response::Shed(ShedReply {
             id: c.u64()?,
             reason: c.string()?,
@@ -512,8 +473,6 @@ pub fn decode_response(body: &[u8]) -> Result<Response, WireError> {
         }),
         k => return Err(WireError::UnknownKind(k)),
     };
-    // As for requests: a context block on any kind is tolerated.
-    let _ = c.maybe_ctx();
     c.finish()?;
     Ok(resp)
 }
@@ -670,7 +629,6 @@ mod tests {
                 trace: Some(TraceContext {
                     trace_id: 0xDEAD_BEEF_1234,
                     parent_span: 42,
-                    sampled: true,
                 }),
             }),
             Request::Ping,
@@ -692,7 +650,6 @@ mod tests {
                 trace: Some(TraceContext {
                     trace_id: 7,
                     parent_span: 0,
-                    sampled: false,
                 }),
             }),
             Request::Describe,
@@ -784,24 +741,25 @@ mod tests {
 
     #[test]
     fn truncated_bodies_are_typed_errors() {
-        let mut buf = Vec::new();
-        for resp in &sample_responses() {
-            encode_response(resp, &mut buf);
-            let body = &buf[4..];
-            let traced = matches!(resp, Response::Output(r) if r.trace_id != 0);
+        fn every_cut_fails<T: std::fmt::Debug>(
+            body: &[u8],
+            decode: fn(&[u8]) -> Result<T, WireError>,
+        ) {
             for cut in 0..body.len() {
-                match decode_response(&body[..cut]) {
-                    Err(WireError::Truncated) | Err(WireError::Malformed(_)) => {}
-                    // Cutting exactly the optional trace block yields
-                    // the valid *untraced* form of the same frame —
-                    // that is the compatibility contract, not a bug.
-                    Ok(Response::Output(v)) if traced && cut + CTX_BLOCK_LEN == body.len() => {
-                        assert_eq!(v.trace_id, 0);
-                    }
-                    Ok(v) => panic!("cut {cut} of {resp:?} decoded as {v:?}"),
-                    Err(e) => panic!("cut {cut} of {resp:?}: unexpected {e:?}"),
+                match decode(&body[..cut]) {
+                    Err(WireError::Truncated | WireError::Malformed(_)) => {}
+                    other => panic!("cut {cut} of {body:02x?}: {other:?}"),
                 }
             }
+        }
+        let mut buf = Vec::new();
+        for req in &sample_requests() {
+            encode_request(req, &mut buf);
+            every_cut_fails(&buf[4..], decode_request);
+        }
+        for resp in &sample_responses() {
+            encode_response(resp, &mut buf);
+            every_cut_fails(&buf[4..], decode_response);
         }
     }
 
@@ -979,36 +937,5 @@ mod tests {
             pos: 0,
         };
         assert_eq!(client_handshake(&mut peer).unwrap(), VERSION);
-    }
-
-    #[test]
-    fn trace_context_block_round_trips_and_is_tolerated() {
-        // Traced Infer/Partial/Output round trips are covered by the
-        // samples; here: a context block appended to kinds that do not
-        // carry one must decode cleanly (never a WireError).
-        let mut ctx_block = vec![CTX_MARKER];
-        ctx_block.extend_from_slice(&99u64.to_le_bytes());
-        ctx_block.extend_from_slice(&0u64.to_le_bytes());
-        ctx_block.push(1);
-        assert_eq!(ctx_block.len(), CTX_BLOCK_LEN);
-
-        let mut buf = Vec::new();
-        encode_request(&Request::Ping, &mut buf);
-        let mut body = buf[4..].to_vec();
-        body.extend_from_slice(&ctx_block);
-        assert_eq!(decode_request(&body), Ok(Request::Ping));
-
-        encode_response(&Response::Pong, &mut buf);
-        let mut body = buf[4..].to_vec();
-        body.extend_from_slice(&ctx_block);
-        assert_eq!(decode_response(&body), Ok(Response::Pong));
-
-        // A *partial* block is still trailing garbage, typed as such.
-        let mut body = buf[4..].to_vec();
-        body.extend_from_slice(&[CTX_MARKER, 1, 2, 3]);
-        assert!(matches!(
-            decode_response(&body),
-            Err(WireError::Malformed(_))
-        ));
     }
 }

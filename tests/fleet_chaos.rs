@@ -6,10 +6,14 @@
 //!
 //! The same binaries also pin the signal stop path: SIGTERM must end
 //! `imc-serve` and `imc-fleet` within a second, their blocked accepts
-//! woken from `ShutdownFlag::park`, even a router out of descriptors.
+//! woken from `ShutdownFlag::park`, even a router out of descriptors;
+//! and a router whose `--obs-addr` cannot bind must exit with a failure.
 //!
-//! The tests skip (with a note) when the binaries have not been built;
-//! `cargo test --workspace` builds them.
+//! The tests drive the binaries in `target/debug` (else
+//! `target/release`) and skip (with a note) when they have not been
+//! built; `cargo build --workspace --bins` builds them. `cargo test
+//! --workspace` rebuilds `imc-serve` but not `imc-fleet`, whose crate
+//! has no integration tests.
 
 use std::io::{BufRead, BufReader, Read};
 use std::net::TcpStream;
@@ -228,28 +232,57 @@ fn sigkill_shard_replica_mid_load_keeps_partial_sums_bit_exact() {
     }
 }
 
+/// Waits up to `limit` for `child` to exit; SIGKILLs it and returns
+/// `None` if it is still running then.
+#[cfg(unix)]
+fn exit_within(mut child: Child, limit: Duration) -> Option<std::process::ExitStatus> {
+    let pid = child.id().to_string();
+    let (done_tx, done_rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || done_tx.send(child.wait()));
+    match done_rx.recv_timeout(limit) {
+        Ok(status) => Some(status.expect("wait")),
+        Err(_) => {
+            let _ = Command::new("kill").args(["-KILL", &pid]).status();
+            None
+        }
+    }
+}
+
 /// Sends SIGTERM and fails unless the process exits cleanly within a
 /// second (SIGKILLed if it does not).
 #[cfg(unix)]
-fn sigterm_ends_within_a_second(mut child: Child, what: &str) {
+fn sigterm_ends_within_a_second(child: Child, what: &str) {
     let pid = child.id().to_string();
-    let signal = |sig: &str| Command::new("kill").args([sig, &pid]).status();
-    assert!(
-        signal("-TERM").expect("run kill").success(),
-        "kill -TERM {what}"
-    );
-    let (done_tx, done_rx) = std::sync::mpsc::channel();
-    std::thread::spawn(move || done_tx.send(child.wait()));
-    match done_rx.recv_timeout(Duration::from_secs(1)) {
-        Ok(status) => {
-            let status = status.expect("wait");
-            assert!(status.success(), "{what} exited with {status}");
-        }
-        Err(_) => {
-            let _ = signal("-KILL");
-            panic!("{what} still running 1 s after SIGTERM");
-        }
-    }
+    let term = Command::new("kill").args(["-TERM", &pid]).status();
+    assert!(term.expect("run kill").success(), "kill -TERM {what}");
+    let status = exit_within(child, Duration::from_secs(1))
+        .unwrap_or_else(|| panic!("{what} still running 1 s after SIGTERM"));
+    assert!(status.success(), "{what} exited with {status}");
+}
+
+/// An `--obs-addr` that cannot bind ends `imc-fleet` with a failure, as
+/// it ends `imc-serve` and `loadgen`, instead of leaving a router that
+/// serves without its metrics endpoint.
+#[cfg(unix)]
+#[test]
+fn imc_fleet_exits_non_zero_when_its_obs_addr_cannot_bind() {
+    let Some(fleet) = find_bin("imc-fleet") else {
+        eprintln!("skipping: imc-fleet binary not built (cargo build --bins)");
+        return;
+    };
+    let held = std::net::TcpListener::bind("127.0.0.1:0").expect("hold a port");
+    let obs = held.local_addr().expect("held port").to_string();
+    let args = ["--listen", "127.0.0.1:0", "--replica", "127.0.0.1:1"];
+    let router = Command::new(fleet)
+        .args(args)
+        .args(["--obs-addr", &obs])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("spawn imc-fleet");
+    let status = exit_within(router, Duration::from_secs(5))
+        .expect("imc-fleet still running 5 s after its obs bind failed");
+    assert!(!status.success(), "imc-fleet exited with {status}");
 }
 
 #[cfg(unix)]

@@ -417,11 +417,10 @@ fn traced_request_stitches_across_router_and_both_shards() {
 
     let mut client = Client::connect_with(router.addr(), ClientConfig::default()).expect("connect");
 
-    // A known root context; sampled so head sampling can't drop it.
+    // A known root context.
     let ctx = imc_obs::TraceContext {
         trace_id: imc_obs::next_span_id(),
         parent_span: 0,
-        sampled: true,
     };
     let input = test_input(1);
     match client

@@ -239,7 +239,7 @@ fn hot_swap_under_load_is_atomic_and_scrape_safe() {
     let traces = http_get(&obs_addr, "/traces").expect("final trace scrape");
     assert!(
         traces.contains("serve.swap"),
-        "the swap span is force-sampled into /traces"
+        "the swap span reaches /traces"
     );
 
     // Rejected swaps leave the current image serving: a missing file...

@@ -1,8 +1,8 @@
 //! Tracing-overhead gate: closed-loop `BIN1` single-node serving with
-//! every request carrying a trace context (recorder at default sampling)
-//! must stay within 5% of the same serving untraced, on one server in
-//! one process. Traced answers must also bit-match the oracle and echo
-//! their request's trace id.
+//! every request carrying a trace context (each answer's record offered
+//! to the flight recorder) must stay within 5% of the same serving
+//! untraced, on one server in one process. Traced answers must also
+//! bit-match the oracle and echo their request's trace id.
 //!
 //! Timing in a debug build measures the debug build, so the gate only
 //! runs in release:
@@ -102,7 +102,7 @@ fn traced_bin1_serving_stays_within_five_percent_of_untraced() {
     let overhead = 1.0 - untraced.as_secs_f64() / traced.as_secs_f64();
     println!(
         "trace overhead {:+.2}%: median {traced:?} traced vs {untraced:?} untraced \
-         ({REQUESTS} requests per mode, {} trace records kept)",
+         ({REQUESTS} requests per mode, {} trace records in the ring)",
         overhead * 100.0,
         imc_obs::recorder().snapshot().len(),
     );
