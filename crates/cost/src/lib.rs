@@ -9,7 +9,7 @@
 //! * [`calibrate`] — fixtures pinning the closed forms to
 //!   `analog-sim` transient measurements within stated tolerances.
 //! * [`inference`] — price one forward pass of a set of MAC layer
-//!   shapes (the quantity `imc-serve` meters and `imc-fleet` budgets).
+//!   shapes (the quantity `imc-serve` and `imc-fleet` meter).
 //! * [`dse`] — sweep geometry × ADC resolution × variant and rank.
 //!
 //! The `imc-cost` binary exposes `dse`, `estimate`, and `calibrate`

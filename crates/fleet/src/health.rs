@@ -65,7 +65,8 @@ pub enum FleetError {
         /// Shard count the replica reported (0 = whole model).
         got_count: usize,
     },
-    /// The replica serves a model of a different shape.
+    /// The replica serves a model of a different shape, or names a
+    /// shard outside its own cut.
     ShapeMismatch {
         /// Replica address.
         addr: String,
@@ -93,17 +94,6 @@ pub enum FleetError {
         attempts: u32,
         /// Last underlying error, as text.
         last: String,
-    },
-    /// The router's per-window analytical energy budget is spent; the
-    /// request was shed without touching a replica. Integer picojoules
-    /// keep the error `Eq`-comparable.
-    EnergyExhausted {
-        /// Energy already charged this window (pJ).
-        spent_pj: u64,
-        /// The configured window budget (pJ).
-        budget_pj: u64,
-        /// The accounting window length (ms).
-        window_ms: u64,
     },
 }
 
@@ -146,15 +136,6 @@ impl fmt::Display for FleetError {
                 f,
                 "shard {shard}: every replica failed after {attempts} attempts (last: {last})"
             ),
-            Self::EnergyExhausted {
-                spent_pj,
-                budget_pj,
-                window_ms,
-            } => write!(
-                f,
-                "fleet energy budget exhausted: {spent_pj} pJ of {budget_pj} pJ \
-                 already spent in the current {window_ms} ms window"
-            ),
         }
     }
 }
@@ -168,13 +149,8 @@ pub struct Replica {
     pub addr: String,
     /// Shard it serves (`usize::MAX` until admitted).
     pub shard: usize,
-    /// Index into the plan's `variants` when the replica was admitted
-    /// by a variant digest; `None` in single-variant fleets.
-    pub variant: Option<usize>,
     /// Current health state.
     pub state: ReplicaState,
-    /// Consecutive I/O failures since the last success.
-    pub fails: u32,
 }
 
 /// The router's shared replica scoreboard.
@@ -211,31 +187,25 @@ impl HealthBoard {
         addr: &str,
         d: &DescribeReply,
     ) -> Result<usize, FleetError> {
-        let verdict = Self::check(plan, addr, d);
-        match verdict {
-            Ok((shard, variant)) => {
-                let idx = self.upsert(addr, shard, variant, ReplicaState::Healthy);
-                Ok(self.replicas[idx].shard)
+        match Self::check(plan, addr, d) {
+            Ok(shard) => {
+                self.upsert(addr, shard, ReplicaState::Healthy);
+                Ok(shard)
             }
             Err(e) => {
-                self.upsert(addr, usize::MAX, None, ReplicaState::Quarantined);
+                self.upsert(addr, usize::MAX, ReplicaState::Quarantined);
                 Err(e)
             }
         }
     }
 
-    /// Pure admission check (no board mutation): which shard — and, in
-    /// a variant-aware fleet, which [`crate::topology::VariantSlot`] —
-    /// would this `Describe` reply be admitted to?
+    /// Pure admission check (no board mutation): which shard would this
+    /// `Describe` reply be admitted to?
     ///
     /// # Errors
     ///
     /// Same correctness errors as [`HealthBoard::admit`].
-    pub fn check(
-        plan: &FleetPlan,
-        addr: &str,
-        d: &DescribeReply,
-    ) -> Result<(usize, Option<usize>), FleetError> {
+    pub fn check(plan: &FleetPlan, addr: &str, d: &DescribeReply) -> Result<usize, FleetError> {
         if d.features != plan.features || d.classes != plan.classes {
             return Err(FleetError::ShapeMismatch {
                 addr: addr.to_owned(),
@@ -254,23 +224,6 @@ impl HealthBoard {
                     got_count: d.shard_count,
                 });
             }
-            // A variant-aware plan admits any flavor's digest and tags
-            // the replica so energy-aware routing can tell them apart.
-            if !plan.variants.is_empty() {
-                return match plan
-                    .variants
-                    .iter()
-                    .position(|v| v.expect_digest == d.digest)
-                {
-                    Some(vi) => Ok((0, Some(vi))),
-                    None => Err(FleetError::StaleImage {
-                        addr: addr.to_owned(),
-                        shard: 0,
-                        expect: plan.base_digest,
-                        got: d.digest,
-                    }),
-                };
-            }
             (0, plan.base_digest)
         } else {
             if d.shard_count != plan.shard_count() {
@@ -280,7 +233,12 @@ impl HealthBoard {
                     got_count: d.shard_count,
                 });
             }
-            let slot = &plan.shards[d.shard_index];
+            let Some(slot) = plan.shards.get(d.shard_index) else {
+                return Err(FleetError::ShapeMismatch {
+                    addr: addr.to_owned(),
+                    what: format!("claims shard {} of {}", d.shard_index, d.shard_count),
+                });
+            };
             (d.shard_index, slot.expect_digest)
         };
         // Digest 0 means "unverifiable" (checkpoint-backed model): the
@@ -294,38 +252,26 @@ impl HealthBoard {
                 got: d.digest,
             });
         }
-        Ok((shard, None))
+        Ok(shard)
     }
 
     /// Records a replica that never answered `Describe` during
     /// admission: tracked as `Suspect` with no shard assignment, so it
     /// shows on the board but is never picked.
     pub fn note_unreachable(&mut self, addr: &str) {
-        self.upsert(addr, usize::MAX, None, ReplicaState::Suspect);
+        self.upsert(addr, usize::MAX, ReplicaState::Suspect);
     }
 
-    fn upsert(
-        &mut self,
-        addr: &str,
-        shard: usize,
-        variant: Option<usize>,
-        state: ReplicaState,
-    ) -> usize {
-        if let Some(i) = self.replicas.iter().position(|r| r.addr == addr) {
-            self.replicas[i].shard = shard;
-            self.replicas[i].variant = variant;
-            self.replicas[i].state = state;
-            self.replicas[i].fails = 0;
-            i
+    fn upsert(&mut self, addr: &str, shard: usize, state: ReplicaState) {
+        if let Some(r) = self.replicas.iter_mut().find(|r| r.addr == addr) {
+            r.shard = shard;
+            r.state = state;
         } else {
             self.replicas.push(Replica {
                 addr: addr.to_owned(),
                 shard,
-                variant,
                 state,
-                fails: 0,
             });
-            self.replicas.len() - 1
         }
     }
 
@@ -335,35 +281,6 @@ impl HealthBoard {
     /// request. Quarantined replicas are never returned.
     #[must_use]
     pub fn pick(&mut self, shard: usize, excluding: &[usize]) -> Option<usize> {
-        self.pick_where(shard, excluding, None)
-    }
-
-    /// Like [`HealthBoard::pick`], but walks `order` (variant indices,
-    /// cheapest first) and exhausts one variant's replicas before
-    /// considering the next — the energy-aware routing rule. Untagged
-    /// replicas are a final fallback, so a mixed board still serves.
-    #[must_use]
-    pub fn pick_preferring(
-        &mut self,
-        shard: usize,
-        excluding: &[usize],
-        order: &[usize],
-    ) -> Option<usize> {
-        for &v in order {
-            if let Some(i) = self.pick_where(shard, excluding, Some(v)) {
-                return Some(i);
-            }
-        }
-        self.pick_where(shard, excluding, None)
-    }
-
-    /// Round-robin pick constrained to one variant (`None` = any).
-    fn pick_where(
-        &mut self,
-        shard: usize,
-        excluding: &[usize],
-        variant: Option<usize>,
-    ) -> Option<usize> {
         let eligible = |state: ReplicaState| {
             let n = self.replicas.len();
             if n == 0 {
@@ -372,10 +289,7 @@ impl HealthBoard {
             let start = self.cursors.get(shard).copied().unwrap_or(0);
             (0..n).map(|k| (start + k) % n).find(|&i| {
                 let r = &self.replicas[i];
-                r.shard == shard
-                    && r.state == state
-                    && (variant.is_none() || r.variant == variant)
-                    && !excluding.contains(&i)
+                r.shard == shard && r.state == state && !excluding.contains(&i)
             })
         };
         let found = eligible(ReplicaState::Healthy).or_else(|| eligible(ReplicaState::Suspect))?;
@@ -390,7 +304,6 @@ impl HealthBoard {
         if let Some(r) = self.replicas.get_mut(idx) {
             if r.state != ReplicaState::Quarantined {
                 r.state = ReplicaState::Healthy;
-                r.fails = 0;
             }
         }
     }
@@ -402,7 +315,6 @@ impl HealthBoard {
         if let Some(r) = self.replicas.get_mut(idx) {
             if r.state != ReplicaState::Quarantined {
                 r.state = ReplicaState::Suspect;
-                r.fails = r.fails.saturating_add(1);
             }
         }
     }
@@ -446,68 +358,48 @@ mod tests {
 
     #[test]
     fn stale_image_is_quarantined_with_typed_error() {
-        let plan = plan2();
-        let mut board = HealthBoard::new(plan.shard_count());
         // A replica built from a *different seed* — i.e. a stale image
-        // version — must be quarantined, not mixed into the fleet.
-        let stale = DescribeReply {
-            digest: synthetic_digest(ImcDesign::ChgFe, 43, Some((1, 2))),
-            ..honest(&plan, 1)
-        };
-        let err = board.admit(&plan, "10.0.0.9:7400", &stale).unwrap_err();
-        match &err {
-            FleetError::StaleImage {
-                shard, expect, got, ..
-            } => {
-                assert_eq!(*shard, 1);
-                assert_eq!(*expect, plan.shards[1].expect_digest);
-                assert_ne!(got, expect);
+        // version — must be quarantined, not mixed into the fleet; so
+        // must a whole-model replica of the other design.
+        let sharded = plan2();
+        let whole = FleetPlan::synthetic(ImcDesign::ChgFe, 42, 1).unwrap();
+        let cases = [
+            (
+                &sharded,
+                1,
+                DescribeReply {
+                    digest: synthetic_digest(ImcDesign::ChgFe, 43, Some((1, 2))),
+                    ..honest(&sharded, 1)
+                },
+            ),
+            (
+                &whole,
+                0,
+                DescribeReply {
+                    digest: synthetic_digest(ImcDesign::CurFe, 42, None),
+                    shard_count: 0,
+                    ..honest(&whole, 0)
+                },
+            ),
+        ];
+        for (plan, want_shard, stale) in cases {
+            let mut board = HealthBoard::new(plan.shard_count());
+            let err = board.admit(plan, "10.0.0.9:7400", &stale).unwrap_err();
+            match &err {
+                FleetError::StaleImage {
+                    shard, expect, got, ..
+                } => {
+                    assert_eq!(*shard, want_shard);
+                    assert_eq!(*expect, plan.shards[want_shard].expect_digest);
+                    assert_ne!(got, expect);
+                }
+                other => panic!("expected StaleImage, got {other:?}"),
             }
-            other => panic!("expected StaleImage, got {other:?}"),
+            assert!(err.to_string().contains("stale image version"));
+            assert_eq!(board.quarantined(), 1);
+            // Quarantine is terminal: the replica is tracked but never picked.
+            assert!(board.pick(want_shard, &[]).is_none());
         }
-        assert!(err.to_string().contains("stale image version"));
-        assert_eq!(board.quarantined(), 1);
-        // Quarantine is terminal: the replica is tracked but never picked.
-        assert!(board.pick(1, &[]).is_none());
-    }
-
-    #[test]
-    fn retarget_readmits_a_replica_quarantined_for_the_new_digest() {
-        // The fleet rolls forward: replica "a:1" hot-swaps to the
-        // seed-43 image while the plan still expects seed 42. Its next
-        // Describe reports the new digest → StaleImage quarantine.
-        let plan = plan2();
-        let mut board = HealthBoard::new(plan.shard_count());
-        board.admit(&plan, "a:1", &honest(&plan, 0)).unwrap();
-        let swapped = DescribeReply {
-            digest: synthetic_digest(ImcDesign::ChgFe, 43, Some((0, 2))),
-            ..honest(&plan, 0)
-        };
-        assert!(matches!(
-            board.admit(&plan, "a:1", &swapped),
-            Err(FleetError::StaleImage { .. })
-        ));
-        assert_eq!(board.quarantined(), 1);
-        assert!(board.pick(0, &[]).is_none());
-
-        // Retargeting the plan at the swapped image re-admits it
-        // Healthy on the next passing Describe — upsert is keyed by
-        // addr, so quarantine is terminal only against a fixed plan.
-        let mut plan = plan;
-        plan.retarget(
-            synthetic_digest(ImcDesign::ChgFe, 43, None),
-            &[
-                synthetic_digest(ImcDesign::ChgFe, 43, Some((0, 2))),
-                synthetic_digest(ImcDesign::ChgFe, 43, Some((1, 2))),
-            ],
-        )
-        .unwrap();
-        let shard = board.admit(&plan, "a:1", &swapped).unwrap();
-        assert_eq!(shard, 0);
-        assert_eq!(board.quarantined(), 0);
-        assert_eq!(board.pick(0, &[]), Some(0));
-        // A digest-count mismatch is a typed error, not a partial write.
-        assert!(plan.retarget(1, &[1]).is_err());
     }
 
     #[test]
@@ -526,6 +418,17 @@ mod tests {
             }) => {}
             other => panic!("expected ShardMismatch, got {other:?}"),
         }
+        // A `Describe` naming a shard past its own cut is a typed error,
+        // not an out-of-range index into the plan.
+        let outside = DescribeReply {
+            shard_index: 2,
+            ..honest(&plan, 1)
+        };
+        match board.admit(&plan, "b:1", &outside) {
+            Err(FleetError::ShapeMismatch { what, .. }) => assert_eq!(what, "claims shard 2 of 2"),
+            other => panic!("expected ShapeMismatch, got {other:?}"),
+        }
+        assert_eq!(board.quarantined(), 2);
     }
 
     #[test]
@@ -547,45 +450,6 @@ mod tests {
         assert_eq!(third, first);
         board.mark_ok(third);
         assert_eq!(board.replicas()[third].state, ReplicaState::Healthy);
-    }
-
-    #[test]
-    fn variant_fleet_admits_both_flavors_and_prefers_by_order() {
-        let plan = FleetPlan::synthetic_variants(42).unwrap();
-        let mut board = HealthBoard::new(1);
-        let describe = |digest: u64| DescribeReply {
-            digest,
-            shard_index: 0,
-            shard_count: 0,
-            features: plan.features,
-            classes: plan.classes,
-        };
-        // Both flavors admit; a third digest is still quarantined.
-        board
-            .admit(&plan, "chg:1", &describe(plan.variants[0].expect_digest))
-            .unwrap();
-        board
-            .admit(&plan, "cur:1", &describe(plan.variants[1].expect_digest))
-            .unwrap();
-        assert!(matches!(
-            board.admit(
-                &plan,
-                "bad:1",
-                &describe(synthetic_digest(ImcDesign::ChgFe, 43, None))
-            ),
-            Err(FleetError::StaleImage { .. })
-        ));
-        assert_eq!(board.replicas()[0].variant, Some(0));
-        assert_eq!(board.replicas()[1].variant, Some(1));
-
-        // Preference order 0 (ChgFe) pins traffic to the cheap flavor
-        // as long as it is healthy...
-        for _ in 0..3 {
-            assert_eq!(board.pick_preferring(0, &[], &[0, 1]), Some(0));
-        }
-        // ...and only falls through to the next variant when the cheap
-        // one is excluded or gone.
-        assert_eq!(board.pick_preferring(0, &[0], &[0, 1]), Some(1));
     }
 
     #[test]

@@ -32,7 +32,8 @@
 //!   quarantine) and the Healthy/Suspect/Quarantined failover board.
 //! * [`router`] — the TCP front door: replicated round-robin for
 //!   1-shard fleets, scatter/gather partial-sum combining for N-shard
-//!   fleets, failover with `RetryPolicy` backoff.
+//!   fleets, failover with `RetryPolicy` backoff, and one energy
+//!   counter (`cost.fleet_energy_pj_total`) at the plan's price.
 
 #![deny(missing_docs)]
 
@@ -41,5 +42,5 @@ pub mod router;
 pub mod topology;
 
 pub use health::{FleetError, HealthBoard, Replica, ReplicaState};
-pub use router::{serve_fleet, EnergyBudget, FleetHandle, RouterConfig};
-pub use topology::{FleetPlan, GlueLayer, ShardSlot, VariantSlot};
+pub use router::{serve_fleet, FleetHandle, RouterConfig};
+pub use topology::{FleetPlan, GlueLayer, ShardSlot};

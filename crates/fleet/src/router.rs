@@ -36,34 +36,17 @@ use std::io;
 use std::net::{SocketAddr, ToSocketAddrs};
 use std::sync::{Arc, Mutex};
 use std::thread;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-use imc_obs::{
-    counter, counter_vec, gauge, gauge_vec, SpanRec, SpanStatus, TraceContext, TraceRec,
-};
+use imc_obs::{counter, counter_vec, gauge_vec, SpanRec, SpanStatus, TraceContext, TraceRec};
 use imc_serve::door::{ConnLimits, Door, DoorCounters, FrameHandler, Reply};
-use imc_serve::protocol::{DescribeReply, FailedReply, InferReply, Request, Response, ShedReply};
+use imc_serve::protocol::{DescribeReply, FailedReply, InferReply, Request, Response};
 use imc_serve::{argmax_total, Client, ClientConfig, RetryPolicy, ShutdownFlag};
 use neural::quant::quantize_activations;
 use neural::tensor::Tensor;
 
 use crate::health::{FleetError, HealthBoard, Replica};
 use crate::topology::FleetPlan;
-
-/// Per-window analytical energy budget for the fleet front door.
-///
-/// Requests are charged the `imc-cost` closed-form energy of one
-/// whole-model inference on the replica variant that answered. Once the
-/// window's cumulative charge would exceed `joules`, further `Infer`
-/// requests are shed with a typed [`FleetError::EnergyExhausted`]
-/// reason until the window rolls over.
-#[derive(Debug, Clone, Copy)]
-pub struct EnergyBudget {
-    /// Joules the fleet may spend per window.
-    pub joules: f64,
-    /// Accounting window length.
-    pub window: Duration,
-}
 
 /// Router tuning knobs.
 #[derive(Debug, Clone, Default)]
@@ -75,16 +58,6 @@ pub struct RouterConfig {
     /// replica. Admission dials each replica up to `retry.max_attempts`
     /// times on the same schedule.
     pub retry: RetryPolicy,
-    /// Optional per-window energy budget. Setting it also turns on
-    /// energy-aware routing: whole-model picks prefer the
-    /// lowest-energy healthy replica variant.
-    pub energy_budget: Option<EnergyBudget>,
-}
-
-/// Energy spent in the current accounting window.
-struct EnergyMeter {
-    opened: Instant,
-    spent_j: f64,
 }
 
 struct RouterState {
@@ -93,10 +66,6 @@ struct RouterState {
     cfg: RouterConfig,
     /// Triggering it wakes the door's blocked accept.
     shutdown: ShutdownFlag,
-    /// Plan variant indices, cheapest per-inference energy first — the
-    /// preference order energy-aware picks walk.
-    variant_order: Vec<usize>,
-    energy: Mutex<EnergyMeter>,
 }
 
 /// Handle to a running fleet router.
@@ -163,6 +132,10 @@ impl FleetHandle {
 /// Starts the fleet router: admits `replica_addrs` against the plan,
 /// binds `addr`, and serves until shutdown.
 ///
+/// Admission runs once, here: the running router never sends
+/// `Describe` again, so serving new digests takes a new router with a
+/// new plan (DESIGN §17).
+///
 /// Returns the handle plus the admission errors (quarantines and
 /// unreachable replicas) so callers can surface them; the router still
 /// starts as long as the listener binds — a fleet with holes serves
@@ -182,22 +155,11 @@ pub fn serve_fleet<A: ToSocketAddrs>(
     let door = Door::bind(addr, "fleet", ConnLimits::default(), counters.clone())?;
     let local = door.local_addr();
 
-    let mut variant_order: Vec<usize> = (0..plan.variants.len()).collect();
-    variant_order.sort_by(|&a, &b| {
-        plan.variants[a]
-            .energy_per_inference_j
-            .total_cmp(&plan.variants[b].energy_per_inference_j)
-    });
     let state = Arc::new(RouterState {
         board: Mutex::new(HealthBoard::new(plan.shard_count())),
         plan,
         cfg,
         shutdown: ShutdownFlag::new(door.waker()),
-        variant_order,
-        energy: Mutex::new(EnergyMeter {
-            opened: Instant::now(),
-            spent_j: 0.0,
-        }),
     });
     let mut admission = Vec::new();
     for addr in replica_addrs {
@@ -335,7 +297,8 @@ impl FrameHandler for RouterState {
                 p.id
             )),
             Request::SwapImage(r) => Response::Error(format!(
-                "swap {}: swap replicas directly, then retarget the fleet plan to the new digest",
+                "swap {}: swap every replica directly, then start a new router \
+                 with a plan for the new digests",
                 r.path
             )),
             Request::Infer(r) => {
@@ -434,14 +397,11 @@ fn route_whole_inner(
     input: Vec<f32>,
     child: TraceContext,
 ) -> Response {
-    if let Some(shed) = energy_admission(state, id) {
-        return shed;
-    }
     let mut tried = Vec::new();
     let mut last = String::from("no admissible replica");
     let mut last_resp: Option<Response> = None;
     for attempt in 1..=state.cfg.retry.max_attempts {
-        let Some((idx, addr, energy_j)) = pick_whole(state, &tried) else {
+        let Some((idx, addr)) = pick(state, 0, &tried) else {
             break;
         };
         match exchange(state, upstreams, idx, &addr, |c| {
@@ -463,7 +423,7 @@ fn route_whole_inner(
             }
             Ok(resp) => {
                 if matches!(resp, Response::Output(_)) {
-                    charge_energy(state, energy_j);
+                    charge_energy(&state.plan);
                 }
                 return resp;
             }
@@ -531,9 +491,6 @@ fn route_sharded_inner(
     root: u64,
     children: &mut Vec<SpanRec>,
 ) -> Response {
-    if let Some(shed) = energy_admission(state, id) {
-        return shed;
-    }
     let plan = &state.plan;
     if input.len() != plan.features {
         return Response::Error(format!(
@@ -634,9 +591,7 @@ fn route_sharded_inner(
     }
     let class = argmax_total(&cur);
     let service_us = u64::try_from(started.elapsed().as_micros()).unwrap_or(u64::MAX);
-    // A sharded fleet jointly executes one whole-model inference, so
-    // the charge is the plan's single-design per-inference energy.
-    charge_energy(state, state.plan.energy_per_inference_j);
+    charge_energy(plan);
     Response::Output(InferReply {
         id,
         logits: cur,
@@ -704,98 +659,13 @@ fn shard_partial(
     })
 }
 
-/// Picks a replica for whole-model routing, returning the analytical
-/// energy to charge if it answers. With an energy budget configured and
-/// a variant-aware plan, healthy replicas of the cheapest variant are
-/// preferred; otherwise plain round-robin.
-fn pick_whole(state: &RouterState, tried: &[usize]) -> Option<(usize, String, f64)> {
-    let mut board = state
-        .board
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let energy_aware = state.cfg.energy_budget.is_some() && !state.plan.variants.is_empty();
-    let idx = if energy_aware {
-        board.pick_preferring(0, tried, &state.variant_order)
-    } else {
-        board.pick(0, tried)
-    }?;
-    let r = &board.replicas()[idx];
-    let addr = r.addr.clone();
-    let energy_j = r
-        .variant
-        .and_then(|v| state.plan.variants.get(v))
-        .map_or(state.plan.energy_per_inference_j, |v| {
-            v.energy_per_inference_j
-        });
-    counter_vec!(
-        "fleet.shard_requests",
-        ["shard", "replica"],
-        "Requests routed, by shard and replica",
-        &["0", &addr]
-    )
-    .inc();
-    Some((idx, addr, energy_j))
-}
-
-/// Admits one `Infer` against the energy budget, rolling the window
-/// when it has elapsed. Returns the typed shed response when even the
-/// cheapest variant no longer fits this window.
-fn energy_admission(state: &RouterState, id: u64) -> Option<Response> {
-    let budget = state.cfg.energy_budget?;
-    let next_j = state
-        .variant_order
-        .first()
-        .map_or(state.plan.energy_per_inference_j, |&v| {
-            state.plan.variants[v].energy_per_inference_j
-        });
-    let mut meter = state
-        .energy
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    if meter.opened.elapsed() >= budget.window {
-        meter.opened = Instant::now();
-        meter.spent_j = 0.0;
-        gauge!(
-            "cost.fleet_window_spent_pj",
-            "Analytical energy charged in the current budget window (pJ)"
-        )
-        .set(0.0);
-    }
-    if meter.spent_j + next_j <= budget.joules {
-        return None;
-    }
-    counter!(
-        "cost.fleet_energy_shed_total",
-        "Infer requests shed because the per-window energy budget was exhausted"
-    )
-    .inc();
-    let reason = FleetError::EnergyExhausted {
-        spent_pj: to_pj(meter.spent_j),
-        budget_pj: to_pj(budget.joules),
-        window_ms: u64::try_from(budget.window.as_millis()).unwrap_or(u64::MAX),
-    }
-    .to_string();
-    Some(Response::Shed(ShedReply { id, reason }))
-}
-
-/// Charges one answered inference to the current window and exports the
-/// running totals.
-fn charge_energy(state: &RouterState, joules: f64) {
+/// Counts one answered inference at the plan's whole-model energy.
+fn charge_energy(plan: &FleetPlan) {
     counter!(
         "cost.fleet_energy_pj_total",
         "Cumulative analytical inference energy routed by the fleet (pJ)"
     )
-    .add(to_pj(joules));
-    let mut meter = state
-        .energy
-        .lock()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    meter.spent_j += joules;
-    gauge!(
-        "cost.fleet_window_spent_pj",
-        "Analytical energy charged in the current budget window (pJ)"
-    )
-    .set(meter.spent_j * 1.0e12);
+    .add(to_pj(plan.energy_per_inference_j));
 }
 
 #[allow(clippy::cast_possible_truncation, clippy::cast_sign_loss)] // pJ totals are far below 2^63

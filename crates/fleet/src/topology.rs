@@ -56,24 +56,9 @@ pub struct ShardSlot {
     pub layer_chunks: Vec<[usize; 2]>,
 }
 
-/// One admissible whole-model replica flavor in a variant-aware fleet:
-/// a (design, digest) pair plus the analytical energy one inference on
-/// it costs (the `imc-cost` closed forms the router budgets with).
-#[derive(Debug, Clone)]
-pub struct VariantSlot {
-    /// The macro design this variant's replicas simulate.
-    pub design: ImcDesign,
-    /// Digest an honest whole-model replica of this variant reports.
-    pub expect_digest: u64,
-    /// Analytical energy of one whole-model inference (joules).
-    pub energy_per_inference_j: f64,
-}
-
 /// The router's complete model-independent view of the fleet.
 #[derive(Debug, Clone)]
 pub struct FleetPlan {
-    /// Which macro design the replicas simulate (the base variant).
-    pub design: ImcDesign,
     /// Activation precision: the router quantizes layer inputs to this
     /// many unsigned bits before scattering codes to shards.
     pub input_bits: u32,
@@ -84,21 +69,14 @@ pub struct FleetPlan {
     /// Digest of the unsharded base image (what whole-model replicas
     /// report; `0` = unverifiable).
     pub base_digest: u64,
-    /// Analytical energy of one whole-model inference on the base
-    /// design (joules) — what the router charges per answered request
-    /// when a replica carries no variant tag.
+    /// Analytical energy of one whole-model inference (joules) — what
+    /// the router counts per answered request.
     pub energy_per_inference_j: f64,
     /// Digital glue per MAC layer, in forward order.
     pub layers: Vec<GlueLayer>,
     /// The shard slots. Length 1 means whole-model routing (replicate +
     /// load-balance, no scatter/gather).
     pub shards: Vec<ShardSlot>,
-    /// Admissible whole-model variants (CurFe vs ChgFe images of the
-    /// same weights). Empty = single-variant fleet: only `base_digest`
-    /// admits. Non-empty only for whole-model plans; admission accepts
-    /// any variant's digest and tags the replica, so `--energy-budget`
-    /// routing can prefer the cheapest flavor.
-    pub variants: Vec<VariantSlot>,
 }
 
 impl FleetPlan {
@@ -153,7 +131,6 @@ impl FleetPlan {
             })
             .collect();
         Ok(Self {
-            design,
             input_bits: model.network().config().input_bits,
             features: model.input_features(),
             classes: model.classes(),
@@ -161,35 +138,7 @@ impl FleetPlan {
             energy_per_inference_j: model.energy_per_inference_j(),
             layers,
             shards,
-            variants: Vec::new(),
         })
-    }
-
-    /// Builds a whole-model plan that admits **both** macro variants of
-    /// the same synthetic weights: a ChgFe base plus a CurFe flavor,
-    /// each with its own expected digest and analytical per-inference
-    /// energy. With `--energy-budget` set, the router prefers the
-    /// cheapest variant's healthy replicas.
-    ///
-    /// # Errors
-    ///
-    /// Same failure modes as [`FleetPlan::synthetic`].
-    pub fn synthetic_variants(seed: u64) -> Result<Self, String> {
-        let mut plan = Self::synthetic(ImcDesign::ChgFe, seed, 1)?;
-        let curfe = ServeModel::synthetic(ImcDesign::CurFe, seed);
-        plan.variants = vec![
-            VariantSlot {
-                design: ImcDesign::ChgFe,
-                expect_digest: plan.base_digest,
-                energy_per_inference_j: plan.energy_per_inference_j,
-            },
-            VariantSlot {
-                design: ImcDesign::CurFe,
-                expect_digest: curfe.digest(),
-                energy_per_inference_j: curfe.energy_per_inference_j(),
-            },
-        ];
-        Ok(plan)
     }
 
     /// Builds the plan from a `fleet.json` manifest written by
@@ -211,7 +160,6 @@ impl FleetPlan {
             })
             .collect();
         Ok(Self {
-            design,
             input_bits: m.imc.input_bits,
             features: m.arch.features,
             classes: m.arch.classes,
@@ -238,7 +186,6 @@ impl FleetPlan {
                     layer_chunks: s.layer_chunks.clone(),
                 })
                 .collect(),
-            variants: Vec::new(),
         })
     }
 
@@ -253,34 +200,6 @@ impl FleetPlan {
     #[must_use]
     pub fn whole_model(&self) -> bool {
         self.shards.len() == 1
-    }
-
-    /// Points the plan at a freshly swapped image: replaces the base
-    /// digest and every shard slot's expected digest, so replicas that
-    /// were quarantined as `StaleImage` while the fleet rolled forward
-    /// re-admit `Healthy` on their next passing `Describe`.
-    /// `shard_digests` carries one digest per shard slot in slot order
-    /// (a whole-model plan passes just `[base_digest]`). Variant slots
-    /// are cleared — a retargeted fleet is single-variant until it is
-    /// re-planned.
-    ///
-    /// # Errors
-    ///
-    /// Fails when `shard_digests` does not match the shard count.
-    pub fn retarget(&mut self, base_digest: u64, shard_digests: &[u64]) -> Result<(), String> {
-        if shard_digests.len() != self.shards.len() {
-            return Err(format!(
-                "retarget needs {} shard digests, got {}",
-                self.shards.len(),
-                shard_digests.len()
-            ));
-        }
-        self.base_digest = base_digest;
-        for (slot, &d) in self.shards.iter_mut().zip(shard_digests) {
-            slot.expect_digest = d;
-        }
-        self.variants.clear();
-        Ok(())
     }
 }
 
@@ -356,42 +275,6 @@ mod tests {
     #[test]
     fn zero_shards_is_rejected() {
         assert!(FleetPlan::synthetic(ImcDesign::ChgFe, 1, 0).is_err());
-    }
-
-    #[test]
-    fn variant_plan_carries_both_digests_and_chgfe_is_cheaper() {
-        let plan = FleetPlan::synthetic_variants(42).unwrap();
-        assert!(plan.whole_model(), "variants are a whole-model feature");
-        assert_eq!(plan.variants.len(), 2);
-        let find = |d: ImcDesign| {
-            plan.variants
-                .iter()
-                .find(|v| v.design == d)
-                .unwrap_or_else(|| panic!("{d:?} variant missing"))
-        };
-        let chg = find(ImcDesign::ChgFe);
-        let cur = find(ImcDesign::CurFe);
-        // Digests must agree with what honest replicas of each variant
-        // actually report — that agreement is the admission mechanism.
-        assert_eq!(
-            chg.expect_digest,
-            ServeModel::synthetic(ImcDesign::ChgFe, 42).digest()
-        );
-        assert_eq!(
-            cur.expect_digest,
-            ServeModel::synthetic(ImcDesign::CurFe, 42).digest()
-        );
-        assert_ne!(chg.expect_digest, cur.expect_digest);
-        // Energies come straight from the models' own cost estimates,
-        // and at the paper point ChgFe is the cheaper flavor.
-        assert!(chg.energy_per_inference_j > 0.0);
-        assert!(
-            chg.energy_per_inference_j < cur.energy_per_inference_j,
-            "ChgFe {} J should undercut CurFe {} J",
-            chg.energy_per_inference_j,
-            cur.energy_per_inference_j
-        );
-        assert_eq!(plan.energy_per_inference_j, chg.energy_per_inference_j);
     }
 
     #[test]

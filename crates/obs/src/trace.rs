@@ -112,7 +112,7 @@ pub enum SpanStatus {
     Ok,
     /// Failed (worker panic, exhausted failover, I/O error).
     Failed,
-    /// Shed by backpressure or a budget.
+    /// Shed by backpressure or a draining server.
     Shed,
 }
 

@@ -318,13 +318,6 @@ impl ServeModel {
         self.shard.as_ref()
     }
 
-    /// Whether this replica serves a shard (and must refuse whole-model
-    /// `Infer` requests).
-    #[must_use]
-    pub fn is_sharded(&self) -> bool {
-        self.shard.is_some()
-    }
-
     /// The identity answer for a `Describe` probe.
     #[must_use]
     pub fn describe(&self) -> DescribeReply {

@@ -6,14 +6,14 @@
 //!
 //! The same binaries also pin the signal stop path: SIGTERM must end
 //! `imc-serve` and `imc-fleet` within a second, their blocked accepts
-//! woken from `ShutdownFlag::park`, even a router out of descriptors;
-//! and a router whose `--obs-addr` cannot bind must exit with a failure.
+//! woken from `ShutdownFlag::park`, even a router out of descriptors.
 //!
-//! The tests drive the binaries in `target/debug` (else
-//! `target/release`) and skip (with a note) when they have not been
-//! built; `cargo build --workspace --bins` builds them. `cargo test
-//! --workspace` rebuilds `imc-serve` but not `imc-fleet`, whose crate
-//! has no integration tests.
+//! The tests drive the binaries next to the test executable (else in
+//! the other profile's directory) and skip (with a note) when they have
+//! not been built. `cargo test --workspace` rebuilds both: each of
+//! their crates has integration tests, and Cargo builds a package's
+//! binaries before those run. A plain `cargo test` of this package
+//! does not, so run `cargo build --workspace --bins` first.
 
 use std::io::{BufRead, BufReader, Read};
 use std::net::TcpStream;
@@ -121,7 +121,6 @@ fn fast_retry() -> RouterConfig {
             request_timeout: Some(Duration::from_secs(5)),
             ..ClientConfig::default()
         },
-        ..RouterConfig::default()
     }
 }
 
@@ -258,31 +257,6 @@ fn sigterm_ends_within_a_second(child: Child, what: &str) {
     let status = exit_within(child, Duration::from_secs(1))
         .unwrap_or_else(|| panic!("{what} still running 1 s after SIGTERM"));
     assert!(status.success(), "{what} exited with {status}");
-}
-
-/// An `--obs-addr` that cannot bind ends `imc-fleet` with a failure, as
-/// it ends `imc-serve` and `loadgen`, instead of leaving a router that
-/// serves without its metrics endpoint.
-#[cfg(unix)]
-#[test]
-fn imc_fleet_exits_non_zero_when_its_obs_addr_cannot_bind() {
-    let Some(fleet) = find_bin("imc-fleet") else {
-        eprintln!("skipping: imc-fleet binary not built (cargo build --bins)");
-        return;
-    };
-    let held = std::net::TcpListener::bind("127.0.0.1:0").expect("hold a port");
-    let obs = held.local_addr().expect("held port").to_string();
-    let args = ["--listen", "127.0.0.1:0", "--replica", "127.0.0.1:1"];
-    let router = Command::new(fleet)
-        .args(args)
-        .args(["--obs-addr", &obs])
-        .stdout(Stdio::null())
-        .stderr(Stdio::null())
-        .spawn()
-        .expect("spawn imc-fleet");
-    let status = exit_within(router, Duration::from_secs(5))
-        .expect("imc-fleet still running 5 s after its obs bind failed");
-    assert!(!status.success(), "imc-fleet exited with {status}");
 }
 
 #[cfg(unix)]

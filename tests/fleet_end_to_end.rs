@@ -8,7 +8,7 @@ use std::io::{Read as _, Write as _};
 use std::sync::Arc;
 use std::time::Duration;
 
-use imc_fleet::{serve_fleet, EnergyBudget, FleetError, FleetPlan, ReplicaState, RouterConfig};
+use imc_fleet::{serve_fleet, FleetError, FleetPlan, ReplicaState, RouterConfig};
 use imc_serve::model::{ServeModel, DEFAULT_SEED, MNIST_FEATURES};
 use imc_serve::protocol::Response;
 use imc_serve::{serve, wire, Client, ClientConfig, RetryPolicy, ServeConfig, ServerHandle};
@@ -232,102 +232,6 @@ fn sharded_replica_rejects_whole_model_infer() {
         other => panic!("expected typed Error, got {other:?}"),
     }
     stop(replica);
-}
-
-#[test]
-fn energy_budget_prefers_cheap_variant_and_sheds_with_typed_reply() {
-    // A variant-aware whole-model fleet: one CurFe and one ChgFe
-    // replica of the same synthetic weights. With an energy budget set,
-    // the router must (a) route every answered request to the cheaper
-    // ChgFe variant, (b) keep those answers bit-exact, and (c) shed
-    // with a typed energy-budget reason once the window is spent.
-    let make = |design: ImcDesign| {
-        serve(
-            "127.0.0.1:0",
-            Arc::new(ServeModel::synthetic(design, DEFAULT_SEED)),
-            &ServeConfig::default(),
-        )
-        .expect("bind replica")
-    };
-    let curfe = make(ImcDesign::CurFe);
-    let chgfe = make(ImcDesign::ChgFe);
-    let addrs = vec![curfe.addr().to_string(), chgfe.addr().to_string()];
-    let plan = FleetPlan::synthetic_variants(DEFAULT_SEED).expect("variant plan");
-    let e_chg = plan
-        .variants
-        .iter()
-        .find(|v| v.design == ImcDesign::ChgFe)
-        .expect("chgfe variant")
-        .energy_per_inference_j;
-    let e_cur = plan
-        .variants
-        .iter()
-        .find(|v| v.design == ImcDesign::CurFe)
-        .expect("curfe variant")
-        .energy_per_inference_j;
-    assert!(e_chg < e_cur, "paper point: ChgFe must price below CurFe");
-
-    // Budget fits exactly 4 ChgFe inferences in one long window.
-    let cfg = RouterConfig {
-        energy_budget: Some(EnergyBudget {
-            joules: e_chg * 4.5,
-            window: Duration::from_secs(600),
-        }),
-        ..fast_retry()
-    };
-    let (router, admission) = serve_fleet("127.0.0.1:0", plan, &addrs, cfg).expect("bind router");
-    assert!(admission.is_empty(), "clean admission: {admission:?}");
-    // Admission tagged each replica with its variant.
-    for r in router.replicas() {
-        assert!(r.variant.is_some(), "replica {} untagged", r.addr);
-    }
-
-    let oracle = ServeModel::synthetic(ImcDesign::ChgFe, DEFAULT_SEED);
-    let mut client = Client::connect(router.addr()).expect("connect");
-    for k in 0..4u64 {
-        let input = test_input(k as usize);
-        let expect = oracle.infer_one(&input);
-        match client.infer(k, input).expect("infer") {
-            Response::Output(r) => {
-                assert_eq!(r.id, k);
-                for (i, (a, b)) in expect.iter().zip(&r.logits).enumerate() {
-                    assert_eq!(
-                        a.to_bits(),
-                        b.to_bits(),
-                        "request {k}: logit {i} diverged vs the ChgFe oracle"
-                    );
-                }
-            }
-            other => panic!("request {k}: expected Output, got {other:?}"),
-        }
-    }
-
-    // The 5th request no longer fits the window: typed shed, not an
-    // error and not a silently-served over-budget answer.
-    match client.infer(99, test_input(99)).expect("infer") {
-        Response::Shed(s) => {
-            assert_eq!(s.id, 99);
-            assert!(
-                s.reason.contains("energy budget exhausted"),
-                "unexpected shed reason: {}",
-                s.reason
-            );
-        }
-        other => panic!("expected Shed, got {other:?}"),
-    }
-
-    // Every answered request went to the cheap variant: the CurFe
-    // replica never executed anything.
-    let cur_completed = curfe.metrics().completed.get();
-    assert_eq!(
-        cur_completed, 0,
-        "CurFe replica served {cur_completed} requests despite a healthy ChgFe peer"
-    );
-    assert_eq!(chgfe.metrics().completed.get(), 4);
-
-    router.shutdown();
-    stop(curfe);
-    stop(chgfe);
 }
 
 #[test]
