@@ -9,9 +9,9 @@
 //! `http://HOST:PORT`, scraped at `GET /traces`) or a file holding a
 //! previously saved `/traces` document. Records from every source are
 //! stitched by `trace_id` — scrape the router *and* every replica and
-//! one request's hops line up into a single per-hop waterfall, client
-//! span over router span over shard spans, with the analytical energy
-//! stamp (`imc-cost` closed forms) each trace carries.
+//! one request's hops line up into a single per-hop waterfall, router
+//! span over shard spans, with the analytical energy stamp (`imc-cost`
+//! closed forms) each trace carries.
 //!
 //! Filters compose: `--failed` keeps traces with a non-`ok` hop,
 //! `--energy-over PJ` keeps energy outliers, `--cross-service` keeps

@@ -11,15 +11,9 @@
 //!
 //! Fault selection is fully deterministic. Each accepted connection is
 //! numbered `0, 1, 2, …` and mapped to a [`Fault`] by the caller's
-//! `pick` closure — a test pins exact faults per connection, the load
-//! generator uses [`Fault::seeded_mix`] for a reproducible blend. All
-//! faults are byte-counted, not timer-based, so runs replay identically.
-//!
-//! A bit flip can leave a frame valid, and then the server answers the
-//! flipped request correctly. The proxy logs every flip it applies
-//! ([`ChaosProxy::flips`]) so a client can tell which of its requests
-//! the server actually received and check that answer against the
-//! flipped input instead of the one it sent.
+//! `pick` closure — a test pins exact faults per connection, or uses
+//! [`Fault::seeded_mix`] for a reproducible blend. All faults are
+//! byte-counted, not timer-based, so runs replay identically.
 //!
 //! ```no_run
 //! use imc_bench::chaos::{ChaosProxy, Fault};
@@ -34,7 +28,7 @@
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
@@ -58,14 +52,14 @@ pub enum Fault {
     /// Forward `n` request bytes, then close only the upstream write
     /// half: the server sees EOF mid-frame.
     TruncateAfter(usize),
-    /// Flip one bit in request byte `n` and keep forwarding — a corrupt
+    /// Invert one bit of request byte `n` and keep forwarding — a corrupt
     /// length prefix or frame body the server must reject without
     /// dying.
     CorruptAfter(usize),
 }
 
 impl Fault {
-    /// A deterministic fault mix for load generation: connection `conn`
+    /// A deterministic fault mix for chaos tests: connection `conn`
     /// under `seed` gets a fault chosen by a splitmix-style hash.
     /// Roughly half the connections stay clean so the run always has
     /// verifiable traffic; the rest cycle through every fault class.
@@ -97,35 +91,6 @@ impl Fault {
 /// The XOR mask [`Fault::CorruptAfter`] applies to its target byte.
 const FLIP_MASK: u8 = 0x40;
 
-/// One bit flip the proxy applied to a client's request stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct Flip {
-    /// The client end of the proxied connection: the address the client
-    /// sees as its own `local_addr`.
-    pub client: SocketAddr,
-    /// Offset of the flipped byte in that client's request stream,
-    /// counted from the first byte the client wrote.
-    pub offset: usize,
-    /// The XOR mask applied to the byte.
-    pub mask: u8,
-}
-
-impl Flip {
-    /// Applies this flip to `frame`, the bytes the client wrote starting
-    /// at stream offset `start`. `None` when the flipped byte lies
-    /// outside the frame.
-    #[must_use]
-    pub fn apply(&self, start: usize, frame: &[u8]) -> Option<Vec<u8>> {
-        let at = self
-            .offset
-            .checked_sub(start)
-            .filter(|&at| at < frame.len())?;
-        let mut flipped = frame.to_vec();
-        flipped[at] ^= self.mask;
-        Some(flipped)
-    }
-}
-
 /// A running fault-injecting proxy. Dropping it (or calling
 /// [`stop`](Self::stop)) wakes its blocked accept and closes the
 /// listener; forwarding threads for live connections die with their
@@ -136,8 +101,6 @@ pub struct ChaosProxy {
     accept_thread: Option<JoinHandle<()>>,
     /// Connections accepted so far (fault plan indices consumed).
     accepted: Arc<AtomicUsize>,
-    /// Every bit flip applied so far, in the order applied.
-    flips: Arc<Mutex<Vec<Flip>>>,
 }
 
 impl ChaosProxy {
@@ -156,18 +119,15 @@ impl ChaosProxy {
         let addr = listener.local_addr();
         let waker = listener.waker();
         let accepted = Arc::new(AtomicUsize::new(0));
-        let flips = Arc::new(Mutex::new(Vec::new()));
         let accept_thread = {
             let accepted = Arc::clone(&accepted);
-            let flips = Arc::clone(&flips);
             std::thread::Builder::new()
                 .name("chaos-accept".into())
                 .spawn(move || {
                     while let Some(client) = listener.accept() {
                         let conn = accepted.fetch_add(1, Ordering::AcqRel);
                         let fault = pick(conn);
-                        let flips = Arc::clone(&flips);
-                        if let Err(e) = spawn_forwarders(client, upstream, fault, conn, flips) {
+                        if let Err(e) = spawn_forwarders(client, upstream, fault, conn) {
                             eprintln!("chaos: conn {conn}: not proxied: {e}");
                         }
                     }
@@ -178,7 +138,6 @@ impl ChaosProxy {
             waker,
             accept_thread: Some(accept_thread),
             accepted,
-            flips,
         })
     }
 
@@ -192,14 +151,6 @@ impl ChaosProxy {
     #[must_use]
     pub fn accepted(&self) -> usize {
         self.accepted.load(Ordering::Acquire)
-    }
-
-    /// Every bit flip applied so far, in the order applied. A flip is
-    /// logged before the flipped byte is forwarded, so it is here before
-    /// the server can answer the request it landed in.
-    #[must_use]
-    pub fn flips(&self) -> Vec<Flip> {
-        self.flips.lock().expect("flip log lock").clone()
     }
 
     /// Stops accepting (as dropping does). Existing forwarding threads
@@ -225,9 +176,7 @@ fn spawn_forwarders(
     upstream: SocketAddr,
     fault: Fault,
     conn: usize,
-    flips: Arc<Mutex<Vec<Flip>>>,
 ) -> std::io::Result<()> {
-    let peer = client.peer_addr()?;
     let server = TcpStream::connect_timeout(&upstream, Duration::from_secs(5))?;
     client.set_nodelay(true).ok();
     server.set_nodelay(true).ok();
@@ -237,7 +186,7 @@ fn spawn_forwarders(
     // client → server: the faulted direction.
     std::thread::Builder::new()
         .name(format!("chaos-c2s-{conn}"))
-        .spawn(move || forward_with_fault(client_r, server, fault, peer, &flips))?;
+        .spawn(move || forward_with_fault(client_r, server, fault))?;
     // server → client: always clean, so returned answers are authentic.
     std::thread::Builder::new()
         .name(format!("chaos-s2c-{conn}"))
@@ -262,14 +211,7 @@ fn forward_clean(mut from: TcpStream, mut to: TcpStream) {
 }
 
 /// Forwards `from` → `to`, applying `fault` byte-by-byte-deterministically.
-/// Flips are logged in `flips` against `client`, the `from` peer.
-fn forward_with_fault(
-    mut from: TcpStream,
-    mut to: TcpStream,
-    fault: Fault,
-    client: SocketAddr,
-    flips: &Mutex<Vec<Flip>>,
-) {
+fn forward_with_fault(mut from: TcpStream, mut to: TcpStream, fault: Fault) {
     let mut buf = [0u8; 4096];
     let mut forwarded = 0usize; // request bytes already passed through
     loop {
@@ -323,11 +265,6 @@ fn forward_with_fault(
             Fault::CorruptAfter(target) => {
                 if forwarded <= target && target < forwarded + n {
                     chunk[target - forwarded] ^= FLIP_MASK;
-                    flips.lock().expect("flip log lock").push(Flip {
-                        client,
-                        offset: target,
-                        mask: FLIP_MASK,
-                    });
                 }
             }
         }
@@ -401,15 +338,6 @@ mod tests {
         c.shutdown(Shutdown::Write).unwrap();
         let got = received.join().unwrap();
         assert_eq!(got, vec![0u8, 1, 2 ^ 0x40, 3, 4]);
-        assert_eq!(
-            proxy.flips(),
-            vec![Flip {
-                client: c.local_addr().unwrap(),
-                offset: 2,
-                mask: 0x40,
-            }],
-            "the flip is logged against the client's own address"
-        );
         proxy.stop();
     }
 }

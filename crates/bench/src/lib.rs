@@ -1,9 +1,10 @@
 //! # imc-bench
 //!
 //! The paper harness: one binary per table/figure of the paper (see
-//! `src/bin/`), the `loadgen` load generator and its fault-injecting
-//! proxy, and shared output helpers. Performance is measured by the
-//! separate `perfbench` package at the repository root.
+//! `src/bin/`), the `loadgen` bit-exact smoke client, the
+//! fault-injecting proxy the chaos tests drive, the `/traces` stitching
+//! behind `imc-trace`, and shared output helpers. Performance is
+//! measured by the separate `perfbench` package at the repository root.
 
 #![deny(missing_docs)]
 

@@ -3,14 +3,13 @@
 //!
 //! Each process on a request's path keeps its own [`TraceRec`]s
 //! (`imc_obs`): the router records `fleet.request`/`fleet.partial`
-//! spans, every replica records `serve.request`/`serve.partial` spans,
-//! and the client can record a `loadgen.request` root. They share a
-//! `trace_id`, and each span's `parent_span` points at the span id of
-//! the hop that caused it — so scraping `/traces` from every process
-//! and merging records by `trace_id` reconstructs the distributed
-//! request end to end. That merge ([`stitch`]) plus the indented
-//! per-hop rendering ([`render_waterfall`]) live here, shared by the
-//! `imc-trace` pretty-printer and `loadgen --trace-slowest`.
+//! spans, and every replica records `serve.request`/`serve.partial`
+//! spans. They share a `trace_id`, and each span's `parent_span` points
+//! at the span id of the hop that caused it — so scraping `/traces`
+//! from every process and merging records by `trace_id` reconstructs
+//! the distributed request end to end. That merge ([`stitch`]) plus the
+//! indented per-hop rendering ([`render_waterfall`]) live here, behind
+//! the `imc-trace` pretty-printer.
 //!
 //! [`TraceRec`]: imc_obs::TraceRec
 

@@ -478,7 +478,7 @@ mod tests {
     fn delta_base_skips_unchanged_cells() {
         let base: Vec<i8> = (0..16 * 8).map(|i| (i % 97) as i8).collect();
         let mut next = base.clone();
-        // Flip a handful of weights; the rest are already on the chip.
+        // Change a handful of weights; the rest are already on the chip.
         next[3] = next[3].wrapping_add(1);
         next[40] = 0;
         next[100] = -100;

@@ -241,10 +241,7 @@ impl HealthBoard {
             };
             (d.shard_index, slot.expect_digest)
         };
-        // Digest 0 means "unverifiable" (checkpoint-backed model): the
-        // check is skipped rather than failed, matching ChipImage
-        // semantics where only image/synthetic models carry digests.
-        if expect != 0 && d.digest != expect {
+        if d.digest != expect {
             return Err(FleetError::StaleImage {
                 addr: addr.to_owned(),
                 shard,
@@ -360,9 +357,12 @@ mod tests {
     fn stale_image_is_quarantined_with_typed_error() {
         // A replica built from a *different seed* — i.e. a stale image
         // version — must be quarantined, not mixed into the fleet; so
-        // must a whole-model replica of the other design.
+        // must a whole-model replica of the other design. A plan entry
+        // with digest 0 admits no replica, not every replica.
         let sharded = plan2();
         let whole = FleetPlan::synthetic(ImcDesign::ChgFe, 42, 1).unwrap();
+        let mut zero = plan2();
+        zero.shards[1].expect_digest = 0;
         let cases = [
             (
                 &sharded,
@@ -381,6 +381,7 @@ mod tests {
                     ..honest(&whole, 0)
                 },
             ),
+            (&zero, 1, honest(&sharded, 1)),
         ];
         for (plan, want_shard, stale) in cases {
             let mut board = HealthBoard::new(plan.shard_count());

@@ -48,9 +48,7 @@ pub struct GlueLayer {
 pub struct ShardSlot {
     /// Shard index in `0..shard_count`.
     pub index: usize,
-    /// Digest a replica serving this shard must report from `Describe`
-    /// (`0` means unverifiable — checkpoint-backed models — and skips
-    /// the check).
+    /// Digest a replica serving this shard must report from `Describe`.
     pub expect_digest: u64,
     /// Per-layer owned chunk range `[lo, hi)`, indexed by MAC layer.
     pub layer_chunks: Vec<[usize; 2]>,
@@ -67,7 +65,7 @@ pub struct FleetPlan {
     /// Model output classes.
     pub classes: usize,
     /// Digest of the unsharded base image (what whole-model replicas
-    /// report; `0` = unverifiable).
+    /// report).
     pub base_digest: u64,
     /// Analytical energy of one whole-model inference (joules) — what
     /// the router counts per answered request.

@@ -13,8 +13,8 @@
 //!
 //! This is deliberately *not* a web server: no keep-alive, no TLS, no
 //! request body handling. It exists so `curl`/Prometheus can scrape a
-//! running bin, matching the `--obs-addr` flag on `imc-serve`,
-//! `imc-fleet` and `loadgen`.
+//! running bin, matching the `--obs-addr` flag on `imc-serve` and
+//! `imc-fleet`.
 
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream};

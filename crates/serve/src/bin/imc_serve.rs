@@ -1,21 +1,24 @@
 //! `imc-serve` — the batched FeFET-IMC inference server.
 //!
 //! ```text
-//! imc-serve [--addr HOST:PORT] [--design curfe|chgfe] [--checkpoint PATH]
+//! imc-serve [--addr HOST:PORT] [--design curfe|chgfe] [--seed N]
 //!           [--image PATH] [--max-batch N] [--max-wait-us N]
-//!           [--queue-depth N] [--seed N] [--obs-addr HOST:PORT]
+//!           [--queue-depth N] [--obs-addr HOST:PORT]
 //!           [--max-conns N] [--frame-deadline-ms N] [--write-timeout-ms N]
+//!           [--shard-index I --shard-count N]
 //! ```
 //!
 //! Serves the MNIST-shaped MLP (784 → 64 → 10) on the chosen analog
-//! macro design. Without `--checkpoint` the weights are the
-//! deterministic synthetic set derived from `--seed`, which lets
-//! `loadgen` rebuild the identical model locally and verify every
-//! response bit-for-bit. With `--image` the model comes from a compiled
-//! `imc-compile` chip image instead (effective post-fault weights; the
-//! image fixes the architecture and design). Stop with ctrl-c / SIGTERM
-//! or a `Shutdown` control request; either way the server drains all
-//! admitted work before exiting and prints a final metrics summary.
+//! macro design, with the deterministic synthetic weights derived from
+//! `--seed`, which lets `loadgen` rebuild the identical model locally
+//! and verify every response bit-for-bit. With `--image` the model
+//! comes from a compiled `imc-compile` chip image instead (effective
+//! post-fault weights; the image fixes the architecture and design, so
+//! `--design` and `--seed` do not go with it). Trained weights are
+//! served by compiling their checkpoint into an image first. Stop with
+//! ctrl-c / SIGTERM or a `Shutdown` control request; either way the
+//! server drains all admitted work before exiting and prints a final
+//! metrics summary.
 //!
 //! One executor thread runs the batches, each fanned out over the
 //! `par-exec` pool (`FEFET_IMC_THREADS` wide).
@@ -43,18 +46,17 @@ struct Args {
     addr: String,
     obs_addr: Option<String>,
     design: Option<ImcDesign>,
-    checkpoint: Option<String>,
     image: Option<String>,
-    seed: u64,
+    seed: Option<u64>,
     shard_index: Option<usize>,
     shard_count: Option<usize>,
     cfg: ServeConfig,
 }
 
 fn usage() -> String {
-    "usage: imc-serve [--addr HOST:PORT] [--design curfe|chgfe] [--checkpoint PATH]\n\
+    "usage: imc-serve [--addr HOST:PORT] [--design curfe|chgfe] [--seed N]\n\
      \x20                [--image PATH] [--max-batch N] [--max-wait-us N]\n\
-     \x20                [--queue-depth N] [--seed N] [--obs-addr HOST:PORT]\n\
+     \x20                [--queue-depth N] [--obs-addr HOST:PORT]\n\
      \x20                [--max-conns N] [--frame-deadline-ms N] [--write-timeout-ms N]\n\
      \x20                [--shard-index I --shard-count N]"
         .to_owned()
@@ -65,9 +67,8 @@ fn parse_args() -> Result<Args, String> {
         addr: "127.0.0.1:7411".to_owned(),
         obs_addr: None,
         design: None,
-        checkpoint: None,
         image: None,
-        seed: DEFAULT_SEED,
+        seed: None,
         shard_index: None,
         shard_count: None,
         cfg: ServeConfig::default(),
@@ -82,12 +83,10 @@ fn parse_args() -> Result<Args, String> {
             "--addr" => args.addr = value("--addr")?,
             "--obs-addr" => args.obs_addr = Some(value("--obs-addr")?),
             "--design" => args.design = Some(parse_design(&value("--design")?)?),
-            "--checkpoint" => args.checkpoint = Some(value("--checkpoint")?),
             "--image" => args.image = Some(value("--image")?),
             "--seed" => {
-                args.seed = value("--seed")?
-                    .parse()
-                    .map_err(|e| format!("--seed: {e}"))?;
+                let seed = value("--seed")?;
+                args.seed = Some(seed.parse().map_err(|e| format!("--seed: {e}"))?);
             }
             "--shard-index" => {
                 args.shard_index = Some(
@@ -143,16 +142,18 @@ fn parse_args() -> Result<Args, String> {
     if args.cfg.max_batch == 0 || args.cfg.queue_depth == 0 || args.cfg.limits.max_conns == 0 {
         return Err("--max-batch, --queue-depth, and --max-conns must be positive".to_owned());
     }
-    if args.image.is_some() && args.checkpoint.is_some() {
-        return Err("--image and --checkpoint are mutually exclusive".to_owned());
-    }
     if args.shard_index.is_some() != args.shard_count.is_some() {
         return Err("--shard-index and --shard-count go together".to_owned());
     }
-    if args.shard_index.is_some() && (args.image.is_some() || args.checkpoint.is_some()) {
-        // A compiled shard image already carries its ShardSpec;
-        // checkpoints have no shard story.
-        return Err("--shard-index/--shard-count apply to synthetic models only".to_owned());
+    if args.image.is_some() {
+        // A compiled image fixes the design and weights, and a shard
+        // image already carries its ShardSpec.
+        if args.design.is_some() || args.seed.is_some() {
+            return Err("--image fixes the model; drop --design and --seed".to_owned());
+        }
+        if args.shard_index.is_some() {
+            return Err("--shard-index/--shard-count apply to synthetic models only".to_owned());
+        }
     }
     Ok(args)
 }
@@ -167,31 +168,18 @@ fn main() -> ExitCode {
     };
 
     let design = args.design.unwrap_or(ImcDesign::ChgFe);
-    let model = match (&args.image, &args.checkpoint) {
-        (Some(path), _) => match ServeModel::from_image(path, args.design) {
-            Ok(m) => m,
-            Err(e) => {
-                eprintln!("imc-serve: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        (None, Some(path)) => match ServeModel::from_checkpoint(path, design) {
-            Ok(m) => m,
-            Err(e) => {
-                eprintln!("imc-serve: {e}");
-                return ExitCode::FAILURE;
-            }
-        },
-        (None, None) => match (args.shard_index, args.shard_count) {
-            (Some(i), Some(n)) => match ServeModel::synthetic_shard(design, args.seed, i, n) {
-                Ok(m) => m,
-                Err(e) => {
-                    eprintln!("imc-serve: {e}");
-                    return ExitCode::FAILURE;
-                }
-            },
-            _ => ServeModel::synthetic(design, args.seed),
-        },
+    let seed = args.seed.unwrap_or(DEFAULT_SEED);
+    let model = match (&args.image, args.shard_index.zip(args.shard_count)) {
+        (Some(path), _) => ServeModel::from_image(path),
+        (None, Some((i, n))) => ServeModel::synthetic_shard(design, seed, i, n),
+        (None, None) => Ok(ServeModel::synthetic(design, seed)),
+    };
+    let model = match model {
+        Ok(m) => m,
+        Err(e) => {
+            eprintln!("imc-serve: {e}");
+            return ExitCode::FAILURE;
+        }
     };
     let model = Arc::new(model);
 

@@ -22,8 +22,8 @@
 //!
 //! * [`protocol`] — the request/response types.
 //! * [`wire`] — `BIN1`, the one wire format (magic + version hello,
-//!   little-endian frames, raw f32 payloads) that the client, server,
-//!   fleet router and loadgen speak.
+//!   little-endian frames, raw f32 payloads) that the client, server
+//!   and fleet router speak.
 //! * [`door`] — the BIN1 front door `imc-serve` and the fleet router
 //!   share: blocking accept, connection cap, hello, frame deadline,
 //!   timeouts; its owner supplies only a frame handler.
@@ -33,14 +33,14 @@
 //!   `catch_unwind`, labelled with its least-loaded bank; a bank is
 //!   accounting, not a thread.
 //! * [`model`] — the served [`model::ServeModel`]: synthetic
-//!   deterministic weights or a `neural::checkpoint` restore.
+//!   deterministic weights or a compiled `imc-compile` chip image.
 //! * [`metrics`] — service counters and latency histograms, backed by
 //!   the shared `imc-obs` registry (scrapeable via `--obs-addr`) and
 //!   readable in-process through [`ServerHandle::metrics`].
 //! * [`server`] — ties it together: [`server::serve`] returns a
 //!   [`server::ServerHandle`] for graceful shutdown.
-//! * [`client`] — a small blocking client (used by `loadgen` and the
-//!   integration tests).
+//! * [`client`] — a small blocking client (used by the fleet router,
+//!   `loadgen` and the integration tests).
 //! * [`shutdown`] — the cooperative shutdown latch and Unix signal
 //!   hookup.
 //!

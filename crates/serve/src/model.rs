@@ -5,21 +5,19 @@
 //! Two construction paths:
 //!
 //! * [`ServeModel::synthetic`] — a deterministic MNIST-shaped MLP
-//!   (784 → 64 → 10). Both server and load generator can build the exact
+//!   (784 → 64 → 10). Both server and smoke client can build the exact
 //!   same instance from `(design, seed)`, which is what lets `loadgen`
 //!   verify responses bit-for-bit against local execution without
 //!   shipping weights.
-//! * [`ServeModel::from_checkpoint`] — the same architecture with
-//!   trained weights restored from a `neural::checkpoint` JSON file.
 //! * [`ServeModel::from_image`] — a compiled [`imc_compile`] chip image:
 //!   the executor is reconstructed from the image's effective (post-fault,
 //!   post-remap) weight codes, so served logits are bit-identical to the
-//!   predictions in the image manifest.
+//!   predictions in the image manifest. Trained weights are served this
+//!   way: `imc-compile compile --checkpoint` first, then `--image`.
 
 use imc_compile::image::{ChipImage, MacroGeometry, ShardSpec};
-use neural::checkpoint::{load, Checkpoint};
 use neural::imc_exec::{ImcConfig, ImcDesign, QNetwork};
-use neural::models::{mlp, Sequential};
+use neural::models::mlp;
 use neural::tensor::Tensor;
 
 use crate::protocol::DescribeReply;
@@ -42,8 +40,7 @@ pub struct ServeModel {
     design: ImcDesign,
     /// Content digest reported to `Describe` probes. Image-backed models
     /// use [`ChipImage::digest`]; synthetic models derive one from
-    /// `(design, seed, shard)`; checkpoint models report 0 (content not
-    /// verifiable from the file alone).
+    /// `(design, seed, shard)`.
     digest: u64,
     /// Set on shard replicas: the chunk ranges this chip owns.
     shard: Option<ShardSpec>,
@@ -56,8 +53,7 @@ pub struct ServeModel {
 
 /// Prices one whole-model inference (J) with the analytical cost model:
 /// the executor's design/precision knobs plus the macro geometry the
-/// model was compiled for (paper geometry for synthetic and checkpoint
-/// models).
+/// model was compiled for (paper geometry for synthetic models).
 fn price_inference(cfg: &ImcConfig, geometry: MacroGeometry, net: &QNetwork) -> f64 {
     let point = imc_cost::DesignPoint {
         variant: match cfg.design {
@@ -104,7 +100,7 @@ pub fn synthetic_digest(design: ImcDesign, seed: u64, shard: Option<(usize, usiz
         z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
         z ^= z >> 31;
     }
-    z | 1 // never 0, which is reserved for "no digest"
+    z | 1 // never 0
 }
 
 /// Parses a design name (`curfe` / `chgfe`, case-insensitive).
@@ -121,30 +117,24 @@ pub fn parse_design(s: &str) -> Result<ImcDesign, String> {
 }
 
 impl ServeModel {
-    fn quantize(seq: &Sequential, design: ImcDesign, features: usize, classes: usize) -> Self {
-        // The paper operating point: 4-bit activations, 8-bit weights,
-        // 5-bit ADC, 32-row chunks, full device noise.
-        let cfg = ImcConfig::paper(design, 4, 8);
-        let net = QNetwork::from_sequential(seq, cfg);
-        let energy_per_inference_j = price_inference(&cfg, MacroGeometry::paper(), &net);
-        Self {
-            net,
-            features,
-            classes,
-            design,
-            digest: 0,
-            shard: None,
-            energy_per_inference_j,
-        }
-    }
-
-    /// Builds the deterministic MNIST-shaped default model.
+    /// Builds the deterministic MNIST-shaped default model at the paper
+    /// operating point: 4-bit activations, 8-bit weights, 5-bit ADC,
+    /// 32-row chunks, full device noise.
     #[must_use]
     pub fn synthetic(design: ImcDesign, seed: u64) -> Self {
         let seq = mlp(MNIST_FEATURES, DEFAULT_HIDDEN, DEFAULT_CLASSES, seed);
-        let mut m = Self::quantize(&seq, design, MNIST_FEATURES, DEFAULT_CLASSES);
-        m.digest = synthetic_digest(design, seed, None);
-        m
+        let cfg = ImcConfig::paper(design, 4, 8);
+        let net = QNetwork::from_sequential(&seq, cfg);
+        let energy_per_inference_j = price_inference(&cfg, MacroGeometry::paper(), &net);
+        Self {
+            net,
+            features: MNIST_FEATURES,
+            classes: DEFAULT_CLASSES,
+            design,
+            digest: synthetic_digest(design, seed, None),
+            shard: None,
+            energy_per_inference_j,
+        }
     }
 
     /// Builds shard `index` of a `count`-way cut of the synthetic model:
@@ -174,41 +164,8 @@ impl ServeModel {
         Ok(m)
     }
 
-    /// Restores the default architecture from a checkpoint JSON file
-    /// (written by serializing [`Checkpoint`] with `serde_json`).
-    ///
-    /// # Errors
-    ///
-    /// Fails on unreadable files, malformed JSON, or a checkpoint whose
-    /// shapes don't match the MNIST MLP architecture.
-    pub fn from_checkpoint(path: &str, design: ImcDesign) -> Result<Self, String> {
-        let json = std::fs::read_to_string(path)
-            .map_err(|e| format!("cannot read checkpoint {path}: {e}"))?;
-        let ckpt: Checkpoint = serde_json::from_str(&json)
-            .map_err(|e| format!("cannot parse checkpoint {path}: {e}"))?;
-        let mut seq = mlp(
-            MNIST_FEATURES,
-            DEFAULT_HIDDEN,
-            DEFAULT_CLASSES,
-            DEFAULT_SEED,
-        );
-        let restore = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            load(&mut seq, &ckpt);
-        }));
-        if restore.is_err() {
-            return Err(format!(
-                "checkpoint {path} does not match the {MNIST_FEATURES}→{DEFAULT_HIDDEN}→{DEFAULT_CLASSES} MLP architecture"
-            ));
-        }
-        Ok(Self::quantize(
-            &seq,
-            design,
-            MNIST_FEATURES,
-            DEFAULT_CLASSES,
-        ))
-    }
-
     /// Loads a compiled chip image and serves its effective network.
+    /// The image fixes the architecture and the design.
     ///
     /// The executor is rebuilt exactly as the compiler predicted it
     /// ([`ChipImage::to_network`]), faults, remapping and all — responses
@@ -218,18 +175,9 @@ impl ServeModel {
     /// # Errors
     ///
     /// Fails on unreadable, malformed, or invalid images.
-    pub fn from_image(path: &str, design_override: Option<ImcDesign>) -> Result<Self, String> {
+    pub fn from_image(path: &str) -> Result<Self, String> {
         let image = ChipImage::load(path).map_err(|e| e.to_string())?;
         let cfg = image.imc.to_config().map_err(|e| e.to_string())?;
-        if let Some(want) = design_override {
-            if want != cfg.design {
-                return Err(format!(
-                    "image {path} was compiled for {:?}, not {want:?} — recompile \
-                     instead of overriding the design",
-                    cfg.design
-                ));
-            }
-        }
         let net = image.to_network().map_err(|e| e.to_string())?;
         let energy_per_inference_j = price_inference(&cfg, image.geometry, &net);
         Ok(Self {
@@ -292,7 +240,7 @@ impl ServeModel {
         self.net.forward(&x).data().to_vec()
     }
 
-    /// Content digest reported to `Describe` (0 = not verifiable).
+    /// Content digest reported to `Describe`.
     #[must_use]
     pub fn digest(&self) -> u64 {
         self.digest
@@ -427,25 +375,5 @@ mod tests {
             (chg.energy_per_inference_j() * 1.0e12).round() as u64
         );
         assert!(chg.energy_per_inference_pj() > 0);
-    }
-
-    #[test]
-    fn checkpoint_round_trip_restores_weights() {
-        let mut seq = mlp(MNIST_FEATURES, DEFAULT_HIDDEN, DEFAULT_CLASSES, 777);
-        let ckpt = neural::checkpoint::save(&mut seq);
-        let json = serde_json::to_string(&ckpt).unwrap();
-        let dir = std::env::temp_dir();
-        let path = dir.join("imc_serve_ckpt_test.json");
-        std::fs::write(&path, &json).unwrap();
-        let m = ServeModel::from_checkpoint(path.to_str().unwrap(), ImcDesign::CurFe).unwrap();
-        // Same weights quantized the same way as building from `seq`
-        // directly: outputs must agree bitwise.
-        let direct = ServeModel::quantize(&seq, ImcDesign::CurFe, MNIST_FEATURES, DEFAULT_CLASSES);
-        let input: Vec<f32> = (0..MNIST_FEATURES)
-            .map(|i| (i % 11) as f32 / 11.0)
-            .collect();
-        assert_eq!(m.infer_one(&input), direct.infer_one(&input));
-        std::fs::remove_file(&path).ok();
-        assert!(ServeModel::from_checkpoint("/nonexistent/ckpt.json", ImcDesign::CurFe).is_err());
     }
 }

@@ -160,26 +160,10 @@ impl ServerHandle {
     }
 
     /// Version of the image currently serving (1 at startup, +1 per
-    /// successful [`swap_model`](Self::swap_model)).
+    /// successful [`Request::SwapImage`]).
     #[must_use]
     pub fn image_version(&self) -> u64 {
         self.shared.slot.version()
-    }
-
-    /// Hot-swaps the serving model to the chip image at `path` without
-    /// stopping the server: load and prepack happen on this thread, and
-    /// the flip itself is a write-locked pointer swap (its hold time is
-    /// the returned `pause_us`); batches already running finish on the
-    /// old image. The same operation is reachable over the
-    /// wire via [`Request::SwapImage`].
-    ///
-    /// # Errors
-    ///
-    /// Fails — leaving the old model serving untouched — when the image
-    /// cannot be loaded or its input/output shape (or shard cut) differs
-    /// from the currently served model's.
-    pub fn swap_model(&self, path: &str) -> Result<SwapDoneReply, String> {
-        do_swap(&self.shared, path)
     }
 
     /// Requests the server stop and blocks until every accepted request
@@ -431,15 +415,17 @@ impl FrameHandler for Shared {
     }
 }
 
-/// The hot-swap sequence, shared by [`Request::SwapImage`] and
-/// [`ServerHandle::swap_model`]:
+/// The hot-swap sequence behind [`Request::SwapImage`]:
 ///
 /// 1. **Load + prepack off the hot path** — `ServeModel::from_image` on
 ///    the calling thread; serving continues on the old model throughout.
-/// 2. **Validate** — the new image must keep the input/output shape and
-///    shard cut (clients validated against the old shape must stay
-///    well-formed); any failure returns `Err` with nothing changed.
-/// 3. **Flip** — swap the `Arc` under the write lock; the hold time is
+/// 2. **Validate** — the new image must keep the input/output shape
+///    (clients validated against the old shape must stay well-formed),
+///    and neither image may be a shard: a running router never asks a
+///    replica for its digest again, so a swapped shard's partial sums
+///    would be added to the other shards' sums of the old image. Any
+///    failure returns `Err` with nothing changed.
+/// 3. **Switch** — swap the `Arc` under the write lock; the hold time is
 ///    the reported `pause_us`. Prepacked weight planes ride inside the
 ///    `ServeModel`, so stale plane caches are impossible by construction.
 ///    A batch already running holds its own `Arc` of the old image,
@@ -451,7 +437,7 @@ fn do_swap(shared: &Shared, path: &str) -> Result<SwapDoneReply, String> {
     let metrics = &shared.metrics;
     let t_all = Instant::now();
     let old = shared.slot.current();
-    let new_model = ServeModel::from_image(path, None).map_err(|e| format!("swap {path}: {e}"))?;
+    let new_model = ServeModel::from_image(path).map_err(|e| format!("swap {path}: {e}"))?;
     if new_model.input_features() != old.input_features() || new_model.classes() != old.classes() {
         return Err(format!(
             "swap {path}: shape mismatch — serving {}→{}, image is {}→{}",
@@ -461,11 +447,10 @@ fn do_swap(shared: &Shared, path: &str) -> Result<SwapDoneReply, String> {
             new_model.classes()
         ));
     }
-    let old_cut = old.shard().map(|s| (s.index, s.count));
-    let new_cut = new_model.shard().map(|s| (s.index, s.count));
-    if old_cut != new_cut {
+    if old.shard().is_some() || new_model.shard().is_some() {
         return Err(format!(
-            "swap {path}: shard cut mismatch — serving {old_cut:?}, image is {new_cut:?}"
+            "swap {path}: shards do not hot-swap — restart the shard replicas \
+             and the router on the new images"
         ));
     }
 

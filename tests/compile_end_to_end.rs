@@ -70,7 +70,7 @@ fn served_image_is_bit_identical_to_manifest_predictions() {
 
     // Serve the image over real TCP (`imc-serve --image` runs this same
     // constructor) and replay the compiler's probe set.
-    let model = ServeModel::from_image(&path, None).expect("model from image");
+    let model = ServeModel::from_image(&path).expect("model from image");
     let handle = serve("127.0.0.1:0", Arc::new(model), &ServeConfig::default())
         .expect("bind ephemeral server");
     let addr = handle.addr().to_string();

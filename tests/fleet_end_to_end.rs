@@ -8,6 +8,10 @@ use std::io::{Read as _, Write as _};
 use std::sync::Arc;
 use std::time::Duration;
 
+use imc_compile::fleet::shard_image;
+use imc_compile::image::MlpArch;
+use imc_compile::pipeline::{compile, CompileOptions};
+use imc_compile::wear::WearLedger;
 use imc_fleet::{serve_fleet, FleetError, FleetPlan, ReplicaState, RouterConfig};
 use imc_serve::model::{ServeModel, DEFAULT_SEED, MNIST_FEATURES};
 use imc_serve::protocol::Response;
@@ -300,6 +304,60 @@ fn four_replica_fleet_throughput_and_bit_exactness() {
     for r in replicas {
         stop(r);
     }
+}
+
+/// A running router never asks its replicas for their digests again, so
+/// a shard replica swapped behind it would add partial sums of the new
+/// image to the other shards' sums of the old one: logits that match
+/// neither image. Shard replicas refuse `SwapImage` and keep serving
+/// the image they started with.
+#[test]
+fn shard_replicas_refuse_hot_swap() {
+    let dir = std::env::temp_dir().join("fefet_imc_fleet_swap");
+    std::fs::create_dir_all(&dir).expect("temp dir");
+    let shard_0_of = |seed: u64| {
+        let arch = MlpArch {
+            features: 48,
+            hidden: 16,
+            classes: 10,
+        };
+        let mut opts = CompileOptions::new(arch, ImcDesign::ChgFe);
+        opts.weight_seed = seed;
+        opts.program.stride = 64;
+        let mut ledger = WearLedger::fresh(opts.geometry.banks);
+        let base = compile(&opts, &mut ledger).expect("compile").image;
+        let (shards, _) = shard_image(&base, 2, "shard_").expect("cut in two");
+        let path = dir.join(format!("seed_{seed}_shard_0.json"));
+        let path = path.to_string_lossy().into_owned();
+        shards[0].save(&path).expect("shard image saves");
+        path
+    };
+    let (path_7, path_9) = (shard_0_of(7), shard_0_of(9));
+    let oracle_7 = ServeModel::from_image(&path_7).expect("seed-7 shard");
+    let oracle_9 = ServeModel::from_image(&path_9).expect("seed-9 shard");
+    let [lo, hi] = oracle_7.shard().expect("a shard image").layer_chunks[0];
+    let codes: Vec<f32> = (0..48).map(|i| (i % 16) as f32).collect();
+    let sums_7 = oracle_7.partial(0, lo, hi, &codes).expect("seed-7 sums");
+    assert_ne!(
+        sums_7,
+        oracle_9.partial(0, lo, hi, &codes).expect("seed-9 sums"),
+        "the two images must disagree or a swap is unobservable"
+    );
+
+    let replica = serve(
+        "127.0.0.1:0",
+        Arc::new(ServeModel::from_image(&path_7).expect("serving shard")),
+        &ServeConfig::default(),
+    )
+    .expect("bind replica");
+    let mut client = Client::connect(replica.addr()).expect("connect");
+    let err = client
+        .swap_image(&path_9)
+        .expect_err("a shard replica must refuse the swap");
+    assert!(err.to_string().contains("shards do not hot-swap"), "{err}");
+    let reply = client.partial(1, 0, lo, hi, codes).expect("partial");
+    assert_eq!(reply.sums, sums_7, "the replica still serves seed 7");
+    stop(replica);
 }
 
 /// The tracing tentpole, end to end: one traced request through a

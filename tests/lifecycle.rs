@@ -1,12 +1,13 @@
 //! The live lifecycle, end to end: serve a compiled chip image, hammer
-//! it from client threads, hot-swap to a second image mid-load, and
-//! prove that (a) every response bit-matches one of the two images'
-//! oracles — never a blend, never a failure; (b) after the swap
-//! acknowledges, responses match only the new image; (c) the obs HTTP
-//! endpoint (`/metrics`, `/traces`) can be scraped *throughout* the
-//! swap without ever seeing an error or torn registry state; and
-//! (d) a rejected swap (missing file, wrong shape, nesting past the
-//! JSON parser's depth limit) leaves the old image serving untouched.
+//! it from client threads, hot-swap to a second image mid-load with a
+//! `SwapImage` frame, and prove that (a) every response bit-matches one
+//! of the two images' oracles — never a blend, never a failure; (b)
+//! after the `SwapDone` reply, responses match only the new image; (c)
+//! the obs HTTP endpoint (`/metrics`, `/traces`) can be scraped
+//! *throughout* the swap without ever seeing an error or torn registry
+//! state; and (d) a rejected swap (missing file, wrong shape, nesting
+//! past the JSON parser's depth limit, a shard image) comes back as the
+//! server's error text and leaves the old image serving untouched.
 //!
 //! Everything lives in one test body: `Metrics::new` registers its
 //! handles into the process-global obs registry with replace
@@ -19,7 +20,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use imc_compile::image::MlpArch;
+use imc_compile::fleet::shard_image;
+use imc_compile::image::{ChipImage, MlpArch};
 use imc_compile::pipeline::{compile, probe_inputs, CompileOptions};
 use imc_compile::wear::WearLedger;
 use imc_serve::model::ServeModel;
@@ -91,8 +93,8 @@ fn hot_swap_under_load_is_atomic_and_scrape_safe() {
     let path_b = compile_to(9, "image_b.json");
 
     // Oracles: the exact effective networks both images serve.
-    let oracle_a = ServeModel::from_image(&path_a, None).expect("oracle A");
-    let oracle_b = ServeModel::from_image(&path_b, None).expect("oracle B");
+    let oracle_a = ServeModel::from_image(&path_a).expect("oracle A");
+    let oracle_b = ServeModel::from_image(&path_b).expect("oracle B");
     let digest_b = oracle_b.digest();
     let inputs: Vec<Vec<f32>> = probe_inputs(oracle_a.input_features(), 16, 0xA11CE);
     let expect_a: Vec<Vec<f32>> = inputs.iter().map(|x| oracle_a.infer_one(x)).collect();
@@ -105,7 +107,7 @@ fn hot_swap_under_load_is_atomic_and_scrape_safe() {
         "the two images must disagree somewhere or the swap is unobservable"
     );
 
-    let model = ServeModel::from_image(&path_a, None).expect("serving model");
+    let model = ServeModel::from_image(&path_a).expect("serving model");
     let handle = serve("127.0.0.1:0", Arc::new(model), &ServeConfig::default())
         .expect("bind ephemeral server");
     assert_eq!(handle.image_version(), 1);
@@ -182,9 +184,12 @@ fn hot_swap_under_load_is_atomic_and_scrape_safe() {
             })
             .collect();
 
-        // Let traffic and scrapes establish, then flip mid-load.
+        // Let traffic and scrapes establish, then flip mid-load over the
+        // wire, as an operator would.
         std::thread::sleep(Duration::from_millis(150));
-        let swap_done = handle.swap_model(&path_b).expect("swap succeeds");
+        let swap_done = Client::connect(addr.as_str())
+            .and_then(|mut c| c.swap_image(&path_b))
+            .expect("swap succeeds");
         std::thread::sleep(Duration::from_millis(150));
         stop.store(true, Ordering::Relaxed);
 
@@ -242,12 +247,17 @@ fn hot_swap_under_load_is_atomic_and_scrape_safe() {
         "the swap span reaches /traces"
     );
 
-    // Rejected swaps leave the current image serving: a missing file...
-    let err = handle
-        .swap_model(&temp_path("no_such_image.json"))
-        .expect_err("missing image must not swap");
-    assert!(err.contains("no_such_image"), "error names the path: {err}");
-    // ...and a shape-mismatched image.
+    // Rejected swaps leave the current image serving, and the server's
+    // error text comes back as `InvalidData`.
+    let mut rejected = |path: &str, what: &str| {
+        let err = c.swap_image(path).expect_err("a rejected swap");
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData, "{err}");
+        let err = err.to_string();
+        assert!(err.contains(what), "the error names {what:?}: {err}");
+    };
+    // A missing file...
+    rejected(&temp_path("no_such_image.json"), "no_such_image");
+    // ...a shape-mismatched image...
     let mut opts = small_opts(11);
     opts.arch.features = 32;
     opts.arch.hidden = 8;
@@ -255,21 +265,19 @@ fn hot_swap_under_load_is_atomic_and_scrape_safe() {
     let out = compile(&opts, &mut ledger).expect("mismatched compile");
     let path_c = temp_path("image_c.json");
     out.image.save(&path_c).expect("image saves");
-    let err = handle
-        .swap_model(&path_c)
-        .expect_err("shape mismatch must not swap");
-    assert!(
-        err.contains("shape mismatch"),
-        "error explains the mismatch: {err}"
-    );
-    // ...and a file of 100,000 `[`, which the depth-limited parser
-    // refuses instead of overflowing the stack.
+    rejected(&path_c, "shape mismatch");
+    // ...a file of 100,000 `[`, which the depth-limited parser refuses
+    // instead of overflowing the stack...
     let path_d = temp_path("image_nested.json");
     std::fs::write(&path_d, "[".repeat(100_000)).expect("write nested file");
-    let err = handle
-        .swap_model(&path_d)
-        .expect_err("a too-deep document must not swap");
-    assert!(err.contains("nesting"), "error names the nesting: {err}");
+    rejected(&path_d, "nesting");
+    // ...and shard 0 of image B, which a whole-model server must not
+    // start answering `Infer` with.
+    let image_b = ChipImage::load(&path_b).expect("image B loads");
+    let (shards, _) = shard_image(&image_b, 2, "shard_").expect("image B cuts");
+    let path_e = temp_path("image_b_shard_0.json");
+    shards[0].save(&path_e).expect("shard image saves");
+    rejected(&path_e, "shards do not hot-swap");
     assert_eq!(
         handle.image_version(),
         2,

@@ -237,7 +237,7 @@ fn bin1_through_the_chaos_proxy_stays_bit_exact_and_errors_are_typed() {
 
 #[test]
 fn bin1_seeded_chaos_mix_preserves_bit_exactness_for_untouched_requests() {
-    // The loadgen chaos blend: faulted connections may die at any point
+    // The seeded fault blend: faulted connections may die at any point
     // (including during the handshake), but every Output that does
     // arrive must match direct execution bit-for-bit.
     let model = Arc::new(ServeModel::synthetic(ImcDesign::CurFe, DEFAULT_SEED));
