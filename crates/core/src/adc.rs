@@ -200,6 +200,12 @@ impl AdcReader {
     /// it maps every `v` to itself except −0.0, which it turns into
     /// +0.0, and both round to code 0.
     ///
+    /// Its lane twin, [`AdcLanes::read_units`], reads four conversions
+    /// at once and must stay bit-identical to this read, lane for lane:
+    /// `lane_read_matches_the_scalar_read_bit_for_bit` in this module
+    /// pins them together, signed zeros, half-LSB ties, clamps and
+    /// non-finite inputs included.
+    ///
     /// `inline(always)` so feature-specialized MAC loops absorb the
     /// `f64::round` and lower it to `roundsd` instead of a libm call.
     #[inline(always)]
@@ -217,6 +223,74 @@ impl AdcReader {
             (code as i64).clamp(self.lo, self.hi)
         };
         exact_f64(code) * self.lsb
+    }
+
+    /// The four-lane twin of this reader, or `None` unless it is
+    /// unit-scale: only the identity affine has a lane read.
+    #[must_use]
+    pub fn lanes(&self) -> Option<AdcLanes> {
+        self.unit_scale.then_some(AdcLanes {
+            lsb: self.lsb,
+            lo: exact_f64(self.lo),
+            hi: exact_f64(self.hi),
+        })
+    }
+}
+
+/// The read of a unit-scale [`AdcReader`], four conversions at a time
+/// (x86-64 AVX): lane `k` of [`AdcLanes::read_units`] has the bits
+/// `AdcReader::read_units` returns for input `k`.
+#[derive(Debug, Clone, Copy)]
+pub struct AdcLanes {
+    lsb: f64,
+    lo: f64,
+    hi: f64,
+}
+
+#[cfg(target_arch = "x86_64")]
+impl AdcLanes {
+    /// `/ lsb`, round half away from zero, NaN → 0, clamp to the code
+    /// range, `· lsb`, in four lanes, each step with the scalar read's
+    /// exact bits:
+    ///
+    /// - `f64::round` is `trunc(q + copysign(pred(0.5), q))` (what
+    ///   LLVM lowers it to with SSE4.1): the sum reaches the next
+    ///   integer exactly when `|q|`'s fraction is at least ½. Rounding
+    ///   to nearest instead would send halves to even.
+    /// - `max_pd`/`min_pd` return their second operand when either is
+    ///   NaN, so NaN is masked to 0 *before* the clamp.
+    /// - The clamp runs in f64: the code is an integer or ±∞ there, and
+    ///   the scalar read's saturating `as i64` clamps to the same code.
+    /// - `+ 0.0` turns a −0 code into +0, as the scalar read's integer
+    ///   code does.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX. `inline(always)`: inlined into a
+    /// function compiled with AVX, every intrinsic is one instruction;
+    /// elsewhere each would be a call.
+    #[inline(always)]
+    #[must_use]
+    pub unsafe fn read_units(&self, v: std::arch::x86_64::__m256d) -> std::arch::x86_64::__m256d {
+        use std::arch::x86_64::{
+            _mm256_add_pd, _mm256_and_pd, _mm256_cmp_pd, _mm256_div_pd, _mm256_max_pd,
+            _mm256_min_pd, _mm256_mul_pd, _mm256_or_pd, _mm256_round_pd, _mm256_set1_pd,
+            _mm256_setzero_pd, _CMP_ORD_Q, _MM_FROUND_NO_EXC, _MM_FROUND_TO_ZERO,
+        };
+        // SAFETY: the caller guarantees AVX.
+        unsafe {
+            let lsb = _mm256_set1_pd(self.lsb);
+            let q = _mm256_div_pd(v, lsb);
+            let sign = _mm256_and_pd(q, _mm256_set1_pd(-0.0));
+            let half = _mm256_or_pd(_mm256_set1_pd(0.5f64.next_down()), sign);
+            let code = _mm256_round_pd::<{ _MM_FROUND_TO_ZERO | _MM_FROUND_NO_EXC }>(
+                _mm256_add_pd(q, half),
+            );
+            let code = _mm256_and_pd(code, _mm256_cmp_pd::<_CMP_ORD_Q>(code, code));
+            let code = _mm256_max_pd(code, _mm256_set1_pd(self.lo));
+            let code = _mm256_min_pd(code, _mm256_set1_pd(self.hi));
+            _mm256_mul_pd(_mm256_add_pd(code, _mm256_setzero_pd()), lsb)
+        }
     }
 }
 
@@ -392,6 +466,82 @@ mod tests {
             #[allow(clippy::cast_precision_loss)]
             let cast = v as f64;
             assert_eq!(exact_f64(v).to_bits(), cast.to_bits(), "v = {v}");
+        }
+    }
+
+    /// Four lanes of `AdcLanes::read_units`, through an AVX compile.
+    #[cfg(target_arch = "x86_64")]
+    #[target_feature(enable = "avx")]
+    fn read_lanes(lanes: &AdcLanes, v: [f64; 4]) -> [f64; 4] {
+        use std::arch::x86_64::{_mm256_loadu_pd, _mm256_storeu_pd};
+        let mut out = [0.0; 4];
+        // SAFETY: both pointers address four f64s, and this function
+        // is compiled with AVX, which the lane read needs.
+        unsafe {
+            _mm256_storeu_pd(
+                out.as_mut_ptr(),
+                lanes.read_units(_mm256_loadu_pd(v.as_ptr())),
+            )
+        };
+        out
+    }
+
+    #[cfg(target_arch = "x86_64")]
+    #[test]
+    fn lane_read_matches_the_scalar_read_bit_for_bit() {
+        // Only the identity affine has lanes; any other reader takes the
+        // scalar read.
+        assert!(h4b_adc(5, 32, 0.5, 1.0).reader().lanes().is_none());
+        assert!(l4b_adc(5, 32, 0.0, -1.0).reader().lanes().is_none());
+        let offset = l4b_adc(5, 32, 0.0, 1.0).with_offset(0.25);
+        assert!(offset.reader().lanes().is_none());
+        if !std::arch::is_x86_feature_detected!("avx") {
+            eprintln!("no AVX on this CPU: the lane read is never taken");
+            return;
+        }
+        for bits in [3, 5, 12] {
+            for adc in [h4b_adc(bits, 32, 0.0, 1.0), l4b_adc(bits, 32, 0.0, 1.0)] {
+                let reader = adc.reader();
+                let lanes = reader.lanes().expect("a unit-scale reader has lanes");
+                let lsb = adc.units_per_lsb();
+                let codes = 1i32 << bits;
+                let mut inputs = vec![
+                    0.0,
+                    -0.0,
+                    f64::INFINITY,
+                    f64::NEG_INFINITY,
+                    f64::NAN,
+                    1e12,
+                    -1e12,
+                    2f64.powi(60),
+                    -(2f64.powi(60)),
+                    0.3 * lsb,
+                    -0.3 * lsb,
+                ];
+                // Every half-LSB tie ±(k + ½)·lsb inside and past both
+                // clamps, one ulp either side, and the code points.
+                for k in -codes - 2..=codes + 2 {
+                    let tie = (f64::from(k) + 0.5) * lsb;
+                    inputs.extend([tie, tie.next_up(), tie.next_down()]);
+                    inputs.push(f64::from(k) * lsb);
+                }
+                while inputs.len() % 4 != 0 {
+                    inputs.push(-0.0);
+                }
+                for v in inputs.chunks_exact(4) {
+                    let v = [v[0], v[1], v[2], v[3]];
+                    // SAFETY: AVX is checked above.
+                    let got = unsafe { read_lanes(&lanes, v) };
+                    for (x, y) in v.iter().zip(got) {
+                        assert_eq!(
+                            y.to_bits(),
+                            reader.read_units(*x).to_bits(),
+                            "{:?} {bits}-bit read of {x:e}: lanes gave {y:e}",
+                            adc.mode()
+                        );
+                    }
+                }
+            }
         }
     }
 

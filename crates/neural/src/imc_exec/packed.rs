@@ -32,10 +32,16 @@
 //! [`imc_matmul_packed`], [`imc_matmul_packed_partial`] and
 //! [`ideal_matmul_packed`] are its three pairings, all run by one driver
 //! that builds the input bit-masks, opens the noise streams and picks
-//! the compile. The body is compiled exactly twice, portably and with
-//! `popcnt,sse4.1` on x86-64 (detected at run time), so calibration
-//! takes the fast compile too. Its position loop keeps an explicit
-//! bound; the comment there says why.
+//! the compile. For each position the body first counts a block of up
+//! to 64 columns into a plane-major stack array, then reads the counts.
+//! It is compiled three times: portably, with `popcnt,sse4.1`, and with
+//! `avx2,popcnt,sse4.1`; on x86-64 the fastest one the CPU runs is
+//! picked at run time, so calibration takes a fast compile too. Only
+//! the AVX2 compile reads four columns at once: the noisy read over
+//! unit-scale ADCs has a lane read ([`imc_core::adc::AdcLanes`]),
+//! bit-identical to four scalar reads. Leftover columns (`oc mod 4`),
+//! other ADCs and the ideal read stay scalar. The position loop keeps
+//! an explicit bound; the comment there says why.
 //!
 //! Statistical device noise rides on top of the integer pMACV: the
 //! per-active-cell variances are recovered *exactly* from the popcounts
@@ -79,7 +85,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::quant::QuantizedWeights;
 use crate::tensor::Tensor;
-use imc_core::adc::{exact_f64, AdcReader, SarAdc};
+use imc_core::adc::{exact_f64, AdcLanes, AdcReader, SarAdc};
 use imc_core::weights::{SignedNibble, SplitWeight};
 
 use super::{ImcConfig, NoiseProfile};
@@ -370,6 +376,14 @@ fn noise_table(id: TableKey) -> Arc<[f64]> {
     cached(&TABLES, id, build).0
 }
 
+/// Columns a pass counts before it reads them.
+const BLOCK: usize = 64;
+
+/// The plane popcounts of a block of up to [`BLOCK`] columns,
+/// plane-major: `[j][k]` is plane `j` of the block's column `k`, so one
+/// load takes a plane's counts of four adjacent columns.
+type Counts = [[u32; BLOCK]; PLANES];
+
 /// How one conversion's plane popcounts `n` are read out: the noisy
 /// ADC pair of inference ([`AdcRead`]) or the ideal calibration read
 /// ([`IdealRead`]). Returns the combined pMACV `16·H + L` (`H` in 4-bit
@@ -380,6 +394,20 @@ trait Readout {
     fn draws(&self) -> Option<(StreamKey, usize)>;
     /// Reads one conversion, taking its normals from `g`.
     fn read(&mut self, n: &[u32; PLANES], g: &[f64]) -> f64;
+    /// Whether [`Readout::read4`] reads this read's conversions.
+    fn has_lanes(&self) -> bool {
+        false
+    }
+    /// Reads block columns `k..k + 4` of `counts` at once, taking their
+    /// normals from `g` in column order, and returns the bits four
+    /// [`Readout::read`]s return.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must support AVX2, and [`Readout::has_lanes`] must hold.
+    unsafe fn read4(&mut self, _counts: &Counts, _k: usize, _g: &[f64]) -> [f64; 4] {
+        unreachable!("a read without lanes reads one column at a time")
+    }
 }
 
 /// Where a read pMACV lands: shift-added by its input bit `t` into an
@@ -417,6 +445,8 @@ struct AdcRead<'a> {
     noise: &'a PlaneNoise,
     adc_h: AdcReader,
     adc_l: AdcReader,
+    /// The pair's four-lane twins, when both are unit-scale (x86-64).
+    lanes: Option<(AdcLanes, AdcLanes)>,
     eight_bit: bool,
     key: StreamKey,
 }
@@ -428,10 +458,15 @@ impl<'a> AdcRead<'a> {
         cfg: &ImcConfig,
         key: StreamKey,
     ) -> Self {
+        let (adc_h, adc_l) = (adcs.0.reader(), adcs.1.reader());
         Self {
             noise,
-            adc_h: adcs.0.reader(),
-            adc_l: adcs.1.reader(),
+            adc_h,
+            adc_l,
+            lanes: adc_h
+                .lanes()
+                .zip(adc_l.lanes())
+                .filter(|_| cfg!(target_arch = "x86_64")),
             eight_bit: cfg.weight_bits == 8,
             key,
         }
@@ -483,6 +518,107 @@ impl Readout for AdcRead<'_> {
         };
         16.0 * h_units + self.adc_l.read_units(l_int + noise_l)
     }
+
+    fn has_lanes(&self) -> bool {
+        self.lanes.is_some()
+    }
+
+    /// [`AdcRead::read`] in four lanes, each step with its bits: `H` and
+    /// `L` sum in i32 and convert exactly (`cvtdq2pd` writes the whole
+    /// register, so no false dependency forms), `V` adds its products
+    /// in the scalar order without FMA, `(eff · √V) · g` keeps its
+    /// operand order, and the ADC pair reads through its lane twins. At
+    /// W8 the H and L normals alternate in `g` and are split apart.
+    #[cfg(target_arch = "x86_64")]
+    #[inline(always)]
+    unsafe fn read4(&mut self, counts: &Counts, k: usize, g: &[f64]) -> [f64; 4] {
+        use std::arch::x86_64::{
+            _mm256_add_pd, _mm256_cvtepi32_pd, _mm256_loadu_pd, _mm256_mul_pd,
+            _mm256_permute4x64_pd, _mm256_set1_pd, _mm256_storeu_pd, _mm256_unpackhi_pd,
+            _mm256_unpacklo_pd, _mm_add_epi32, _mm_loadu_si128, _mm_slli_epi32, _mm_sub_epi32,
+        };
+        let (lanes_h, lanes_l) = self.lanes.expect("read4 needs has_lanes");
+        let noise = self.noise;
+        let noisy = noise.eff_scale > 0.0;
+        let draws = if self.eight_bit { 8 } else { 4 };
+        assert!(k + 4 <= BLOCK && (!noisy || g.len() >= draws));
+        let mut out = [0.0; 4];
+        // SAFETY: the caller guarantees AVX2, and every load and store
+        // touches four in-bounds elements (the assert above).
+        unsafe {
+            let n: [_; PLANES] =
+                std::array::from_fn(|j| _mm_loadu_si128(counts[j][k..].as_ptr().cast()));
+            let h = _mm_sub_epi32(
+                _mm_add_epi32(
+                    _mm_add_epi32(n[0], _mm_slli_epi32::<1>(n[1])),
+                    _mm_slli_epi32::<2>(n[2]),
+                ),
+                _mm_slli_epi32::<3>(n[3]),
+            );
+            let mut h = _mm256_cvtepi32_pd(h);
+            if !self.eight_bit {
+                if noisy {
+                    let g = _mm256_loadu_pd(g.as_ptr());
+                    h = with_noise(h, &n[..4], &noise.ch, noise.eff_scale, g);
+                }
+                _mm256_storeu_pd(out.as_mut_ptr(), lanes_h.read_units(h));
+                return out;
+            }
+            let l = _mm_add_epi32(
+                _mm_add_epi32(n[4], _mm_slli_epi32::<1>(n[5])),
+                _mm_add_epi32(_mm_slli_epi32::<2>(n[6]), _mm_slli_epi32::<3>(n[7])),
+            );
+            let mut l = _mm256_cvtepi32_pd(l);
+            if noisy {
+                // [h0 l0 h1 l1], [h2 l2 h3 l3] → [h0 h2 h1 h3] → [h0 h1 h2 h3].
+                let (a, b) = (
+                    _mm256_loadu_pd(g.as_ptr()),
+                    _mm256_loadu_pd(g[4..].as_ptr()),
+                );
+                let gh = _mm256_permute4x64_pd::<0b11_01_10_00>(_mm256_unpacklo_pd(a, b));
+                let gl = _mm256_permute4x64_pd::<0b11_01_10_00>(_mm256_unpackhi_pd(a, b));
+                h = with_noise(h, &n[..4], &noise.ch, noise.eff_scale, gh);
+                l = with_noise(l, &n[4..], &noise.cl, noise.eff_scale, gl);
+            }
+            let combined = _mm256_add_pd(
+                _mm256_mul_pd(_mm256_set1_pd(16.0), lanes_h.read_units(h)),
+                lanes_l.read_units(l),
+            );
+            _mm256_storeu_pd(out.as_mut_ptr(), combined);
+        }
+        out
+    }
+}
+
+/// `units + (eff · √V) · g` in four lanes, `V = ((f0·c0 + f1·c1) +
+/// f2·c2) + f3·c3` over the four planes' counts `n`: the scalar read's
+/// operations in its order, with no FMA.
+///
+/// # Safety
+///
+/// The CPU must support AVX.
+#[cfg(target_arch = "x86_64")]
+#[inline(always)]
+unsafe fn with_noise(
+    units: std::arch::x86_64::__m256d,
+    n: &[std::arch::x86_64::__m128i],
+    c: &[f64; 4],
+    eff: f64,
+    g: std::arch::x86_64::__m256d,
+) -> std::arch::x86_64::__m256d {
+    use std::arch::x86_64::{
+        _mm256_add_pd, _mm256_cvtepi32_pd, _mm256_mul_pd, _mm256_set1_pd, _mm256_sqrt_pd,
+    };
+    // SAFETY: the caller guarantees AVX.
+    unsafe {
+        let term = |j: usize| _mm256_mul_pd(_mm256_cvtepi32_pd(n[j]), _mm256_set1_pd(c[j]));
+        let v = _mm256_add_pd(
+            _mm256_add_pd(_mm256_add_pd(term(0), term(1)), term(2)),
+            term(3),
+        );
+        let sigma = _mm256_mul_pd(_mm256_set1_pd(eff), _mm256_sqrt_pd(v));
+        _mm256_add_pd(units, _mm256_mul_pd(sigma, g))
+    }
 }
 
 /// The calibration read: no noise and no conversion, recording the
@@ -528,27 +664,64 @@ struct Pass<'a> {
 }
 
 /// The `positions × oc` popcount → read → shift-add loop of one pass,
-/// the only popcount loop of the kernel. Compiled exactly twice, by the
-/// two functions below.
+/// the only popcount loop of the kernel. For each position it counts a
+/// block of up to [`BLOCK`] columns into a plane-major [`Counts`], then
+/// reads them: four columns at a time through [`Readout::read4`] when
+/// `LANES` is set and the read has lanes, the rest one at a time. Each
+/// accumulator still takes one shift-add per pass. Compiled three
+/// times, by the three functions below; only [`pass_x86_avx2`] sets
+/// `LANES`.
+///
+/// # Safety
+///
+/// With `LANES`, the CPU must support AVX2.
 #[inline(always)]
-fn pass_body<R: Readout, A: ShiftAdd>(p: &Pass<'_>, read: &mut R, acc: &mut [A]) {
-    let (wpp, d) = (p.wpp, p.draws);
+unsafe fn pass_body<const LANES: bool, R: Readout, A: ShiftAdd>(
+    p: &Pass<'_>,
+    read: &mut R,
+    acc: &mut [A],
+) {
+    let (wpp, d, oc) = (p.wpp, p.draws, p.oc);
+    let lanes = LANES && read.has_lanes();
+    let mut counts: Counts = [[0; BLOCK]; PLANES];
     // Keep the explicit `positions` bound: bounding this loop by
     // `masks.len() / wpp`, or iterating `masks.chunks_exact(wpp)`,
     // compiles the f32 pass ~40% slower with the same instruction mix.
     for pos in 0..p.positions {
         let xm = &p.masks[pos * wpp..(pos + 1) * wpp];
-        let base = pos * p.oc;
-        for o in 0..p.oc {
-            let w = &p.words[o * PLANES * wpp..(o + 1) * PLANES * wpp];
-            let mut n = [0u32; PLANES];
-            for (s, &x) in xm.iter().enumerate() {
-                for (j, nj) in n.iter_mut().enumerate() {
-                    *nj += (x & w[j * wpp + s]).count_ones();
+        for o0 in (0..oc).step_by(BLOCK) {
+            let cols = BLOCK.min(oc - o0);
+            for k in 0..cols {
+                let o = o0 + k;
+                let w = &p.words[o * PLANES * wpp..(o + 1) * PLANES * wpp];
+                let mut n = [0u32; PLANES];
+                for (s, &x) in xm.iter().enumerate() {
+                    for (j, nj) in n.iter_mut().enumerate() {
+                        *nj += (x & w[j * wpp + s]).count_ones();
+                    }
+                }
+                for (plane, nj) in counts.iter_mut().zip(n) {
+                    plane[k] = nj;
                 }
             }
-            let i = base + o;
-            acc[i].shift_add(read.read(&n, &p.normals[i * d..(i + 1) * d]), p.t);
+            let i0 = pos * oc + o0;
+            let out = &mut acc[i0..i0 + cols];
+            let mut k = 0;
+            while lanes && k + 4 <= cols {
+                let i = i0 + k;
+                // SAFETY: `lanes` implies `LANES`, whose caller
+                // guarantees AVX2, and `has_lanes`.
+                let v = unsafe { read.read4(&counts, k, &p.normals[i * d..(i + 4) * d]) };
+                for (a, v) in out[k..k + 4].iter_mut().zip(v) {
+                    a.shift_add(v, p.t);
+                }
+                k += 4;
+            }
+            for (k, a) in out.iter_mut().enumerate().skip(k) {
+                let i = i0 + k;
+                let n = std::array::from_fn(|j| counts[j][k]);
+                a.shift_add(read.read(&n, &p.normals[i * d..(i + 1) * d]), p.t);
+            }
         }
     }
 }
@@ -556,7 +729,8 @@ fn pass_body<R: Readout, A: ShiftAdd>(p: &Pass<'_>, read: &mut R, acc: &mut [A])
 /// Baseline-ISA compilation of the pass (software popcount on x86-64
 /// without `-C target-cpu`).
 fn pass_portable<R: Readout, A: ShiftAdd>(p: &Pass<'_>, read: &mut R, acc: &mut [A]) {
-    pass_body(p, read, acc);
+    // SAFETY: without `LANES` the body needs no CPU feature.
+    unsafe { pass_body::<false, _, _>(p, read, acc) };
 }
 
 /// The same pass compiled with hardware `popcnt` (the eight AND+count
@@ -568,21 +742,80 @@ fn pass_portable<R: Readout, A: ShiftAdd>(p: &Pass<'_>, read: &mut R, acc: &mut 
 /// # Safety
 ///
 /// Caller must ensure the CPU supports `popcnt` and `sse4.1`
-/// ([`have_fast_mac_features`]).
+/// ([`Compile::Popcnt`] or better).
 #[cfg(target_arch = "x86_64")]
 #[target_feature(enable = "popcnt,sse4.1")]
 unsafe fn pass_x86_fast<R: Readout, A: ShiftAdd>(p: &Pass<'_>, read: &mut R, acc: &mut [A]) {
-    pass_body(p, read, acc);
+    // SAFETY: without `LANES` the body needs no CPU feature.
+    unsafe { pass_body::<false, _, _>(p, read, acc) };
 }
 
-/// Runtime CPU feature gate for [`pass_x86_fast`], probed once.
+/// The pass compiled with AVX2 as well, and with `LANES` set: an
+/// [`AdcRead`] over unit-scale ADCs reads four columns at once
+/// ([`AdcRead::read4`]), bit-identical to four scalar reads. Leftover
+/// columns and every other read stay scalar.
+///
+/// # Safety
+///
+/// Caller must ensure the CPU supports `avx2`, `popcnt` and `sse4.1`
+/// ([`Compile::Avx2`]).
 #[cfg(target_arch = "x86_64")]
-fn have_fast_mac_features() -> bool {
-    static HAVE: OnceLock<bool> = OnceLock::new();
-    *HAVE.get_or_init(|| {
-        std::arch::is_x86_feature_detected!("popcnt")
-            && std::arch::is_x86_feature_detected!("sse4.1")
-    })
+#[target_feature(enable = "avx2,popcnt,sse4.1")]
+unsafe fn pass_x86_avx2<R: Readout, A: ShiftAdd>(p: &Pass<'_>, read: &mut R, acc: &mut [A]) {
+    // SAFETY: the caller guarantees AVX2.
+    unsafe { pass_body::<true, _, _>(p, read, acc) };
+}
+
+/// The compiles of the pass body, slowest first; a CPU that runs one
+/// runs every one before it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum Compile {
+    /// [`pass_portable`].
+    Portable,
+    /// [`pass_x86_fast`]: `popcnt,sse4.1`.
+    Popcnt,
+    /// [`pass_x86_avx2`]: `avx2,popcnt,sse4.1`.
+    Avx2,
+}
+
+impl Compile {
+    /// The fastest compile this CPU runs, probed once.
+    fn best() -> Self {
+        static BEST: OnceLock<Compile> = OnceLock::new();
+        *BEST.get_or_init(|| {
+            #[cfg(target_arch = "x86_64")]
+            {
+                use std::arch::is_x86_feature_detected as has;
+                if has!("popcnt") && has!("sse4.1") {
+                    return if has!("avx2") {
+                        Compile::Avx2
+                    } else {
+                        Compile::Popcnt
+                    };
+                }
+            }
+            Compile::Portable
+        })
+    }
+
+    /// Runs pass `p` on this compile.
+    ///
+    /// # Safety
+    ///
+    /// The CPU must run this compile (`self <= Compile::best()`).
+    unsafe fn run<R: Readout, A: ShiftAdd>(self, p: &Pass<'_>, read: &mut R, acc: &mut [A]) {
+        match self {
+            Compile::Portable => pass_portable(p, read, acc),
+            // SAFETY: the caller guarantees the features.
+            #[cfg(target_arch = "x86_64")]
+            Compile::Popcnt => unsafe { pass_x86_fast(p, read, acc) },
+            // SAFETY: the caller guarantees the features.
+            #[cfg(target_arch = "x86_64")]
+            Compile::Avx2 => unsafe { pass_x86_avx2(p, read, acc) },
+            #[cfg(not(target_arch = "x86_64"))]
+            Compile::Popcnt | Compile::Avx2 => pass_portable(p, read, acc),
+        }
+    }
 }
 
 /// Most normals a pass over several rows draws ahead of its reads
@@ -676,13 +909,8 @@ fn run_passes<R: Readout, A: ShiftAdd>(
                     t,
                 };
                 let out = &mut acc[p0 * oc..(p0 + rows) * oc];
-                #[cfg(target_arch = "x86_64")]
-                if have_fast_mac_features() {
-                    // SAFETY: guarded by runtime CPU feature detection.
-                    unsafe { pass_x86_fast(&pass, read, out) };
-                    continue;
-                }
-                pass_portable(&pass, read, out);
+                // SAFETY: `Compile::best` is what the CPU runs.
+                unsafe { Compile::best().run(&pass, read, out) };
             }
         }
     }
@@ -993,66 +1221,98 @@ mod tests {
         acc
     }
 
-    #[cfg(target_arch = "x86_64")]
     #[test]
     fn portable_and_fast_compiles_agree_bit_for_bit() {
-        // `run_passes` takes the `popcnt,sse4.1` compile on any x86-64
-        // host, so the portable one runs only here: one pass through each
-        // compile for every (read, accumulator) pairing the kernel uses.
-        assert!(have_fast_mac_features(), "x86-64 has popcnt and sse4.1");
-        let cfg = ImcConfig::paper(super::super::ImcDesign::ChgFe, 4, 8);
-        let (positions, oc) = (3, 5);
-        let planes = pack_planes(&test_weights(oc, 70, 8, 0xFA57), cfg.rows);
-        let chunk = &planes.chunks[1];
-        // Mask bits past the chunk's rows meet zero weight bits.
-        let masks: Vec<u64> = (0..positions * chunk.words_per_plane)
-            .map(|i| stream_seed(9, 0, 0, i))
+        // `run_passes` takes only the fastest compile the CPU runs, so the
+        // others run only here: one pass through every compile the host
+        // supports, for every (read, accumulator) pairing the kernel uses,
+        // at W4 and W8 with noise off and on, on column counts with no
+        // lanes (3), lanes only (4, 8), both (5) and two blocks (70). The
+        // noisy read over ADCs with `v_zero` 0.5 has no lanes and must
+        // read every column on its own.
+        let compiles: Vec<Compile> = [Compile::Portable, Compile::Popcnt, Compile::Avx2]
+            .into_iter()
+            .filter(|&c| c <= Compile::best())
             .collect();
-        let mut gauss = ZigGauss::new(0x5EED);
-        let normals: Vec<f64> = (0..positions * oc * 2).map(|_| gauss.normal()).collect();
-        let pass = Pass {
-            masks: &masks,
-            words: &chunk.words,
-            normals: &normals,
-            draws: 2,
-            wpp: chunk.words_per_plane,
-            positions,
-            oc,
-            t: 2,
-        };
+        println!("pass compiles run on this host: {compiles:?}");
         fn run<R: Readout, A: ShiftAdd>(
-            fast: bool,
+            compile: Compile,
             pass: &Pass<'_>,
             read: &mut R,
             init: A,
         ) -> Vec<A> {
             let mut acc = vec![init; pass.positions * pass.oc];
-            if fast {
-                // SAFETY: the test asserts the CPU has the features.
-                unsafe { pass_x86_fast(pass, read, &mut acc) };
-            } else {
-                pass_portable(pass, read, &mut acc);
-            }
+            // SAFETY: the test runs only compiles up to `Compile::best`.
+            unsafe { compile.run(pass, read, &mut acc) };
             acc
         }
-        let noise = PlaneNoise::for_config(&cfg);
-        let adcs = super::super::default_adcs(&cfg);
-        let key = StreamKey { seed: 1, layer: 0 };
-        let noisy = || AdcRead::new(&noise, &adcs, &cfg, key);
         let bits = |v: Vec<f32>| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-        let f32_pass = |fast| bits(run(fast, &pass, &mut noisy(), 0.5f32));
-        assert_eq!(f32_pass(false), f32_pass(true), "noisy f32 pass");
-        let i64_pass = |fast| run(fast, &pass, &mut noisy(), 7i64);
-        assert_eq!(i64_pass(false), i64_pass(true), "noisy i64 pass");
-        let ideal_pass = |fast| {
-            let mut read = IdealRead {
-                eight_bit: true,
-                max_units: (1.0, 2.0),
-            };
-            let acc = bits(run(fast, &pass, &mut read, 0.5f32));
-            (acc, read.max_units.0.to_bits(), read.max_units.1.to_bits())
-        };
-        assert_eq!(ideal_pass(false), ideal_pass(true), "ideal pass");
+        let positions = 3;
+        for weight_bits in [4, 8] {
+            for noise_scale in [0.0, 1.0] {
+                for oc in [3, 4, 5, 8, 70] {
+                    let mut cfg = ImcConfig::paper(super::super::ImcDesign::ChgFe, 4, weight_bits);
+                    cfg.noise_scale = noise_scale;
+                    let qw = test_weights(oc, 70, weight_bits, 0xFA57);
+                    let planes = pack_planes(&qw, cfg.rows);
+                    let chunk = &planes.chunks[1];
+                    // Mask bits past the chunk's rows meet zero weight bits.
+                    let masks: Vec<u64> = (0..positions * chunk.words_per_plane)
+                        .map(|i| stream_seed(9, 0, 0, i))
+                        .collect();
+                    let noise = PlaneNoise::for_config(&cfg);
+                    let adcs = super::super::default_adcs(&cfg);
+                    let offset_adcs = (
+                        imc_core::adc::h4b_adc(cfg.adc_bits, cfg.rows, 0.5, 1.0),
+                        imc_core::adc::l4b_adc(cfg.adc_bits, cfg.rows, 0.5, 1.0),
+                    );
+                    let key = StreamKey { seed: 1, layer: 0 };
+                    let noisy = |adcs| AdcRead::new(&noise, adcs, &cfg, key);
+                    assert_eq!(noisy(&adcs).has_lanes(), cfg!(target_arch = "x86_64"));
+                    assert!(!noisy(&offset_adcs).has_lanes());
+                    let d = noisy(&adcs).draws().map_or(0, |(_, d)| d);
+                    let mut gauss = ZigGauss::new(0x5EED);
+                    let normals: Vec<f64> =
+                        (0..positions * oc * d).map(|_| gauss.normal()).collect();
+                    let pass = Pass {
+                        masks: &masks,
+                        words: &chunk.words,
+                        normals: &normals,
+                        draws: d,
+                        wpp: chunk.words_per_plane,
+                        positions,
+                        oc,
+                        t: 2,
+                    };
+                    let outputs = |compile| {
+                        let mut ideal = IdealRead {
+                            eight_bit: weight_bits == 8,
+                            max_units: (1.0, 2.0),
+                        };
+                        let ideal_acc = bits(run(compile, &pass, &mut ideal, 0.5f32));
+                        (
+                            bits(run(compile, &pass, &mut noisy(&adcs), 0.5f32)),
+                            run(compile, &pass, &mut noisy(&adcs), 7i64),
+                            bits(run(compile, &pass, &mut noisy(&offset_adcs), 0.5f32)),
+                            (
+                                ideal_acc,
+                                ideal.max_units.0.to_bits(),
+                                ideal.max_units.1.to_bits(),
+                            ),
+                        )
+                    };
+                    let portable = outputs(Compile::Portable);
+                    for &compile in &compiles[1..] {
+                        let got = outputs(compile);
+                        let tag = format!("{compile:?} W{weight_bits} noise {noise_scale} oc {oc}");
+                        assert_eq!(got.0, portable.0, "{tag}: noisy f32 pass");
+                        assert_eq!(got.1, portable.1, "{tag}: noisy i64 pass");
+                        assert_eq!(got.2, portable.2, "{tag}: offset-ADC f32 pass");
+                        assert_eq!(got.3, portable.3, "{tag}: ideal pass");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

@@ -119,17 +119,32 @@ fn ramp_rows(rows: usize, features: usize, phase: usize) -> Tensor {
     )
 }
 
+/// ADC resolutions of the noise-0 cases. One LSB spans 480 / 2^bits
+/// units. At the paper's 5 bits that is 15, so no integer H or L lands
+/// on a half-LSB tie and nothing pins how the ADC rounds one. At 4 bits
+/// (30 units) every H ≡ 15 (mod 30) is a tie, and at 3 bits (60 units)
+/// every H ≡ 30 (mod 60): rounding them half to even, not away from
+/// zero, fails these cases. 6 bits gives a step of 7.5 units, which is
+/// not an integer.
+const ADC_BITS: [u32; 4] = [5, 3, 4, 6];
+
 #[test]
 fn kernels_bit_identical_on_seed_checkpoints() {
     // The serve model's shape at its default seed plus fixed checkpoint
-    // seeds, both designs and both weight widths. Exact equality on
-    // every logit.
+    // seeds, both designs, both weight widths and every ADC resolution
+    // of `ADC_BITS`. Exact equality on every logit.
     for &seed in &[DEFAULT_SEED, 0xA5A5, 0x1234_5678, 7] {
         for design in [ImcDesign::CurFe, ImcDesign::ChgFe] {
             for bits in [8, 4] {
                 let seq = mlp(64, 16, 10, seed);
                 let x = ramp_rows(1, 64, seed as usize);
-                assert_matches_reference(&seq, noiseless(design, bits), &x);
+                for adc_bits in ADC_BITS {
+                    let cfg = ImcConfig {
+                        adc_bits,
+                        ..noiseless(design, bits)
+                    };
+                    assert_matches_reference(&seq, cfg, &x);
+                }
             }
         }
     }
@@ -138,10 +153,17 @@ fn kernels_bit_identical_on_seed_checkpoints() {
 #[test]
 fn kernels_bit_identical_on_the_serve_shape() {
     // Full 784→64→10 MNIST shape at the serving seed — the exact
-    // network `imc-serve` runs, minus noise — on a 3-row batch.
+    // network `imc-serve` runs, minus noise — on a 3-row batch, at
+    // every ADC resolution of `ADC_BITS`.
     let seq = mlp(784, 64, 10, DEFAULT_SEED);
     let x = ramp_rows(3, 784, 3);
-    assert_matches_reference(&seq, noiseless(ImcDesign::ChgFe, 8), &x);
+    for adc_bits in ADC_BITS {
+        let cfg = ImcConfig {
+            adc_bits,
+            ..noiseless(ImcDesign::ChgFe, 8)
+        };
+        assert_matches_reference(&seq, cfg, &x);
+    }
 }
 
 /// FNV-1a 64 over the 8 little-endian bytes of each value.
