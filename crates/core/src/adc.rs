@@ -227,6 +227,7 @@ impl AdcReader {
 
     /// The four-lane twin of this reader, or `None` unless it is
     /// unit-scale: only the identity affine has a lane read.
+    #[cfg(target_arch = "x86_64")]
     #[must_use]
     pub fn lanes(&self) -> Option<AdcLanes> {
         self.unit_scale.then_some(AdcLanes {
@@ -240,6 +241,7 @@ impl AdcReader {
 /// The read of a unit-scale [`AdcReader`], four conversions at a time
 /// (x86-64 AVX): lane `k` of [`AdcLanes::read_units`] has the bits
 /// `AdcReader::read_units` returns for input `k`.
+#[cfg(target_arch = "x86_64")]
 #[derive(Debug, Clone, Copy)]
 pub struct AdcLanes {
     lsb: f64,

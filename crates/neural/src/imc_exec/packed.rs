@@ -33,7 +33,8 @@
 //! [`ideal_matmul_packed`] are its three pairings, all run by one driver
 //! that builds the input bit-masks, opens the noise streams and picks
 //! the compile. For each position the body first counts a block of up
-//! to 64 columns into a plane-major stack array, then reads the counts.
+//! to 64 columns into a plane-major stack array (planes 0–3 only at W4,
+//! whose planes 4–7 are zero), then reads the counts.
 //! It is compiled three times: portably, with `popcnt,sse4.1`, and with
 //! `avx2,popcnt,sse4.1`; on x86-64 the fastest one the CPU runs is
 //! picked at run time, so calibration takes a fast compile too. Only
@@ -85,7 +86,7 @@ use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::quant::QuantizedWeights;
 use crate::tensor::Tensor;
-use imc_core::adc::{exact_f64, AdcLanes, AdcReader, SarAdc};
+use imc_core::adc::{exact_f64, AdcReader, SarAdc};
 use imc_core::weights::{SignedNibble, SplitWeight};
 
 use super::{ImcConfig, NoiseProfile};
@@ -97,7 +98,8 @@ pub const PLANES: usize = 8;
 ///
 /// Layout: `words[(o·PLANES + j)·words_per_plane + s]` holds rows
 /// `64s..64s+63` of output column `o`, plane `j` — bit `b` set means
-/// chunk-row `64s + b` stores a 1 in that weight bit.
+/// chunk-row `64s + b` stores a 1 in that weight bit. At W4 the L4B
+/// planes 4–7 are zero words.
 #[derive(Debug, Clone)]
 pub struct PackedChunk {
     /// Rows in this chunk (`≤ cfg.rows`; the last chunk may be short).
@@ -445,8 +447,9 @@ struct AdcRead<'a> {
     noise: &'a PlaneNoise,
     adc_h: AdcReader,
     adc_l: AdcReader,
-    /// The pair's four-lane twins, when both are unit-scale (x86-64).
-    lanes: Option<(AdcLanes, AdcLanes)>,
+    /// The pair's four-lane twins, when both are unit-scale.
+    #[cfg(target_arch = "x86_64")]
+    lanes: Option<(imc_core::adc::AdcLanes, imc_core::adc::AdcLanes)>,
     eight_bit: bool,
     key: StreamKey,
 }
@@ -463,10 +466,8 @@ impl<'a> AdcRead<'a> {
             noise,
             adc_h,
             adc_l,
-            lanes: adc_h
-                .lanes()
-                .zip(adc_l.lanes())
-                .filter(|_| cfg!(target_arch = "x86_64")),
+            #[cfg(target_arch = "x86_64")]
+            lanes: adc_h.lanes().zip(adc_l.lanes()),
             eight_bit: cfg.weight_bits == 8,
             key,
         }
@@ -519,6 +520,7 @@ impl Readout for AdcRead<'_> {
         16.0 * h_units + self.adc_l.read_units(l_int + noise_l)
     }
 
+    #[cfg(target_arch = "x86_64")]
     fn has_lanes(&self) -> bool {
         self.lanes.is_some()
     }
@@ -661,16 +663,46 @@ struct Pass<'a> {
     positions: usize,
     oc: usize,
     t: u32,
+    /// W8 planes: planes 4–7 hold the L4B bits. W4 stores them as zero
+    /// words ([`pack_planes`]), and the pass does not count them.
+    eight_bit: bool,
 }
 
-/// The `positions × oc` popcount → read → shift-add loop of one pass,
-/// the only popcount loop of the kernel. For each position it counts a
-/// block of up to [`BLOCK`] columns into a plane-major [`Counts`], then
-/// reads them: four columns at a time through [`Readout::read4`] when
-/// `LANES` is set and the read has lanes, the rest one at a time. Each
-/// accumulator still takes one shift-add per pass. Compiled three
-/// times, by the three functions below; only [`pass_x86_avx2`] sets
-/// `LANES`.
+/// Counts planes `0..LIVE` of block columns `o0..o0 + cols` against one
+/// position's input bit-masks `xm` into `counts`. Planes from `LIVE` on
+/// keep the zeros they start with.
+#[inline(always)]
+fn count_block<const LIVE: usize>(
+    p: &Pass<'_>,
+    xm: &[u64],
+    o0: usize,
+    cols: usize,
+    counts: &mut Counts,
+) {
+    let wpp = p.wpp;
+    for k in 0..cols {
+        let o = o0 + k;
+        let w = &p.words[o * PLANES * wpp..(o * PLANES + LIVE) * wpp];
+        let mut n = [0u32; LIVE];
+        for (s, &x) in xm.iter().enumerate() {
+            for (j, nj) in n.iter_mut().enumerate() {
+                *nj += (x & w[j * wpp + s]).count_ones();
+            }
+        }
+        for (plane, nj) in counts.iter_mut().zip(n) {
+            plane[k] = nj;
+        }
+    }
+}
+
+/// The `positions × oc` popcount → read → shift-add loop of one pass.
+/// For each position it counts a block of up to [`BLOCK`] columns into a
+/// plane-major [`Counts`] ([`count_block`], the kernel's only popcount
+/// loop: four planes at W4, eight at W8), then reads them: four columns
+/// at a time through [`Readout::read4`] when `LANES` is set and the read
+/// has lanes, the rest one at a time. Each accumulator still takes one
+/// shift-add per pass. Compiled three times, by the three functions
+/// below; only [`pass_x86_avx2`] sets `LANES`.
 ///
 /// # Safety
 ///
@@ -691,18 +723,10 @@ unsafe fn pass_body<const LANES: bool, R: Readout, A: ShiftAdd>(
         let xm = &p.masks[pos * wpp..(pos + 1) * wpp];
         for o0 in (0..oc).step_by(BLOCK) {
             let cols = BLOCK.min(oc - o0);
-            for k in 0..cols {
-                let o = o0 + k;
-                let w = &p.words[o * PLANES * wpp..(o + 1) * PLANES * wpp];
-                let mut n = [0u32; PLANES];
-                for (s, &x) in xm.iter().enumerate() {
-                    for (j, nj) in n.iter_mut().enumerate() {
-                        *nj += (x & w[j * wpp + s]).count_ones();
-                    }
-                }
-                for (plane, nj) in counts.iter_mut().zip(n) {
-                    plane[k] = nj;
-                }
+            if p.eight_bit {
+                count_block::<PLANES>(p, xm, o0, cols, &mut counts);
+            } else {
+                count_block::<4>(p, xm, o0, cols, &mut counts);
             }
             let i0 = pos * oc + o0;
             let out = &mut acc[i0..i0 + cols];
@@ -907,6 +931,7 @@ fn run_passes<R: Readout, A: ShiftAdd>(
                     positions: rows,
                     oc,
                     t,
+                    eight_bit: planes.weight_bits == 8,
                 };
                 let out = &mut acc[p0 * oc..(p0 + rows) * oc];
                 // SAFETY: `Compile::best` is what the CPU runs.
@@ -1235,6 +1260,11 @@ mod tests {
             .filter(|&c| c <= Compile::best())
             .collect();
         println!("pass compiles run on this host: {compiles:?}");
+        #[cfg(target_arch = "x86_64")]
+        assert!(
+            compiles.contains(&Compile::Popcnt),
+            "x86-64 has popcnt and sse4.1"
+        );
         fn run<R: Readout, A: ShiftAdd>(
             compile: Compile,
             pass: &Pass<'_>,
@@ -1283,6 +1313,7 @@ mod tests {
                         positions,
                         oc,
                         t: 2,
+                        eight_bit: weight_bits == 8,
                     };
                     let outputs = |compile| {
                         let mut ideal = IdealRead {
