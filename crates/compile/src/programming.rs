@@ -474,6 +474,284 @@ mod tests {
         assert_eq!(par.1, ser.1, "totals must match bit-for-bit");
     }
 
+    /// Deterministic codes in `lo..=hi` for the golden cases.
+    fn golden_codes(n: usize, salt: u64, lo: i8, hi: i8) -> Vec<i8> {
+        let span = (i16::from(hi) - i16::from(lo) + 1) as u64;
+        (0..n as u64)
+            .map(|i| (i64::from(lo) + (mix(salt, i) % span) as i64) as i8)
+            .collect()
+    }
+
+    /// Two layers (`[12, 40]` and `[6, 12]`) over four banks, with two
+    /// row tiles and two column tiles on layer 0 at W8.
+    fn golden_placement() -> PlacementTable {
+        let e = |layer, row_tile, col_tile, bank| PlacementEntry {
+            layer,
+            row_tile,
+            col_tile,
+            bank,
+            slot: 0,
+        };
+        PlacementTable {
+            tile_rows: 32,
+            tile_cols_w8: 8,
+            banks: 4,
+            spare_cols_w8: 2,
+            entries: vec![
+                e(0, 0, 0, 0),
+                e(0, 0, 1, 1),
+                e(0, 1, 0, 2),
+                e(0, 1, 1, 3),
+                e(1, 0, 0, 1),
+            ],
+        }
+    }
+
+    const GOLDEN_SHAPES: [[usize; 2]; 2] = [[12, 40], [6, 12]];
+
+    fn golden_pass(
+        stored: &[Vec<i8>],
+        base: Option<&[Vec<i8>]>,
+        design: ImcDesign,
+        weight_bits: u32,
+        stride: usize,
+    ) -> (Vec<BankProgramStats>, ProgramTotals) {
+        let mut opts = ProgramOptions::paper(29);
+        opts.stride = stride;
+        program_pass(
+            stored,
+            base,
+            &GOLDEN_SHAPES,
+            &golden_placement(),
+            design,
+            weight_bits,
+            &opts,
+        )
+    }
+
+    /// Every field of the pass's output, f64s as their bits.
+    fn golden_bits(out: &(Vec<BankProgramStats>, ProgramTotals)) -> Vec<[u64; 8]> {
+        let (banks, t) = out;
+        let mut rows: Vec<[u64; 8]> = banks
+            .iter()
+            .map(|b| {
+                [
+                    b.bank as u64,
+                    b.cells,
+                    b.pulses,
+                    b.max_pulses,
+                    b.unconverged,
+                    b.mean_abs_residual_v.to_bits(),
+                    b.max_abs_residual_v.to_bits(),
+                    b.energy_j.to_bits(),
+                ]
+            })
+            .collect();
+        rows.push([
+            t.cells,
+            t.pulses,
+            t.unconverged,
+            t.energy_j.to_bits(),
+            0,
+            0,
+            0,
+            0,
+        ]);
+        rows
+    }
+
+    fn stats(
+        bank: usize,
+        cells: u64,
+        pulses: u64,
+        max_pulses: u64,
+        unconverged: u64,
+        [mean_abs_residual_v, max_abs_residual_v, energy_j]: [f64; 3],
+    ) -> BankProgramStats {
+        BankProgramStats {
+            bank,
+            cells,
+            pulses,
+            max_pulses,
+            unconverged,
+            mean_abs_residual_v,
+            max_abs_residual_v,
+            energy_j,
+        }
+    }
+
+    fn totals(cells: u64, pulses: u64, unconverged: u64, energy_j: f64) -> ProgramTotals {
+        ProgramTotals {
+            cells,
+            pulses,
+            unconverged,
+            energy_j,
+        }
+    }
+
+    fn golden_w8() -> Vec<Vec<i8>> {
+        GOLDEN_SHAPES
+            .iter()
+            .enumerate()
+            .map(|(l, [oc, fan])| golden_codes(oc * fan, l as u64, i8::MIN, i8::MAX))
+            .collect()
+    }
+
+    // The three golden cases pin every pulse count, residual and energy
+    // of the programming pass, bit for bit: a change to how cells are
+    // written (not to what they store) must leave them all unmoved.
+
+    #[test]
+    fn golden_chgfe_w8_full_pass() {
+        let want = (
+            vec![
+                stats(
+                    0,
+                    2048,
+                    158_788,
+                    298,
+                    0,
+                    [0.015869715675579054, 0.1553450393899226, 1.45837476652e-10],
+                ),
+                stats(
+                    1,
+                    1600,
+                    123_068,
+                    315,
+                    0,
+                    [
+                        0.015500402965684543,
+                        0.14281074665666849,
+                        1.1128216671200002e-10,
+                    ],
+                ),
+                stats(
+                    2,
+                    512,
+                    37_237,
+                    278,
+                    0,
+                    [0.017385508771592822, 0.13985801813692111, 3.3224283376e-11],
+                ),
+                stats(
+                    3,
+                    256,
+                    19_964,
+                    282,
+                    0,
+                    [
+                        0.015399647712466626,
+                        0.12122887728688592,
+                        1.8374131171999998e-11,
+                    ],
+                ),
+            ],
+            totals(4416, 339_057, 0, 3.0871805791200003e-10),
+        );
+        let got = golden_pass(&golden_w8(), None, ImcDesign::ChgFe, 8, 1);
+        assert_eq!(golden_bits(&got), golden_bits(&want), "{got:?}");
+    }
+
+    #[test]
+    fn golden_curfe_w4_strided_pass() {
+        let w4: Vec<Vec<i8>> = GOLDEN_SHAPES
+            .iter()
+            .enumerate()
+            .map(|(l, [oc, fan])| golden_codes(oc * fan, 10 + l as u64, -8, 7))
+            .collect();
+        let want = (
+            vec![
+                stats(
+                    0,
+                    384,
+                    41_497,
+                    400,
+                    1,
+                    [0.015044955895791348, 0.11827127613435462, 5.6405233576e-11],
+                ),
+                stats(
+                    1,
+                    72,
+                    7788,
+                    273,
+                    0,
+                    [0.01661642391894548, 0.09815880704185542, 1.0504872228e-11],
+                ),
+                stats(
+                    2,
+                    96,
+                    11_529,
+                    400,
+                    1,
+                    [
+                        0.01696626991004926,
+                        0.11827127613435462,
+                        1.6013949983999998e-11,
+                    ],
+                ),
+            ],
+            totals(552, 60_814, 2, 8.2924055788e-11),
+        );
+        let got = golden_pass(&w4, None, ImcDesign::CurFe, 4, 4);
+        assert_eq!(golden_bits(&got), golden_bits(&want), "{got:?}");
+    }
+
+    #[test]
+    fn golden_chgfe_delta_pass() {
+        let base = golden_w8();
+        let mut next = base.clone();
+        for (l, layer) in next.iter_mut().enumerate() {
+            for (i, w) in layer.iter_mut().enumerate() {
+                if mix(20 + l as u64, i as u64) % 5 == 0 {
+                    *w = w.wrapping_add(37);
+                }
+            }
+        }
+        let want = (
+            vec![
+                stats(
+                    0,
+                    272,
+                    19_558,
+                    260,
+                    0,
+                    [0.014829747407333102, 0.10551180701231677, 1.683105718e-11],
+                ),
+                stats(
+                    1,
+                    176,
+                    14_189,
+                    254,
+                    0,
+                    [0.015015858422890372, 0.13533052719811645, 1.2707048576e-11],
+                ),
+                stats(
+                    2,
+                    76,
+                    5405,
+                    227,
+                    0,
+                    [0.015891554504492294, 0.11720045399858292, 4.563415844e-12],
+                ),
+                stats(
+                    3,
+                    30,
+                    2250,
+                    262,
+                    0,
+                    [
+                        0.01812606928858894,
+                        0.08594864449460737,
+                        1.9860483719999996e-12,
+                    ],
+                ),
+            ],
+            totals(554, 41_402, 0, 3.6087569971999996e-11),
+        );
+        let got = golden_pass(&next, Some(&base), ImcDesign::ChgFe, 8, 1);
+        assert_eq!(golden_bits(&got), golden_bits(&want), "{got:?}");
+    }
+
     #[test]
     fn delta_base_skips_unchanged_cells() {
         let base: Vec<i8> = (0..16 * 8).map(|i| (i % 97) as i8).collect();
