@@ -25,7 +25,7 @@
 
 use crate::image::{BankProgramStats, PlacementTable};
 use fefet_device::fefet::{FeFet, FeFetParams, Polarity};
-use fefet_device::programming::{program_vth, IsppConfig, MlcCurrentLadder, SlcStates};
+use fefet_device::programming::{IsppConfig, IsppTrajectory, MlcCurrentLadder, SlcStates};
 use fefet_device::variation::{VariationParams, VariationSampler};
 use neural::imc_exec::ImcDesign;
 use serde::{Deserialize, Serialize};
@@ -233,6 +233,9 @@ pub fn program_pass(
         }
     }
 
+    // One pulse ladder serves every cell of the pass: the cells share
+    // one device model, and each write starts from erase.
+    let trajectory = IsppTrajectory::new(&device_for(design), &opts.ispp);
     let run_item = |item: &ColItem| -> ColStats {
         let [_oc, fan] = shapes[item.layer];
         let codes = &stored[item.layer];
@@ -288,7 +291,7 @@ pub fn program_pass(
                 }
                 // Verify senses `vth + dv`: program against the
                 // offset-shifted target, capped at the erase level.
-                let rep = program_vth(&mut dev, (target - dv).min(v_erase), &opts.ispp);
+                let rep = trajectory.program(&mut dev, (target - dv).min(v_erase));
                 let residual = (rep.vth - target).abs();
                 s.pulses += rep.pulses as u64;
                 s.max_pulses = s.max_pulses.max(rep.pulses as u64);

@@ -11,8 +11,13 @@
 //! verify (ISPP) style of Reis et al. (IEEE JxCDC'19): starting from the
 //! erased state, pulses of increasing amplitude are applied until a read
 //! confirms the target V_TH within tolerance.
+//!
+//! From erase, the ladder's V_TH after `k` pulses depends on `k` alone
+//! (see [`IsppTrajectory`]), so the ladder is simulated once per device
+//! model and configuration, and each write scans that table and lands
+//! the cell with one real pulse.
 
-use crate::fefet::FeFet;
+use crate::fefet::{FeFet, FeFetParams};
 use serde::{Deserialize, Serialize};
 
 /// Outcome of a write-verify programming operation.
@@ -72,63 +77,154 @@ impl Default for IsppConfig {
     }
 }
 
-/// Programs `device` to the target threshold voltage with erase + ISPP.
+/// One rung of an [`IsppTrajectory`]: the loop's state after a pulse.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct IsppStep {
+    /// V_TH read after this pulse (V).
+    vth: f64,
+    /// Amplitude of this pulse (V).
+    amp: f64,
+    /// Write energy of the ladder up to and including this pulse (J).
+    energy: f64,
+}
+
+/// The ISPP write-verify ladder of one device model, simulated once.
 ///
-/// The device is first erased (driving it to its highest V_TH for n-type),
-/// then pulses of increasing amplitude partially switch the ferroelectric
-/// until the verify read sees `|V_TH − target| ≤ tolerance`.
-///
-/// # Errors
-///
-/// This function does not error; an unreachable target is reported through
-/// `WriteReport::converged == false` so callers can decide whether a
-/// best-effort state is acceptable (C-INTERMEDIATE).
-pub fn program_vth(device: &mut FeFet, target: f64, cfg: &IsppConfig) -> WriteReport {
-    device.erase();
-    let mut energy = 0.0;
-    let mut pulses = 0;
-    // The erased state may already satisfy a high-V_TH target.
-    if (device.vth() - target).abs() <= cfg.tolerance {
-        return WriteReport {
-            vth: device.vth(),
-            pulses,
-            energy,
-            converged: true,
-        };
+/// ISPP always starts from erase, and there the Preisach history is
+/// empty and the branch ascending. Pulse `k`'s rising edge reaches a
+/// field `E_k ≥ E_{k−1}`, which wipes out the previous pulse's two
+/// turning points, so the polarization after it is the major ascending
+/// branch at `E_k` and the falling edge then depends on `E_k` alone.
+/// V_TH after `k` pulses is therefore the same for every cell of the
+/// model, and so is the device state: erasing a cell and applying pulse
+/// `k` alone leaves it bit for bit where the ladder's first `k` pulses
+/// would. [`IsppTrajectory::program`] scans the table with the loop's
+/// exit tests and applies that one landing pulse.
+#[derive(Debug, Clone, PartialEq)]
+pub struct IsppTrajectory {
+    params: FeFetParams,
+    width: f64,
+    tolerance: f64,
+    /// `steps[k]`: the state after pulse `k + 1`; `max_pulses` entries.
+    steps: Vec<IsppStep>,
+}
+
+impl IsppTrajectory {
+    /// Runs the whole amplitude ladder (`cfg.max_pulses` pulses) on an
+    /// erased clone of `device`.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless every pulse field is positive and non-decreasing,
+    /// the premise that makes the table exact: `cfg.v_start > 0`,
+    /// `cfg.v_step ≥ 0` and a positive ferroelectric thickness.
+    #[must_use]
+    pub fn new(device: &FeFet, cfg: &IsppConfig) -> Self {
+        let params = *device.params();
+        assert!(
+            cfg.v_start > 0.0 && cfg.v_step >= 0.0 && params.t_fe > 0.0,
+            "ISPP needs a rising ladder of positive fields: v_start {} V, v_step {} V, t_fe {} m",
+            cfg.v_start,
+            cfg.v_step,
+            params.t_fe
+        );
+        let mut dev = device.clone();
+        dev.erase();
+        let mut energy = 0.0;
+        let steps = (0..cfg.max_pulses)
+            .map(|step| {
+                let amp = cfg.v_start + cfg.v_step * step as f64;
+                // n-type: positive pulses lower V_TH. We always program
+                // "down" from erase, which is the monotone ISPP direction.
+                let vth = dev.program_pulse(amp, cfg.width);
+                energy += cfg.c_gate * amp * amp;
+                IsppStep { vth, amp, energy }
+            })
+            .collect();
+        Self {
+            params,
+            width: cfg.width,
+            tolerance: cfg.tolerance,
+            steps,
+        }
     }
-    for step in 0..cfg.max_pulses {
-        let amp = cfg.v_start + cfg.v_step * step as f64;
-        // n-type: positive pulses lower V_TH. We always program "down"
-        // from erase, which is the monotone ISPP direction.
-        device.program_pulse(amp, cfg.width);
-        energy += cfg.c_gate * amp * amp;
-        pulses += 1;
-        let vth = device.vth();
-        if (vth - target).abs() <= cfg.tolerance {
+
+    /// Programs `device` to the target threshold voltage with erase +
+    /// ISPP: the device is erased (driving it to its highest V_TH for
+    /// n-type), then the ladder's pulses of increasing amplitude
+    /// partially switch the ferroelectric until the verify read sees
+    /// `|V_TH − target| ≤ tolerance`. Only the last of those pulses is
+    /// applied; the report counts them all.
+    ///
+    /// An unreachable target is reported through
+    /// `WriteReport::converged == false`, so callers can decide whether
+    /// a best-effort state is acceptable (C-INTERMEDIATE).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `device` is not of the model the trajectory was built
+    /// from.
+    pub fn program(&self, device: &mut FeFet, target: f64) -> WriteReport {
+        assert_eq!(
+            device.params(),
+            &self.params,
+            "an ISPP trajectory programs only its own device model"
+        );
+        device.erase();
+        let tol = self.tolerance;
+        // The erased state may already satisfy a high-V_TH target.
+        if (device.vth() - target).abs() <= tol {
             return WriteReport {
-                vth,
-                pulses,
-                energy,
+                vth: device.vth(),
+                pulses: 0,
+                energy: 0.0,
                 converged: true,
             };
         }
-        // Overshot: V_TH already below target and still moving down means
-        // the ladder skipped over the window. Report best effort.
-        if vth < target - cfg.tolerance {
-            return WriteReport {
-                vth,
-                pulses,
-                energy,
+        for (k, s) in self.steps.iter().enumerate() {
+            if (s.vth - target).abs() <= tol {
+                return self.land(device, k, true);
+            }
+            // Overshot: V_TH already below target and still moving down
+            // means the ladder skipped over the window. Report best effort.
+            if s.vth < target - tol {
+                return self.land(device, k, false);
+            }
+        }
+        match self.steps.len() {
+            0 => WriteReport {
+                vth: device.vth(),
+                pulses: 0,
+                energy: 0.0,
                 converged: false,
-            };
+            },
+            n => self.land(device, n - 1, false),
         }
     }
-    WriteReport {
-        vth: device.vth(),
-        pulses,
-        energy,
-        converged: false,
+
+    /// Applies pulse `k + 1` of the ladder to the erased `device`, which
+    /// leaves it where the ladder's first `k + 1` pulses would.
+    fn land(&self, device: &mut FeFet, k: usize, converged: bool) -> WriteReport {
+        let s = self.steps[k];
+        WriteReport {
+            vth: device.program_pulse(s.amp, self.width),
+            pulses: k + 1,
+            energy: s.energy,
+            converged,
+        }
     }
+}
+
+/// Programs `device` to the target threshold voltage with erase + ISPP:
+/// the one-shot form of [`IsppTrajectory::program`], which builds the
+/// trajectory for this one write. Programming many cells of one model,
+/// build the trajectory once instead.
+///
+/// # Panics
+///
+/// Panics on a configuration [`IsppTrajectory::new`] rejects.
+pub fn program_vth(device: &mut FeFet, target: f64, cfg: &IsppConfig) -> WriteReport {
+    IsppTrajectory::new(device, cfg).program(device, target)
 }
 
 /// SLC state assignment for the CurFe `1nFeFET1R` cell.
@@ -353,6 +449,170 @@ mod tests {
     #[should_panic(expected = "ChgFe nibble")]
     fn vth_for_bad_bit_panics() {
         let _ = MlcCurrentLadder::paper().vth_for(4, true);
+    }
+
+    /// The pulse-by-pulse ISPP loop: the oracle [`IsppTrajectory`] must
+    /// reproduce bit for bit.
+    fn pulse_by_pulse(device: &mut FeFet, target: f64, cfg: &IsppConfig) -> WriteReport {
+        device.erase();
+        let mut energy = 0.0;
+        let mut pulses = 0;
+        if (device.vth() - target).abs() <= cfg.tolerance {
+            return WriteReport {
+                vth: device.vth(),
+                pulses,
+                energy,
+                converged: true,
+            };
+        }
+        for step in 0..cfg.max_pulses {
+            let amp = cfg.v_start + cfg.v_step * step as f64;
+            device.program_pulse(amp, cfg.width);
+            energy += cfg.c_gate * amp * amp;
+            pulses += 1;
+            let vth = device.vth();
+            if (vth - target).abs() <= cfg.tolerance {
+                return WriteReport {
+                    vth,
+                    pulses,
+                    energy,
+                    converged: true,
+                };
+            }
+            if vth < target - cfg.tolerance {
+                return WriteReport {
+                    vth,
+                    pulses,
+                    energy,
+                    converged: false,
+                };
+            }
+        }
+        WriteReport {
+            vth: device.vth(),
+            pulses,
+            energy,
+            converged: false,
+        }
+    }
+
+    fn report_bits(r: &WriteReport) -> (u64, usize, u64, bool) {
+        (r.vth.to_bits(), r.pulses, r.energy.to_bits(), r.converged)
+    }
+
+    /// SplitMix64 stream of uniform draws in `[lo, hi)`.
+    fn uniform(seed: u64, lo: f64, hi: f64) -> impl Iterator<Item = f64> {
+        (1u64..).map(move |i| {
+            let mut z = seed.wrapping_add(i.wrapping_mul(0x9E37_79B9_7F4A_7C15));
+            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^= z >> 31;
+            lo + (hi - lo) * ((z >> 11) as f64 / (1u64 << 53) as f64)
+        })
+    }
+
+    #[test]
+    fn trajectory_matches_the_pulse_by_pulse_loop() {
+        let paper = IsppConfig::paper();
+        let configs = [
+            paper,
+            // Coarse steps skip over the verify window: overshoots.
+            IsppConfig {
+                v_step: 0.1,
+                ..paper
+            },
+            // A flat ladder repeats one amplitude.
+            IsppConfig {
+                v_step: 0.0,
+                v_start: 1.5,
+                max_pulses: 20,
+                ..paper
+            },
+            IsppConfig {
+                max_pulses: 1,
+                ..paper
+            },
+            IsppConfig {
+                max_pulses: 0,
+                ..paper
+            },
+        ];
+        let devices = [
+            FeFet::new(FeFetParams::nfefet_40nm(), Polarity::N),
+            FeFet::new(FeFetParams::nfefet_mlc_40nm(), Polarity::N),
+            FeFet::new(FeFetParams::pfefet_mlc_40nm(), Polarity::P),
+        ];
+        let slc = SlcStates::paper();
+        let ladder = MlcCurrentLadder::paper();
+        // Calls that pulse, land within tolerance, overshoot, and run
+        // out of pulses: every exit of the loop must be taken.
+        let (mut zero, mut converged, mut overshot, mut exhausted) = (0, 0, 0, 0);
+        for (d, dev) in devices.iter().enumerate() {
+            let mut erased = dev.clone();
+            erased.erase();
+            let v_erase = erased.vth();
+            for (c, cfg) in configs.iter().enumerate() {
+                let tol = cfg.tolerance;
+                let mut fixed = vec![v_erase, slc.vth_low, slc.vth_high, -2.0, 0.1];
+                fixed.extend(ladder.vth_on);
+                for edge in [v_erase - tol, v_erase + tol] {
+                    fixed.extend([edge.next_down(), edge, edge.next_up()]);
+                }
+                let random = uniform(((d as u64) << 8) | c as u64, 0.0, 2.0);
+                let n_random = if c == 0 { 3000 } else { 600 };
+                // Interleave fixed (often 0-pulse) and random (pulsed)
+                // targets on one reused device pair.
+                let targets: Vec<f64> = random
+                    .take(n_random)
+                    .enumerate()
+                    .flat_map(|(i, t)| [t, fixed[i % fixed.len()]])
+                    .collect();
+                let trajectory = IsppTrajectory::new(dev, cfg);
+                let (mut oracle_dev, mut dev_t) = (dev.clone(), dev.clone());
+                for &target in &targets {
+                    let want = pulse_by_pulse(&mut oracle_dev, target, cfg);
+                    let got = trajectory.program(&mut dev_t, target);
+                    assert_eq!(
+                        report_bits(&got),
+                        report_bits(&want),
+                        "device {d}, config {c}, target {target}: {got:?} vs {want:?}"
+                    );
+                    assert!(
+                        dev_t == oracle_dev,
+                        "device {d}, config {c}, target {target}"
+                    );
+                    match want {
+                        WriteReport { pulses: 0, .. } => zero += 1,
+                        WriteReport {
+                            converged: true, ..
+                        } => converged += 1,
+                        WriteReport { pulses, .. } if pulses < cfg.max_pulses => overshot += 1,
+                        _ => exhausted += 1,
+                    }
+                }
+                let mut one_shot = dev.clone();
+                let t = ladder.vth_on[1];
+                assert_eq!(
+                    report_bits(&program_vth(&mut one_shot, t, cfg)),
+                    report_bits(&pulse_by_pulse(&mut oracle_dev, t, cfg))
+                );
+                assert!(one_shot == oracle_dev);
+            }
+        }
+        assert!(
+            zero > 0 && converged > 0 && overshot > 0 && exhausted > 0,
+            "{zero} 0-pulse, {converged} converged, {overshot} overshot, {exhausted} exhausted"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "rising ladder")]
+    fn trajectory_rejects_a_falling_ladder() {
+        let cfg = IsppConfig {
+            v_step: -0.001,
+            ..IsppConfig::paper()
+        };
+        let _ = IsppTrajectory::new(&n_dev(), &cfg);
     }
 
     #[test]
