@@ -116,28 +116,30 @@ fn device_for(design: ImcDesign) -> FeFet {
     FeFet::new(params, Polarity::N)
 }
 
-/// The 8 (or 4) cell bits of a stored code, LSB-first: low nibble then
-/// high nibble, the sign bit last.
-fn cell_bits(w: i8, weight_bits: u32) -> Vec<bool> {
-    if weight_bits == 8 {
-        let sw = imc_core::weights::SplitWeight::split(w);
-        let lo = sw.low.bits();
-        let hi = sw.high.bits();
-        lo.iter().chain(hi.iter()).copied().collect()
+/// The cell bits of a stored code, LSB-first: low nibble then high
+/// nibble, the sign bit last. Only the first `n` entries of the returned
+/// `(bits, n)` are cells: 8 at W8, 4 at W4.
+///
+/// # Panics
+///
+/// Panics at W4 if `w` is outside the signed nibble's `-8..=7`.
+fn cell_bits(w: i8, weight_bits: u32) -> ([bool; 8], usize) {
+    let n = if weight_bits == 8 {
+        8
     } else {
-        imc_core::weights::SignedNibble::new(w).bits().to_vec()
-    }
+        assert!((-8..=7).contains(&w), "signed nibble out of range: {w}");
+        4
+    };
+    let u = w as u8;
+    (std::array::from_fn(|i| (u >> i) & 1 != 0), n)
 }
 
 /// Number of physical cells whose bit differs between two stored codes —
 /// the per-weight unit of the delta-compile touched-cell count.
 #[must_use]
 pub fn changed_cells(a: i8, b: i8, weight_bits: u32) -> u64 {
-    cell_bits(a, weight_bits)
-        .iter()
-        .zip(cell_bits(b, weight_bits).iter())
-        .filter(|(x, y)| x != y)
-        .count() as u64
+    let ((x, n), (y, _)) = (cell_bits(a, weight_bits), cell_bits(b, weight_bits));
+    x[..n].iter().zip(&y[..n]).filter(|(p, q)| p != q).count() as u64
 }
 
 /// Physical cells per stored weight.
@@ -263,8 +265,9 @@ pub fn program_pass(
         let mut cell_counter = 0usize;
         for r in item.r0..item.r1 {
             let w = codes[item.o * fan + r];
-            let old_bits = base.map(|b| cell_bits(b[item.layer][item.o * fan + r], weight_bits));
-            for (cell, bit) in cell_bits(w, weight_bits).into_iter().enumerate() {
+            let old_bits = base.map(|b| cell_bits(b[item.layer][item.o * fan + r], weight_bits).0);
+            let (bits, n) = cell_bits(w, weight_bits);
+            for (cell, &bit) in bits[..n].iter().enumerate() {
                 // The offset is drawn per cell even when skipped (by
                 // stride *or* by an unchanged delta bit), so every
                 // variant sees the same per-cell offsets.
@@ -273,10 +276,8 @@ pub fn program_pass(
                 if !(cell_counter - 1).is_multiple_of(opts.stride) {
                     continue;
                 }
-                if let Some(old) = &old_bits {
-                    if old[cell] == bit {
-                        continue; // already on the chip — delta skip
-                    }
+                if old_bits.is_some_and(|old| old[cell] == bit) {
+                    continue; // already on the chip — delta skip
                 }
                 let target = targets.vth(cell, bit);
                 s.cells += 1;
@@ -753,6 +754,21 @@ mod tests {
         );
         let got = golden_pass(&next, Some(&base), ImcDesign::ChgFe, 8, 1);
         assert_eq!(golden_bits(&got), golden_bits(&want), "{got:?}");
+    }
+
+    #[test]
+    fn cell_bits_are_the_stored_nibbles_bits() {
+        use imc_core::weights::{SignedNibble, SplitWeight};
+        for w in i8::MIN..=i8::MAX {
+            let sw = SplitWeight::split(w);
+            let want: Vec<bool> = sw.low.bits().into_iter().chain(sw.high.bits()).collect();
+            let (bits, n) = cell_bits(w, 8);
+            assert_eq!(bits[..n], want[..], "W8 code {w}");
+        }
+        for w in -8..=7 {
+            let (bits, n) = cell_bits(w, 4);
+            assert_eq!(bits[..n], SignedNibble::new(w).bits(), "W4 code {w}");
+        }
     }
 
     #[test]
