@@ -260,7 +260,6 @@ mod tests {
             },
             ImcDesign::ChgFe,
         );
-        o.program.stride = 64;
         o.probe_count = 4;
         let mut ledger = WearLedger::fresh(o.geometry.banks);
         compile(&o, &mut ledger).unwrap().image

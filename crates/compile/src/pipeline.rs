@@ -529,7 +529,6 @@ mod tests {
             },
             ImcDesign::CurFe,
         );
-        o.program.stride = 64; // keep debug-mode ISPP cheap
         o.probe_count = 16;
         o
     }
@@ -587,7 +586,6 @@ mod tests {
             p_stuck_on: 1e-3,
             p_stuck_off: 1e-3,
         };
-        opts.program.stride = 64; // stride only subsamples stats, not codes
         opts.probe_count = 32;
         let mut ledger = WearLedger::fresh(opts.geometry.banks);
         let out = compile(&opts, &mut ledger).unwrap();

@@ -454,7 +454,6 @@ mod tests {
         let stored = vec![(0..24 * 16).map(|i| (i % 251) as i8).collect::<Vec<i8>>()];
         let shapes = [[24usize, 16usize]];
         let mut opts = ProgramOptions::paper(17);
-        opts.stride = 8; // keep the debug-mode ISPP loop cheap
         let par = program_pass(
             &stored,
             None,

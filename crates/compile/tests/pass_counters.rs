@@ -21,7 +21,6 @@ fn compile_reports_pass_spans_and_programming_counters() {
         },
         ImcDesign::CurFe,
     );
-    opts.program.stride = 64; // keep debug-mode ISPP cheap
     opts.probe_count = 16;
     let passes = ["placement", "remap", "programming", "wear", "predict"];
     let span_count = |snap: &imc_obs::Snapshot, pass: &str| {

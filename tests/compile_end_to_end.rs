@@ -17,8 +17,7 @@ use neural::imc_exec::argmax_total;
 use neural::imc_exec::ImcDesign;
 
 /// A small-but-typical compile: two-layer MLP on ChgFe with a
-/// mature-process stuck-cell rate, subsampled ISPP so debug builds stay
-/// fast (stride only thins the manifest statistics, never the codes).
+/// mature-process stuck-cell rate, every cell programmed.
 /// The fault rate and probe count are sized so remapping's true effect
 /// dominates the probe-noise variance of the agreement estimate — at
 /// low rates and few probes, the strictly-beats comparison below is a
@@ -37,7 +36,6 @@ fn faulty_opts() -> CompileOptions {
         p_stuck_off: 4.0e-3,
     };
     opts.fault_seed = 1234;
-    opts.program.stride = 64;
     opts.probe_count = 256;
     opts
 }

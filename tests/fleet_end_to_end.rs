@@ -323,7 +323,6 @@ fn shard_replicas_refuse_hot_swap() {
         };
         let mut opts = CompileOptions::new(arch, ImcDesign::ChgFe);
         opts.weight_seed = seed;
-        opts.program.stride = 64;
         let mut ledger = WearLedger::fresh(opts.geometry.banks);
         let base = compile(&opts, &mut ledger).expect("compile").image;
         let (shards, _) = shard_image(&base, 2, "shard_").expect("cut in two");

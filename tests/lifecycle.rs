@@ -29,8 +29,7 @@ use imc_serve::protocol::Response;
 use imc_serve::{serve, Client, ServeConfig};
 use neural::imc_exec::ImcDesign;
 
-/// Small arch + subsampled ISPP so debug builds stay fast; the swap
-/// semantics under test are stride-independent.
+/// A small arch, every cell programmed.
 fn small_opts(seed: u64) -> CompileOptions {
     let mut opts = CompileOptions::new(
         MlpArch {
@@ -41,7 +40,6 @@ fn small_opts(seed: u64) -> CompileOptions {
         ImcDesign::ChgFe,
     );
     opts.weight_seed = seed;
-    opts.program.stride = 64;
     opts.probe_count = 32;
     opts
 }

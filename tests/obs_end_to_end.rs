@@ -98,7 +98,6 @@ fn generate_work() {
         classes: 4,
     };
     let mut opts = imc_compile::pipeline::CompileOptions::new(arch, ImcDesign::ChgFe);
-    opts.program.stride = 8;
     opts.probe_count = 4;
     let mut ledger = imc_compile::wear::WearLedger::fresh(opts.geometry.banks);
     imc_compile::pipeline::compile(&opts, &mut ledger).expect("compile");
