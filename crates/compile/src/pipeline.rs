@@ -108,7 +108,7 @@ impl CompileOptions {
 pub struct PassTimings {
     /// Placement pass.
     pub placement_s: f64,
-    /// Programming pass (the dominant cost).
+    /// Programming pass.
     pub programming_s: f64,
     /// Fault-aware remapping pass.
     pub remap_s: f64,

@@ -10,6 +10,12 @@
 //! and the true residual error is ≈ `|dv|` plus the verify tolerance
 //! (capped at the erase level — ISPP only moves V_TH down from erase).
 //!
+//! The pass simulates the ISPP ladder once, as an [`IsppTrajectory`] of
+//! the design's device model shared by every item: each cell is erased,
+//! its exit pulse found in the table, and that one pulse applied. The
+//! reports and device states are bit-identical to pulsing the ladder
+//! cell by cell (`fefet_device::programming`).
+//!
 //! The pass records pulse counts, convergence, residual and write energy
 //! per bank. Work is decomposed into **per-column items** (one output
 //! column of one placed tile) run on the shared `par-exec` pool; each
