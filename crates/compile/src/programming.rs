@@ -711,7 +711,7 @@ mod tests {
         let mut next = base.clone();
         for (l, layer) in next.iter_mut().enumerate() {
             for (i, w) in layer.iter_mut().enumerate() {
-                if mix(20 + l as u64, i as u64) % 5 == 0 {
+                if mix(20 + l as u64, i as u64).is_multiple_of(5) {
                     *w = w.wrapping_add(37);
                 }
             }
