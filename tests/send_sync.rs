@@ -9,6 +9,7 @@ fn device_types_are_send_sync() {
     assert_send_sync::<fefet_imc::device::preisach::Preisach>();
     assert_send_sync::<fefet_imc::device::variation::VariationSampler>();
     assert_send_sync::<fefet_imc::device::programming::MlcCurrentLadder>();
+    assert_send_sync::<fefet_imc::device::programming::IsppTrajectory>();
 }
 
 #[test]
